@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corr, cover, lattice, prym, surface, weyl
 from .cover import MonodromyDatum
@@ -250,27 +248,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    workers = int(os.environ.get("PRYMLAB_THREADS", "1"))
     trials = args.trials
-    seeds = [args.seed + t for t in range(trials)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(prym.probe_trial, args.n, args.ds, args.dl, s) for s in seeds
-            ]
-            rows = []
-            for t, fut in enumerate(futures):  # stream in trial order
-                row = fut.result()
-                row["trial"] = t
-                print(json.dumps(row, sort_keys=True, separators=(",", ":")))
-                rows.append(row)
-    else:
-        rows = []
-        for t, s in enumerate(seeds):
-            row = prym.probe_trial(args.n, args.ds, args.dl, s)
-            row["trial"] = t
-            print(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            rows.append(row)
+    prym.check_probe_args(args.n, trials)
+    rows = []
+    for t in range(trials):
+        row = prym.probe_trial(args.n, args.ds, args.dl, args.seed + t)
+        row["trial"] = t
+        print(json.dumps(row, sort_keys=True, separators=(",", ":")))
+        rows.append(row)
     agree = sum(1 for r in rows if r["agree"])
     asserted = args.ds == 0
     if asserted and agree != trials:

@@ -253,6 +253,12 @@ class Prediction:
     notes: tuple
 
 
+def _genus_cprime(n: int, branch_long: int, base_genus: int) -> int:
+    """Riemann-Hurwitz genus of the degree-n pair-class cover C': only the
+    long reflections act on the pairs, each as a transposition."""
+    return branch_long // 2 + n * base_genus - n + 1
+
+
 def _type_chain(*groups) -> tuple:
     out = []
     for value, count in groups:
@@ -270,7 +276,7 @@ def predict(n: int, branch_short: int, branch_long: int, base_genus: int) -> Pre
     ds, dl, gy = branch_short, branch_long, base_genus
     if ds < 0 or dl < 0 or ds % 2 or dl % 2:
         raise ValueError("branch counts must be even and nonnegative")
-    g_cprime = dl // 2 + n * gy - n + 1
+    g_cprime = _genus_cprime(n, dl, gy)
     g_c = ds // 2 + dl + 2 * n * gy - 2 * n + 1
     if n >= 3:
         g_x = 2 ** (n - 2) * ds + 2 ** (n - 3) * dl + 2**n * gy - 2**n + 1
@@ -382,6 +388,13 @@ def random_simple(n: int, count_s: int, count_l: int, seed: int) -> MonodromyDat
         raise GenerationError(
             f"parity obstruction: counts ({count_s},{count_l}) cannot have identity product"
         )
+    g_cprime = _genus_cprime(n, count_l, 0)
+    if g_cprime < 0:
+        # a connected vector cover C would make its quotient C' connected
+        raise GenerationError(
+            f"no datum for ({n}, {count_s}, {count_l}): Riemann-Hurwitz gives "
+            f"g(C') = {g_cprime} < 0; ruled out before any draw"
+        )
     shorts = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("short",))]
     longs = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("long",))]
     if count_l and not longs:
@@ -406,5 +419,5 @@ def random_simple(n: int, count_s: int, count_l: int, seed: int) -> MonodromyDat
         if len(components(cover)) == 1:
             return datum
     raise GenerationError(
-        f"no datum found for ({n}, {count_s}, {count_l}) within {REJECTION_BOUND} draws"
+        f"no datum found for ({n}, {count_s}, {count_l}) after {REJECTION_BOUND} draws"
     )

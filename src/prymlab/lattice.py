@@ -5,12 +5,16 @@ arithmetic is arbitrary precision; ``A @ B`` multiplies exactly. Sublattices
 of Z^m are represented by matrices whose columns generate them.
 
 Smith normal form is the workhorse: it yields kernels, images, saturations,
-integral solving and the elementary-divisor chains of alternating forms.
+integral solving and the divisor chains of singular or non-square matrices.
+The divisor chain of a nonsingular square matrix (every nondegenerate
+alternating form) comes determinant first: the Smith elimination then runs
+modulo |det|, so its entries stay bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 
 import numpy as np
 
@@ -230,8 +234,76 @@ def snf(mat):
     return U, D, V
 
 
+def _chain_mod(rows, D: int) -> tuple:
+    """Divisor chain of a nonsingular n x n integer matrix with ``|det| == D``,
+    by Smith elimination modulo D (Cohen, Alg. 2.4.14; no transforms).
+
+    The column span L contains D Z^n, and unimodular row operations keep it
+    there, so adding D-multiples to entries leaves L unchanged: every entry
+    stays in [0, D). Once column t is cleared, its pivot p spans, together
+    with D e_t, the same as gcd(p, D); a block that is zero mod D gives D.
+    """
+    n = len(rows)
+    a = [[int(x) % D for x in row] for row in rows]
+    chain = []
+    for t in range(n):
+        nonzero = [(a[i][j], i, j) for i in range(t, n) for j in range(t, n) if a[i][j]]
+        if not nonzero:
+            chain += [D] * (n - t)
+            break
+        _, i, j = min(nonzero)
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:  # rows above t are zero from column t on
+            row[t], row[j] = row[j], row[t]
+        while True:
+            # clear column t by Euclid between row t and each row below; a
+            # pivot dividing the entry stays the pivot
+            for i in range(t + 1, n):
+                while a[i][t]:
+                    ri, rt = a[i], a[t]
+                    q = ri[t] // rt[t]
+                    for c in range(t, n):
+                        ri[c] = (ri[c] - q * rt[c]) % D
+                    if ri[t]:
+                        a[i], a[t] = rt, ri
+            d = a[t][t] = gcd(a[t][t], D)
+            # column t is d e_t, so column operations reduce row t mod d; a
+            # remainder, swapped in, is a smaller pivot
+            j = next((j for j in range(t + 1, n) if a[t][j] % d), None)
+            if j is not None:
+                a[t][j] %= d
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                continue
+            for j in range(t + 1, n):
+                a[t][j] = 0
+            # the pivot must divide the remaining block
+            i = next(
+                (i for i in range(t + 1, n) if any(x % d for x in a[i][t + 1:])), None
+            )
+            if i is None:
+                break
+            a[t][t + 1:] = a[i][t + 1:]  # row t += row i
+        chain.append(d)
+    if prod(chain) != D:
+        raise AssertionError("modular divisor chain self-check failed")
+    return tuple(chain)
+
+
+def _nonsingular_chain(mat):
+    """Divisor chain of a square matrix by the determinant-first path, or
+    ``None`` when the matrix is singular."""
+    D = abs(det(mat))
+    return _chain_mod(mat, D) if D else None
+
+
 def divisors(mat) -> tuple:
     """Nonzero diagonal chain d1 | d2 | ... of the Smith form."""
+    arr = np.asarray(mat, dtype=object)
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+        chain = _nonsingular_chain(arr)
+        if chain is not None:
+            return chain
     _, d, _ = snf(mat)
     out = []
     for i in range(min(d.shape)):
@@ -394,16 +466,15 @@ def ptype(sub: PolarizedLattice) -> tuple:
     r = g.shape[0]
     if r == 0:
         return ()
-    ker = kernel(g)
-    if ker.shape[1] != 0:
-        radical = sub.basis @ ker
+    chain = _nonsingular_chain(g)
+    if chain is None:
+        ker = kernel(g)
         raise DegenerateFormError(
             f"restricted form is degenerate with radical of rank {ker.shape[1]}",
-            radical=radical,
+            radical=sub.basis @ ker,
         )
     if r % 2 != 0:
         raise DegenerateFormError("nondegenerate alternating form needs even rank")
-    chain = divisors(g)
     for i in range(0, r, 2):
         if chain[i] != chain[i + 1]:
             raise AssertionError(f"elementary divisors not paired: {chain}")

@@ -582,12 +582,20 @@ def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
     }
 
 
+def check_probe_args(n: int, trials: int) -> None:
+    """Reject probe parameters outside its scope: ranks below 4 are theorems,
+    and a probe needs at least one trial."""
+    if n < 4:
+        raise ScenarioError("the probe targets rank >= 4; lower ranks are theorems")
+    if trials < 1:
+        raise ScenarioError(f"the probe needs at least one trial, got {trials}")
+
+
 def conjecture_probe(n: int, count_s: int, count_l: int, trials: int, seed: int) -> ProbeReport:
     """Evidence gathering for the open duality statement: agreement between
     computed and conjectured types is reported, never asserted, except in the
     proven unramified regime where a mismatch is a hard error."""
-    if n < 4:
-        raise ScenarioError("the probe targets rank >= 4; lower ranks are theorems")
+    check_probe_args(n, trials)
     rows = []
     for t in range(trials):
         rows.append(probe_trial(n, count_s, count_l, seed + t))

@@ -141,13 +141,33 @@ def test_probe_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_probe_parallel_matches_serial(capsys, monkeypatch):
+def test_probe_ignores_threads_variable(capsys, monkeypatch):
     args = ["probe", "--n", "4", "--ds", "4", "--dl", "8", "--trials", "3", "--seed", "2"]
-    monkeypatch.setenv("PRYMLAB_THREADS", "1")
-    _, serial, _ = _run(capsys, *args)
-    monkeypatch.setenv("PRYMLAB_THREADS", "3")
-    _, parallel, _ = _run(capsys, *args)
-    assert serial == parallel
+    monkeypatch.delenv("PRYMLAB_THREADS", raising=False)
+    code, plain, _ = _run(capsys, *args)
+    assert code == 0
+    for value in ("1", "3", "abc"):
+        monkeypatch.setenv("PRYMLAB_THREADS", value)
+        assert _run(capsys, *args) == (0, plain, "")
+
+
+def test_probe_rejects_low_rank_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "probe", "--n", "3", "--ds", "4", "--dl", "6", "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "rank >= 4" in err
+
+
+def test_probe_rejects_nonpositive_trials_exits_two(capsys):
+    for trials in ("-2", "0"):
+        code, out, err = _run(
+            capsys, "probe", "--n", "4", "--ds", "4", "--dl", "8", "--trials", trials
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one trial" in err
 
 
 def test_json_output_is_canonical(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -237,6 +238,15 @@ def test_random_simple_parity_obstruction():
         random_simple(2, 1, 4, seed=0)
     with pytest.raises(GenerationError):
         random_simple(3, 2, 3, seed=0)
+
+
+def test_random_simple_riemann_hurwitz_fails_fast():
+    # g(C') = 2/2 - 4 + 1 < 0: no connected vector cover exists
+    assert predict(4, 2, 2, 0).genera["C'"] < 0
+    start = time.perf_counter()
+    with pytest.raises(GenerationError, match="before any draw"):
+        random_simple(4, 2, 2, seed=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_splitmix_stream_is_pinned():

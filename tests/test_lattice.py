@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import det_cofactor, minors_gcd_chain
 from prymlab.errors import DegenerateFormError
+from prymlab.prym import probe_trial
 from prymlab.lattice import (
     PolarizedLattice,
     det,
@@ -234,3 +235,85 @@ def test_alternating_divisors_pair_up():
             continue  # degenerate draw
         chain = divisors(G)
         assert all(chain[i] == chain[i + 1] for i in range(0, 2 * k, 2))
+
+
+# -- determinant-first divisor chains ------------------------------------------
+
+
+def _snf_chain(M):
+    _, D, _ = snf(M)
+    return tuple(int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0)
+
+
+@st.composite
+def _nonsingular(draw, alternating):
+    k = draw(st.integers(min_value=1, max_value=3 if alternating else 5))
+    size = 2 * k if alternating else k
+    entries = st.integers(min_value=-9, max_value=9)
+    M = intmat([[draw(entries) for _ in range(size)] for _ in range(size)])
+    if alternating:
+        M = M - M.T
+    # a common row factor forces nontrivial divisors
+    M[0] = M[0] * draw(st.integers(min_value=1, max_value=4))
+    assume(det(M) != 0)
+    return M
+
+
+@st.composite
+def _unimodular(draw, size):
+    U = eye(size)
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * size))):
+        i = draw(st.integers(min_value=0, max_value=size - 1))
+        j = draw(st.integers(min_value=0, max_value=size - 1))
+        if i != j:
+            U[i] = U[i] + draw(st.integers(min_value=-3, max_value=3)) * U[j]
+    return U
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(_nonsingular))
+def test_modular_chain_matches_snf_and_minors(M):
+    chain = divisors(M)
+    assert chain == _snf_chain(M)
+    assert list(chain) == minors_gcd_chain(to_lists(M))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(_nonsingular), st.data())
+def test_modular_chain_invariant_under_unimodular_change(M, data):
+    size = M.shape[0]
+    U = data.draw(_unimodular(size))
+    V = data.draw(_unimodular(size))
+    assert abs(det(U)) == 1 and abs(det(V)) == 1
+    assert divisors(U @ M @ V) == divisors(M)
+
+
+def test_modular_chain_keeps_dividing_pivot():
+    # the pivot 2 divides the other entries of its row and column
+    M = intmat([[2, 4, 6], [4, 2, 8], [6, 8, 2]])
+    assert divisors(M) == _snf_chain(M) == (2, 2, 40)
+    M = intmat([[3, 9], [6, 3]])
+    assert divisors(M) == _snf_chain(M) == (3, 15)
+
+
+def test_modular_chain_of_divisible_diagonal():
+    assert divisors(intmat([[3, 0], [0, 12]])) == (3, 12)
+    assert divisors(intmat([[12, 0], [0, 3]])) == (3, 12)
+    assert divisors(intmat([[0, 4], [-4, 0]])) == (4, 4)
+
+
+def test_modular_chain_one_by_one():
+    assert divisors(intmat([[-5]])) == (5,)
+    assert divisors(intmat([[1]])) == (1,)
+
+
+def test_divisors_of_singular_square_keeps_snf_route():
+    M = intmat([[2, 4], [1, 2]])
+    assert divisors(M) == _snf_chain(M) == (1,)
+
+
+def test_probe_seed_with_coefficient_blowup_finishes():
+    # the restricted Gram here is 20 x 20; unreduced elimination never ended
+    row = probe_trial(4, 12, 16, 4)
+    assert tuple(row["computed_type"]) == (4,) * 5 + (8,) * 5
+    assert row["agree"]

@@ -14,10 +14,10 @@ from prymlab.weyl import OrbitKind
 
 datum = random_simple(3, 4, 6, seed=1)
 
-HX = surface.build(induce(datum, OrbitKind.SPINOR))
-HC = surface.build(induce(datum, OrbitKind.VECTOR))
-print(f"degree-8 cover: genus {HX.genus}, homology rank {HX.genus2}")
-print(f"degree-6 cover: genus {HC.genus}, homology rank {HC.genus2}")
+HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+print(f"degree-8 cover: genus {HX.genus_total}, homology rank {HX.rank}")
+print(f"degree-6 cover: genus {HC.genus_total}, homology rank {HC.rank}")
 print("intersection gram of the degree-6 cover (unimodular, alternating):")
 for row in to_lists(HC.gram):
     print("  ", row)
@@ -27,17 +27,17 @@ print()
 print("== the main correspondence on the degree-8 cover ==")
 D = corr.make_D(3)
 print("fiber degree:", D.degree, " exponent:", 2 ** (3 - 1))
-delta = surface.induced_map(HX, HX, D.matrix)
-I = eye(HX.genus2)
+delta = surface.induced_map_all(HX, HX, D.matrix)
+I = eye(HX.rank)
 quad = (delta - I) @ (delta + 3 * I)
 print("quadratic relation (delta-1)(delta+3) = 0 on homology:",
-      mat_equal(quad, zeros(HX.genus2, HX.genus2)))
+      mat_equal(quad, zeros(HX.rank, HX.rank)))
 
 print()
 print("== incidence correspondence and adjointness ==")
 s0 = corr.make_S_family(3)["S0"].matrix
-fwd = surface.induced_map(HX, HC, s0)
-bwd = surface.induced_map(HC, HX, s0.T)
+fwd = surface.induced_map_all(HX, HC, s0)
+bwd = surface.induced_map_all(HC, HX, s0.T)
 print("pairing adjointness <s a, b> = <a, ts b>:",
       mat_equal(fwd.T @ HC.gram, HX.gram @ bwd))
 print("roundtrip equals 1 - delta:", mat_equal(bwd @ fwd, I - delta))

@@ -1,8 +1,10 @@
 """Exact integer matrix and lattice algebra.
 
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
-arithmetic is arbitrary precision; ``A @ B`` multiplies exactly. Sublattices
-of Z^m are represented by matrices whose columns generate them.
+arithmetic is arbitrary precision; ``A @ B`` multiplies exactly. Large
+products go through ``matmul``, which runs in int64 whenever a bound on its
+inputs proves that no partial sum can wrap, and on Python ints otherwise.
+Sublattices of Z^m are represented by matrices whose columns generate them.
 
 Smith normal form is the workhorse: it yields kernels, images, saturations,
 integral solving and the divisor chains of singular or non-square matrices.
@@ -60,31 +62,70 @@ def to_lists(m) -> list:
     return [[int(x) for x in row] for row in np.asarray(m, dtype=object)]
 
 
+def _pyints(m) -> np.ndarray:
+    """Copy of an integer array as an object array of Python ints."""
+    arr = np.asarray(m, dtype=object)
+    return np.frompyfunc(int, 1, 1)(arr) if arr.size else arr.copy()
+
+
+def _maxabs(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+_INT64_BOUND = 2 ** 63
+
+
+def matmul(a, b) -> np.ndarray:
+    """Exact integer product ``a @ b`` as an object array.
+
+    Every partial sum of an entry is at most ``max|a| * max|b| * inner`` in
+    absolute value, so when that and every entry are below 2^63 the product
+    runs in int64 and cannot wrap; otherwise it runs on Python ints.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    ma, mb = _maxabs(a), _maxabs(b)
+    if max(ma, mb, ma * mb * a.shape[-1]) < _INT64_BOUND:
+        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
+    return _pyints(a) @ _pyints(b)
+
+
 def det(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [[int(x) for x in row] for row in np.asarray(m, dtype=object)]
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Each pivot updates the trailing block with one outer product, and every
+    division is exact (each entry is a minor of the input). A step runs in
+    int64 while ``max|block| * |pivot| + max|column| * max|row| < 2^63``
+    bounds every value it forms, and on Python ints from the first step
+    where that fails.
+    """
+    a = np.asarray(m)
     n = len(a)
     if n == 0:
         return 1
-    if any(len(row) != n for row in a):
+    if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("determinant of a non-square matrix")
+    a = a.astype(np.int64) if _maxabs(a) < _INT64_BOUND else _pyints(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+        if a[k, k] == 0:
+            below = np.flatnonzero(a[k + 1:, k])
+            if not below.size:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            i = k + 1 + below[0]
+            a[[k, i]] = a[[i, k]]
+            sign = -sign
+        p = int(a[k, k])
+        col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
+        if a.dtype != object and (
+            _maxabs(rest) * abs(p) + _maxabs(col) * _maxabs(row) >= _INT64_BOUND
+        ):
+            a = a.astype(object)
+            col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
+        rest[...] = (rest * p - np.outer(col, row)) // prev
+        prev = p
+    return sign * int(a[n - 1, n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +493,7 @@ class PolarizedLattice:
         return self.basis.shape[1]
 
     def restricted_gram(self) -> np.ndarray:
-        return self.basis.T @ self.gram @ self.basis
+        return matmul(matmul(self.basis.T, self.gram), self.basis)
 
     def saturated(self) -> "PolarizedLattice":
         return PolarizedLattice(self.gram, saturate(self.basis))

@@ -33,6 +33,7 @@ from .lattice import (
     intersect,
     lattices_equal,
     mat_equal,
+    matmul,
     ptype,
     saturate,
     solve_exact,
@@ -81,7 +82,7 @@ def prym_tyurin_lattice(cover_model):
     delta = surface.induced_map_all(H, H, corr.make_D(n).matrix)
     q = exponent(n)
     I = eye(H.rank)
-    if not mat_equal((delta - I) @ (delta + (q - 1) * I), zeros(H.rank, H.rank)):
+    if not mat_equal(matmul(delta - I, delta + (q - 1) * I), zeros(H.rank, H.rank)):
         raise AssertionError(
             "quadratic relation failed on homology; the model is inconsistent"
         )
@@ -128,10 +129,10 @@ def mu_check(spinor_cover, vector_cover) -> MuCheck:
     chain = divisors(coords)
     surjective = len(chain) == prym_basis.shape[1] and all(d == 1 for d in chain)
     ts0_h = surface.induced_map_all(HC, HX, s0.T)
-    lifted = ts0_h @ prym_basis
+    lifted = matmul(ts0_h, prym_basis)
     scaling = mat_equal(
-        lifted.T @ HX.gram @ lifted,
-        exponent(n) * (prym_basis.T @ HC.gram @ prym_basis),
+        matmul(matmul(lifted.T, HX.gram), lifted),
+        exponent(n) * matmul(matmul(prym_basis.T, HC.gram), prym_basis),
     )
     return MuCheck(surjective, scaling)
 

@@ -14,15 +14,25 @@ explicit cell complex:
 
 First homology comes from a spanning tree: non-tree edges give fundamental
 cycles, face boundaries give the relations, and the quotient is free of rank
-2g (asserted). Basis cycles are kept as explicit edge chains so that fiber
-correspondences can act on them by linear substitution.
+2g (asserted). The basis is held as one E x 2g integer matrix ``B`` (E the
+number of edges, edge ``sheet * arcs + arc``); column j is basis cycle j as
+an edge chain. The class of any cycle is ``C`` times its non-tree rows, ``C``
+the rows of the relation transform past the relations. A fiber
+correspondence therefore acts on homology as one product: image chains
+``(F^T (x) I) B``, then ``C`` on their non-tree rows.
 
-The intersection number of two edge chains is evaluated locally: push the
+The intersection form is ``B^T Q B`` for a local crossing form Q: push the
 second chain off to the right of every edge; crossings then happen only
 inside the disk around each vertex, where they are counted from the cyclic
 order of edge ends (ascending arcs at a sheet vertex, inverse-monodromy
-order at a ramification vertex). The resulting Gram matrix is checked to be
-alternating and unimodular on every build.
+order at a ramification vertex). Q is block diagonal over the vertices, so
+the Gram is summed one vertex at a time over the basis columns that pass
+through it. The Gram is checked to have zero diagonal and to be alternating
+and unimodular on every build.
+
+Products of these matrices go through ``lattice.matmul``, which runs in
+int64 only when ``max|a| * max|b| * inner < 2^63`` proves that no partial
+sum can wrap, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -109,6 +119,11 @@ class HomologyModel:
         self.vertex_ends.extend([None] * (self.vertex_count - d))
         for vid, (i, cyc) in cycle_members.items():
             self.vertex_ends[vid] = ("branch", [t * k + i for t in cyc])
+        # each edge ends once at a ramification vertex: their ends in vertex
+        # order, and where each vertex starts
+        heads = [ends for _kind, ends in self.vertex_ends[d:]]
+        self._head_order = [e for ends in heads for e in ends]
+        self._head_starts = np.cumsum([0] + [len(ends) for ends in heads])[:-1]
 
         # face boundaries: one per sheet, arcs in ascending order
         self.faces = []
@@ -131,169 +146,104 @@ class HomologyModel:
         V, E = self.vertex_count, self.edge_count
         adj = [[] for _ in range(V)]
         for e in range(E):
-            adj[self.edge_tail[e]].append((e, self.edge_head[e], +1))
-            adj[self.edge_head[e]].append((e, self.edge_tail[e], -1))
+            adj[self.edge_tail[e]].append((e, self.edge_head[e]))
+            adj[self.edge_head[e]].append((e, self.edge_tail[e]))
         for lst in adj:
             lst.sort()
-        parent_edge = [None] * V   # (edge, direction toward the root)
+        parent = [None] * V   # (edge to the parent, parent vertex)
         order = [0]
         seen = [False] * V
         seen[0] = True
-        qi = 0
         in_tree = [False] * E
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for e, w, _sign in adj[v]:
+        for v in order:
+            for e, w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     in_tree[e] = True
-                    parent_edge[w] = e
+                    parent[w] = (e, v)
                     order.append(w)
         if not all(seen):
             raise AssertionError("1-skeleton disconnected despite transitivity")
-        self.in_tree = in_tree
         self.nontree = [e for e in range(E) if not in_tree[e]]
-        self.nontree_pos = {e: i for i, e in enumerate(self.nontree)}
-
-        # path-to-root as an edge chain, memoized per vertex
-        path_cache = {0: {}}
-
-        def path(v):
-            if v in path_cache:
-                return path_cache[v]
-            e = parent_edge[v]
-            other = self.edge_tail[e] if self.edge_head[e] == v else self.edge_head[e]
-            base = dict(path(other))
-            # step from v toward the root: forward when v is the tail
-            base[e] = base.get(e, 0) + (+1 if self.edge_tail[e] == v else -1)
-            if base[e] == 0:
-                del base[e]
-            path_cache[v] = base
-            return base
-
-        # fundamental cycle of a non-tree edge e: e + path(head->root) - path(tail->root)
-        self.fundamental = []
-        for e in self.nontree:
-            chain = {e: 1}
-            for ee, c in path(self.edge_head[e]).items():
-                chain[ee] = chain.get(ee, 0) + c
-            for ee, c in path(self.edge_tail[e]).items():
-                chain[ee] = chain.get(ee, 0) - c
-            chain = {ee: c for ee, c in chain.items() if c}
-            self.fundamental.append(chain)
 
         # relations: face boundaries in non-tree coordinates
         m = len(self.nontree)
+        pos = {e: i for i, e in enumerate(self.nontree)}
         rel = zeros(m, len(self.faces))
         for t, chain in enumerate(self.faces):
             for e, c in chain.items():
-                if not self.in_tree[e]:
-                    rel[self.nontree_pos[e], t] = c
+                if not in_tree[e]:
+                    rel[pos[e], t] = c
         st = lattice._snf_state(rel)
         r = lattice._snf_rank(st)
         if any(st.a[i][i] != 1 for i in range(r)):
             raise AssertionError("homology acquired torsion; construction broken")
-        self._rel_rank = r
-        self._U = lattice._lists_to_mat(st.u, m, m)
-        uinv = lattice._lists_to_mat(st.uinv, m, m)
         self.genus2 = m - r
         if self.genus2 % 2:
             raise AssertionError("odd first Betti number on a closed surface")
         self.genus = self.genus2 // 2
         if self.genus != _cover.genus(self.cover):
             raise AssertionError("homology rank disagrees with the genus count")
-        self.basis = []
-        for j in range(r, m):
-            chain = {}
-            for t in range(m):
-                c = uinv[t, j]
-                if c:
-                    for e, cc in self.fundamental[t].items():
-                        chain[e] = chain.get(e, 0) + c * cc
-            self.basis.append({e: c for e, c in chain.items() if c})
+        # the class of a cycle is C times its non-tree coefficients, C the
+        # rows of U past the relations
+        self.class_map = lattice._lists_to_mat(st.u, m, m)[r:]
 
-    def boundary(self, chain: dict) -> dict:
-        out = {}
-        for e, c in chain.items():
-            h, t = self.edge_head[e], self.edge_tail[e]
-            out[h] = out.get(h, 0) + c
-            out[t] = out.get(t, 0) - c
-        return {v: c for v, c in out.items() if c}
+        # B: basis cycle j has the non-tree coefficients of column r + j of
+        # U^-1; its tree coefficients close every vertex. Leaves first, the
+        # edge to the parent carries off the net inflow of the vertex.
+        B = zeros(E, self.genus2)
+        B[self.nontree] = lattice._lists_to_mat(st.uinv, m, m)[:, r:]
+        inflow = zeros(V, self.genus2)
+        for e in self.nontree:
+            inflow[self.edge_head[e]] += B[e]
+            inflow[self.edge_tail[e]] -= B[e]
+        for v in reversed(order[1:]):
+            e, w = parent[v]
+            B[e] = inflow[v] if self.edge_tail[e] == v else -inflow[v]
+            inflow[w] += inflow[v]
+        self.B = B
 
-    def class_of(self, chain: dict) -> np.ndarray:
-        """Homology class of a 1-cycle, in the basis of this model."""
-        if self.boundary(chain):
-            raise ValueError("chain is not a cycle")
-        m = len(self.nontree)
-        w = zeros(m, 1)
-        for e, c in chain.items():
-            if not self.in_tree[e]:
-                w[self.nontree_pos[e], 0] = c
-        u = self._U @ w
-        return u[self._rel_rank:, 0]
+    def _boundary(self, chains: np.ndarray) -> np.ndarray:
+        """Boundaries of the edge chains in the columns, one row per vertex:
+        every edge runs from a sheet vertex to a ramification vertex."""
+        c = chains.shape[1]
+        tails = -chains.reshape(self.degree, self.arc_count, c).sum(axis=1)
+        heads = np.add.reduceat(chains[self._head_order], self._head_starts, axis=0)
+        return np.concatenate([tails, heads])
 
     # -- intersection numbers ----------------------------------------------
 
-    def _vertex_flows(self, chain: dict) -> dict:
-        """Per vertex: inward flow indexed by position in the cyclic end
-        order. Tail ends count edge coefficients negatively."""
-        flows = {}
-        for e, c in chain.items():
-            for v, inward in ((self.edge_head[e], c), (self.edge_tail[e], -c)):
-                kind, ends = self.vertex_ends[v]
-                if v not in flows:
-                    flows[v] = [0] * len(ends)
-                flows[v][ends.index(e)] += inward
-        return flows
-
-    def intersection(self, z1: dict, z2: dict) -> int:
-        """Algebraic intersection number of two 1-cycles.
-
-        The second cycle is displaced to the right of every oriented edge, so
-        its strand arrives just clockwise of a tail end and just counter-
-        clockwise of a head end; crossings with the first cycle's radial
-        strands are then read off the cyclic order.
-        """
-        return self._pair_flows(self._vertex_flows(z1), self._vertex_flows(z2))
-
     def _build_gram(self):
-        g2 = self.genus2
-        gram = zeros(g2, g2)
-        flows = [self._vertex_flows(z) for z in self.basis]
-        for a in range(g2):
-            for b in range(g2):
-                if a == b:
-                    continue
-                gram[a, b] = self._pair_flows(flows[a], flows[b])
-        for a in range(g2):
-            if self._pair_flows(flows[a], flows[a]) != 0:
-                raise AssertionError("nonzero self-intersection")
+        """Gram = B^T Q B for the local crossing form Q, summed vertex by
+        vertex over the basis columns that touch the vertex.
+
+        The second cycle is displaced to the right of every oriented edge,
+        so its strand arrives just clockwise of a tail end and just counter-
+        clockwise of a head end; the crossings at a vertex pair each end's
+        flow with the prefix sum of the other cycle's flows in cyclic end
+        order, inclusive at a sheet vertex and exclusive at a ramification
+        vertex. The flow is minus the coefficient at a tail end, and the two
+        signs cancel in the product.
+        """
+        B = self.B
+        touched = B != 0
+        gram = zeros(self.genus2, self.genus2)
+        for kind, ends in self.vertex_ends:
+            if kind == "branch" and len(ends) < 2:
+                continue  # the exclusive prefix of a single end is zero
+            cols = np.flatnonzero(touched[ends].any(axis=0))
+            x = B[np.ix_(ends, cols)]
+            run = np.cumsum(x, axis=0)
+            if kind == "branch":
+                run -= x
+            gram[np.ix_(cols, cols)] -= lattice.matmul(x.T, run)
+        if np.diagonal(gram).any():
+            raise AssertionError("nonzero self-intersection")
         if not lattice.mat_equal(gram.T, -gram):
             raise AssertionError("intersection form is not alternating")
-        if g2 and abs(lattice.det(gram)) != 1:
+        if self.genus2 and abs(lattice.det(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
         self.gram = gram
-
-    def _pair_flows(self, f1, f2) -> int:
-        total = 0
-        for v, xs in f1.items():
-            ys = f2.get(v)
-            if ys is None:
-                continue
-            kind, _ends = self.vertex_ends[v]
-            acc = 0
-            run = 0
-            if kind == "sheet":
-                for x, y in zip(xs, ys):
-                    run += y
-                    acc += x * run
-            else:
-                for x, y in zip(xs, ys):
-                    acc += x * run
-                    run += y
-            total -= acc
-        return total
 
     def gram_json(self) -> list:
         return lattice.to_lists(self.gram)
@@ -306,56 +256,16 @@ def build(cover_model: CoverModel) -> HomologyModel:
 
 
 def _check_equivariance(src: CoverModel, dst: CoverModel, fiber) -> None:
-    fiber = np.asarray(fiber, dtype=object)
     if fiber.shape != (src.degree, dst.degree):
         raise EquivarianceError(
             f"fiber matrix shape {fiber.shape} does not match degrees "
             f"({src.degree}, {dst.degree})"
         )
-    pairs = list(zip(src.all_perms(), dst.all_perms()))
-    for ps, pd in pairs:
-        for i in range(src.degree):
-            for j in range(dst.degree):
-                if fiber[ps[i], pd[j]] != fiber[i, j]:
-                    raise EquivarianceError(
-                        "fiber matrix does not commute with the monodromy action"
-                    )
-
-
-def induced_map(src: HomologyModel, dst: HomologyModel, fiber) -> np.ndarray:
-    """Action of a fiber correspondence on homology.
-
-    ``fiber[i][j]`` is the multiplicity with which a path on source sheet i
-    maps to the corresponding path on destination sheet j. Both models must
-    come from the same datum. Returns the (2g_dst x 2g_src) integer matrix on
-    column cycle classes.
-    """
-    if src.cover.datum != dst.cover.datum:
-        raise ValueError("source and destination covers come from different data")
-    _check_equivariance(src.cover, dst.cover, fiber)
-    fiber = np.asarray(fiber, dtype=object)
-    k = src.arc_count
-    cols = []
-    for z in src.basis:
-        img = {}
-        for e, c in z.items():
-            s, arc = divmod(e, k)
-            for t in range(dst.degree):
-                w = fiber[s, t]
-                if w:
-                    ee = t * k + arc
-                    img[ee] = img.get(ee, 0) + c * w
-        img = {e: c for e, c in img.items() if c}
-        if dst.boundary(img):
-            raise AssertionError(
-                "image chain failed to close; equivariant input cannot do this"
+    for ps, pd in zip(src.all_perms(), dst.all_perms()):
+        if not lattice.mat_equal(fiber[np.ix_(ps, pd)], fiber):
+            raise EquivarianceError(
+                "fiber matrix does not commute with the monodromy action"
             )
-        cols.append(dst.class_of(img))
-    out = zeros(dst.genus2, src.genus2)
-    for j, col in enumerate(cols):
-        for i in range(dst.genus2):
-            out[i, j] = col[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +304,7 @@ def build_all(cover_model: CoverModel) -> CoverHomology:
     at = 0
     for p in parts:
         offsets.append(at)
-        for i in range(p.genus2):
-            for j in range(p.genus2):
-                gram[at + i, at + j] = p.gram[i, j]
+        gram[at:at + p.genus2, at:at + p.genus2] = p.gram
         at += p.genus2
     return CoverHomology(
         cover=cover_model,
@@ -408,36 +316,32 @@ def build_all(cover_model: CoverModel) -> CoverHomology:
 
 
 def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray:
-    """Induced homology action for covers that may split into components.
+    """Action of a fiber correspondence on homology.
 
-    The fiber matrix is indexed by the full canonical label sets of both
-    covers; its blocks map each source component into each destination
-    component.
+    ``fiber[i][j]`` is the multiplicity with which a path on source sheet i
+    maps to the corresponding path on destination sheet j, indexed by the
+    full canonical label sets of both covers; both must come from the same
+    datum. Each block of the fiber matrix maps one source component into one
+    destination component: the image chains of the source basis are the
+    block's transpose times B with its rows grouped by sheet, and their
+    classes are C times their non-tree rows. Returns the (rank_dst x
+    rank_src) integer matrix on column cycle classes.
     """
     if src.cover.datum != dst.cover.datum:
         raise ValueError("source and destination covers come from different data")
-    _check_equivariance(src.cover, dst.cover, fiber)
     fiber = np.asarray(fiber, dtype=object)
+    _check_equivariance(src.cover, dst.cover, fiber)
     out = zeros(dst.rank, src.rank)
-    for a, (pa, la) in enumerate(zip(src.parts, src.part_labels)):
-        k = pa.arc_count
-        for j_local in range(pa.genus2):
-            z = pa.basis[j_local]
-            col = src.offsets[a] + j_local
-            for b, (pb, lb) in enumerate(zip(dst.parts, dst.part_labels)):
-                img = {}
-                for e, c in z.items():
-                    s_local, arc = divmod(e, k)
-                    s_global = la[s_local]
-                    for t_local, t_global in enumerate(lb):
-                        w = fiber[s_global, t_global]
-                        if w:
-                            ee = t_local * k + arc
-                            img[ee] = img.get(ee, 0) + c * w
-                img = {e: c for e, c in img.items() if c}
-                if pb.boundary(img):
-                    raise AssertionError("image chain failed to close per component")
-                cls = pb.class_of(img)
-                for i in range(pb.genus2):
-                    out[dst.offsets[b] + i, col] = cls[i]
+    for pa, la, oa in zip(src.parts, src.part_labels, src.offsets):
+        by_sheet = pa.B.reshape(pa.degree, pa.arc_count * pa.genus2)
+        for pb, lb, ob in zip(dst.parts, dst.part_labels, dst.offsets):
+            block = fiber[np.ix_(la, lb)]
+            if not block.any():
+                continue
+            img = lattice.matmul(block.T, by_sheet).reshape(pb.edge_count, pa.genus2)
+            if pb._boundary(img).any():
+                raise AssertionError("image chain failed to close per component")
+            out[ob:ob + pb.genus2, oa:oa + pa.genus2] = lattice.matmul(
+                pb.class_map, img[pb.nontree]
+            )
     return out

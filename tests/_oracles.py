@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion or fraction-free elimination written here, divisor chains
-by gcds of minors, weight pairings by direct rational arithmetic.
+by gcds of minors, weight pairings by direct rational arithmetic, and
+homology chains as dicts (edge -> coefficient), paired one vertex at a time
+and pushed through a correspondence one edge at a time.
 """
 
 from fractions import Fraction
@@ -89,3 +91,76 @@ def spinor_weight_vectors(n):
 
 def pairing(x, y, scale):
     return scale * sum(a * b for a, b in zip(x, y))
+
+
+# -- homology chains as dicts, on a surface.HomologyModel ----------------------
+
+
+def _vertex_flows(model, chain):
+    """Per vertex: inward flow indexed by position in the cyclic end order.
+    Tail ends count edge coefficients negatively."""
+    flows = {}
+    for e, c in chain.items():
+        for v, inward in ((model.edge_head[e], c), (model.edge_tail[e], -c)):
+            _kind, ends = model.vertex_ends[v]
+            flows.setdefault(v, [0] * len(ends))[ends.index(e)] += inward
+    return flows
+
+
+def intersection(model, z1, z2):
+    """Algebraic intersection number of two 1-cycles.
+
+    The second cycle is displaced to the right of every oriented edge, so its
+    strand arrives just clockwise of a tail end and just counterclockwise of
+    a head end; crossings with the first cycle's radial strands are then
+    read off the cyclic order.
+    """
+    f1, f2 = _vertex_flows(model, z1), _vertex_flows(model, z2)
+    total = 0
+    for v, xs in f1.items():
+        ys = f2.get(v)
+        if ys is None:
+            continue
+        kind, _ends = model.vertex_ends[v]
+        acc = 0
+        run = 0
+        if kind == "sheet":
+            for x, y in zip(xs, ys):
+                run += y
+                acc += x * run
+        else:
+            for x, y in zip(xs, ys):
+                acc += x * run
+                run += y
+        total -= acc
+    return total
+
+
+def boundary(model, chain):
+    out = {}
+    for e, c in chain.items():
+        out[model.edge_head[e]] = out.get(model.edge_head[e], 0) + c
+        out[model.edge_tail[e]] = out.get(model.edge_tail[e], 0) - c
+    return {v: c for v, c in out.items() if c}
+
+
+def substitute(chain, fiber, src_labels, dst_labels, arcs):
+    """Image of an edge chain on one component under a fiber matrix indexed
+    by the full label sets: edge (sheet, arc) goes to every (sheet', arc)."""
+    img = {}
+    for e, c in chain.items():
+        s, arc = divmod(e, arcs)
+        for t, t_label in enumerate(dst_labels):
+            w = int(fiber[src_labels[s], t_label])
+            if w:
+                img[t * arcs + arc] = img.get(t * arcs + arc, 0) + c * w
+    return {e: c for e, c in img.items() if c}
+
+
+def class_of(model, chain):
+    """Class of a 1-cycle in the model's basis: its non-tree coefficients
+    times the model's class map, one entry at a time."""
+    return [
+        sum(int(model.class_map[i, t]) * chain.get(e, 0) for t, e in enumerate(model.nontree))
+        for i in range(model.genus2)
+    ]

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import det_cofactor, minors_gcd_chain
+from _oracles import det_cofactor, det_fraction_free, minors_gcd_chain
 from prymlab.errors import DegenerateFormError
 from prymlab.prym import probe_trial
 from prymlab.lattice import (
@@ -19,6 +20,7 @@ from prymlab.lattice import (
     kernel,
     lattices_equal,
     mat_equal,
+    matmul,
     ptype,
     saturate,
     snf,
@@ -317,3 +319,91 @@ def test_probe_seed_with_coefficient_blowup_finishes():
     row = probe_trial(4, 12, 16, 4)
     assert tuple(row["computed_type"]) == (4,) * 5 + (8,) * 5
     assert row["agree"]
+
+
+# -- exact products and determinants: int64 and Python-int paths agree ---------
+
+
+def _object_matrix(rows, r, c):
+    m = zeros(r, c)
+    for i in range(r):
+        for j in range(c):
+            m[i, j] = rows[i][j]
+    return m
+
+
+@st.composite
+def _factors(draw):
+    r, k, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    bits = draw(st.sampled_from([3, 31, 62, 63, 90]))
+    entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return _object_matrix(a, r, k), _object_matrix(b, k, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factors())
+@example((zeros(0, 3), zeros(3, 2)))
+@example((zeros(2, 0), zeros(0, 3)))
+@example((zeros(2, 3), zeros(3, 0)))
+def test_matmul_equals_object_product(factors):
+    a, b = factors
+    got = matmul(a, b)
+    assert got.dtype == object and got.shape == (a.shape[0], b.shape[1])
+    assert all(type(x) is int for x in got.flat)
+    assert to_lists(got) == [
+        [sum(a[i, t] * b[t, j] for t in range(a.shape[1])) for j in range(b.shape[1])]
+        for i in range(a.shape[0])
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=2**40),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_matmul_just_under_and_over_the_int64_bound(inner, x, offset):
+    # every entry of the product is +-inner*x*y, which sits next to 2^63;
+    # over the bound only the Python-int path is exact
+    y = 2**63 // (inner * x) + offset
+    assume(y >= 1)
+    a = _object_matrix([[x] * inner, [-x] * inner], 2, inner)
+    b = _object_matrix([[y] * inner], 1, inner).T
+    assert to_lists(matmul(a, b)) == [[inner * x * y], [-inner * x * y]]
+
+
+@st.composite
+def _det_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    bits = draw(st.sampled_from([2, 20, 40, 70]))
+    entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "singular", "zero_pivot"]))
+    if shape == "singular" and n >= 2:
+        rows[-1] = [draw(st.integers(-3, 3)) * x for x in rows[0]]
+    if shape == "zero_pivot" and n >= 1:
+        rows[0][0] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_det_inputs())
+@example([])
+@example([[7]])
+@example([[0, 1], [1, 0]])
+@example([[0, 2], [0, 3]])
+@example([[1, 2], [2, 4]])
+def test_det_matches_fraction_free_and_cofactor(rows):
+    n = len(rows)
+    got = det(_object_matrix(rows, n, n))
+    assert type(got) is int
+    assert got == det_fraction_free(rows)
+    if n <= 4:
+        assert got == det_cofactor(rows)
+
+
+def test_det_accepts_int64_input():
+    M = np.array([[2, 1], [7, 4]], dtype=np.int64)
+    assert det(M) == 1

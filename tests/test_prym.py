@@ -52,9 +52,9 @@ def test_saturation_index_on_genus_two_double_cover():
 
     s = reflection(short_root(1), 1)
     datum = MonodromyDatum(1, 0, tuple([s] * 6))
-    H = surface.build(induce(datum, OrbitKind.VECTOR))
-    iota = surface.induced_map(H, H, corr.negation_matrix(1))
-    raw = _image(_eye(H.genus2) - iota)
+    H = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    iota = surface.induced_map_all(H, H, corr.negation_matrix(1))
+    raw = _image(_eye(H.rank) - iota)
     sat = _sat(raw)
     det_raw = det(raw.T @ H.gram @ raw)
     det_sat = det(sat.T @ H.gram @ sat)

@@ -1,7 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+import _oracles
 from prymlab import corr, cover, lattice, surface, weyl
 from prymlab.cover import MonodromyDatum, induce, random_simple
 from prymlab.errors import DisconnectedError, EquivarianceError, UnsupportedError
@@ -39,7 +42,7 @@ def test_build_is_deterministic():
     H1 = surface.build(induce(d, OrbitKind.SPINOR))
     H2 = surface.build(induce(d, OrbitKind.SPINOR))
     assert to_lists(H1.gram) == to_lists(H2.gram)
-    assert H1.basis == H2.basis
+    assert mat_equal(H1.B, H2.B)
 
 
 def test_build_rejects_positive_base_genus():
@@ -75,90 +78,94 @@ def test_gram_unimodular_alternating_on_random_data():
 
 def test_basis_cycles_are_cycles():
     d = random_simple(3, 4, 6, seed=4)
-    H = surface.build(induce(d, OrbitKind.SPINOR))
-    for z in H.basis:
-        assert H.boundary(z) == {}
-        assert H.intersection(z, z) == 0
+    H = surface.build_all(induce(d, OrbitKind.SPINOR))
+    for p in H.parts:
+        boundary = zeros(p.vertex_count, p.edge_count)
+        for e in range(p.edge_count):
+            boundary[p.edge_head[e], e] += 1
+            boundary[p.edge_tail[e], e] -= 1
+        assert mat_equal(boundary @ p.B, zeros(p.vertex_count, p.genus2))
+        assert all(p.gram[i, i] == 0 for i in range(p.genus2))
 
 
 def test_induced_identity_map():
     d = random_simple(2, 4, 4, seed=6)
-    H = surface.build(induce(d, OrbitKind.SPINOR))
-    N = surface.induced_map(H, H, eye(4))
-    assert mat_equal(N, eye(H.genus2))
+    H = surface.build_all(induce(d, OrbitKind.SPINOR))
+    N = surface.induced_map_all(H, H, eye(4))
+    assert mat_equal(N, eye(H.rank))
 
 
 def test_induced_involution_squares_to_identity():
     d = random_simple(3, 4, 6, seed=7)
-    HC = surface.build(induce(d, OrbitKind.VECTOR))
-    iota = surface.induced_map(HC, HC, corr.negation_matrix(3))
-    assert mat_equal(iota @ iota, eye(HC.genus2))
+    HC = surface.build_all(induce(d, OrbitKind.VECTOR))
+    iota = surface.induced_map_all(HC, HC, corr.negation_matrix(3))
+    assert mat_equal(iota @ iota, eye(HC.rank))
 
 
 def test_induced_rejects_non_equivariant_matrix():
     d = random_simple(2, 4, 4, seed=8)
-    H = surface.build(induce(d, OrbitKind.SPINOR))
+    H = surface.build_all(induce(d, OrbitKind.SPINOR))
     bad = zeros(4, 4)
     bad[0, 1] = 1
     with pytest.raises(EquivarianceError):
-        surface.induced_map(H, H, bad)
+        surface.induced_map_all(H, H, bad)
 
 
 def test_induced_rejects_mixed_data():
     d1 = random_simple(2, 4, 4, seed=1)
     d2 = random_simple(2, 4, 4, seed=2)
-    H1 = surface.build(induce(d1, OrbitKind.SPINOR))
-    H2 = surface.build(induce(d2, OrbitKind.SPINOR))
+    H1 = surface.build_all(induce(d1, OrbitKind.SPINOR))
+    H2 = surface.build_all(induce(d2, OrbitKind.SPINOR))
     with pytest.raises(ValueError):
-        surface.induced_map(H1, H2, eye(4))
+        surface.induced_map_all(H1, H2, eye(4))
 
 
 @pytest.mark.parametrize("n,ds,dl,seed", [(2, 4, 4, 3), (3, 4, 6, 3)])
 def test_adjointness_of_transposed_correspondence(n, ds, dl, seed):
     datum = random_simple(n, ds, dl, seed=seed)
-    HX = surface.build(induce(datum, OrbitKind.SPINOR))
-    HC = surface.build(induce(datum, OrbitKind.VECTOR))
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
     s0 = corr.make_S_family(n)["S0"].matrix
-    fwd = surface.induced_map(HX, HC, s0)
-    bwd = surface.induced_map(HC, HX, s0.T)
+    fwd = surface.induced_map_all(HX, HC, s0)
+    bwd = surface.induced_map_all(HC, HX, s0.T)
     # pairing the image forward equals pairing against the transposed image
     assert mat_equal(fwd.T @ HC.gram, HX.gram @ bwd)
 
 
 def test_functoriality_of_composition():
     datum = random_simple(3, 4, 6, seed=9)
-    HX = surface.build(induce(datum, OrbitKind.SPINOR))
-    HC = surface.build(induce(datum, OrbitKind.VECTOR))
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
     s0 = corr.make_S_family(3)["S0"].matrix
     neg = corr.negation_matrix(3)
-    one = surface.induced_map(HX, HC, s0 @ neg)
-    two = surface.induced_map(HC, HC, neg) @ surface.induced_map(HX, HC, s0)
+    one = surface.induced_map_all(HX, HC, s0 @ neg)
+    two = surface.induced_map_all(HC, HC, neg) @ surface.induced_map_all(HX, HC, s0)
     assert mat_equal(one, two)
 
 
 def test_trace_correspondences_induce_zero():
     datum = random_simple(3, 4, 6, seed=10)
-    HX = surface.build(induce(datum, OrbitKind.SPINOR))
-    HC = surface.build(induce(datum, OrbitKind.VECTOR))
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
     fam = corr.make_S_family(3)
     assert mat_equal(
-        surface.induced_map(HX, HX, fam["T1"].matrix), zeros(HX.genus2, HX.genus2)
+        surface.induced_map_all(HX, HX, fam["T1"].matrix), zeros(HX.rank, HX.rank)
     )
     assert mat_equal(
-        surface.induced_map(HX, HC, fam["T"].matrix), zeros(HC.genus2, HX.genus2)
+        surface.induced_map_all(HX, HC, fam["T"].matrix), zeros(HC.rank, HX.rank)
     )
     assert mat_equal(
-        surface.induced_map(HC, HC, fam["T2"].matrix), zeros(HC.genus2, HC.genus2)
+        surface.induced_map_all(HC, HC, fam["T2"].matrix), zeros(HC.rank, HC.rank)
     )
 
 
 def test_all_ones_image_lies_in_invariants():
     # the trace image is invariant under the sheet involution (here: zero)
     datum = random_simple(2, 4, 4, seed=12)
-    HX = surface.build(induce(datum, OrbitKind.SPINOR))
-    HC = surface.build(induce(datum, OrbitKind.VECTOR))
-    t = surface.induced_map(HX, HC, corr.make_S_family(2)["T"].matrix)
-    iota = surface.induced_map(HC, HC, corr.negation_matrix(2))
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    t = surface.induced_map_all(HX, HC, corr.make_S_family(2)["T"].matrix)
+    iota = surface.induced_map_all(HC, HC, corr.negation_matrix(2))
     assert mat_equal(iota @ t, t)
 
 
@@ -188,3 +195,68 @@ def test_induced_map_all_sheet_involution_swaps_parts():
 def test_gram_export_row_major():
     H = surface.build(_double_cover(4))
     assert H.gram_json() == to_lists(H.gram)
+
+
+def test_model_is_freed_without_the_cycle_collector():
+    cm = induce(random_simple(2, 4, 4, seed=5), OrbitKind.SPINOR)
+    gc.disable()
+    try:
+        H = surface.build(cm)
+        ref = weakref.ref(H)
+        del H
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- the pairwise local-flow and dict-substitution oracles ----------------------
+
+# vector and spinor covers at ranks 2-4; (3, 0, 10, 2) splits the spinor cover
+ORACLE_DATA = [(2, 4, 4, 3), (3, 4, 6, 3), (3, 0, 10, 2), (4, 2, 8, 5)]
+
+
+def _columns(B):
+    return [
+        {e: int(B[e, j]) for e in range(B.shape[0]) if B[e, j]} for j in range(B.shape[1])
+    ]
+
+
+@pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR])
+@pytest.mark.parametrize("n,ds,dl,seed", ORACLE_DATA)
+def test_gram_matches_pairwise_flow_oracle(n, ds, dl, seed, orbit):
+    H = surface.build_all(induce(random_simple(n, ds, dl, seed=seed), orbit))
+    if (ds, orbit) == (0, OrbitKind.SPINOR):
+        assert len(H.parts) == 2
+    for p in H.parts:
+        cycles = _columns(p.B)
+        assert to_lists(p.gram) == [
+            [_oracles.intersection(p, a, b) for b in cycles] for a in cycles
+        ]
+
+
+@pytest.mark.parametrize("n,ds,dl,seed", ORACLE_DATA)
+def test_induced_maps_match_substitution_oracle(n, ds, dl, seed):
+    datum = random_simple(n, ds, dl, seed=seed)
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    for src, dst, fiber in [
+        (HX, HX, corr.make_D(n).matrix),
+        (HX, HX, corr.sigma_matrix(n)),
+        (HX, HC, corr.make_S_family(n)["S0"].matrix),
+    ]:
+        got = surface.induced_map_all(src, dst, fiber)
+        want = []
+        for pa, la in zip(src.parts, src.part_labels):
+            for z in _columns(pa.B):
+                col = []
+                for pb, lb in zip(dst.parts, dst.part_labels):
+                    img = _oracles.substitute(z, fiber, la, lb, pa.arc_count)
+                    assert _oracles.boundary(pb, img) == {}
+                    cls = _oracles.class_of(pb, img)
+                    # the class pairs with every basis cycle as the chain does
+                    assert to_lists(pb.gram @ lattice.intmat([cls]).T) == [
+                        [_oracles.intersection(pb, b, img)] for b in _columns(pb.B)
+                    ]
+                    col += cls
+                want.append(col)
+        assert to_lists(got.T) == want

@@ -1,0 +1,69 @@
+"""Canonical CLI output pinned byte for byte.
+
+``golden_cli.json`` holds the exit code and the exact stdout of each case.
+A change that alters canonical output fails here; when the change is meant,
+rewrite the file with ``PYTHONPATH=src python tests/test_golden_cli.py`` and
+review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from prymlab import cli, prym
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden_cli.json")
+DATA = os.path.join(HERE, "..", "data")
+
+CASES = (
+    [("--format", "json", "verify", "--scenario", name, "--seed", "0")
+     for name in prym.scenario_names()]
+    + [("--format", "json", "ptype", f"{name}.json", "--orbit", "spinor", "--dump")
+       for name in ("etale_d3", "pantazis_b2", "theorem2_b3")]
+    + [("--format", "json", "probe", "--n", "4", "--ds", "4", "--dl", "8",
+        "--trials", "2", "--seed", "5")]
+)
+
+
+def _resolve(argv):
+    # data files are named relative to data/, so the pinned text is independent
+    # of where the checkout lives
+    return [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(_resolve(argv))
+    return code, out.getvalue()
+
+
+def _load():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return {tuple(c["argv"]): c for c in json.load(fh)}
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_load()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[2:]))
+def test_cli_output_matches_golden(argv):
+    want = _load()[argv]
+    code, out = _run(argv)
+    assert code == want["exit"]
+    assert out == want["stdout"]
+
+
+if __name__ == "__main__":
+    cases = []
+    for argv in CASES:
+        code, out = _run(argv)
+        cases.append({"argv": list(argv), "exit": code, "stdout": out})
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")

@@ -178,18 +178,17 @@ def cmd_ptype(args) -> int:
     datum = load_datum(args.file)
     cover.require_valid(datum)
     kind = OrbitKind(args.orbit)
-    cm = cover.induce(datum, kind)
+    H = surface.build_all(cover.induce(datum, kind))
     if kind is OrbitKind.SPINOR:
-        lat, cert = prym.prym_tyurin_lattice(cm)
+        lat, cert = prym.prym_tyurin_lattice(H)
         which = "P(X,delta)"
     elif kind is OrbitKind.VECTOR:
-        lat = prym.prym_lattice(cm, corr.negation_matrix(datum.n))
+        lat = prym.prym_lattice(H, corr.negation_matrix(datum.n))
         which = "P(C,C')"
     elif kind is OrbitKind.PARITY:
-        lat = prym.prym_lattice(cm, lattice.intmat([[0, 1], [1, 0]]))
+        lat = prym.prym_lattice(H, lattice.intmat([[0, 1], [1, 0]]))
         which = "P(Ytilde,Y)"
     else:
-        H = surface.build_all(cm)
         lat = lattice.PolarizedLattice(H.gram, lattice.eye(H.rank))
         which = "full Jacobian lattice"
     payload = {"orbit": args.orbit, "lattice": which, "type": list(lattice.ptype(lat))}
@@ -207,6 +206,8 @@ def cmd_verify(args) -> int:
             _emit({"scenarios": prym.scenario_names()}, args.format)
             return EXIT_OK
         datum = load_datum(args.file) if args.file else None
+        if datum is not None and (args.n, args.ds, args.dl) != (None, None, None):
+            raise UsageError("--file fixes the datum; drop --n, --ds and --dl")
         counts = None
         if args.ds is not None or args.dl is not None:
             if args.ds is None or args.dl is None:
@@ -248,34 +249,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    trials = args.trials
-    prym.check_probe_args(args.n, trials)
-    rows = []
-    for t in range(trials):
-        row = prym.probe_trial(args.n, args.ds, args.dl, args.seed + t)
-        row["trial"] = t
-        print(json.dumps(row, sort_keys=True, separators=(",", ":")))
-        rows.append(row)
-    agree = sum(1 for r in rows if r["agree"])
-    asserted = args.ds == 0
-    if asserted and agree != trials:
-        print(
-            json.dumps(
-                {"error": "mismatch in the proven unramified regime"},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-        return EXIT_FAIL
-    summary = {
-        "agreement": f"{agree}/{trials}",
-        "asserted": asserted,
-        "note": "agreement reported, not asserted"
-        if not asserted
-        else "unramified regime: agreement asserted",
-    }
-    print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
-    return EXIT_OK
+    for item in prym.probe_stream(args.n, args.ds, args.dl, args.trials, args.seed):
+        print(json.dumps(item, sort_keys=True, separators=(",", ":")))
+    return EXIT_FAIL if "error" in item else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cover as _cover
 from . import surface, weyl
-from .errors import EquivarianceError, RankError, ScaleError
+from .errors import EquivarianceError, RankError, ScaleError, UnsupportedError
 from .lattice import eye, intmat, mat_equal, to_lists, zeros
 from .weyl import OrbitKind
 
@@ -513,7 +513,7 @@ def check_identity(name: str, n: int, level: str = "fiber", datum=None) -> Ident
     if level != "homology":
         raise ValueError("level must be 'fiber' or 'homology'")
     if letter not in _HOMOLOGY_LETTERS:
-        raise ValueError(f"identity {name} has no homology content over the rational base")
+        raise UnsupportedError(f"identity {name} has no homology content over the rational base")
     if datum is None:
         if letter == "k":
             datum = _cover.random_simple(3, 0, 8, seed=11)
@@ -526,9 +526,9 @@ def check_identity(name: str, n: int, level: str = "fiber", datum=None) -> Ident
 
 def _homology_check(letter: str, n: int, datum):
     if datum.n != n:
-        raise ValueError("datum rank does not match the requested rank")
+        raise RankError(f"datum has rank {datum.n}, the identity was asked at rank {n}")
     if datum.base_genus != 0:
-        raise ValueError("homology checks run over the rational base only")
+        raise UnsupportedError("homology checks run over the rational base only")
     HX = surface.build_all(_cover.induce(datum, OrbitKind.SPINOR))
     HC = surface.build_all(_cover.induce(datum, OrbitKind.VECTOR))
     ind = surface.induced_map_all

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import corr, cover as _cover, lattice, surface, weyl
-from .cover import MonodromyDatum, components, induce, random_simple
+from .cover import MonodromyDatum, induce, random_simple
 from .errors import DisconnectedError, ScenarioError
 from .lattice import (
     PolarizedLattice,
@@ -58,27 +58,26 @@ def _anti_invariant(H: surface.CoverHomology, fiber_involution) -> PolarizedLatt
     return PolarizedLattice(H.gram, basis)
 
 
-def prym_lattice(cover_model, fiber_involution) -> PolarizedLattice:
+def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
     """Saturation of the anti-invariant image of an involution, with the
-    restricted intersection form. Requires a connected cover of the rational
-    base."""
-    comps = components(cover_model)
-    if len(comps) != 1:
+    restricted intersection form. Requires the homology of a connected cover
+    of the rational base."""
+    if len(H.parts) != 1:
         raise DisconnectedError(
-            "ordinary Prym lattice needs a connected cover", components=comps
+            "ordinary Prym lattice needs a connected cover", components=list(H.part_labels)
         )
-    return _anti_invariant(surface.build_all(cover_model), fiber_involution)
+    return _anti_invariant(H, fiber_involution)
 
 
-def prym_tyurin_lattice(cover_model):
-    """Prym-Tyurin lattice of a subset-orbit cover, with a certificate that
-    the induced endomorphism satisfies its quadratic relation exactly.
+def prym_tyurin_lattice(H: surface.CoverHomology):
+    """Prym-Tyurin lattice in the homology of a subset-orbit cover, with a
+    certificate that the induced endomorphism satisfies its quadratic
+    relation exactly.
 
     Disconnected covers (index-2 monodromy) are handled per component, the
     correspondence acting across the two halves.
     """
-    n = cover_model.datum.n
-    H = surface.build_all(cover_model)
+    n = H.cover.datum.n
     delta = surface.induced_map_all(H, H, corr.make_D(n).matrix)
     q = exponent(n)
     I = eye(H.rank)
@@ -102,22 +101,21 @@ class MuCheck(NamedTuple):
     scaling: bool
 
 
-def mu_check(spinor_cover, vector_cover) -> MuCheck:
-    """Whether the incidence correspondence realises the duality isogeny as
-    an isomorphism: its homology map must cover the whole Prym lattice of
+def mu_check(HX: surface.CoverHomology, HC: surface.CoverHomology) -> MuCheck:
+    """Whether the incidence correspondence from the spinor cover (homology
+    ``HX``) to the signed-index cover (``HC``) realises the duality isogeny
+    as an isomorphism: its homology map must cover the whole Prym lattice of
     the signed-index cover (all elementary divisors 1), and its transpose
     must scale the intersection form by ``2**(n-1)``.
     """
-    if spinor_cover.datum != vector_cover.datum:
+    datum = HX.cover.datum
+    if HC.cover.datum != datum:
         raise ValueError("covers come from different data")
-    datum = spinor_cover.datum
     if datum.base_genus != 0:
         raise ValueError("checks run over the rational base only")
-    n = datum.n
-    HX = surface.build_all(spinor_cover)
-    if len(components(vector_cover)) != 1:
+    if len(HC.parts) != 1:
         raise ValueError("signed-index cover must be connected")
-    HC = surface.build_all(vector_cover)
+    n = datum.n
     s0 = corr.make_S_family(n)["S0"].matrix
     s0_h = surface.induced_map_all(HX, HC, s0)
     prym_basis = _anti_invariant(HC, corr.negation_matrix(n)).basis
@@ -256,19 +254,20 @@ def _scenario_pantazis_b2(datum: MonodromyDatum) -> PrymResult:
         ]
     )
     res = PrymResult("pantazis_b2", 2, ds, dl, {}, {}, {})
-    pprime = prym_lattice(induce(datum, OrbitKind.VECTOR), corr.negation_matrix(2))
-    pxxp = prym_lattice(induce(datum, OrbitKind.SPINOR), corr.sigma_matrix(2))
+    HC = _homology(datum, OrbitKind.VECTOR)
+    HX = _homology(datum, OrbitKind.SPINOR)
+    pprime = prym_lattice(HC, corr.negation_matrix(2))
+    pxxp = prym_lattice(HX, corr.sigma_matrix(2))
     tp, tpp = ptype(pxxp), ptype(pprime)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,X')"] = tp
     res.predicted["type P(C,C')"] = (1,) * (ds // 2 - 1) + (2,) * (dl // 2 - 1)
     res.predicted["type P(X,X')"] = (1,) * (dl // 2 - 1) + (2,) * (ds // 2 - 1)
-    pt, cert = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
+    pt, cert = prym_tyurin_lattice(HX)
     res.checks["P(X,delta) equals P(X,X')"] = lattices_equal(pt.basis, pxxp.basis)
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 2)
     res.computed["exponent"] = cert["exponent"]
-    mu = mu_check(induce(datum, OrbitKind.SPINOR), induce(datum, OrbitKind.VECTOR))
-    res.mu_surjective, res.scaling_verified = mu
+    res.mu_surjective, res.scaling_verified = mu_check(HX, HC)
     return res.finalize()
 
 
@@ -283,8 +282,10 @@ def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
         ]
     )
     res = PrymResult("theorem2_b3", 3, ds, dl, {}, {}, {})
-    pprime = prym_lattice(induce(datum, OrbitKind.VECTOR), corr.negation_matrix(3))
-    pt, cert = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
+    HC = _homology(datum, OrbitKind.VECTOR)
+    HX = _homology(datum, OrbitKind.SPINOR)
+    pprime = prym_lattice(HC, corr.negation_matrix(3))
+    pt, cert = prym_tyurin_lattice(HX)
     tpp, tp = ptype(pprime), ptype(pt)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,delta)"] = tp
@@ -293,8 +294,7 @@ def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 3)
     res.checks["lattice ranks agree"] = pt.rank == pprime.rank
     res.computed["exponent"] = cert["exponent"]
-    mu = mu_check(induce(datum, OrbitKind.SPINOR), induce(datum, OrbitKind.VECTOR))
-    res.mu_surjective, res.scaling_verified = mu
+    res.mu_surjective, res.scaling_verified = mu_check(HX, HC)
     return res.finalize()
 
 
@@ -311,7 +311,7 @@ def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
     res = PrymResult("hyperelliptic_4xi", 3, ds, dl, {}, {}, {})
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
-    pt, cert = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
+    pt, cert = prym_tyurin_lattice(HX)
     tp = ptype(pt)
     g_c = ds // 2 - 1
     res.computed["type P(X,delta)"] = tp
@@ -359,7 +359,7 @@ def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
         PolarizedLattice(HX.parts[0].gram, eye(HX.parts[0].genus2))
     )
     res.predicted["type JC"] = (1,) * g_c
-    pxxp = prym_lattice(induce(datum, OrbitKind.VECTOR), corr.negation_matrix(3))
+    pxxp = prym_lattice(HC, corr.negation_matrix(3))
     res.computed["type P(X,X')"] = ptype(pxxp)
     res.predicted["type P(X,X')"] = (2,) * g_c
     # explicit isometry: membership incidence restricted to the even half
@@ -391,10 +391,9 @@ def _scenario_d3_antidiagonal(datum: MonodromyDatum) -> PrymResult:
         ]
     )
     res = PrymResult("d3_antidiagonal", 3, ds, dl, {}, {}, {})
-    sp = induce(datum, OrbitKind.SPINOR)
-    HX = surface.build_all(sp)
+    HX = _homology(datum, OrbitKind.SPINOR)
     _require([(len(HX.parts) == 2, "subset cover must split into two halves")])
-    pt, cert = prym_tyurin_lattice(sp)
+    pt, cert = prym_tyurin_lattice(HX)
     res.computed["type P(X,delta)"] = ptype(pt)
     res.predicted["type P(X,delta)"] = (2,) * ((ds + dl) // 2 - 3)
     sig = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
@@ -426,16 +425,14 @@ def _scenario_etale_dn(datum: MonodromyDatum) -> PrymResult:
     )
     n = datum.n
     res = PrymResult("etale_dn", n, ds, dl, {}, {}, {})
-    sp = induce(datum, OrbitKind.SPINOR)
-    HX = surface.build_all(sp)
+    HX = _homology(datum, OrbitKind.SPINOR)
     res.computed["spinor components"] = len(HX.parts)
     res.predicted["spinor components"] = 2
-    pt, cert = prym_tyurin_lattice(sp)
+    pt, cert = prym_tyurin_lattice(HX)
     dim = (ds + dl) // 2 - n
     res.computed["type P(X,delta)"] = ptype(pt)
     res.predicted["type P(X,delta)"] = (2 ** (n - 2),) * dim
-    mu = mu_check(sp, induce(datum, OrbitKind.VECTOR))
-    res.mu_surjective, res.scaling_verified = mu
+    res.mu_surjective, res.scaling_verified = mu_check(HX, _homology(datum, OrbitKind.VECTOR))
     res.computed["exponent"] = cert["exponent"]
     return res.finalize()
 
@@ -450,10 +447,9 @@ def _scenario_b3_complement(datum: MonodromyDatum) -> PrymResult:
         ]
     )
     res = PrymResult("b3_complement", 3, ds, dl, {}, {}, {})
-    sp = induce(datum, OrbitKind.SPINOR)
-    HX = surface.build_all(sp)
+    HX = _homology(datum, OrbitKind.SPINOR)
     HY = _homology(datum, OrbitKind.PARITY)
-    pt, cert = prym_tyurin_lattice(sp)
+    pt, cert = prym_tyurin_lattice(HX)
     pxxp = _anti_invariant(HX, corr.sigma_matrix(3))
     push = surface.induced_map_all(HX, HY, corr.parity_incidence(3))
     pull = surface.induced_map_all(HY, HX, corr.parity_incidence(3).T)
@@ -480,9 +476,8 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
         ]
     )
     res = PrymResult("b4_structure", 4, ds, dl, {}, {}, {})
-    sp = induce(datum, OrbitKind.SPINOR)
-    HX = surface.build_all(sp)
-    pt, cert = prym_tyurin_lattice(sp)
+    HX = _homology(datum, OrbitKind.SPINOR)
+    pt, cert = prym_tyurin_lattice(HX)
     pxxp = _anti_invariant(HX, corr.sigma_matrix(4))
     I = eye(HX.rank)
     delta = surface.induced_map_all(HX, HX, corr.make_D(4).matrix)
@@ -490,11 +485,11 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
     res.checks["P(X,delta) = (delta0+2)P(X,X')"] = lattices_equal(
         pt.basis, saturate((d0 + 2 * I) @ pxxp.basis)
     )
+    comp = saturate((delta + 7 * I) @ pxxp.basis)
     res.checks["(delta+7)P(X,X') = (delta0-2)P(X,X')"] = lattices_equal(
-        saturate((delta + 7 * I) @ pxxp.basis), saturate((d0 - 2 * I) @ pxxp.basis)
+        comp, saturate((d0 - 2 * I) @ pxxp.basis)
     )
     res.checks["P(X,delta) inside P(X,X')"] = lattice.contains(pxxp.basis, pt.basis)
-    comp = saturate((delta + 7 * I) @ pxxp.basis)
     res.checks["complementary ranks fill P(X,X')"] = (
         pt.rank + comp.shape[1] == pxxp.rank
     )
@@ -568,11 +563,11 @@ def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
     """One probe draw: computed Prym-Tyurin type against the conjectured one,
     plus the duality-isogeny flags."""
     datum = random_simple(n, count_s, count_l, seed)
-    sp = induce(datum, OrbitKind.SPINOR)
-    pt, cert = prym_tyurin_lattice(sp)
+    HX = _homology(datum, OrbitKind.SPINOR)
+    pt, cert = prym_tyurin_lattice(HX)
     got = ptype(pt)
     want = conjectured_type(n, count_s, count_l)
-    mu = mu_check(sp, induce(datum, OrbitKind.VECTOR))
+    mu = mu_check(HX, _homology(datum, OrbitKind.VECTOR))
     return {
         "seed": seed,
         "computed_type": list(got),
@@ -583,43 +578,44 @@ def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
     }
 
 
-def check_probe_args(n: int, trials: int) -> None:
-    """Reject probe parameters outside its scope: ranks below 4 are theorems,
-    and a probe needs at least one trial."""
+def probe_stream(n: int, count_s: int, count_l: int, trials: int, seed: int):
+    """The probe's items, one at a time: a row per trial ``t`` on data seed
+    ``seed + t``, then the summary, or an ``error`` item when a trial disagrees
+    in the proven unramified regime. The parameters are checked at the call,
+    before any trial runs: ranks below 4 are theorems, and a probe needs at
+    least one trial."""
     if n < 4:
         raise ScenarioError("the probe targets rank >= 4; lower ranks are theorems")
     if trials < 1:
         raise ScenarioError(f"the probe needs at least one trial, got {trials}")
+    return _probe_items(n, count_s, count_l, trials, seed)
+
+
+def _probe_items(n, count_s, count_l, trials, seed):
+    agree = 0
+    for t in range(trials):
+        row = probe_trial(n, count_s, count_l, seed + t)
+        row["trial"] = t
+        agree += row["agree"]
+        yield row
+    asserted = count_s == 0
+    if asserted and agree != trials:
+        yield {"error": "mismatch in the proven unramified regime"}
+        return
+    yield {
+        "agreement": f"{agree}/{trials}",
+        "asserted": asserted,
+        "note": "unramified regime: agreement asserted"
+        if asserted
+        else "agreement reported, not asserted",
+    }
 
 
 def conjecture_probe(n: int, count_s: int, count_l: int, trials: int, seed: int) -> ProbeReport:
     """Evidence gathering for the open duality statement: agreement between
     computed and conjectured types is reported, never asserted, except in the
     proven unramified regime where a mismatch is a hard error."""
-    check_probe_args(n, trials)
-    rows = []
-    for t in range(trials):
-        rows.append(probe_trial(n, count_s, count_l, seed + t))
-    agree = sum(1 for r in rows if r["agree"])
-    asserted = count_s == 0
-    if asserted and agree != trials:
-        raise AssertionError(
-            "type mismatch in the unramified regime, where the statement is proven"
-        )
-    note = (
-        "agreement is a finding, not an assertion; the duality statement is open "
-        "for ramified data at this rank"
-    )
-    if asserted:
-        note = "unramified regime: the statement is proven, agreement is asserted"
-    return ProbeReport(
-        n=n,
-        branch_short=count_s,
-        branch_long=count_l,
-        trials=trials,
-        seed=seed,
-        rows=rows,
-        agreement=f"{agree}/{trials}",
-        asserted=asserted,
-        note=note,
-    )
+    *rows, summary = probe_stream(n, count_s, count_l, trials, seed)
+    if "error" in summary:
+        raise AssertionError(summary["error"])
+    return ProbeReport(n, count_s, count_l, trials, seed, rows, **summary)

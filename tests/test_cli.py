@@ -1,7 +1,7 @@
 import json
 import os
 
-from prymlab import cli
+from prymlab import cli, prym
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -191,3 +191,58 @@ def test_etale_scenario_from_file(capsys):
     payload = json.loads(out)
     assert payload["computed"]["type P(X,delta)"] == [2, 2]
     assert payload["computed"]["spinor components"] == 2
+
+
+def test_probe_mismatch_in_unramified_regime_prints_error_line(capsys, monkeypatch):
+    real = prym.probe_trial
+    monkeypatch.setattr(prym, "probe_trial", lambda *a: dict(real(*a), agree=False))
+    code, out, _ = _run(
+        capsys, "probe", "--n", "4", "--ds", "0", "--dl", "12", "--trials", "2", "--seed", "9"
+    )
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [r["trial"] for r in lines[:2]] == [0, 1]
+    assert lines[2:] == [{"error": "mismatch in the proven unramified regime"}]
+
+
+def test_verify_identity_rank_mismatch_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "--format", "json", "verify", "--identity", "sigma_commutes_D", "--n", "4",
+        "--file", _datafile("theorem2_b3.json"), "--level", "homology",
+    )
+    assert code == 2
+    assert out == ""
+    assert "rank 3" in err and "rank 4" in err
+
+
+def test_verify_identity_without_homology_content_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "verify", "--identity", "parity_pullback", "--n", "4", "--level", "homology"
+    )
+    assert code == 2
+    assert out == ""
+    assert "no homology content" in err
+
+
+def test_verify_identity_on_higher_genus_base_exits_two(tmp_path, capsys):
+    p = tmp_path / "genus1.json"
+    p.write_text('{"n": 2, "base_genus": 1, "generators": [], "handles": [[[1, 2], [2, 1]]]}')
+    code, out, err = _run(
+        capsys, "verify", "--identity", "sigma_commutes_D", "--n", "2",
+        "--file", str(p), "--level", "homology",
+    )
+    assert code == 2
+    assert out == ""
+    assert "rational base only" in err
+
+
+def test_verify_scenario_file_with_counts_exits_two(capsys):
+    for extra in (["--n", "4"], ["--ds", "2", "--dl", "40"],
+                  ["--n", "4", "--ds", "2", "--dl", "40"]):
+        code, out, err = _run(
+            capsys, "--format", "json", "verify", "--scenario", "theorem2_b3",
+            "--file", _datafile("theorem2_b3.json"), *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--file fixes the datum" in err

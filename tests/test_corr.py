@@ -13,7 +13,7 @@ from prymlab.corr import (
     make_S_family,
     orbit_gram,
 )
-from prymlab.errors import EquivarianceError, RankError, ScaleError
+from prymlab.errors import EquivarianceError, RankError, ScaleError, UnsupportedError
 from prymlab.lattice import eye, intmat, mat_equal, to_lists, zeros
 from prymlab.weyl import OrbitKind
 
@@ -176,7 +176,7 @@ def test_identity_homology_split_case():
 
 
 def test_identity_homology_rejects_vector_statements():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedError):
         check_identity("parity_pullback", 4, level="homology")
 
 

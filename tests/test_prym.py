@@ -1,8 +1,9 @@
+import os
 import random
 
 import pytest
 
-from prymlab import corr, cover, prym, surface
+from prymlab import cli, corr, cover, prym, surface
 from prymlab.cover import MonodromyDatum, induce, random_simple
 from prymlab.errors import DisconnectedError, ScenarioError
 from prymlab.lattice import mat_equal, ptype
@@ -15,7 +16,11 @@ from prymlab.prym import (
     duality_scaling_consistent,
     verify_scenario,
 )
-from prymlab.weyl import OrbitKind, reflection, short_root
+from prymlab.weyl import OrbitKind, SignedPerm, reflection, short_root
+
+
+def _build(datum, orbit):
+    return surface.build_all(induce(datum, orbit))
 
 
 def test_prym_of_rational_quotient_is_whole_jacobian():
@@ -23,8 +28,7 @@ def test_prym_of_rational_quotient_is_whole_jacobian():
     # so the anti-invariant lattice is everything, principally polarized
     s = reflection(short_root(1), 1)
     datum = MonodromyDatum(1, 0, tuple([s] * 6))
-    cm = induce(datum, OrbitKind.VECTOR)
-    L = prym_lattice(cm, corr.negation_matrix(1))
+    L = prym_lattice(_build(datum, OrbitKind.VECTOR), corr.negation_matrix(1))
     assert L.rank == 4
     assert ptype(L) == (1, 1)
 
@@ -32,16 +36,15 @@ def test_prym_of_rational_quotient_is_whole_jacobian():
 def test_prym_of_unramified_double_cover_of_genus_two():
     # tower realisation: index-2 stage unramified over a genus-2 middle curve
     datum = random_simple(2, 0, 6, seed=19)
-    cm = induce(datum, OrbitKind.VECTOR)
     assert cover.genus(induce(datum, OrbitKind.PAIR_CLASS)) == 2
-    L = prym_lattice(cm, corr.negation_matrix(2))
+    L = prym_lattice(_build(datum, OrbitKind.VECTOR), corr.negation_matrix(2))
     assert L.rank == 2
     assert ptype(L) == (2,)
 
 
 def test_prym_b2_types():
     datum = random_simple(2, 4, 4, seed=3)
-    L = prym_lattice(induce(datum, OrbitKind.VECTOR), corr.negation_matrix(2))
+    L = prym_lattice(_build(datum, OrbitKind.VECTOR), corr.negation_matrix(2))
     assert ptype(L) == (1, 2)
 
 
@@ -66,13 +69,16 @@ def test_saturation_index_on_genus_two_double_cover():
 
 def test_prym_lattice_requires_connected():
     datum = random_simple(3, 0, 10, seed=2)
-    with pytest.raises(DisconnectedError):
-        prym_lattice(induce(datum, OrbitKind.SPINOR), corr.sigma_matrix(3))
+    sp = induce(datum, OrbitKind.SPINOR)
+    with pytest.raises(DisconnectedError) as err:
+        prym_lattice(surface.build_all(sp), corr.sigma_matrix(3))
+    assert err.value.components == cover.components(sp)
+    assert len(err.value.components) == 2
 
 
 def test_prym_tyurin_b3():
     datum = random_simple(3, 4, 6, seed=1)
-    L, cert = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
+    L, cert = prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))
     assert ptype(L) == (2, 4)
     assert cert["exponent"] == 4
     assert cert["components"] == 1
@@ -81,13 +87,13 @@ def test_prym_tyurin_b3():
 
 def test_prym_tyurin_hyperelliptic_case():
     datum = random_simple(3, 6, 4, seed=2)
-    L, _ = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
+    L, _ = prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))
     assert ptype(L) == (4, 4)
 
 
 def test_prym_tyurin_split_etale_case():
     datum = random_simple(3, 0, 10, seed=2)
-    L, cert = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
+    L, cert = prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))
     assert ptype(L) == (2, 2)
     assert cert["components"] == 2
 
@@ -95,27 +101,43 @@ def test_prym_tyurin_split_etale_case():
 def test_mu_check_small_ranks():
     for n, ds, dl in [(2, 4, 4), (3, 4, 6)]:
         datum = random_simple(n, ds, dl, seed=5)
-        mu = mu_check(induce(datum, OrbitKind.SPINOR), induce(datum, OrbitKind.VECTOR))
+        mu = mu_check(_build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR))
         assert mu.surjective and mu.scaling
 
 
 def test_mu_scaling_at_rank_four():
     datum = random_simple(4, 4, 8, seed=5)
-    mu = mu_check(induce(datum, OrbitKind.SPINOR), induce(datum, OrbitKind.VECTOR))
+    mu = mu_check(_build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR))
     assert mu.scaling  # the form identity holds regardless of surjectivity
+
+
+def test_mu_check_rejects_homologies_of_different_data():
+    HX = _build(random_simple(3, 4, 6, seed=5), OrbitKind.SPINOR)
+    HC = _build(random_simple(3, 4, 6, seed=6), OrbitKind.VECTOR)
+    with pytest.raises(ValueError, match="different data"):
+        mu_check(HX, HC)
+
+
+def test_mu_check_rejects_disconnected_signed_index_cover():
+    # unsigned transpositions never move a sign: the signed indices split
+    w = SignedPerm(2, (2, 1))
+    datum = MonodromyDatum(2, 0, (w,) * 4)
+    assert cover.validate(datum) is None
+    HC = _build(datum, OrbitKind.VECTOR)
+    assert len(HC.parts) == 2
+    with pytest.raises(ValueError, match="must be connected"):
+        mu_check(_build(datum, OrbitKind.SPINOR), HC)
 
 
 def test_transpose_composition_is_multiplication_by_exponent():
     # on the Prym-Tyurin lattice the incidence roundtrip is the exponent
     datum = random_simple(3, 4, 6, seed=8)
-    sp = induce(datum, OrbitKind.SPINOR)
-    vec = induce(datum, OrbitKind.VECTOR)
-    HX = surface.build_all(sp)
-    HC = surface.build_all(vec)
+    HX = _build(datum, OrbitKind.SPINOR)
+    HC = _build(datum, OrbitKind.VECTOR)
     s0_mat = corr.make_S_family(3)["S0"].matrix
     s0 = surface.induced_map_all(HX, HC, s0_mat)
     ts0 = surface.induced_map_all(HC, HX, s0_mat.T)
-    L, _ = prym_tyurin_lattice(sp)
+    L, _ = prym_tyurin_lattice(HX)
     assert mat_equal(ts0 @ s0 @ L.basis, 4 * L.basis)
 
 
@@ -126,8 +148,8 @@ def test_isogenous_lattices_share_rank():
         ds = 2 * rng.randint(1, 3)
         dl = 2 * rng.randint(2, 3)
         datum = random_simple(n, ds, dl, seed=rng.randint(0, 10**6))
-        L, _ = prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))
-        P = prym_lattice(induce(datum, OrbitKind.VECTOR), corr.negation_matrix(n))
+        L, _ = prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))
+        P = prym_lattice(_build(datum, OrbitKind.VECTOR), corr.negation_matrix(n))
         assert L.rank == P.rank
 
 
@@ -136,12 +158,12 @@ def test_duality_scaling_consistency_whenever_mu_passes():
     for _ in range(3):
         ds, dl = 2 * rng.randint(1, 3), 2 * rng.randint(2, 3)
         datum = random_simple(3, ds, dl, seed=rng.randint(0, 10**6))
-        sp, vec = induce(datum, OrbitKind.SPINOR), induce(datum, OrbitKind.VECTOR)
-        mu = mu_check(sp, vec)
+        HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+        mu = mu_check(HX, HC)
         if not (mu.surjective and mu.scaling):
             continue
-        L, _ = prym_tyurin_lattice(sp)
-        P = prym_lattice(vec, corr.negation_matrix(3))
+        L, _ = prym_tyurin_lattice(HX)
+        P = prym_lattice(HC, corr.negation_matrix(3))
         assert duality_scaling_consistent(ptype(L), ptype(P), 3)
 
 
@@ -150,8 +172,8 @@ def test_types_invariant_under_braid_moves():
     # leaves the covering surface unchanged, so every type must survive
     datum = random_simple(3, 4, 6, seed=14)
     gens = list(datum.gens)
-    base_pt = ptype(prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))[0])
-    base_pp = ptype(prym_lattice(induce(datum, OrbitKind.VECTOR), corr.negation_matrix(3)))
+    base_pt = ptype(prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))[0])
+    base_pp = ptype(prym_lattice(_build(datum, OrbitKind.VECTOR), corr.negation_matrix(3)))
     rng = random.Random(7)
     for _ in range(4):
         i = rng.randrange(len(gens) - 1)
@@ -159,9 +181,9 @@ def test_types_invariant_under_braid_moves():
         gens[i], gens[i + 1] = b, b.inverse() * a * b
         moved = MonodromyDatum(3, 0, tuple(gens))
         assert cover.validate(moved) is None
-        assert ptype(prym_tyurin_lattice(induce(moved, OrbitKind.SPINOR))[0]) == base_pt
+        assert ptype(prym_tyurin_lattice(_build(moved, OrbitKind.SPINOR))[0]) == base_pt
         assert (
-            ptype(prym_lattice(induce(moved, OrbitKind.VECTOR), corr.negation_matrix(3)))
+            ptype(prym_lattice(_build(moved, OrbitKind.VECTOR), corr.negation_matrix(3)))
             == base_pp
         )
 
@@ -171,8 +193,8 @@ def test_types_invariant_under_global_conjugation():
     w = cover.random_simple(3, 2, 4, seed=1).gens[0] * datum.gens[0]
     conj = MonodromyDatum(3, 0, tuple(w * g * w.inverse() for g in datum.gens))
     assert cover.validate(conj) is None
-    a = ptype(prym_tyurin_lattice(induce(datum, OrbitKind.SPINOR))[0])
-    b = ptype(prym_tyurin_lattice(induce(conj, OrbitKind.SPINOR))[0])
+    a = ptype(prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))[0])
+    b = ptype(prym_tyurin_lattice(_build(conj, OrbitKind.SPINOR))[0])
     assert a == b
 
 
@@ -251,3 +273,68 @@ def test_probe_asserts_in_unramified_regime():
 def test_probe_rejects_low_rank():
     with pytest.raises(ScenarioError):
         conjecture_probe(3, 4, 6, trials=1, seed=0)
+
+
+def test_probe_stream_checks_arguments_at_the_call():
+    # no iteration: the error comes before any trial is drawn
+    with pytest.raises(ScenarioError):
+        prym.probe_stream(3, 4, 6, 1, 0)
+    with pytest.raises(ScenarioError):
+        prym.probe_stream(4, 4, 8, 0, 0)
+
+
+def test_probe_rows_are_numbered_trials_on_consecutive_seeds():
+    rep = conjecture_probe(4, 4, 8, trials=2, seed=7)
+    assert [(r["trial"], r["seed"]) for r in rep.rows] == [(0, 7), (1, 8)]
+    assert rep.rows[1] == dict(prym.probe_trial(4, 4, 8, 8), trial=1)
+
+
+def test_probe_mismatch_in_unramified_regime_is_an_error(monkeypatch):
+    real = prym.probe_trial
+
+    def disagreeing(n, count_s, count_l, seed):
+        return dict(real(n, count_s, count_l, seed), agree=seed != 10)
+
+    monkeypatch.setattr(prym, "probe_trial", disagreeing)
+    items = list(prym.probe_stream(4, 0, 12, 2, 9))
+    assert [r["agree"] for r in items[:2]] == [True, False]
+    assert items[2] == {"error": "mismatch in the proven unramified regime"}
+    with pytest.raises(AssertionError, match="unramified"):
+        conjecture_probe(4, 0, 12, trials=2, seed=9)
+    # outside the proven regime the same disagreement is only reported
+    assert list(prym.probe_stream(4, 4, 8, 2, 9))[-1]["agreement"] == "1/2"
+
+
+# -- each cover is built once -------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (datum, orbit) of every ``surface.build_all`` call."""
+    seen = []
+    real = surface.build_all
+
+    def counting(cover_model):
+        seen.append((cover_model.datum, cover_model.orbit))
+        return real(cover_model)
+
+    monkeypatch.setattr(surface, "build_all", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", prym.scenario_names())
+def test_scenario_builds_each_cover_once(builds, name):
+    assert verify_scenario(name, seed=3).verdict
+    assert builds and len(set(builds)) == len(builds)
+
+
+def test_probe_trial_builds_each_cover_once(builds):
+    prym.probe_trial(4, 4, 8, 7)
+    assert sorted(orbit.value for _, orbit in builds) == ["spinor", "vector"]
+
+
+@pytest.mark.parametrize("orbit", [k.value for k in OrbitKind])
+def test_cli_ptype_builds_its_cover_once(builds, orbit, capsys):
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "theorem2_b3.json")
+    assert cli.main(["ptype", path, "--orbit", orbit]) == 0
+    assert [o.value for _, o in builds] == [orbit]

@@ -208,16 +208,21 @@ def cmd_verify(args) -> int:
         datum = load_datum(args.file) if args.file else None
         if datum is not None and (args.n, args.ds, args.dl) != (None, None, None):
             raise UsageError("--file fixes the datum; drop --n, --ds and --dl")
+        if datum is not None and args.seed is not None:
+            raise UsageError("--file fixes the datum; drop --seed")
         counts = None
         if args.ds is not None or args.dl is not None:
             if args.ds is None or args.dl is None:
                 raise UsageError("--ds and --dl go together")
             counts = (args.ds, args.dl)
         result = prym.verify_scenario(
-            args.scenario, datum=datum, n=args.n, counts=counts, seed=args.seed
+            args.scenario, datum=datum, n=args.n, counts=counts,
+            seed=0 if args.seed is None else args.seed,
         )
         _emit(result.as_dict(), args.format)
         return EXIT_OK if result.verdict else EXIT_FAIL
+    if args.seed is not None:
+        raise UsageError("--identity runs on a fixed datum; drop --seed")
     if args.identity == "list":
         _emit(
             {
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--ds", type=int)
     p.add_argument("--dl", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="data seed for --scenario (default 0)")
     p.add_argument("--level", choices=["fiber", "homology"], default="fiber")
     p.set_defaults(fn=cmd_verify)
 

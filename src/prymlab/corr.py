@@ -180,16 +180,6 @@ def parity_indicator(n: int, parity: int) -> np.ndarray:
     return v
 
 
-def pairclass_incidence(n: int) -> np.ndarray:
-    """Signed-index orbit -> unordered-pair orbit incidence (quotient by the
-    sign flip)."""
-    labels = [lab.value for lab in weyl.orbit_labels(OrbitKind.VECTOR, n)]
-    m = zeros(len(labels), n)
-    for i, v in enumerate(labels):
-        m[i, abs(v) - 1] = 1
-    return m
-
-
 # ---------------------------------------------------------------------------
 # orbit Gram matrices
 

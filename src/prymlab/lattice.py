@@ -6,11 +6,20 @@ products go through ``matmul``, which runs in int64 whenever a bound on its
 inputs proves that no partial sum can wrap, and on Python ints otherwise.
 Sublattices of Z^m are represented by matrices whose columns generate them.
 
-Smith normal form is the workhorse: it yields kernels, images, saturations,
-integral solving and the divisor chains of singular or non-square matrices.
-The divisor chain of a nonsingular square matrix (every nondegenerate
-alternating form) comes determinant first: the Smith elimination then runs
-modulo |det|, so its entries stay bounded.
+Smith elimination is the workhorse: it yields kernels, images,
+saturations, integral solving and the divisor chains of singular or
+non-square matrices. There is one engine, ``_eliminate(mat, want)``, on
+numpy rows, and it updates only the transforms its caller reads: U^-1 for
+``image`` and ``saturate``, V for ``kernel``, U and V for ``solve_exact`` and
+``snf``, U and U^-1 for the relation matrix of ``surface``, none for
+``divisors``. Its pivot order and operations are those of one row or column
+operation at a time (the list version in ``tests/_oracles.py``), so its
+results are too; a run of entries its pivot divides is cleared by one
+outer-product update. It runs in int64 while a bound on every value an
+update forms stays below 2^63, and on Python ints from the first update
+where it does not. The divisor chain of a nonsingular square matrix (every
+nondegenerate alternating form) comes determinant first: the Smith
+elimination then runs modulo |det|, so its entries stay bounded.
 """
 
 from __future__ import annotations
@@ -132,145 +141,127 @@ def det(m) -> int:
 # Smith normal form
 
 
-class _SnfState:
-    """Row/column elimination with unimodular transforms and their inverses."""
+def _eliminate(mat, want=()):
+    """Smith elimination of an integer matrix that updates only the
+    transforms named in ``want``: ``"u"``, ``"uinv"`` and ``"v"``, with
+    ``U @ mat @ V == D`` and ``uinv`` the inverse of ``U``.
 
-    def __init__(self, mat):
-        arr = np.asarray(mat, dtype=object)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        self.m, self.n = arr.shape
-        self.a = [[int(arr[i, j]) for j in range(self.n)] for i in range(self.m)]
-        self.u = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-        self.uinv = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-        self.v = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-        self.vinv = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+    Returns ``(D, r, *transforms)``: D diagonal with its r nonzero entries a
+    divisibility chain first, then the transforms in the order of ``want``,
+    all object arrays of Python ints.
 
-    # row i += q * row j  (A <- E A, U <- E U, Uinv <- Uinv E^-1)
-    def row_add(self, i, j, q):
-        ai, aj = self.a[i], self.a[j]
-        for c in range(self.n):
-            ai[c] += q * aj[c]
-        ui, uj = self.u[i], self.u[j]
-        for c in range(self.m):
-            ui[c] += q * uj[c]
-        for r in range(self.m):
-            row = self.uinv[r]
-            row[j] -= q * row[i]
+    Each step takes as pivot the smallest nonzero entry of the remaining
+    block, first in row-major order, and moves it to (t, t). It clears
+    column t, then row t, by Euclid's algorithm against the pivot (a
+    nonzero remainder is swapped in as the new pivot) until both are clear,
+    adds to row t the first row holding an entry the pivot does not divide
+    and starts over, and finally makes the pivot positive. A clear takes
+    the entries of its line in order: a run of entries the pivot divides
+    leaves the pivot line unchanged, so the run is one outer-product
+    update, and the result equals one row or column operation at a time.
 
-    def row_swap(self, i, j):
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in range(self.m):
-            row = self.uinv[r]
-            row[i], row[j] = row[j], row[i]
+    The arrays are int64 while ``max|entry| * (1 + k * max|q|) < 2^63``
+    before every update of k lines by quotients q, which bounds every value
+    the update forms; at the first update where that fails, every array
+    switches to Python ints for good.
+    """
+    a = np.asarray(mat)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    m, n = a.shape
+    size = {"u": m, "uinv": m, "v": n}
+    x = {"a": a, **{k: np.eye(size[k], dtype=np.int64) for k in want}}
+    if _maxabs(a) < _INT64_BOUND:
+        x["a"] = a.astype(np.int64)
+    else:
+        x = {k: _pyints(y) for k, y in x.items()}
+    # the arrays whose rows (axis 0) or columns (axis 1) an operation combines
+    direct = (x.keys() & {"a", "u"}, x.keys() & {"a", "v"})
 
-    def row_neg(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in range(self.m):
-            self.uinv[r][i] = -self.uinv[r][i]
+    def lines(k, axis):
+        return x[k] if axis == 0 else x[k].T
 
-    # col i += q * col j  (A <- A E, V <- V E, Vinv <- E^-1 V)
-    def col_add(self, i, j, q):
-        for r in range(self.m):
-            row = self.a[r]
-            row[i] += q * row[j]
-        for r in range(self.n):
-            row = self.v[r]
-            row[i] += q * row[j]
-        vi, vj = self.vinv[i], self.vinv[j]
-        for c in range(self.n):
-            vj[c] -= q * vi[c]
+    def widen(grow):
+        if x["a"].dtype != object and (
+            max(_maxabs(y) for y in x.values()) * grow >= _INT64_BOUND
+        ):
+            for k in x:
+                x[k] = _pyints(x[k])
 
-    def col_swap(self, i, j):
-        for r in range(self.m):
-            row = self.a[r]
-            row[i], row[j] = row[j], row[i]
-        for r in range(self.n):
-            row = self.v[r]
-            row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+    def update(axis, idx, q, t):
+        # line i -= q_i * line t for i in idx; U^-1 column t += U^-1[:, idx] q
+        widen(1 + len(q) * _maxabs(q))
+        for k in direct[axis]:
+            y = lines(k, axis)
+            y[idx] -= np.outer(q, y[t])
+        if axis == 0 and "uinv" in x:
+            x["uinv"][:, t] += x["uinv"][:, idx] @ q
 
+    def swap(axis, i, t):
+        for k in direct[axis]:
+            y = lines(k, axis)
+            y[[i, t]] = y[[t, i]]
+        if axis == 0 and "uinv" in x:
+            x["uinv"][:, [i, t]] = x["uinv"][:, [t, i]]
 
-def _snf_state(mat) -> _SnfState:
-    st = _SnfState(mat)
-    a, m, n = st.a, st.m, st.n
+    def off_pivot(axis, t):
+        line = lines("a", axis)[:, t]
+        idx = np.flatnonzero(line)
+        return idx[idx != t]
+
+    def clear(axis, t):
+        idx = off_pivot(axis, t)
+        while idx.size:
+            vals = lines("a", axis)[idx, t]
+            p = x["a"][t, t]
+            q = vals // p
+            bad = np.flatnonzero(vals % p)
+            k = int(bad[0]) + 1 if bad.size else len(idx)
+            update(axis, idx[:k], q[:k], t)
+            if not bad.size:
+                return
+            swap(axis, int(idx[k - 1]), t)
+            idx = idx[k:]
+
     t = 0
     while True:
-        # smallest nonzero entry of the remaining block becomes the pivot
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
+        flat = x["a"][t:, t:].ravel()
+        nz = np.flatnonzero(flat)
+        if not nz.size:
             break
-        i, j = pivot
-        if i != t:
-            st.row_swap(i, t)
-        if j != t:
-            st.col_swap(j, t)
+        i, j = divmod(int(nz[np.argmin(np.abs(flat[nz]))]), n - t)
+        if i:
+            swap(0, t + i, t)
+        if j:
+            swap(1, t + j, t)
         while True:
-            # clear column t
-            for i in range(m):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        st.row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        st.row_swap(i, t)
-            if any(a[i][t] != 0 for i in range(m) if i != t):
+            clear(0, t)
+            if off_pivot(0, t).size:
                 continue
-            # clear row t
-            for j in range(n):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        st.col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        st.col_swap(j, t)
-            if any(a[i][t] != 0 for i in range(m) if i != t):
+            clear(1, t)
+            if off_pivot(0, t).size or off_pivot(1, t).size:
                 continue
-            if any(a[t][j] != 0 for j in range(n) if j != t):
-                continue
-            # pivot must divide the remaining block
-            d = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            # the pivot must divide the remaining block
+            a = x["a"]
+            rest = a[t + 1:, t + 1:]
+            bad = np.flatnonzero((rest % a[t, t] != 0).any(axis=1))
+            if not bad.size:
                 break
-            st.row_add(t, offender, 1)
-        if a[t][t] < 0:
-            st.row_neg(t)
+            update(0, [t], np.array([-1]), t + 1 + int(bad[0]))  # row t += that row
+        if x["a"][t, t] < 0:
+            for k in direct[0]:
+                x[k][t] = -x[k][t]
+            if "uinv" in x:
+                x["uinv"][:, t] = -x["uinv"][:, t]
         t += 1
-    return st
-
-
-def _lists_to_mat(rows, nrows, ncols) -> np.ndarray:
-    if nrows == 0 or ncols == 0:
-        return zeros(nrows, ncols)
-    return intmat(rows)
+    return (x["a"].astype(object), t, *(x[k].astype(object) for k in want))
 
 
 def snf(mat):
     """Smith normal form: returns ``(U, D, V)`` with ``U @ mat @ V == D``,
     ``U`` and ``V`` unimodular, ``D`` diagonal with a divisibility chain."""
-    st = _snf_state(mat)
-    U = _lists_to_mat(st.u, st.m, st.m)
-    V = _lists_to_mat(st.v, st.n, st.n)
-    D = _lists_to_mat(st.a, st.m, st.n)
-    M = np.asarray(mat, dtype=object).reshape(st.m, st.n)
-    if st.m and st.n and not mat_equal(U @ M @ V, D):
+    D, _, U, V = _eliminate(mat, ("u", "v"))
+    if D.size and not mat_equal(matmul(matmul(U, mat), V), D):
         raise AssertionError("smith normal form self-check failed")
     return U, D, V
 
@@ -345,48 +336,25 @@ def divisors(mat) -> tuple:
         chain = _nonsingular_chain(arr)
         if chain is not None:
             return chain
-    _, d, _ = snf(mat)
-    out = []
-    for i in range(min(d.shape)):
-        if d[i, i] != 0:
-            out.append(int(d[i, i]))
-    return tuple(out)
-
-
-def rank(mat) -> int:
-    return len(divisors(mat))
-
-
-def _snf_rank(st: _SnfState) -> int:
-    return sum(1 for i in range(min(st.m, st.n)) if st.a[i][i] != 0)
+    d, r = _eliminate(arr)
+    return tuple(int(x) for x in np.diagonal(d)[:r])
 
 
 def kernel(mat) -> np.ndarray:
     """Columns generate the integer kernel (always saturated)."""
-    st = _snf_state(mat)
-    r = _snf_rank(st)
-    V = _lists_to_mat(st.v, st.n, st.n)
+    _, r, V = _eliminate(mat, ("v",))
     return V[:, r:]
 
 
 def image(mat) -> np.ndarray:
     """Columns form a basis of the image lattice (not saturated)."""
-    st = _snf_state(mat)
-    r = _snf_rank(st)
-    uinv = _lists_to_mat(st.uinv, st.m, st.m)
-    cols = zeros(st.m, r)
-    for i in range(r):
-        d = st.a[i][i]
-        for rrow in range(st.m):
-            cols[rrow, i] = uinv[rrow, i] * d
-    return cols
+    d, r, uinv = _eliminate(mat, ("uinv",))
+    return uinv[:, :r] * np.diagonal(d)[:r]
 
 
 def saturate(mat) -> np.ndarray:
     """Basis of the smallest primitive sublattice containing the column span."""
-    st = _snf_state(mat)
-    r = _snf_rank(st)
-    uinv = _lists_to_mat(st.uinv, st.m, st.m)
+    _, r, uinv = _eliminate(mat, ("uinv",))
     return uinv[:, :r]
 
 
@@ -397,25 +365,14 @@ def solve_exact(a, b) -> np.ndarray:
     vec = b.ndim == 1
     if vec:
         b = b.reshape(-1, 1)
-    st = _snf_state(a)
-    r = _snf_rank(st)
-    U = _lists_to_mat(st.u, st.m, st.m)
-    V = _lists_to_mat(st.v, st.n, st.n)
-    ub = U @ b if st.m else zeros(0, b.shape[1])
-    x = zeros(st.n, b.shape[1])
-    for i in range(st.m):
-        if i < r:
-            d = st.a[i][i]
-            for c in range(b.shape[1]):
-                q, rem = divmod(int(ub[i, c]), d)
-                if rem:
-                    raise ValueError("no integral solution")
-                x[i, c] = q
-        else:
-            for c in range(b.shape[1]):
-                if ub[i, c] != 0:
-                    raise ValueError("no integral solution")
-    out = V @ x
+    d, r, U, V = _eliminate(a, ("u", "v"))
+    ub = matmul(U, b)
+    pivots = np.diagonal(d)[:r, None]
+    if (ub[:r] % pivots).any() or ub[r:].any():
+        raise ValueError("no integral solution")
+    x = zeros(a.shape[1], b.shape[1])
+    x[:r] = ub[:r] // pivots
+    out = matmul(V, x)
     return out[:, 0] if vec else out
 
 
@@ -444,21 +401,6 @@ def intersect(a, b) -> np.ndarray:
     ker = kernel(stacked)
     cand = a @ ker[: a.shape[1], :]
     return image(cand)
-
-
-def sum_lattices(a, b) -> np.ndarray:
-    """Basis of the lattice generated by both column spans."""
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("ambient rank mismatch")
-    return image(np.concatenate([a, b], axis=1))
-
-
-def unimodular_inverse(u) -> np.ndarray:
-    u = np.asarray(u, dtype=object)
-    inv = solve_exact(u, eye(u.shape[0]))
-    return inv
 
 
 # ---------------------------------------------------------------------------

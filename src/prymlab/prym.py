@@ -101,12 +101,15 @@ class MuCheck(NamedTuple):
     scaling: bool
 
 
-def mu_check(HX: surface.CoverHomology, HC: surface.CoverHomology) -> MuCheck:
+def mu_check(
+    HX: surface.CoverHomology, HC: surface.CoverHomology, pprime: PolarizedLattice
+) -> MuCheck:
     """Whether the incidence correspondence from the spinor cover (homology
     ``HX``) to the signed-index cover (``HC``) realises the duality isogeny
-    as an isomorphism: its homology map must cover the whole Prym lattice of
-    the signed-index cover (all elementary divisors 1), and its transpose
-    must scale the intersection form by ``2**(n-1)``.
+    as an isomorphism: its homology map must cover the whole Prym lattice
+    ``pprime`` = P(C,C') of the signed-index cover, as ``prym_lattice(HC,
+    corr.negation_matrix(n))`` returns it (all elementary divisors 1), and
+    its transpose must scale the intersection form by ``2**(n-1)``.
     """
     datum = HX.cover.datum
     if HC.cover.datum != datum:
@@ -118,7 +121,7 @@ def mu_check(HX: surface.CoverHomology, HC: surface.CoverHomology) -> MuCheck:
     n = datum.n
     s0 = corr.make_S_family(n)["S0"].matrix
     s0_h = surface.induced_map_all(HX, HC, s0)
-    prym_basis = _anti_invariant(HC, corr.negation_matrix(n)).basis
+    prym_basis = pprime.basis
     try:
         coords = solve_exact(prym_basis, s0_h)
     except ValueError:
@@ -267,7 +270,7 @@ def _scenario_pantazis_b2(datum: MonodromyDatum) -> PrymResult:
     res.checks["P(X,delta) equals P(X,X')"] = lattices_equal(pt.basis, pxxp.basis)
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 2)
     res.computed["exponent"] = cert["exponent"]
-    res.mu_surjective, res.scaling_verified = mu_check(HX, HC)
+    res.mu_surjective, res.scaling_verified = mu_check(HX, HC, pprime)
     return res.finalize()
 
 
@@ -294,7 +297,7 @@ def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 3)
     res.checks["lattice ranks agree"] = pt.rank == pprime.rank
     res.computed["exponent"] = cert["exponent"]
-    res.mu_surjective, res.scaling_verified = mu_check(HX, HC)
+    res.mu_surjective, res.scaling_verified = mu_check(HX, HC, pprime)
     return res.finalize()
 
 
@@ -432,7 +435,10 @@ def _scenario_etale_dn(datum: MonodromyDatum) -> PrymResult:
     dim = (ds + dl) // 2 - n
     res.computed["type P(X,delta)"] = ptype(pt)
     res.predicted["type P(X,delta)"] = (2 ** (n - 2),) * dim
-    res.mu_surjective, res.scaling_verified = mu_check(HX, _homology(datum, OrbitKind.VECTOR))
+    HC = _homology(datum, OrbitKind.VECTOR)
+    res.mu_surjective, res.scaling_verified = mu_check(
+        HX, HC, prym_lattice(HC, corr.negation_matrix(n))
+    )
     res.computed["exponent"] = cert["exponent"]
     return res.finalize()
 
@@ -567,7 +573,8 @@ def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
     pt, cert = prym_tyurin_lattice(HX)
     got = ptype(pt)
     want = conjectured_type(n, count_s, count_l)
-    mu = mu_check(HX, _homology(datum, OrbitKind.VECTOR))
+    HC = _homology(datum, OrbitKind.VECTOR)
+    mu = mu_check(HX, HC, prym_lattice(HC, corr.negation_matrix(n)))
     return {
         "seed": seed,
         "computed_type": list(got),

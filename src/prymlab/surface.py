@@ -174,9 +174,8 @@ class HomologyModel:
             for e, c in chain.items():
                 if not in_tree[e]:
                     rel[pos[e], t] = c
-        st = lattice._snf_state(rel)
-        r = lattice._snf_rank(st)
-        if any(st.a[i][i] != 1 for i in range(r)):
+        d, r, U, Uinv = lattice._eliminate(rel, ("u", "uinv"))
+        if (np.diagonal(d)[:r] != 1).any():
             raise AssertionError("homology acquired torsion; construction broken")
         self.genus2 = m - r
         if self.genus2 % 2:
@@ -186,13 +185,13 @@ class HomologyModel:
             raise AssertionError("homology rank disagrees with the genus count")
         # the class of a cycle is C times its non-tree coefficients, C the
         # rows of U past the relations
-        self.class_map = lattice._lists_to_mat(st.u, m, m)[r:]
+        self.class_map = U[r:]
 
         # B: basis cycle j has the non-tree coefficients of column r + j of
         # U^-1; its tree coefficients close every vertex. Leaves first, the
         # edge to the parent carries off the net inflow of the vertex.
         B = zeros(E, self.genus2)
-        B[self.nontree] = lattice._lists_to_mat(st.uinv, m, m)[:, r:]
+        B[self.nontree] = Uinv[:, r:]
         inflow = zeros(V, self.genus2)
         for e in self.nontree:
             inflow[self.edge_head[e]] += B[e]
@@ -247,12 +246,6 @@ class HomologyModel:
 
     def gram_json(self) -> list:
         return lattice.to_lists(self.gram)
-
-
-def build(cover_model: CoverModel) -> HomologyModel:
-    """Homology basis with intersection Gram for a connected cover of the
-    rational base; deterministic for a fixed cover."""
-    return HomologyModel(cover_model)
 
 
 def _check_equivariance(src: CoverModel, dst: CoverModel, fiber) -> None:

@@ -4,12 +4,20 @@ These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion or fraction-free elimination written here, divisor chains
 by gcds of minors, weight pairings by direct rational arithmetic, and
 homology chains as dicts (edge -> coefficient), paired one vertex at a time
-and pushed through a correspondence one edge at a time.
+and pushed through a correspondence one edge at a time. The Smith
+elimination on lists of Python ints, one row or column operation at a time
+on all four transforms, is the reference for the library's vectorised one.
+Two helpers at the end only compose library calls for tests that use them.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+import numpy as np
+
+from prymlab.lattice import image
+from prymlab.surface import HomologyModel
 
 
 def det_cofactor(rows):
@@ -164,3 +172,148 @@ def class_of(model, chain):
         sum(int(model.class_map[i, t]) * chain.get(e, 0) for t, e in enumerate(model.nontree))
         for i in range(model.genus2)
     ]
+
+
+# -- Smith elimination on lists, one operation at a time -----------------------
+
+
+class _SnfState:
+    """Row/column elimination with unimodular transforms and their inverses."""
+
+    def __init__(self, mat):
+        arr = np.asarray(mat, dtype=object)
+        if arr.ndim != 2:
+            raise ValueError("expected a 2-D matrix")
+        self.m, self.n = arr.shape
+        self.a = [[int(arr[i, j]) for j in range(self.n)] for i in range(self.m)]
+        self.u = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
+        self.uinv = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
+        self.v = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        self.vinv = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+
+    # row i += q * row j  (A <- E A, U <- E U, Uinv <- Uinv E^-1)
+    def row_add(self, i, j, q):
+        ai, aj = self.a[i], self.a[j]
+        for c in range(self.n):
+            ai[c] += q * aj[c]
+        ui, uj = self.u[i], self.u[j]
+        for c in range(self.m):
+            ui[c] += q * uj[c]
+        for r in range(self.m):
+            row = self.uinv[r]
+            row[j] -= q * row[i]
+
+    def row_swap(self, i, j):
+        self.a[i], self.a[j] = self.a[j], self.a[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+        for r in range(self.m):
+            row = self.uinv[r]
+            row[i], row[j] = row[j], row[i]
+
+    def row_neg(self, i):
+        self.a[i] = [-x for x in self.a[i]]
+        self.u[i] = [-x for x in self.u[i]]
+        for r in range(self.m):
+            self.uinv[r][i] = -self.uinv[r][i]
+
+    # col i += q * col j  (A <- A E, V <- V E, Vinv <- E^-1 V)
+    def col_add(self, i, j, q):
+        for r in range(self.m):
+            row = self.a[r]
+            row[i] += q * row[j]
+        for r in range(self.n):
+            row = self.v[r]
+            row[i] += q * row[j]
+        vi, vj = self.vinv[i], self.vinv[j]
+        for c in range(self.n):
+            vj[c] -= q * vi[c]
+
+    def col_swap(self, i, j):
+        for r in range(self.m):
+            row = self.a[r]
+            row[i], row[j] = row[j], row[i]
+        for r in range(self.n):
+            row = self.v[r]
+            row[i], row[j] = row[j], row[i]
+        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+
+
+def _snf_state(mat) -> _SnfState:
+    st = _SnfState(mat)
+    a, m, n = st.a, st.m, st.n
+    t = 0
+    while True:
+        # smallest nonzero entry of the remaining block becomes the pivot
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            st.row_swap(i, t)
+        if j != t:
+            st.col_swap(j, t)
+        while True:
+            # clear column t
+            for i in range(m):
+                if i != t and a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        st.row_add(i, t, -q)
+                    if a[i][t] != 0:
+                        st.row_swap(i, t)
+            if any(a[i][t] != 0 for i in range(m) if i != t):
+                continue
+            # clear row t
+            for j in range(n):
+                if j != t and a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        st.col_add(j, t, -q)
+                    if a[t][j] != 0:
+                        st.col_swap(j, t)
+            if any(a[i][t] != 0 for i in range(m) if i != t):
+                continue
+            if any(a[t][j] != 0 for j in range(n) if j != t):
+                continue
+            # pivot must divide the remaining block
+            d = a[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % d != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            st.row_add(t, offender, 1)
+        if a[t][t] < 0:
+            st.row_neg(t)
+        t += 1
+    return st
+
+
+# -- helpers only the tests call ------------------------------------------------
+
+
+def sum_lattices(a, b):
+    """Basis of the lattice generated by both column spans."""
+    a = np.asarray(a, dtype=object)
+    b = np.asarray(b, dtype=object)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("ambient rank mismatch")
+    return image(np.concatenate([a, b], axis=1))
+
+
+def build(cover_model):
+    """Homology basis with intersection Gram for a connected cover of the
+    rational base; deterministic for a fixed cover."""
+    return HomologyModel(cover_model)

@@ -246,3 +246,24 @@ def test_verify_scenario_file_with_counts_exits_two(capsys):
         assert code == 2
         assert out == ""
         assert "--file fixes the datum" in err
+
+
+def test_verify_seed_with_file_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "--format", "json", "verify", "--scenario", "theorem2_b3",
+        "--file", _datafile("theorem2_b3.json"), "--seed", "7",
+    )
+    assert code == 2
+    assert out == ""
+    assert "drop --seed" in err
+
+
+def test_verify_seed_with_identity_exits_two(capsys):
+    for name in ("d", "list"):
+        code, out, err = _run(
+            capsys, "verify", "--identity", name, "--n", "4", "--level", "homology",
+            "--seed", "7",
+        )
+        assert code == 2
+        assert out == ""
+        assert "drop --seed" in err

@@ -1,0 +1,93 @@
+"""Static guard for exact arithmetic: no floats anywhere in the package.
+
+Every module of ``prymlab`` is parsed and searched for what would let a float
+in: the name ``float`` or any identifier containing it (``np.float64``,
+``float_power``), the numpy and math names ``linalg``, ``true_divide`` and
+``sqrt``, and true division ``/`` unless its left operand builds a
+``Fraction``. Floor division ``//`` stays integral and is allowed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prymlab"
+BANNED = {"linalg", "true_divide", "sqrt"}
+
+
+def _makes_fraction(node) -> bool:
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"
+        for n in ast.walk(node)
+    )
+
+
+def _inexact(node):
+    """Why ``node`` may bring in a float, or None."""
+    names = []
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.alias):
+        names = [node.name.split(".")[-1], node.asname or ""]
+    for name in names:
+        if "float" in name or name in BANNED:
+            return f"name {name!r}"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        if not _makes_fraction(node.left):
+            return "true division without a Fraction on the left"
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+        return "in-place true division"
+    return None
+
+
+def violations(source: str, filename: str = "<source>") -> list:
+    tree = ast.parse(source, filename)
+    out = []
+    for node in ast.walk(tree):
+        why = _inexact(node)
+        if why is not None:
+            out.append(f"{filename}:{getattr(node, 'lineno', '?')}: {why}")
+    return out
+
+
+def test_package_modules_are_found():
+    assert {p.name for p in PACKAGE.glob("*.py")} >= {"lattice.py", "surface.py", "prym.py"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_admits_no_float(path):
+    assert violations(path.read_text(encoding="utf-8"), path.name) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = float(3)",
+        "a = b.astype(np.float64)",
+        "y = np.linalg.det(m)",
+        "from numpy import linalg",
+        "from math import sqrt as root",
+        "z = np.true_divide(a, b)",
+        "w = a / b",
+        "w = c / Fraction(1, 2)",
+        "a /= 2",
+    ],
+)
+def test_guard_catches_each_kind(source):
+    assert violations(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "q = Fraction(-d) * p / n",
+        "q = a // b",
+        "r = math.isqrt(n)",
+        "x = np.int64(3)",
+    ],
+)
+def test_guard_allows_exact_code(source):
+    assert violations(source) == []

@@ -1,11 +1,21 @@
+import inspect
+import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import det_cofactor, det_fraction_free, minors_gcd_chain
+from _oracles import (
+    _snf_state,
+    det_cofactor,
+    det_fraction_free,
+    minors_gcd_chain,
+    sum_lattices,
+)
+from prymlab import lattice
 from prymlab.errors import DegenerateFormError
 from prymlab.prym import probe_trial
 from prymlab.lattice import (
@@ -25,7 +35,6 @@ from prymlab.lattice import (
     saturate,
     snf,
     solve_exact,
-    sum_lattices,
     to_lists,
     zeros,
 )
@@ -407,3 +416,133 @@ def test_det_matches_fraction_free_and_cofactor(rows):
 def test_det_accepts_int64_input():
     M = np.array([[2, 1], [7, 4]], dtype=np.int64)
     assert det(M) == 1
+
+
+# -- the vectorised Smith elimination against the list reference ---------------
+
+_WANTS = [w for k in range(4) for w in itertools.combinations(("u", "uinv", "v"), k)]
+
+
+def _assert_engines_agree(rows, m, n):
+    """Equal D, rank and transforms for every ``want``, all Python ints."""
+    ref = _snf_state(_object_matrix(rows, m, n))
+    transforms = {"u": ref.u, "uinv": ref.uinv, "v": ref.v}
+    rank = sum(1 for i in range(min(m, n)) if ref.a[i][i] != 0)
+    for want in _WANTS:
+        d, r, *got = lattice._eliminate(_object_matrix(rows, m, n), want)
+        assert (to_lists(d), r) == (ref.a, rank)
+        assert [to_lists(mat) for mat in got] == [transforms[name] for name in want]
+        for mat in (d, *got):
+            assert mat.dtype == object and all(type(x) is int for x in mat.flat)
+
+
+@st.composite
+def _elimination_inputs(draw):
+    m, n = (draw(st.integers(min_value=0, max_value=6)) for _ in range(2))
+    # small entries whose pivots often fail to divide their line; large ones
+    # whose quotients push the elimination past int64, or start past it
+    bits = draw(st.sampled_from([0, 0, 40, 61, 70]))
+    small = st.integers(min_value=-9, max_value=9)
+    entry = st.one_of(small, st.integers(min_value=-(2**bits), max_value=2**bits))
+    return [[draw(entry if bits else small) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elimination_inputs())
+@example([])
+@example([[], [], []])
+@example([[-4]])
+@example([[0]])
+@example([[2], [3]])
+@example([[2, 3]])
+@example([[6, 4], [4, 6]])
+def test_elimination_matches_list_reference(rows):
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    _assert_engines_agree(rows, m, n)
+
+
+def _lines_run(rows, m, n, want=("u", "uinv", "v")):
+    """Stripped source lines of ``lattice._eliminate``, nested functions
+    included, in the order they ran on the matrix."""
+    src, start = inspect.getsourcelines(lattice._eliminate)
+    code_file = lattice._eliminate.__code__.co_filename
+    run = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != code_file:
+            return None
+        if event == "line" and start <= frame.f_lineno < start + len(src):
+            run.append(src[frame.f_lineno - start].strip())
+        return tracer
+
+    mat = _object_matrix(rows, m, n)
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        lattice._eliminate(mat, want)
+    finally:
+        sys.settrace(previous)
+    return run
+
+
+_EUCLID_SWAP = "swap(axis, int(idx[k - 1]), t)"
+_UPDATE = "y[idx] -= np.outer(q, y[t])"
+_SWITCH = "x[k] = _pyints(x[k])"
+
+
+def test_elimination_swaps_in_a_remainder_while_clearing_a_column():
+    rows = [[2], [3]]  # 2 does not divide 3: row operations bring in 1
+    assert _EUCLID_SWAP in _lines_run(rows, 2, 1)
+    assert to_lists(lattice._eliminate(_object_matrix(rows, 2, 1))[0]) == [[1], [0]]
+    _assert_engines_agree(rows, 2, 1)
+
+
+def test_elimination_swaps_in_a_remainder_while_clearing_a_row():
+    rows = [[2, 3]]
+    assert _EUCLID_SWAP in _lines_run(rows, 1, 2)
+    assert to_lists(lattice._eliminate(_object_matrix(rows, 1, 2))[0]) == [[1, 0]]
+    _assert_engines_agree(rows, 1, 2)
+
+
+def test_elimination_adds_a_row_the_pivot_does_not_divide():
+    rows = [[2, 0], [0, 3]]
+    run = _lines_run(rows, 2, 2)
+    assert any(line.startswith("update(0, [t], np.array([-1])") for line in run)
+    assert to_lists(lattice._eliminate(_object_matrix(rows, 2, 2))[0]) == [[1, 0], [0, 6]]
+    _assert_engines_agree(rows, 2, 2)
+
+
+def test_elimination_switches_to_python_ints_mid_elimination():
+    # steps 0 and 1 stay small; the quotient 2^61 // 3 of step 2 would wrap
+    rows = [[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 2**61]]
+    assert max(abs(x) for row in rows for x in row) < 2**63
+    for want in _WANTS:
+        run = _lines_run(rows, 3, 4, want)
+        assert _SWITCH in run
+        assert _UPDATE in run[: run.index(_SWITCH)]  # an int64 update ran first
+    _assert_engines_agree(rows, 3, 4)
+
+
+def test_elimination_bound_counts_every_line_of_an_update():
+    # U^-1 sums k columns times their quotients: with four quotients 2^31
+    # the bound 2^31 * (1 + 4 * 2^31) passes 2^63, with one it does not
+    assert _SWITCH in _lines_run([[1], [2**31], [2**31], [2**31], [2**31]], 5, 1)
+    assert _SWITCH not in _lines_run([[1], [2**31]], 2, 1)
+
+
+def test_elimination_stays_in_int64_on_small_entries():
+    assert _SWITCH not in _lines_run([[6, 4, 9], [4, 6, 1]], 2, 3)
+
+
+def test_elimination_of_empty_and_one_by_one_shapes():
+    for m, n in ((0, 3), (3, 0), (0, 0)):
+        d, r, u, uinv, v = lattice._eliminate(zeros(m, n), ("u", "uinv", "v"))
+        assert (d.shape, r) == ((m, n), 0)
+        assert to_lists(u) == to_lists(uinv) == to_lists(eye(m))
+        assert to_lists(v) == to_lists(eye(n))
+    d, r, u, uinv, v = lattice._eliminate(intmat([[-4]]), ("u", "uinv", "v"))
+    assert (to_lists(d), r, to_lists(u), to_lists(uinv), to_lists(v)) == (
+        [[4]], 1, [[-1]], [[-1]], [[1]])
+    d, r = lattice._eliminate(intmat([[0]]))
+    assert (to_lists(d), r) == ([[0]], 0)

@@ -101,13 +101,17 @@ def test_prym_tyurin_split_etale_case():
 def test_mu_check_small_ranks():
     for n, ds, dl in [(2, 4, 4), (3, 4, 6)]:
         datum = random_simple(n, ds, dl, seed=5)
-        mu = mu_check(_build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR))
+        HC = _build(datum, OrbitKind.VECTOR)
+        mu = mu_check(
+            _build(datum, OrbitKind.SPINOR), HC, prym_lattice(HC, corr.negation_matrix(n))
+        )
         assert mu.surjective and mu.scaling
 
 
 def test_mu_scaling_at_rank_four():
     datum = random_simple(4, 4, 8, seed=5)
-    mu = mu_check(_build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR))
+    HC = _build(datum, OrbitKind.VECTOR)
+    mu = mu_check(_build(datum, OrbitKind.SPINOR), HC, prym_lattice(HC, corr.negation_matrix(4)))
     assert mu.scaling  # the form identity holds regardless of surjectivity
 
 
@@ -115,7 +119,7 @@ def test_mu_check_rejects_homologies_of_different_data():
     HX = _build(random_simple(3, 4, 6, seed=5), OrbitKind.SPINOR)
     HC = _build(random_simple(3, 4, 6, seed=6), OrbitKind.VECTOR)
     with pytest.raises(ValueError, match="different data"):
-        mu_check(HX, HC)
+        mu_check(HX, HC, prym_lattice(HC, corr.negation_matrix(3)))
 
 
 def test_mu_check_rejects_disconnected_signed_index_cover():
@@ -125,8 +129,9 @@ def test_mu_check_rejects_disconnected_signed_index_cover():
     assert cover.validate(datum) is None
     HC = _build(datum, OrbitKind.VECTOR)
     assert len(HC.parts) == 2
+    pprime = prym._anti_invariant(HC, corr.negation_matrix(2))
     with pytest.raises(ValueError, match="must be connected"):
-        mu_check(_build(datum, OrbitKind.SPINOR), HC)
+        mu_check(_build(datum, OrbitKind.SPINOR), HC, pprime)
 
 
 def test_transpose_composition_is_multiplication_by_exponent():
@@ -159,11 +164,11 @@ def test_duality_scaling_consistency_whenever_mu_passes():
         ds, dl = 2 * rng.randint(1, 3), 2 * rng.randint(2, 3)
         datum = random_simple(3, ds, dl, seed=rng.randint(0, 10**6))
         HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-        mu = mu_check(HX, HC)
+        P = prym_lattice(HC, corr.negation_matrix(3))
+        mu = mu_check(HX, HC, P)
         if not (mu.surjective and mu.scaling):
             continue
         L, _ = prym_tyurin_lattice(HX)
-        P = prym_lattice(HC, corr.negation_matrix(3))
         assert duality_scaling_consistent(ptype(L), ptype(P), 3)
 
 

@@ -18,13 +18,13 @@ def _double_cover(points):
 
 
 def test_torus_gram_is_the_standard_symplectic_form():
-    H = surface.build(_double_cover(4))
+    H = _oracles.build(_double_cover(4))
     assert H.genus == 1
     assert to_lists(H.gram) in ([[0, 1], [-1, 0]], [[0, -1], [1, 0]])
 
 
 def test_six_point_double_cover_is_genus_two_unimodular():
-    H = surface.build(_double_cover(6))
+    H = _oracles.build(_double_cover(6))
     assert H.genus == 2
     assert is_alternating(H.gram)
     assert abs(det(H.gram)) == 1
@@ -32,15 +32,15 @@ def test_six_point_double_cover_is_genus_two_unimodular():
 
 def test_b3_spinor_rank_fourteen():
     d = random_simple(3, 4, 6, seed=1)
-    H = surface.build(induce(d, OrbitKind.SPINOR))
+    H = _oracles.build(induce(d, OrbitKind.SPINOR))
     assert H.genus2 == 14
     assert abs(det(H.gram)) == 1
 
 
 def test_build_is_deterministic():
     d = random_simple(2, 4, 4, seed=5)
-    H1 = surface.build(induce(d, OrbitKind.SPINOR))
-    H2 = surface.build(induce(d, OrbitKind.SPINOR))
+    H1 = _oracles.build(induce(d, OrbitKind.SPINOR))
+    H2 = _oracles.build(induce(d, OrbitKind.SPINOR))
     assert to_lists(H1.gram) == to_lists(H2.gram)
     assert mat_equal(H1.B, H2.B)
 
@@ -49,13 +49,13 @@ def test_build_rejects_positive_base_genus():
     s = reflection(short_root(1), 1)
     d = MonodromyDatum(1, 1, (s, s), ((s, s),))
     with pytest.raises(UnsupportedError):
-        surface.build(induce(d, OrbitKind.VECTOR))
+        _oracles.build(induce(d, OrbitKind.VECTOR))
 
 
 def test_build_rejects_disconnected_cover():
     d = random_simple(3, 0, 10, seed=2)
     with pytest.raises(DisconnectedError):
-        surface.build(induce(d, OrbitKind.SPINOR))
+        _oracles.build(induce(d, OrbitKind.SPINOR))
 
 
 def test_gram_unimodular_alternating_on_random_data():
@@ -69,7 +69,7 @@ def test_gram_unimodular_alternating_on_random_data():
     for n, ds, dl in cases:
         datum = random_simple(n, ds, dl, seed=rng.randint(0, 10**6))
         cm = induce(datum, OrbitKind.VECTOR)
-        H = surface.build(cm)
+        H = _oracles.build(cm)
         assert is_alternating(H.gram)
         if H.genus2:
             assert abs(det(H.gram)) == 1
@@ -193,7 +193,7 @@ def test_induced_map_all_sheet_involution_swaps_parts():
 
 
 def test_gram_export_row_major():
-    H = surface.build(_double_cover(4))
+    H = _oracles.build(_double_cover(4))
     assert H.gram_json() == to_lists(H.gram)
 
 
@@ -201,7 +201,7 @@ def test_model_is_freed_without_the_cycle_collector():
     cm = induce(random_simple(2, 4, 4, seed=5), OrbitKind.SPINOR)
     gc.disable()
     try:
-        H = surface.build(cm)
+        H = _oracles.build(cm)
         ref = weakref.ref(H)
         del H
         assert ref() is None

@@ -26,6 +26,12 @@ CASES = (
        for name in ("etale_d3", "pantazis_b2", "theorem2_b3")]
     + [("--format", "json", "probe", "--n", "4", "--ds", "4", "--dl", "8",
         "--trials", "2", "--seed", "5")]
+    + [("--format", "json", "verify", "--identity", "list")]
+    + [("--format", "json", "verify", "--identity", letter, "--n", str(n),
+        "--level", "homology")
+       for letter, ranks in (("b", (2, 3, 4, 5)), ("d", (2, 3, 4, 5)),
+                             ("f", (2, 3, 4, 5)), ("g", (3, 5)))
+       for n in ranks]
 )
 
 

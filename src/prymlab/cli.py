@@ -198,9 +198,16 @@ def cmd_ptype(args) -> int:
     return EXIT_OK
 
 
+_VERIFY_OPTIONS = ("seed", "file", "n", "ds", "dl", "level")
+
+
 def cmd_verify(args) -> int:
     if (args.scenario is None) == (args.identity is None):
         raise UsageError("choose exactly one of --scenario or --identity")
+    if "list" in (args.scenario, args.identity):
+        given = [f"--{name}" for name in _VERIFY_OPTIONS if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"list takes no other option; drop {' '.join(given)}")
     if args.scenario is not None:
         if args.scenario == "list":
             _emit({"scenarios": prym.scenario_names()}, args.format)
@@ -236,7 +243,9 @@ def cmd_verify(args) -> int:
         raise UsageError("--identity needs --n")
     datum = load_datum(args.file) if args.file else None
     try:
-        result = corr.check_identity(args.identity, args.n, level=args.level, datum=datum)
+        result = corr.check_identity(
+            args.identity, args.n, level=args.level or "fiber", datum=datum
+        )
     except KeyError as exc:
         raise UsageError(str(exc))
     payload = {
@@ -321,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ds", type=int)
     p.add_argument("--dl", type=int)
     p.add_argument("--seed", type=int, help="data seed for --scenario (default 0)")
-    p.add_argument("--level", choices=["fiber", "homology"], default="fiber")
+    p.add_argument("--level", choices=["fiber", "homology"],
+                   help="for --identity (default fiber)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("probe", parents=[common],

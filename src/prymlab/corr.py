@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cover as _cover
 from . import surface, weyl
-from .errors import EquivarianceError, RankError, ScaleError, UnsupportedError
+from .errors import RankError, ScaleError, UnsupportedError
 from .lattice import eye, intmat, mat_equal, to_lists, zeros
 from .weyl import OrbitKind
 
@@ -33,8 +33,9 @@ FIBER_RANK_MAX = 6
 
 @dataclass(frozen=True)
 class FiberMatrix:
-    """Integer correspondence matrix between two canonical orbits, checked to
-    commute with the whole signed-permutation group action on construction."""
+    """Integer correspondence matrix between two canonical orbits, checked on
+    construction to commute with the signed-permutation group: with the
+    reflections of its simple roots, which generate it."""
 
     n: int
     src_orbit: OrbitKind
@@ -42,21 +43,12 @@ class FiberMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=object)
-        src = weyl.orbit_labels(self.src_orbit, self.n)
-        dst = weyl.orbit_labels(self.dst_orbit, self.n)
-        if m.shape != (len(src), len(dst)):
-            raise ValueError("matrix shape does not match the orbit sizes")
-        for root in weyl.all_roots(self.n):
-            w = weyl.reflection(root, self.n)
-            ps = weyl.perm_on_orbit(w, self.src_orbit)
-            pd = weyl.perm_on_orbit(w, self.dst_orbit)
-            for i in range(len(src)):
-                for j in range(len(dst)):
-                    if m[ps[i], pd[j]] != m[i, j]:
-                        raise EquivarianceError(
-                            f"matrix not equivariant under reflection {root}"
-                        )
+        gens = [weyl.reflection(root, self.n) for root in weyl.simple_roots(self.n)]
+        surface.check_equivariance(
+            np.asarray(self.matrix, dtype=object),
+            [weyl.perm_on_orbit(w, self.src_orbit) for w in gens],
+            [weyl.perm_on_orbit(w, self.dst_orbit) for w in gens],
+        )
 
     @property
     def degree(self):
@@ -466,8 +458,6 @@ _LETTER_ALIAS = {letter: name for name, (letter, _, _) in _FIBER_CHECKS.items()}
 
 _HOMOLOGY_LETTERS = ("a", "b", "c", "d", "e", "f", "g", "j", "k")
 
-_DEFAULT_HOMOLOGY_COUNTS = {2: (4, 4), 3: (4, 6), 4: (4, 8)}
-
 
 def identity_names() -> list:
     return list(_FIBER_CHECKS)
@@ -508,7 +498,8 @@ def check_identity(name: str, n: int, level: str = "fiber", datum=None) -> Ident
         if letter == "k":
             datum = _cover.random_simple(3, 0, 8, seed=11)
         else:
-            ds, dl = _DEFAULT_HOMOLOGY_COUNTS[min(n, 4)]
+            # dl >= 2n - 2 keeps g(C') = dl/2 - n + 1 nonnegative
+            ds, dl = 4, max(2 * min(n, 4), 2 * n - 2)
             datum = _cover.random_simple(n, ds, dl, seed=11)
     passed, details, witness = _homology_check(letter, n, datum)
     return IdentityResult(name, letter, n, "homology", passed, details, witness)

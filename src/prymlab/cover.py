@@ -37,10 +37,6 @@ class MonodromyDatum:
         if not self.gens and self.base_genus == 0:
             raise MonodromyError("a genus-0 datum needs at least one branch point")
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.gens)
-
 
 @dataclass(frozen=True)
 class ViolationReport:

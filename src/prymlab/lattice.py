@@ -427,18 +427,11 @@ class PolarizedLattice:
             raise ValueError("gram matrix must be alternating")
 
     @property
-    def ambient_rank(self) -> int:
-        return self.gram.shape[0]
-
-    @property
     def rank(self) -> int:
         return self.basis.shape[1]
 
     def restricted_gram(self) -> np.ndarray:
         return matmul(matmul(self.basis.T, self.gram), self.basis)
-
-    def saturated(self) -> "PolarizedLattice":
-        return PolarizedLattice(self.gram, saturate(self.basis))
 
 
 def ptype(sub: PolarizedLattice) -> tuple:

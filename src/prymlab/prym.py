@@ -144,26 +144,9 @@ def mu_check(
 
 def conjectured_type(n: int, ds: int, dl: int):
     """Type the duality conjecture predicts for the Prym-Tyurin lattice over
-    the rational base; None when a predicted multiplicity is negative."""
-    if ds in (0, 2):
-        p = (ds + dl) // 2 - n
-        return None if p < 0 else (2 ** (n - 2),) * p
-    lo, hi = dl // 2 + 1 - n, ds // 2 - 1
-    if lo < 0 or hi < 0:
-        return None
-    return (2 ** (n - 2),) * lo + (2 ** (n - 1),) * hi
-
-
-def prym_type_rational_base(n: int, ds: int, dl: int):
-    """Known type of the ordinary Prym lattice of the index-2 quotient tower
-    over the rational base."""
-    if ds in (0, 2):
-        p = (ds + dl) // 2 - n
-        return None if p < 0 else (2,) * p
-    lo, hi = ds // 2 - 1, dl // 2 + 1 - n
-    if lo < 0 or hi < 0:
-        return None
-    return (1,) * lo + (2,) * hi
+    the rational base (``cover.predict``'s "P(X,delta) conjectured"); None
+    when a predicted multiplicity is negative."""
+    return _cover.predict(n, ds, dl, 0).types.get("P(X,delta) conjectured")
 
 
 def duality_scaling_consistent(type_p, type_pprime, n: int) -> bool:

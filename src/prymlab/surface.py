@@ -244,17 +244,17 @@ class HomologyModel:
             raise AssertionError("intersection form is not unimodular")
         self.gram = gram
 
-    def gram_json(self) -> list:
-        return lattice.to_lists(self.gram)
 
-
-def _check_equivariance(src: CoverModel, dst: CoverModel, fiber) -> None:
-    if fiber.shape != (src.degree, dst.degree):
+def check_equivariance(fiber, src_perms, dst_perms) -> None:
+    """Raise ``EquivarianceError`` unless ``fiber[p[i], q[j]] == fiber[i, j]``
+    for each pair ``(p, q)`` of source and destination permutations given
+    side by side: the fiber matrix commutes with the group they generate."""
+    degrees = (len(src_perms[0]), len(dst_perms[0]))
+    if fiber.shape != degrees:
         raise EquivarianceError(
-            f"fiber matrix shape {fiber.shape} does not match degrees "
-            f"({src.degree}, {dst.degree})"
+            f"fiber matrix shape {fiber.shape} does not match degrees {degrees}"
         )
-    for ps, pd in zip(src.all_perms(), dst.all_perms()):
+    for ps, pd in zip(src_perms, dst_perms):
         if not lattice.mat_equal(fiber[np.ix_(ps, pd)], fiber):
             raise EquivarianceError(
                 "fiber matrix does not commute with the monodromy action"
@@ -323,7 +323,7 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
     if src.cover.datum != dst.cover.datum:
         raise ValueError("source and destination covers come from different data")
     fiber = np.asarray(fiber, dtype=object)
-    _check_equivariance(src.cover, dst.cover, fiber)
+    check_equivariance(fiber, src.cover.all_perms(), dst.cover.all_perms())
     out = zeros(dst.rank, src.rank)
     for pa, la, oa in zip(src.parts, src.part_labels, src.offsets):
         by_sheet = pa.B.reshape(pa.degree, pa.arc_count * pa.genus2)

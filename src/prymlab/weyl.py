@@ -50,11 +50,6 @@ class SignedPerm:
     def identity(cls, n: int) -> "SignedPerm":
         return cls(n, tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_list(cls, values) -> "SignedPerm":
-        values = [int(v) for v in values]
-        return cls(len(values), tuple(values))
-
     def to_list(self) -> list:
         return list(self.image)
 
@@ -141,6 +136,12 @@ def all_roots(n: int, kinds=("short", "long")) -> list:
                 roots.append(long_root(j, k, -1))
                 roots.append(long_root(j, k, +1))
     return roots
+
+
+def simple_roots(n: int) -> list:
+    """``e_j - e_(j+1)`` for ``j < n`` and ``e_n``: their reflections generate
+    the whole signed-permutation group."""
+    return [long_root(j, j + 1, -1) for j in range(1, n)] + [short_root(n)]
 
 
 def reflection(root: Root, n: int) -> SignedPerm:

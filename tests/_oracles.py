@@ -6,7 +6,9 @@ by gcds of minors, weight pairings by direct rational arithmetic, and
 homology chains as dicts (edge -> coefficient), paired one vertex at a time
 and pushed through a correspondence one edge at a time. The Smith
 elimination on lists of Python ints, one row or column operation at a time
-on all four transforms, is the reference for the library's vectorised one.
+on all four transforms, is the reference for the library's vectorised one,
+and the entry-by-entry equivariance check under every reflection is the
+reference for the library's check on the simple reflections.
 Two helpers at the end only compose library calls for tests that use them.
 """
 
@@ -16,6 +18,8 @@ from math import gcd
 
 import numpy as np
 
+from prymlab import weyl
+from prymlab.errors import EquivarianceError
 from prymlab.lattice import image
 from prymlab.surface import HomologyModel
 
@@ -299,6 +303,27 @@ def _snf_state(mat) -> _SnfState:
             st.row_neg(t)
         t += 1
     return st
+
+
+def check_equivariance_all_roots(n, src_orbit, dst_orbit, matrix):
+    """Equivariance of a fiber matrix under every reflection of the group,
+    compared entry by entry: the reference for the library's check on the
+    simple reflections alone."""
+    m = np.asarray(matrix, dtype=object)
+    src = weyl.orbit_labels(src_orbit, n)
+    dst = weyl.orbit_labels(dst_orbit, n)
+    if m.shape != (len(src), len(dst)):
+        raise ValueError("matrix shape does not match the orbit sizes")
+    for root in weyl.all_roots(n):
+        w = weyl.reflection(root, n)
+        ps = weyl.perm_on_orbit(w, src_orbit)
+        pd = weyl.perm_on_orbit(w, dst_orbit)
+        for i in range(len(src)):
+            for j in range(len(dst)):
+                if m[ps[i], pd[j]] != m[i, j]:
+                    raise EquivarianceError(
+                        f"matrix not equivariant under reflection {root}"
+                    )
 
 
 # -- helpers only the tests call ------------------------------------------------

@@ -267,3 +267,14 @@ def test_verify_seed_with_identity_exits_two(capsys):
         assert code == 2
         assert out == ""
         assert "drop --seed" in err
+
+
+def test_verify_list_modes_take_no_other_option(capsys):
+    for argv in (
+        ("--scenario", "list", "--seed", "7", "--n", "9"),
+        ("--identity", "list", "--n", "3", "--file", "x", "--level", "homology"),
+    ):
+        code, out, err = _run(capsys, "--format", "json", "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "list takes no other option" in err

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import pairing, spinor_weight_vectors
-from prymlab import corr, cover
+from _oracles import check_equivariance_all_roots, pairing, spinor_weight_vectors
+from prymlab import corr, cover, surface, weyl
 from prymlab.corr import (
     FiberMatrix,
     check_identity,
@@ -39,6 +43,89 @@ def test_fiber_matrix_rejects_non_equivariant():
     m[0, 1] = 1
     with pytest.raises(EquivarianceError):
         FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except EquivarianceError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _entry_orbits(n, src, dst):
+    """Orbit number of each entry (i, j) under the group acting on both
+    indices, joined along every reflection; and the number of orbits."""
+    rows, cols = len(weyl.orbit_labels(src, n)), len(weyl.orbit_labels(dst, n))
+    parent = list(range(rows * cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for root in weyl.all_roots(n):
+        w = weyl.reflection(root, n)
+        ps, pd = weyl.perm_on_orbit(w, src), weyl.perm_on_orbit(w, dst)
+        for i in range(rows):
+            for j in range(cols):
+                parent[find(i * cols + j)] = find(ps[i] * cols + pd[j])
+    number = {}
+    orbit = [number.setdefault(find(x), len(number)) for x in range(rows * cols)]
+    return np.array(orbit).reshape(rows, cols), len(number)
+
+
+_ORBIT_PAIRS = [
+    (OrbitKind.SPINOR, OrbitKind.SPINOR),
+    (OrbitKind.SPINOR, OrbitKind.VECTOR),
+    (OrbitKind.VECTOR, OrbitKind.VECTOR),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 5),
+    pair=st.sampled_from(_ORBIT_PAIRS),
+    perturb=st.booleans(),
+)
+def test_simple_reflection_check_agrees_with_all_roots(data, n, pair, perturb):
+    src, dst = pair
+    orbits, count = _entry_orbits(n, src, dst)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+    m = np.array(coeffs, dtype=object)[orbits]
+    if perturb:
+        i = data.draw(st.integers(0, m.shape[0] - 1))
+        j = data.draw(st.integers(0, m.shape[1] - 1))
+        m[i, j] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    ours = _accepts(FiberMatrix, n, src, dst, m)
+    assert ours == _accepts(check_equivariance_all_roots, n, src, dst, m)
+    # every entry orbit has at least as many entries as the source orbit
+    assert ours == (not perturb)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_check_needs_the_short_simple_root(n):
+    # invariant under every permutation of the indices, not under sign flips
+    labels = weyl.orbit_labels(OrbitKind.VECTOR, n)
+    m = np.array(
+        [[int(a.value > 0 and b.value > 0) for b in labels] for a in labels], dtype=object
+    )
+    *long_roots, short = weyl.simple_roots(n)
+    assert short == weyl.short_root(n)
+    perms = [weyl.perm_on_orbit(weyl.reflection(r, n), OrbitKind.VECTOR) for r in long_roots]
+    surface.check_equivariance(m, perms, perms)
+    with pytest.raises(EquivarianceError):
+        FiberMatrix(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
+    with pytest.raises(EquivarianceError):
+        check_equivariance_all_roots(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
+
+
+def test_fiber_matrix_rejects_wrong_shape():
+    with pytest.raises(EquivarianceError):
+        FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.VECTOR, zeros(4, 3))
 
 
 def test_make_S_family_rows():
@@ -167,6 +254,12 @@ def test_identity_homology_other_ranks(n):
     for name in names:
         r = check_identity(name, n, level="homology")
         assert r.passed, (name, n, r.details)
+
+
+@pytest.mark.parametrize("letter", ["a", "b", "c", "d", "e", "f"])
+def test_identity_homology_rank_six_default_datum(letter):
+    r = check_identity(letter, 6, level="homology")
+    assert r.passed, (letter, r.details)
 
 
 def test_identity_homology_split_case():

@@ -192,11 +192,6 @@ def test_induced_map_all_sheet_involution_swaps_parts():
             assert sig[i, j] == 0  # odd-size subsets land in the other half
 
 
-def test_gram_export_row_major():
-    H = _oracles.build(_double_cover(4))
-    assert H.gram_json() == to_lists(H.gram)
-
-
 def test_model_is_freed_without_the_cycle_collector():
     cm = induce(random_simple(2, 4, 4, seed=5), OrbitKind.SPINOR)
     gc.disable()

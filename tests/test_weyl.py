@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from prymlab.weyl import (
     act,
     all_roots,
     classify_subgroup,
+    generated_group,
     long_root,
     orbit_labels,
     pair_label,
@@ -19,9 +21,17 @@ from prymlab.weyl import (
     perm_on_orbit,
     reflection,
     short_root,
+    simple_roots,
     spinor_label,
     vector_label,
 )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_simple_reflections_generate_the_group(n):
+    gens = [reflection(r, n) for r in simple_roots(n)]
+    assert len(gens) == n
+    assert len(generated_group(gens)) == 2**n * math.factorial(n)
 
 
 def test_reflection_short_root_flips_index():

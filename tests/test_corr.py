@@ -43,6 +43,8 @@ def test_fiber_matrix_rejects_non_equivariant():
     m[0, 1] = 1
     with pytest.raises(EquivarianceError):
         FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
+    with pytest.raises(EquivarianceError):
+        FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.VECTOR, zeros(4, 3))
 
 
 def _accepts(check, *args):
@@ -121,11 +123,6 @@ def test_check_needs_the_short_simple_root(n):
         FiberMatrix(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
     with pytest.raises(EquivarianceError):
         check_equivariance_all_roots(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
-
-
-def test_fiber_matrix_rejects_wrong_shape():
-    with pytest.raises(EquivarianceError):
-        FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.VECTOR, zeros(4, 3))
 
 
 def test_make_S_family_rows():

@@ -19,9 +19,25 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_cli.json")
 DATA = os.path.join(HERE, "..", "data")
 
+# (scenario, rank, short points, long points) away from the scenarios'
+# defaults, so that the predicted entries are pinned at other counts too
+SCENARIO_COUNTS = (
+    ("pantazis_b2", 2, 16, 20),
+    ("recillas_a3", 3, 0, 40),
+    ("theorem2_b3", 3, 8, 14),
+    ("hyperelliptic_4xi", 3, 22, 4),
+    ("d3_antidiagonal", 3, 0, 40),
+    ("etale_dn", 4, 0, 20),
+    ("b3_complement", 3, 12, 14),
+    ("b4_structure", 4, 6, 10),
+)
+
 CASES = (
     [("--format", "json", "verify", "--scenario", name, "--seed", "0")
      for name in prym.scenario_names()]
+    + [("--format", "json", "verify", "--scenario", name, "--n", str(n),
+        "--ds", str(ds), "--dl", str(dl), "--seed", "1")
+       for name, n, ds, dl in SCENARIO_COUNTS]
     + [("--format", "json", "ptype", f"{name}.json", "--orbit", "spinor", "--dump")
        for name in ("etale_d3", "pantazis_b2", "theorem2_b3")]
     + [("--format", "json", "probe", "--n", "4", "--ds", "4", "--dl", "8",

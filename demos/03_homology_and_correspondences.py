@@ -35,7 +35,7 @@ print("quadratic relation (delta-1)(delta+3) = 0 on homology:",
 
 print()
 print("== incidence correspondence and adjointness ==")
-s0 = corr.make_S_family(3)["S0"].matrix
+s0 = corr.make_S0(3).matrix
 fwd = surface.induced_map_all(HX, HC, s0)
 bwd = surface.induced_map_all(HC, HX, s0.T)
 print("pairing adjointness <s a, b> = <a, ts b>:",

@@ -200,14 +200,22 @@ def cmd_ptype(args) -> int:
 
 _VERIFY_OPTIONS = ("seed", "file", "n", "ds", "dl", "level")
 
+# per verify mode: the options it reads, and why any other one is refused
+_VERIFY_MODES = {
+    "list": ((), "list takes no other option"),
+    "scenario": (("seed", "file", "n", "ds", "dl"), "--level is for --identity"),
+    "identity": (("file", "n", "level"), "--identity runs on a fixed datum"),
+}
+
 
 def cmd_verify(args) -> int:
     if (args.scenario is None) == (args.identity is None):
         raise UsageError("choose exactly one of --scenario or --identity")
-    if "list" in (args.scenario, args.identity):
-        given = [f"--{name}" for name in _VERIFY_OPTIONS if getattr(args, name) is not None]
-        if given:
-            raise UsageError(f"list takes no other option; drop {' '.join(given)}")
+    mode = "scenario" if args.identity is None else "identity"
+    reads, why = _VERIFY_MODES["list" if "list" in (args.scenario, args.identity) else mode]
+    stray = [f"--{o}" for o in _VERIFY_OPTIONS if o not in reads and getattr(args, o) is not None]
+    if stray:
+        raise UsageError(f"{why}; drop {' '.join(stray)}")
     if args.scenario is not None:
         if args.scenario == "list":
             _emit({"scenarios": prym.scenario_names()}, args.format)
@@ -228,8 +236,6 @@ def cmd_verify(args) -> int:
         )
         _emit(result.as_dict(), args.format)
         return EXIT_OK if result.verdict else EXIT_FAIL
-    if args.seed is not None:
-        raise UsageError("--identity runs on a fixed datum; drop --seed")
     if args.identity == "list":
         _emit(
             {

@@ -53,10 +53,14 @@ class FiberMatrix:
     @property
     def degree(self):
         """Common row sum (transitivity forces it to be constant)."""
-        rows = [int(sum(row)) for row in self.matrix]
-        if any(r != rows[0] for r in rows):
-            raise AssertionError("row sums not constant on a transitive orbit")
-        return rows[0]
+        return _degree(self.matrix)
+
+
+def _degree(matrix) -> int:
+    rows = [int(sum(row)) for row in matrix]
+    if any(r != rows[0] for r in rows):
+        raise AssertionError("row sums not constant on a transitive orbit")
+    return rows[0]
 
 
 def _require_rank(n: int, low: int = 2):
@@ -86,32 +90,21 @@ def make_D(n: int) -> FiberMatrix:
     return fm
 
 
-def make_S_family(n: int) -> dict:
-    """The incidence and trace correspondences between the subset and
-    signed-index covers: S0 sends a subset to its selected signed indices
-    (members positively, non-members negated), S = 2*S0 + n*T, S1 = T - S0,
-    and T, T1, T2 are the all-ones traces."""
+def make_S0(n: int) -> FiberMatrix:
+    """The incidence correspondence from the subset to the signed-index
+    cover: a subset goes to its selected signed indices (members positively,
+    non-members negated). The scaled incidence S = 2*S0 + n*J and the trace
+    correspondences are built from it and the all-ones matrix J, which every
+    group element fixes."""
     _require_rank(n)
     subs = _subsets(n)
     vec = [lab.value for lab in weyl.orbit_labels(OrbitKind.VECTOR, n)]
-    d, e = len(subs), len(vec)
-    s0 = zeros(d, e)
+    s0 = zeros(len(subs), len(vec))
     for a, A in enumerate(subs):
         for j, v in enumerate(vec):
             if (v > 0 and v in A) or (v < 0 and -v not in A):
                 s0[a, j] = 1
-    ones_de = np.full((d, e), 1, dtype=object)
-    ones_dd = np.full((d, d), 1, dtype=object)
-    ones_ee = np.full((e, e), 1, dtype=object)
-    fam = {
-        "S0": FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR, s0),
-        "S1": FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR, ones_de - s0),
-        "S": FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR, 2 * s0 + n * ones_de),
-        "T": FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR, ones_de),
-        "T1": FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, ones_dd),
-        "T2": FiberMatrix(n, OrbitKind.VECTOR, OrbitKind.VECTOR, ones_ee),
-    }
-    return fam
+    return FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR, s0)
 
 
 def make_Di(n: int, i: int) -> FiberMatrix:
@@ -284,21 +277,21 @@ def _match_scalar(lhs, pattern):
 
 
 def _fiber_a(n):
-    fam = make_S_family(n)
-    S, T, T1, T2 = (fam[k].matrix for k in ("S", "T", "T1", "T2"))
+    d, e = 1 << n, 2 * n
+    T, T1, T2 = _ones(d, e), _ones(d, d), _ones(e, e)
+    S = 2 * make_S0(n).matrix + n * T
     a1, ok1 = _match_scalar(S @ T.T, T1)
     a2, ok2 = _match_scalar(T @ S.T, T1)
     b1, ok3 = _match_scalar(T.T @ S, T2)
     b2, ok4 = _match_scalar(S.T @ T, T2)
-    deg_s = fam["S"].degree
+    deg_s = _degree(S)
     deg_ts = int(sum(S[:, 0]))
     ok = ok1 and ok2 and ok3 and ok4 and a1 == a2 == deg_s and b1 == b2 == deg_ts
     return ok, {"a": a1, "b": b1, "deg S": deg_s, "deg tS": deg_ts}, {}
 
 
 def _fiber_b(n):
-    fam = make_S_family(n)
-    s0 = fam["S0"].matrix
+    s0 = make_S0(n).matrix
     D = make_D(n).matrix
     d = 1 << n
     lhs = s0 @ s0.T
@@ -308,8 +301,7 @@ def _fiber_b(n):
 
 
 def _fiber_c(n):
-    fam = make_S_family(n)
-    s0 = fam["S0"].matrix
+    s0 = make_S0(n).matrix
     e = 2 * n
     lhs = s0.T @ s0
     rhs = 2 ** (n - 2) * (eye(e) - negation_matrix(n)) + 2 ** (n - 2) * _ones(e, e)
@@ -394,9 +386,9 @@ def _fiber_x(n):
     roundtrips equal minus-the-exponent times the other side's orbit gram
     plus a solved multiple of the trace, and the gram-shifted compositions
     collapse onto the trace."""
-    fam = make_S_family(n)
-    S, T = fam["S"].matrix, fam["T"].matrix
     d, e = 1 << n, 2 * n
+    T = _ones(d, e)
+    S = 2 * make_S0(n).matrix + n * T
     g_spin, q = orbit_gram(n, "spinor", scale=-2)
     g_vec, qprime = orbit_gram(n, "vector", scale=-2)
     lhs1 = S @ S.T + qprime * g_spin.gram
@@ -516,12 +508,12 @@ def _homology_check(letter: str, n: int, datum):
     g2x = HX.rank
     g2c = HC.rank
     Ix, Ic = eye(g2x), eye(g2c)
-    fam = make_S_family(n)
     details = {}
     if letter == "a":
-        t = ind(HX, HC, fam["T"].matrix)
-        t1 = ind(HX, HX, fam["T1"].matrix)
-        t2 = ind(HC, HC, fam["T2"].matrix)
+        d, e = 1 << n, 2 * n
+        t = ind(HX, HC, _ones(d, e))
+        t1 = ind(HX, HX, _ones(d, d))
+        t2 = ind(HC, HC, _ones(e, e))
         ok = (
             mat_equal(t, zeros(g2c, g2x))
             and mat_equal(t1, zeros(g2x, g2x))
@@ -530,14 +522,14 @@ def _homology_check(letter: str, n: int, datum):
         details["trace maps vanish"] = ok
         return ok, details, {}
     delta = ind(HX, HX, make_D(n).matrix)
+    if letter in ("b", "c"):
+        s0_fiber = make_S0(n).matrix
+        s0 = ind(HX, HC, s0_fiber)
+        ts0 = ind(HC, HX, s0_fiber.T)
     if letter == "b":
-        s0 = ind(HX, HC, fam["S0"].matrix)
-        ts0 = ind(HC, HX, fam["S0"].matrix.T)
         ok = mat_equal(ts0 @ s0, Ix - delta)
         return ok, {"relation": "ts0 s0 = 1 - delta"}, {}
     if letter == "c":
-        s0 = ind(HX, HC, fam["S0"].matrix)
-        ts0 = ind(HC, HX, fam["S0"].matrix.T)
         iota = ind(HC, HC, negation_matrix(n))
         ok = mat_equal(s0 @ ts0, 2 ** (n - 2) * (Ic - iota))
         return ok, {"relation": "s0 ts0 = 2^(n-2)(1 - iota)"}, {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import weyl
-from .errors import DisconnectedError, GenerationError, MonodromyError
+from .errors import DisconnectedError, GenerationError, MonodromyError, RankError
 from .weyl import OrbitKind, SignedPerm
 
 
@@ -249,12 +249,6 @@ class Prediction:
     notes: tuple
 
 
-def _genus_cprime(n: int, branch_long: int, base_genus: int) -> int:
-    """Riemann-Hurwitz genus of the degree-n pair-class cover C': only the
-    long reflections act on the pairs, each as a transposition."""
-    return branch_long // 2 + n * base_genus - n + 1
-
-
 def _type_chain(*groups) -> tuple:
     out = []
     for value, count in groups:
@@ -270,9 +264,12 @@ def predict(n: int, branch_short: int, branch_long: int, base_genus: int) -> Pre
     predicted multiplicities are flagged out of regime instead of clamped.
     """
     ds, dl, gy = branch_short, branch_long, base_genus
+    if n < 1:
+        raise RankError(f"rank must be at least 1, got {n}")
     if ds < 0 or dl < 0 or ds % 2 or dl % 2:
         raise ValueError("branch counts must be even and nonnegative")
-    g_cprime = _genus_cprime(n, dl, gy)
+    # on the degree-n pair-class cover C' only long reflections act, as transpositions
+    g_cprime = dl // 2 + n * gy - n + 1
     g_c = ds // 2 + dl + 2 * n * gy - 2 * n + 1
     if n >= 3:
         g_x = 2 ** (n - 2) * ds + 2 ** (n - 3) * dl + 2**n * gy - 2**n + 1
@@ -318,11 +315,12 @@ def predict(n: int, branch_short: int, branch_long: int, base_genus: int) -> Pre
                 [(2, dims["P(C,C')"])] if ds in (0, 2)
                 else [(1, ds // 2 - 1), (2, dl // 2 + 1 - n)],
             )
-        put(
-            "P(X,delta) conjectured",
-            [(2 ** (n - 2), dims["P(X,delta)"])] if ds in (0, 2)
-            else [(2 ** (n - 2), dl // 2 + 1 - n), (2 ** (n - 1), ds // 2 - 1)],
-        )
+        if n >= 2:
+            put(
+                "P(X,delta) conjectured",
+                [(2 ** (n - 2), dims["P(X,delta)"])] if ds in (0, 2)
+                else [(2 ** (n - 2), dl // 2 + 1 - n), (2 ** (n - 1), ds // 2 - 1)],
+            )
     else:
         notes.append(
             "base genus >= 1: closed-form predictions only; the homology engine "
@@ -384,13 +382,14 @@ def random_simple(n: int, count_s: int, count_l: int, seed: int) -> MonodromyDat
         raise GenerationError(
             f"parity obstruction: counts ({count_s},{count_l}) cannot have identity product"
         )
-    g_cprime = _genus_cprime(n, count_l, 0)
-    if g_cprime < 0:
-        # a connected vector cover C would make its quotient C' connected
-        raise GenerationError(
-            f"no datum for ({n}, {count_s}, {count_l}): Riemann-Hurwitz gives "
-            f"g(C') = {g_cprime} < 0; ruled out before any draw"
-        )
+    genera = predict(n, count_s, count_l, 0).genera
+    # a connected vector cover C, and so its quotient C', has genus >= 0
+    for curve in ("C'", "C"):
+        if genera[curve] < 0:
+            raise GenerationError(
+                f"no datum for ({n}, {count_s}, {count_l}): Riemann-Hurwitz gives "
+                f"g({curve}) = {genera[curve]} < 0; ruled out before any draw"
+            )
     shorts = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("short",))]
     longs = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("long",))]
     if count_l and not longs:

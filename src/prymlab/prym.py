@@ -119,7 +119,7 @@ def mu_check(
     if len(HC.parts) != 1:
         raise ValueError("signed-index cover must be connected")
     n = datum.n
-    s0 = corr.make_S_family(n)["S0"].matrix
+    s0 = corr.make_S0(n).matrix
     s0_h = surface.induced_map_all(HX, HC, s0)
     prym_basis = pprime.basis
     try:
@@ -247,8 +247,9 @@ def _scenario_pantazis_b2(datum: MonodromyDatum) -> PrymResult:
     tp, tpp = ptype(pxxp), ptype(pprime)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,X')"] = tp
-    res.predicted["type P(C,C')"] = (1,) * (ds // 2 - 1) + (2,) * (dl // 2 - 1)
-    res.predicted["type P(X,X')"] = (1,) * (dl // 2 - 1) + (2,) * (ds // 2 - 1)
+    pred = _cover.predict(datum.n, ds, dl, 0).types
+    res.predicted["type P(C,C')"] = pred["P(C,C')"]
+    res.predicted["type P(X,X')"] = pred["P(X,X')"]
     pt, cert = prym_tyurin_lattice(HX)
     res.checks["P(X,delta) equals P(X,X')"] = lattices_equal(pt.basis, pxxp.basis)
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 2)
@@ -275,8 +276,9 @@ def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
     tpp, tp = ptype(pprime), ptype(pt)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,delta)"] = tp
-    res.predicted["type P(C,C')"] = (1,) * (ds // 2 - 1) + (2,) * (dl // 2 - 2)
-    res.predicted["type P(X,delta)"] = (2,) * (dl // 2 - 2) + (4,) * (ds // 2 - 1)
+    pred = _cover.predict(datum.n, ds, dl, 0).types
+    res.predicted["type P(C,C')"] = pred["P(C,C')"]
+    res.predicted["type P(X,delta)"] = pred["P(X,delta)"]
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 3)
     res.checks["lattice ranks agree"] = pt.rank == pprime.rank
     res.computed["exponent"] = cert["exponent"]
@@ -298,15 +300,14 @@ def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
     pt, cert = prym_tyurin_lattice(HX)
-    tp = ptype(pt)
-    g_c = ds // 2 - 1
-    res.computed["type P(X,delta)"] = tp
-    res.predicted["type P(X,delta)"] = (4,) * g_c
+    pred = _cover.predict(datum.n, ds, dl, 0)
+    res.computed["type P(X,delta)"] = ptype(pt)
+    res.predicted["type P(X,delta)"] = pred.types["P(X,delta)"]
     res.computed["g(C)"] = HC.genus_total
-    res.predicted["g(C)"] = g_c
+    res.predicted["g(C)"] = pred.genera["C"]
     # transpose incidence carries the whole Jacobian onto the lattice,
     # scaling the form by the exponent 4
-    s0 = corr.make_S_family(3)["S0"].matrix
+    s0 = corr.make_S0(3).matrix
     lift = surface.induced_map_all(HC, HX, s0.T)
     res.checks["lift lands in P(X,delta)"] = lattice.contains(pt.basis, lift)
     res.checks["lift is a lattice bijection"] = (
@@ -349,7 +350,7 @@ def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
     res.computed["type P(X,X')"] = ptype(pxxp)
     res.predicted["type P(X,X')"] = (2,) * g_c
     # explicit isometry: membership incidence restricted to the even half
-    s0 = corr.make_S_family(3)["S0"].matrix
+    s0 = corr.make_S0(3).matrix
     full_map = surface.induced_map_all(HX, HC, s0)
     even_rank = HX.parts[0].genus2
     r = full_map[:, :even_rank]
@@ -381,7 +382,8 @@ def _scenario_d3_antidiagonal(datum: MonodromyDatum) -> PrymResult:
     _require([(len(HX.parts) == 2, "subset cover must split into two halves")])
     pt, cert = prym_tyurin_lattice(HX)
     res.computed["type P(X,delta)"] = ptype(pt)
-    res.predicted["type P(X,delta)"] = (2,) * ((ds + dl) // 2 - 3)
+    # ds = 0: the conjectured type is the proven etale case
+    res.predicted["type P(X,delta)"] = conjectured_type(datum.n, ds, dl)
     sig = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
     g0 = HX.parts[0].genus2
     incl0 = zeros(HX.rank, g0)
@@ -415,9 +417,9 @@ def _scenario_etale_dn(datum: MonodromyDatum) -> PrymResult:
     res.computed["spinor components"] = len(HX.parts)
     res.predicted["spinor components"] = 2
     pt, cert = prym_tyurin_lattice(HX)
-    dim = (ds + dl) // 2 - n
     res.computed["type P(X,delta)"] = ptype(pt)
-    res.predicted["type P(X,delta)"] = (2 ** (n - 2),) * dim
+    # ds = 0: the conjectured type is the proven etale case
+    res.predicted["type P(X,delta)"] = conjectured_type(n, ds, dl)
     HC = _homology(datum, OrbitKind.VECTOR)
     res.mu_surjective, res.scaling_verified = mu_check(
         HX, HC, prym_lattice(HC, corr.negation_matrix(n))
@@ -483,7 +485,7 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
         pt.rank + comp.shape[1] == pxxp.rank
     )
     res.computed["dim P(X,delta)"] = pt.rank // 2
-    res.predicted["dim P(X,delta)"] = (ds + dl) // 2 - 4
+    res.predicted["dim P(X,delta)"] = _cover.predict(datum.n, ds, dl, 0).dims["P(X,delta)"]
     res.computed["exponent"] = cert["exponent"]
     return res.finalize()
 

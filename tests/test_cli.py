@@ -278,3 +278,22 @@ def test_verify_list_modes_take_no_other_option(capsys):
         assert code == 2
         assert out == ""
         assert "list takes no other option" in err
+
+
+def test_verify_identity_refuses_datum_counts(capsys):
+    code, out, err = _run(
+        capsys, "verify", "--identity", "d", "--n", "3", "--ds", "2", "--dl", "40",
+        "--level", "homology",
+    )
+    assert code == 2
+    assert out == ""
+    assert "drop --ds --dl" in err
+
+
+def test_verify_scenario_refuses_level(capsys):
+    code, out, err = _run(
+        capsys, "verify", "--scenario", "recillas_a3", "--level", "homology",
+    )
+    assert code == 2
+    assert out == ""
+    assert "drop --level" in err

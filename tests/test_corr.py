@@ -14,7 +14,7 @@ from prymlab.corr import (
     identity_names,
     make_D,
     make_Di,
-    make_S_family,
+    make_S0,
     orbit_gram,
 )
 from prymlab.errors import EquivarianceError, RankError, ScaleError, UnsupportedError
@@ -125,17 +125,21 @@ def test_check_needs_the_short_simple_root(n):
         check_equivariance_all_roots(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
 
 
-def test_make_S_family_rows():
-    fam = make_S_family(2)
-    s0 = fam["S0"].matrix
+def test_make_S0_rows():
+    s0 = make_S0(2).matrix
     # labels: subsets (), (1,), (2,), (1,2); vector 1,-1,2,-2
     assert to_lists(s0)[0] == [0, 1, 0, 1]  # empty set selects -1 and -2
     assert to_lists(s0)[3] == [1, 0, 1, 0]
-    assert fam["T"].degree == 4
-    assert mat_equal(fam["S"].matrix, 2 * s0 + 2 * fam["T"].matrix)
-    assert mat_equal(fam["S1"].matrix, fam["T"].matrix - s0)
-    assert all(x == 1 for row in to_lists(fam["T1"].matrix) for x in row)
-    assert all(x == 1 for row in to_lists(fam["T2"].matrix) for x in row)
+    # the all-ones traces T, T1, T2 commute with the group
+    ones = np.full((4, 4), 1, dtype=object)
+    assert FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.VECTOR, ones).degree == 4
+    FiberMatrix(2, OrbitKind.SPINOR, OrbitKind.SPINOR, ones)
+    FiberMatrix(2, OrbitKind.VECTOR, OrbitKind.VECTOR, ones)
+    # S = 2*S0 + n*T: row sums 2n + n*2n, column sums 2*2^(n-1) + n*2^n
+    for n in (2, 3):
+        details = check_identity("trace_products", n).details
+        assert details["deg S"] == 2 * n + 2 * n * n
+        assert details["deg tS"] == 2 ** n + n * 2 ** n
 
 
 def test_make_Di_shells():
@@ -272,5 +276,5 @@ def test_identity_homology_rejects_vector_statements():
 
 def test_degrees_constant_across_rows():
     for n in (2, 3, 4):
-        for fm in (make_D(n), *make_S_family(n).values()):
+        for fm in (make_D(n), make_S0(n)):
             fm.degree  # raises if a row sum differs

@@ -17,7 +17,7 @@ from prymlab.cover import (
     random_simple,
     validate,
 )
-from prymlab.errors import DisconnectedError, GenerationError, MonodromyError
+from prymlab.errors import DisconnectedError, GenerationError, MonodromyError, RankError
 from prymlab.weyl import GroupClass, OrbitKind, SignedPerm, reflection, short_root
 
 
@@ -214,6 +214,15 @@ def test_predict_rejects_odd_counts():
         predict(3, 3, 6, 0)
 
 
+def test_predict_rank_one_and_below():
+    # rank 1 has only the double cover C: genera, no Prym-Tyurin type
+    p = predict(1, 4, 0, 0)
+    assert p.genera["C"] == 1
+    assert "P(X,delta) conjectured" not in p.types
+    with pytest.raises(RankError, match="rank must be at least 1"):
+        predict(0, 2, 2, 0)
+
+
 def test_random_simple_deterministic_and_valid():
     a = random_simple(3, 4, 6, seed=42)
     b = random_simple(3, 4, 6, seed=42)
@@ -240,12 +249,15 @@ def test_random_simple_parity_obstruction():
         random_simple(3, 2, 3, seed=0)
 
 
-def test_random_simple_riemann_hurwitz_fails_fast():
-    # g(C') = 2/2 - 4 + 1 < 0: no connected vector cover exists
-    assert predict(4, 2, 2, 0).genera["C'"] < 0
+@pytest.mark.parametrize("n,ds,dl", [(4, 2, 2), (3, 0, 4), (4, 0, 6), (2, 0, 2)])
+def test_random_simple_riemann_hurwitz_fails_fast(n, ds, dl):
+    # g(C') = dl/2 - n + 1 < 0 at (4, 2, 2); g(C) = ds/2 + dl - 2n + 1 = -1 at
+    # the others: no connected vector cover exists
+    genera = predict(n, ds, dl, 0).genera
+    assert min(genera["C'"], genera["C"]) < 0
     start = time.perf_counter()
     with pytest.raises(GenerationError, match="before any draw"):
-        random_simple(4, 2, 2, seed=0)
+        random_simple(n, ds, dl, seed=0)
     assert time.perf_counter() - start < 1.0
 
 

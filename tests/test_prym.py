@@ -139,7 +139,7 @@ def test_transpose_composition_is_multiplication_by_exponent():
     datum = random_simple(3, 4, 6, seed=8)
     HX = _build(datum, OrbitKind.SPINOR)
     HC = _build(datum, OrbitKind.VECTOR)
-    s0_mat = corr.make_S_family(3)["S0"].matrix
+    s0_mat = corr.make_S0(3).matrix
     s0 = surface.induced_map_all(HX, HC, s0_mat)
     ts0 = surface.induced_map_all(HC, HX, s0_mat.T)
     L, _ = prym_tyurin_lattice(HX)

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from prymlab import cli, prym
+from prymlab import cli, corr, prym
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_cli.json")
@@ -32,6 +32,10 @@ SCENARIO_COUNTS = (
     ("b4_structure", 4, 6, 10),
 )
 
+# the identities with homology content over the rational base, each pinned on
+# its default datum at every rank it applies to
+HOMOLOGY_LETTERS = ("a", "b", "c", "d", "e", "f", "g", "j", "k")
+
 CASES = (
     [("--format", "json", "verify", "--scenario", name, "--seed", "0")
      for name in prym.scenario_names()]
@@ -43,11 +47,11 @@ CASES = (
     + [("--format", "json", "probe", "--n", "4", "--ds", "4", "--dl", "8",
         "--trials", "2", "--seed", "5")]
     + [("--format", "json", "verify", "--identity", "list")]
+    + [("--format", "json", "verify", "--identity", name, "--n", str(n))
+       for name in corr.identity_names() for n in corr.applicable_ranks(name)]
     + [("--format", "json", "verify", "--identity", letter, "--n", str(n),
         "--level", "homology")
-       for letter, ranks in (("b", (2, 3, 4, 5)), ("d", (2, 3, 4, 5)),
-                             ("f", (2, 3, 4, 5)), ("g", (3, 5)))
-       for n in ranks]
+       for letter in HOMOLOGY_LETTERS for n in corr.applicable_ranks(letter)]
 )
 
 

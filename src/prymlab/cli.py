@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise UsageError("--identity needs --n")
+    if args.file is not None and args.level != "homology":
+        raise UsageError("--file is read at --level homology only; drop --file")
     datum = load_datum(args.file) if args.file else None
     try:
         result = corr.check_identity(

@@ -7,17 +7,21 @@ destination. Composition in diagram order is plain matrix multiplication of
 these coefficient matrices, and the transpose encodes the transposed
 correspondence.
 
-``check_identity`` verifies a catalog of exact matrix identities between the
+``check_identity`` verifies a catalog of exact identities between the
 distinguished correspondences of the subset (spinor) and signed-index
-(vector) covers, either as abstract fiber matrices for any supported rank or
-pushed to homology over the rational base, where the trace correspondences
-induce zero.
+(vector) covers. Each identity is stated once, over correspondences named in
+one table, the identity and the trace J (the all-ones matrix), and one
+evaluator runs it at either level: on the fiber matrices at any supported
+rank, or on the maps they induce on the homology of a datum's covers over
+the rational base. J stays in every statement; on homology it induces zero,
+which identity ``a`` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -25,7 +29,7 @@ import numpy as np
 from . import cover as _cover
 from . import surface, weyl
 from .errors import RankError, ScaleError, UnsupportedError
-from .lattice import eye, intmat, mat_equal, to_lists, zeros
+from .lattice import eye, intmat, mat_equal, matmul, to_lists, zeros
 from .weyl import OrbitKind
 
 FIBER_RANK_MAX = 6
@@ -276,296 +280,270 @@ def _match_scalar(lhs, pattern):
     return scalar, mat_equal(lhs, scalar * pattern)
 
 
-def _fiber_a(n):
+# the orbits of the subset cover X, the signed-index cover C and the parity
+# double cover
+_X, _C, _Y = OrbitKind.SPINOR, OrbitKind.VECTOR, OrbitKind.PARITY
+
+# the named correspondences: name -> (source orbit, destination orbit, fiber
+# matrix at rank n)
+_CORRESPONDENCES = {
+    "D": (_X, _X, lambda n: make_D(n).matrix),
+    "S0": (_X, _C, lambda n: make_S0(n).matrix),
+    "tS0": (_C, _X, lambda n: make_S0(n).matrix.T),
+    "sigma": (_X, _X, sigma_matrix),
+    "iota": (_C, _C, negation_matrix),
+    "P": (_X, _Y, parity_incidence),
+    "tau": (_Y, _Y, lambda n: intmat([[0, 1], [1, 0]])),
+    "D0": (_X, _X, lambda n: make_Di(n, 0).matrix),
+    "D1": (_X, _X, lambda n: make_Di(n, 1).matrix),
+    "same": (_X, _X, lambda n: matmul(parity_incidence(n), parity_incidence(n).T)),
+}
+
+
+class _Evaluator:
+    """Evaluates the catalog's statements at one level. Without a datum a
+    named correspondence is its fiber matrix, and composition in diagram
+    order is the matrix product. With a datum it is the map induced on the
+    homology of the datum's covers, each built on first use, and composition
+    runs right to left. The trace J from one orbit to another is the
+    all-ones matrix, evaluated the same way."""
+
+    def __init__(self, n: int, datum=None):
+        self.n = n
+        self.datum = datum
+        self.fiber = datum is None
+        self._covers = {}
+        self._named = {}
+
+    def cover(self, orbit: OrbitKind) -> surface.CoverHomology:
+        if orbit not in self._covers:
+            self._covers[orbit] = surface.build_all(_cover.induce(self.datum, orbit))
+        return self._covers[orbit]
+
+    def _evaluate(self, src, dst, fiber):
+        if self.fiber:
+            return fiber
+        return surface.induced_map_all(self.cover(src), self.cover(dst), fiber)
+
+    def __call__(self, name: str):
+        if name not in self._named:
+            src, dst, make = _CORRESPONDENCES[name]
+            self._named[name] = self._evaluate(src, dst, make(self.n))
+        return self._named[name]
+
+    def trace(self, src: OrbitKind, dst: OrbitKind):
+        size = (len(weyl.orbit_labels(src, self.n)), len(weyl.orbit_labels(dst, self.n)))
+        return self._evaluate(src, dst, _ones(*size))
+
+    def one(self, orbit: OrbitKind):
+        if self.fiber:
+            return eye(len(weyl.orbit_labels(orbit, self.n)))
+        return eye(self.cover(orbit).rank)
+
+    def then(self, *maps):
+        """Composite of ``maps``, the first applied first."""
+        return reduce(matmul, maps if self.fiber else maps[::-1])
+
+    def verdict(self, ok: bool, details: dict, lhs):
+        """The result triple; a failing fiber statement shows its left side."""
+        return ok, details, {} if ok or not self.fiber else {"lhs": to_lists(lhs)}
+
+
+def _a(ev):
+    n = ev.n
+    if not ev.fiber:
+        ok = not any(ev.trace(s, t).any() for s, t in ((_X, _C), (_X, _X), (_C, _C)))
+        return ok, {"trace maps vanish": ok}, {}
     d, e = 1 << n, 2 * n
     T, T1, T2 = _ones(d, e), _ones(d, d), _ones(e, e)
-    S = 2 * make_S0(n).matrix + n * T
-    a1, ok1 = _match_scalar(S @ T.T, T1)
-    a2, ok2 = _match_scalar(T @ S.T, T1)
-    b1, ok3 = _match_scalar(T.T @ S, T2)
-    b2, ok4 = _match_scalar(S.T @ T, T2)
+    S = 2 * ev("S0") + n * T
+    a1, ok1 = _match_scalar(matmul(S, T.T), T1)
+    a2, ok2 = _match_scalar(matmul(T, S.T), T1)
+    b1, ok3 = _match_scalar(matmul(T.T, S), T2)
+    b2, ok4 = _match_scalar(matmul(S.T, T), T2)
     deg_s = _degree(S)
     deg_ts = int(sum(S[:, 0]))
     ok = ok1 and ok2 and ok3 and ok4 and a1 == a2 == deg_s and b1 == b2 == deg_ts
     return ok, {"a": a1, "b": b1, "deg S": deg_s, "deg tS": deg_ts}, {}
 
 
-def _fiber_b(n):
-    s0 = make_S0(n).matrix
-    D = make_D(n).matrix
-    d = 1 << n
-    lhs = s0 @ s0.T
-    rhs = eye(d) - D + (n - 1) * _ones(d, d)
-    ok = mat_equal(lhs, rhs)
-    return ok, {"coefficient": n - 1}, {} if ok else {"lhs": to_lists(lhs), "rhs": to_lists(rhs)}
+def _b(ev):
+    n = ev.n
+    lhs = ev.then(ev("S0"), ev("tS0"))
+    ok = mat_equal(lhs, ev.one(_X) - ev("D") + (n - 1) * ev.trace(_X, _X))
+    details = {"coefficient": n - 1} if ev.fiber else {"relation": "ts0 s0 = 1 - delta"}
+    return ev.verdict(ok, details, lhs)
 
 
-def _fiber_c(n):
-    s0 = make_S0(n).matrix
-    e = 2 * n
-    lhs = s0.T @ s0
-    rhs = 2 ** (n - 2) * (eye(e) - negation_matrix(n)) + 2 ** (n - 2) * _ones(e, e)
-    ok = mat_equal(lhs, rhs)
-    return ok, {"coefficient": 2 ** (n - 2)}, {} if ok else {"lhs": to_lists(lhs)}
+def _c(ev):
+    q = 2 ** (ev.n - 2)
+    lhs = ev.then(ev("tS0"), ev("S0"))
+    ok = mat_equal(lhs, q * (ev.one(_C) - ev("iota")) + q * ev.trace(_C, _C))
+    details = {"coefficient": q} if ev.fiber else {"relation": "s0 ts0 = 2^(n-2)(1 - iota)"}
+    return ev.verdict(ok, details, lhs)
 
 
-def _fiber_d(n):
-    D = make_D(n).matrix
-    sig = sigma_matrix(n)
-    ok = mat_equal(sig @ D, D @ sig)
-    return ok, {}, {} if ok else {"commutator": to_lists(sig @ D - D @ sig)}
+def _d(ev):
+    lhs = ev.then(ev("D"), ev("sigma")) - ev.then(ev("sigma"), ev("D"))
+    return ev.verdict(not lhs.any(), {}, lhs)
 
 
-def _fiber_e(n):
-    D = make_D(n).matrix
-    sig = sigma_matrix(n)
-    d = 1 << n
-    lhs = (eye(d) + sig) @ (D - eye(d))
-    ok = mat_equal(lhs, (n - 2) * _ones(d, d))
-    return ok, {"coefficient": n - 2}, {} if ok else {"lhs": to_lists(lhs)}
+def _e(ev):
+    n, one = ev.n, ev.one(_X)
+    lhs = ev.then(one + ev("sigma"), ev("D") - one)
+    ok = mat_equal(lhs, (n - 2) * ev.trace(_X, _X))
+    details = {"coefficient": n - 2} if ev.fiber else {"trace term vanishes": True}
+    return ev.verdict(ok, details, lhs)
 
 
-def _fiber_f(n):
-    D = make_D(n).matrix
-    d = 1 << n
-    q = 2 ** (n - 1)
-    lhs = (D - eye(d)) @ (D + (q - 1) * eye(d))
-    m, ok = _match_scalar(lhs, _ones(d, d))
-    return ok, {"exponent": q, "m": m}, {} if ok else {"lhs": to_lists(lhs)}
+def _f(ev):
+    q, D, one = 2 ** (ev.n - 1), ev("D"), ev.one(_X)
+    lhs = ev.then(D - one, D + (q - 1) * one)
+    m, ok = _match_scalar(lhs, ev.trace(_X, _X))
+    return ev.verdict(ok, {"exponent": q, "m": m} if ev.fiber else {"exponent": q}, lhs)
 
 
-def _fiber_g(n):
-    if n % 2 == 0:
-        raise ValueError("parity pushforward identity needs odd rank")
-    D = make_D(n).matrix
-    d = 1 << n
-    lhs = (D - eye(d)) @ parity_incidence(n)
-    m, ok = _match_scalar(lhs, _ones(d, 2))
-    expected = sum(comb(n, k) * (k - 1) for k in range(0, n + 1, 2))
-    ok = ok and m == expected
-    return ok, {"M": m, "binomial sum": expected}, {} if ok else {"lhs": to_lists(lhs)}
+def _g(ev):
+    n = ev.n
+    m = sum(comb(n, k) * (k - 1) for k in range(0, n + 1, 2))
+    lhs = ev.then(ev("D") - ev.one(_X), ev("P"))
+    # P(1 + tau) is the trace from the subset orbit to the parity orbit
+    ok = mat_equal(lhs, m * ev.then(ev("P"), ev.one(_Y) + ev("tau")))
+    if ev.fiber:
+        return ev.verdict(ok, {"M": m, "binomial sum": m}, lhs)
+    return ev.verdict(ok, {"M": m, "parity cover rank": ev.cover(_Y).rank}, lhs)
 
 
-def _fiber_h(n):
-    D = make_D(n).matrix
-    d = 1 << n
-    w = parity_indicator(n, 0) - parity_indicator(n, 1)
-    lhs = (D + 7 * eye(d)) @ w
-    ok = mat_equal(lhs, 8 * w)
-    return ok, {"eigenvalue": 8}, {} if ok else {"lhs": to_lists(lhs)}
+def _h(ev):
+    w = parity_indicator(ev.n, 0) - parity_indicator(ev.n, 1)
+    lhs = matmul(ev("D") + 7 * ev.one(_X), w)
+    return ev.verdict(mat_equal(lhs, 8 * w), {"eigenvalue": 8}, lhs)
 
 
-def _fiber_i(n):
-    D = make_D(n).matrix
-    ones = _ones(1 << n, 1)
-    ok = True
-    for p in (0, 1):
-        v = parity_indicator(n, p)
-        if not mat_equal(D @ v, 8 * ones + v):
-            ok = False
+def _i(ev):
+    ok = all(
+        mat_equal(matmul(ev("D"), v), 8 * _ones(1 << ev.n, 1) + v)
+        for v in (parity_indicator(ev.n, 0), parity_indicator(ev.n, 1))
+    )
     return ok, {"full fiber multiple": 8}, {}
 
 
-def _fiber_j(n):
-    D0 = make_Di(n, 0).matrix
-    D1 = make_Di(n, 1).matrix
-    sig = sigma_matrix(n)
-    d = 1 << n
-    lhs = (eye(d) + sig) @ (D0 - 2 * eye(d)) @ (D0 + 2 * eye(d))
-    ok = mat_equal(lhs, 4 * D1)
-    # the shells also reassemble the main correspondence
-    total = zeros(d, d)
-    for i in range(4):
-        total = total + i * make_Di(n, i).matrix
-    ok = ok and mat_equal(total, make_D(n).matrix)
-    return ok, {"shell sum equals D": True}, {} if ok else {"lhs": to_lists(lhs)}
+def _j(ev):
+    one, sig, d0, d1 = ev.one(_X), ev("sigma"), ev("D0"), ev("D1")
+    lhs = ev.then(one + sig, d0 - 2 * one, d0 + 2 * one)
+    ok = mat_equal(lhs, 4 * d1)
+    # the shells also reassemble D = D1 + 2 D2 + 3 D3: with the identity they
+    # sum to J, and D3 = sigma
+    ok = ok and mat_equal(ev("D"), 2 * ev.trace(_X, _X) - 2 * one - 2 * d0 - d1 + sig)
+    return ev.verdict(ok, {"shell sum equals D": True} if ev.fiber else {}, lhs)
 
 
-def _fiber_x(n):
+def _k(ev):
+    # structural form in the split case: same-parity trace - identity + 2*sigma
+    ok = mat_equal(ev("D"), ev("same") - ev.one(_X) + 2 * ev("sigma"))
+    # (1 + sigma)(D - 1) = J, so the diagonal-type divisors (degree zero on
+    # one parity class) are annihilated
+    ok = ok and _e(ev)[0]
+    return ok, {} if ev.fiber else {"components": len(ev.cover(_X).parts)}, {}
+
+
+def _x(ev):
     """Cross compositions of the scaled incidence with itself: both
     roundtrips equal minus-the-exponent times the other side's orbit gram
     plus a solved multiple of the trace, and the gram-shifted compositions
     collapse onto the trace."""
+    n = ev.n
     d, e = 1 << n, 2 * n
     T = _ones(d, e)
-    S = 2 * make_S0(n).matrix + n * T
+    S = 2 * ev("S0") + n * T
     g_spin, q = orbit_gram(n, "spinor", scale=-2)
     g_vec, qprime = orbit_gram(n, "vector", scale=-2)
-    lhs1 = S @ S.T + qprime * g_spin.gram
+    lhs1 = matmul(S, S.T) + qprime * g_spin.gram
     d1, ok1 = _match_scalar(lhs1, _ones(d, d))
-    lhs2 = S.T @ S + q * g_vec.gram
+    lhs2 = matmul(S.T, S) + q * g_vec.gram
     d2, ok2 = _match_scalar(lhs2, _ones(e, e))
-    lhs3 = S @ (g_vec.gram + qprime * eye(e))
+    lhs3 = matmul(S, g_vec.gram + qprime * eye(e))
     c1, ok3 = _match_scalar(lhs3, T)
-    lhs4 = (g_spin.gram + q * eye(d)) @ S
+    lhs4 = matmul(g_spin.gram + q * eye(d), S)
     c2, ok4 = _match_scalar(lhs4, T)
     ok = ok1 and ok2 and ok3 and ok4
     details = {"d1": d1, "d2": d2, "c1": c1, "c2": c2, "q": q, "q'": qprime}
-    return ok, details, {} if ok else {"lhs1": to_lists(lhs1)}
+    return ev.verdict(ok, details, lhs1)
 
 
-def _fiber_k(n):
-    if n != 3:
-        raise ValueError("split-case identity is a rank-3 statement")
-    D = make_D(n).matrix
-    d = 1 << n
-    sig = sigma_matrix(n)
-    # structural form in the split case: same-parity trace - identity + 2*sigma
-    subs = _subsets(n)
-    same = zeros(d, d)
-    for a in range(d):
-        for b in range(d):
-            if len(subs[a]) % 2 == len(subs[b]) % 2:
-                same[a, b] = 1
-    ok = mat_equal(D, same - eye(d) + 2 * sig)
-    # diagonal-type divisors are annihilated: (D - 1)(1 + sigma) u = 0 for
-    # degree-zero u supported on one parity class
-    evens = [a for a in range(d) if len(subs[a]) % 2 == 0]
-    op = (D - eye(d)) @ (eye(d) + sig)
-    for a in evens[1:]:
-        u = zeros(d, 1)
-        u[evens[0], 0] = 1
-        u[a, 0] = -1
-        if not mat_equal(op @ u, zeros(d, 1)):
-            ok = False
-    return ok, {}, {}
+def _every_rank(n):
+    return 2 <= n <= FIBER_RANK_MAX
 
 
-_FIBER_CHECKS = {
-    "trace_products": ("a", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_a),
-    "s0_roundtrip_spinor": ("b", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_b),
-    "s0_roundtrip_vector": ("c", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_c),
-    "sigma_commutes_D": ("d", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_d),
-    "symmetrized_D_trace": ("e", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_e),
-    "quadratic_relation": ("f", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_f),
-    "parity_pushforward": ("g", lambda n: n in (3, 5), _fiber_g),
-    "antidiagonal_eigenvalue": ("h", lambda n: n == 4, _fiber_h),
-    "parity_pullback": ("i", lambda n: n == 4, _fiber_i),
-    "cube_adjacency_square": ("j", lambda n: n == 4, _fiber_j),
-    "split_diagonal_annihilation": ("k", lambda n: n == 3, _fiber_k),
-    "cross_composition": ("x", lambda n: 2 <= n <= FIBER_RANK_MAX, _fiber_x),
+# name -> (letter, ranks it applies at, statement, whether it has homology
+# content over the rational base)
+_CATALOG = {
+    "trace_products": ("a", _every_rank, _a, True),
+    "s0_roundtrip_spinor": ("b", _every_rank, _b, True),
+    "s0_roundtrip_vector": ("c", _every_rank, _c, True),
+    "sigma_commutes_D": ("d", _every_rank, _d, True),
+    "symmetrized_D_trace": ("e", _every_rank, _e, True),
+    "quadratic_relation": ("f", _every_rank, _f, True),
+    "parity_pushforward": ("g", lambda n: n in (3, 5), _g, True),
+    "antidiagonal_eigenvalue": ("h", lambda n: n == 4, _h, False),
+    "parity_pullback": ("i", lambda n: n == 4, _i, False),
+    "cube_adjacency_square": ("j", lambda n: n == 4, _j, True),
+    "split_diagonal_annihilation": ("k", lambda n: n == 3, _k, True),
+    "cross_composition": ("x", _every_rank, _x, False),
 }
 
-_LETTER_ALIAS = {letter: name for name, (letter, _, _) in _FIBER_CHECKS.items()}
-
-_HOMOLOGY_LETTERS = ("a", "b", "c", "d", "e", "f", "g", "j", "k")
+_LETTER_ALIAS = {letter: name for name, (letter, *_) in _CATALOG.items()}
 
 
 def identity_names() -> list:
-    return list(_FIBER_CHECKS)
+    return list(_CATALOG)
 
 
 def applicable_ranks(name: str) -> list:
-    _, pred, _ = _FIBER_CHECKS[_canonical(name)]
+    pred = _CATALOG[_canonical(name)][1]
     return [n for n in range(2, FIBER_RANK_MAX + 1) if pred(n)]
 
 
 def _canonical(name: str) -> str:
-    if name in _FIBER_CHECKS:
+    if name in _CATALOG:
         return name
     if name in _LETTER_ALIAS:
         return _LETTER_ALIAS[name]
-    raise KeyError(f"unknown identity {name!r}; known: {sorted(_FIBER_CHECKS)}")
+    raise KeyError(f"unknown identity {name!r}; known: {sorted(_CATALOG)}")
 
 
 def check_identity(name: str, n: int, level: str = "fiber", datum=None) -> IdentityResult:
     """Verify one catalog identity exactly.
 
-    ``level="fiber"`` checks the abstract matrix identity at the given rank;
-    ``level="homology"`` pushes it through a genus-0 datum (a seeded random
-    simple one when none is given), where the trace terms vanish.
+    ``level="fiber"`` checks the identity on the fiber matrices at the given
+    rank, and takes no datum; ``level="homology"`` checks it on the maps they
+    induce through a genus-0 datum (a seeded random simple one when none is
+    given), where the trace J induces zero.
     """
     name = _canonical(name)
-    letter, pred, fn = _FIBER_CHECKS[name]
+    letter, pred, statement, on_homology = _CATALOG[name]
     if not pred(n):
         raise RankError(f"identity {name} does not apply at rank {n}")
     if level == "fiber":
-        passed, details, witness = fn(n)
-        return IdentityResult(name, letter, n, level, passed, details, witness)
-    if level != "homology":
+        if datum is not None:
+            raise UnsupportedError(
+                "fiber identities take no datum; a datum is read at homology level"
+            )
+    elif level != "homology":
         raise ValueError("level must be 'fiber' or 'homology'")
-    if letter not in _HOMOLOGY_LETTERS:
+    elif not on_homology:
         raise UnsupportedError(f"identity {name} has no homology content over the rational base")
-    if datum is None:
-        if letter == "k":
-            datum = _cover.random_simple(3, 0, 8, seed=11)
-        else:
-            # dl >= 2n - 2 keeps g(C') = dl/2 - n + 1 nonnegative
-            ds, dl = 4, max(2 * min(n, 4), 2 * n - 2)
-            datum = _cover.random_simple(n, ds, dl, seed=11)
-    passed, details, witness = _homology_check(letter, n, datum)
-    return IdentityResult(name, letter, n, "homology", passed, details, witness)
-
-
-def _homology_check(letter: str, n: int, datum):
-    if datum.n != n:
-        raise RankError(f"datum has rank {datum.n}, the identity was asked at rank {n}")
-    if datum.base_genus != 0:
-        raise UnsupportedError("homology checks run over the rational base only")
-    HX = surface.build_all(_cover.induce(datum, OrbitKind.SPINOR))
-    HC = surface.build_all(_cover.induce(datum, OrbitKind.VECTOR))
-    ind = surface.induced_map_all
-    g2x = HX.rank
-    g2c = HC.rank
-    Ix, Ic = eye(g2x), eye(g2c)
-    details = {}
-    if letter == "a":
-        d, e = 1 << n, 2 * n
-        t = ind(HX, HC, _ones(d, e))
-        t1 = ind(HX, HX, _ones(d, d))
-        t2 = ind(HC, HC, _ones(e, e))
-        ok = (
-            mat_equal(t, zeros(g2c, g2x))
-            and mat_equal(t1, zeros(g2x, g2x))
-            and mat_equal(t2, zeros(g2c, g2c))
-        )
-        details["trace maps vanish"] = ok
-        return ok, details, {}
-    delta = ind(HX, HX, make_D(n).matrix)
-    if letter in ("b", "c"):
-        s0_fiber = make_S0(n).matrix
-        s0 = ind(HX, HC, s0_fiber)
-        ts0 = ind(HC, HX, s0_fiber.T)
-    if letter == "b":
-        ok = mat_equal(ts0 @ s0, Ix - delta)
-        return ok, {"relation": "ts0 s0 = 1 - delta"}, {}
-    if letter == "c":
-        iota = ind(HC, HC, negation_matrix(n))
-        ok = mat_equal(s0 @ ts0, 2 ** (n - 2) * (Ic - iota))
-        return ok, {"relation": "s0 ts0 = 2^(n-2)(1 - iota)"}, {}
-    sig = ind(HX, HX, sigma_matrix(n))
-    if letter == "d":
-        ok = mat_equal(sig @ delta, delta @ sig)
-        return ok, {}, {}
-    if letter == "e":
-        ok = mat_equal((delta - Ix) @ (Ix + sig), zeros(g2x, g2x))
-        return ok, {"trace term vanishes": True}, {}
-    if letter == "f":
-        q = 2 ** (n - 1)
-        ok = mat_equal((delta - Ix) @ (delta + (q - 1) * Ix), zeros(g2x, g2x))
-        return ok, {"exponent": q}, {}
-    if letter == "g":
-        HY = surface.build_all(_cover.induce(datum, OrbitKind.PARITY))
-        push = ind(HX, HY, parity_incidence(n))
-        tau = ind(HY, HY, intmat([[0, 1], [1, 0]]))
-        m = sum(comb(n, k) * (k - 1) for k in range(0, n + 1, 2))
-        ok = mat_equal(push @ (delta - Ix), m * ((eye(HY.rank) + tau) @ push))
-        return ok, {"M": m, "parity cover rank": HY.rank}, {}
-    if letter == "j":
-        d0 = ind(HX, HX, make_Di(4, 0).matrix)
-        d1 = ind(HX, HX, make_Di(4, 1).matrix)
-        ok = mat_equal((d0 + 2 * Ix) @ (d0 - 2 * Ix) @ (Ix + sig), 4 * d1)
-        return ok, {}, {}
-    if letter == "k":
-        subs = _subsets(n)
-        d = 1 << n
-        same = zeros(d, d)
-        for a in range(d):
-            for b in range(d):
-                if len(subs[a]) % 2 == len(subs[b]) % 2:
-                    same[a, b] = 1
-        same_ind = ind(HX, HX, same)
-        ok = mat_equal(delta, same_ind - Ix + 2 * sig)
-        ok = ok and mat_equal((delta - Ix) @ (Ix + sig), zeros(g2x, g2x))
-        return ok, {"components": len(HX.parts)}, {}
-    raise AssertionError(f"unhandled homology letter {letter}")
+    else:
+        if datum is None:
+            if letter == "k":
+                datum = _cover.random_simple(3, 0, 8, seed=11)
+            else:
+                # dl >= 2n - 2 keeps g(C') = dl/2 - n + 1 nonnegative
+                ds, dl = 4, max(2 * min(n, 4), 2 * n - 2)
+                datum = _cover.random_simple(n, ds, dl, seed=11)
+        if datum.n != n:
+            raise RankError(f"datum has rank {datum.n}, the identity was asked at rank {n}")
+        if datum.base_genus != 0:
+            raise UnsupportedError("homology checks run over the rational base only")
+    passed, details, witness = statement(_Evaluator(n, datum))
+    return IdentityResult(name, letter, n, level, passed, details, witness)

@@ -268,6 +268,8 @@ def predict(n: int, branch_short: int, branch_long: int, base_genus: int) -> Pre
         raise RankError(f"rank must be at least 1, got {n}")
     if ds < 0 or dl < 0 or ds % 2 or dl % 2:
         raise ValueError("branch counts must be even and nonnegative")
+    if gy < 0:
+        raise ValueError(f"base genus must be nonnegative, got {gy}")
     # on the degree-n pair-class cover C' only long reflections act, as transpositions
     g_cprime = dl // 2 + n * gy - n + 1
     g_c = ds // 2 + dl + 2 * n * gy - 2 * n + 1

@@ -1,9 +1,9 @@
 """Exact integer matrix and lattice algebra.
 
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
-arithmetic is arbitrary precision; ``A @ B`` multiplies exactly. Large
-products go through ``matmul``, which runs in int64 whenever a bound on its
-inputs proves that no partial sum can wrap, and on Python ints otherwise.
+arithmetic is arbitrary precision. Every product in the package goes through
+``matmul``, which runs in int64 whenever a bound on its inputs proves that no
+partial sum can wrap, and on Python ints otherwise.
 Sublattices of Z^m are represented by matrices whose columns generate them.
 
 Smith elimination is the workhorse: it yields kernels, images,
@@ -399,7 +399,7 @@ def intersect(a, b) -> np.ndarray:
         return zeros(a.shape[0], 0)
     stacked = np.concatenate([a, -b], axis=1)
     ker = kernel(stacked)
-    cand = a @ ker[: a.shape[1], :]
+    cand = matmul(a, ker[: a.shape[1], :])
     return image(cand)
 
 
@@ -447,7 +447,7 @@ def ptype(sub: PolarizedLattice) -> tuple:
         ker = kernel(g)
         raise DegenerateFormError(
             f"restricted form is degenerate with radical of rank {ker.shape[1]}",
-            radical=sub.basis @ ker,
+            radical=matmul(sub.basis, ker),
         )
     if r % 2 != 0:
         raise DegenerateFormError("nondegenerate alternating form needs even rank")

@@ -52,7 +52,7 @@ def _homology(datum: MonodromyDatum, orbit: OrbitKind) -> surface.CoverHomology:
 
 def _anti_invariant(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
     iota = surface.induced_map_all(H, H, fiber_involution)
-    if not mat_equal(iota @ iota, eye(H.rank)):
+    if not mat_equal(matmul(iota, iota), eye(H.rank)):
         raise ValueError("fiber matrix does not induce an involution on homology")
     basis = saturate(image(eye(H.rank) - iota))
     return PolarizedLattice(H.gram, basis)
@@ -313,7 +313,9 @@ def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
     res.checks["lift is a lattice bijection"] = (
         lift.shape[1] == pt.rank and lattices_equal(pt.basis, image(lift))
     )
-    res.checks["form scales by 4"] = mat_equal(lift.T @ HX.gram @ lift, 4 * HC.gram)
+    res.checks["form scales by 4"] = mat_equal(
+        matmul(matmul(lift.T, HX.gram), lift), 4 * HC.gram
+    )
     res.computed["exponent"] = cert["exponent"]
     return res.finalize()
 
@@ -359,7 +361,7 @@ def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
         even_rank == pxxp.rank and lattices_equal(pxxp.basis, image(r))
     )
     res.checks["form scales by 2"] = mat_equal(
-        r.T @ HC.gram @ r, 2 * HX.parts[0].gram
+        matmul(matmul(r.T, HC.gram), r), 2 * HX.parts[0].gram
     )
     return res.finalize()
 
@@ -389,7 +391,7 @@ def _scenario_d3_antidiagonal(datum: MonodromyDatum) -> PrymResult:
     incl0 = zeros(HX.rank, g0)
     for i in range(g0):
         incl0[i, i] = 1
-    anti = (eye(HX.rank) - sig) @ incl0
+    anti = matmul(eye(HX.rank) - sig, incl0)
     res.checks["equals antidiagonal of B x B"] = lattices_equal(pt.basis, anti)
     res.checks["sheet involution swaps the halves"] = all(
         all(sig[i, j] == 0 for i in range(g0)) for j in range(g0)
@@ -447,9 +449,9 @@ def _scenario_b3_complement(datum: MonodromyDatum) -> PrymResult:
     ker_in_pxx = intersect(pxxp.basis, lattice.kernel(push))
     res.checks["P(X,delta) = ker(Nm) in P(X,X')"] = lattices_equal(pt.basis, ker_in_pxx)
     delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
-    lhs = saturate((delta + 3 * eye(HX.rank)) @ pxxp.basis)
+    lhs = saturate(matmul(delta + 3 * eye(HX.rank), pxxp.basis))
     ptilde = _anti_invariant(HY, lattice.intmat([[0, 1], [1, 0]]))
-    rhs = saturate(pull @ ptilde.basis)
+    rhs = saturate(matmul(pull, ptilde.basis))
     res.checks["(delta+3)P(X,X') = pullback of P(Ytilde,Y)"] = lattices_equal(lhs, rhs)
     res.computed["dim P(X,delta)"] = pt.rank // 2
     res.predicted["dim P(X,delta)"] = pxxp.rank // 2 - ptilde.rank // 2
@@ -474,11 +476,11 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
     delta = surface.induced_map_all(HX, HX, corr.make_D(4).matrix)
     d0 = surface.induced_map_all(HX, HX, corr.make_Di(4, 0).matrix)
     res.checks["P(X,delta) = (delta0+2)P(X,X')"] = lattices_equal(
-        pt.basis, saturate((d0 + 2 * I) @ pxxp.basis)
+        pt.basis, saturate(matmul(d0 + 2 * I, pxxp.basis))
     )
-    comp = saturate((delta + 7 * I) @ pxxp.basis)
+    comp = saturate(matmul(delta + 7 * I, pxxp.basis))
     res.checks["(delta+7)P(X,X') = (delta0-2)P(X,X')"] = lattices_equal(
-        comp, saturate((d0 - 2 * I) @ pxxp.basis)
+        comp, saturate(matmul(d0 - 2 * I, pxxp.basis))
     )
     res.checks["P(X,delta) inside P(X,X')"] = lattice.contains(pxxp.basis, pt.basis)
     res.checks["complementary ranks fill P(X,X')"] = (

@@ -1,7 +1,7 @@
 import json
 import os
 
-from prymlab import cli, prym
+from prymlab import cli, corr, prym
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -297,3 +297,41 @@ def test_verify_scenario_refuses_level(capsys):
     assert code == 2
     assert out == ""
     assert "drop --level" in err
+
+
+def test_verify_identity_refuses_file_at_fiber_level(capsys):
+    for level in ((), ("--level", "fiber")):
+        code, out, err = _run(
+            capsys, "verify", "--identity", "b", "--n", "3",
+            "--file", _datafile("theorem2_b3.json"), *level,
+        )
+        assert code == 2
+        assert out == ""
+        assert "drop --file" in err
+
+
+def test_predict_rejects_negative_base_genus(capsys):
+    code, out, err = _run(capsys, "predict", "--n", "3", "--ds", "4", "--dl", "6", "--gy", "-1")
+    assert code == 2
+    assert out == ""
+    assert "base genus" in err
+
+
+def test_verify_identity_failure_exits_one_with_witness(capsys, monkeypatch):
+    # D + sigma is equivariant but breaks the quadratic relation
+    src, dst, make_D = corr._CORRESPONDENCES["D"]
+    wrong = (src, dst, lambda n: make_D(n) + corr.sigma_matrix(n))
+    monkeypatch.setitem(corr._CORRESPONDENCES, "D", wrong)
+    code, out, err = _run(capsys, "--format", "json", "verify", "--identity", "f", "--n", "3")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    lhs = payload["witness"]["lhs"]
+    assert len(lhs) == len(lhs[0]) == 8
+    code, out, _ = _run(
+        capsys, "--format", "json", "verify", "--identity", "f", "--n", "3",
+        "--level", "homology",
+    )
+    assert code == 1
+    assert json.loads(out)["passed"] is False

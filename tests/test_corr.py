@@ -17,7 +17,13 @@ from prymlab.corr import (
     make_S0,
     orbit_gram,
 )
-from prymlab.errors import EquivarianceError, RankError, ScaleError, UnsupportedError
+from prymlab.errors import (
+    EquivarianceError,
+    PrymlabError,
+    RankError,
+    ScaleError,
+    UnsupportedError,
+)
 from prymlab.lattice import eye, intmat, mat_equal, to_lists, zeros
 from prymlab.weyl import OrbitKind
 
@@ -278,3 +284,39 @@ def test_degrees_constant_across_rows():
     for n in (2, 3, 4):
         for fm in (make_D(n), make_S0(n)):
             fm.degree  # raises if a row sum differs
+
+
+def test_fiber_level_refuses_a_datum():
+    datum = cover.random_simple(3, 4, 6, seed=11)
+    with pytest.raises(PrymlabError):
+        check_identity("s0_roundtrip_spinor", 3, level="fiber", datum=datum)
+
+
+@pytest.mark.parametrize(
+    "letter,n", [("d", 3), ("e", 3), ("f", 3), ("j", 4), ("k", 3), ("f", 6)]
+)
+def test_homology_statements_on_the_subset_orbit_build_one_cover(letter, n, monkeypatch):
+    built = []
+    build_all = surface.build_all
+
+    def recording(cover_model):
+        built.append(cover_model.orbit)
+        return build_all(cover_model)
+
+    monkeypatch.setattr(surface, "build_all", recording)
+    assert check_identity(letter, n, level="homology").passed
+    assert built == [OrbitKind.SPINOR]
+
+
+@pytest.mark.parametrize("level", ["fiber", "homology"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_wrong_D_fails_the_quadratic_relation(level, n, monkeypatch):
+    # D + sigma commutes with the group, so only the identity can reject it
+    src, dst, make_D = corr._CORRESPONDENCES["D"]
+    monkeypatch.setitem(
+        corr._CORRESPONDENCES, "D", (src, dst, lambda k: make_D(k) + corr.sigma_matrix(k))
+    )
+    r = check_identity("quadratic_relation", n, level=level)
+    assert r.passed is False
+    assert ("lhs" in r.witness) == (level == "fiber")
+    assert check_identity("sigma_commutes_D", n, level=level).passed

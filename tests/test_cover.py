@@ -214,6 +214,11 @@ def test_predict_rejects_odd_counts():
         predict(3, 3, 6, 0)
 
 
+def test_predict_rejects_negative_base_genus():
+    with pytest.raises(ValueError, match="base genus"):
+        predict(3, 4, 6, -1)
+
+
 def test_predict_rank_one_and_below():
     # rank 1 has only the double cover C: genera, no Prym-Tyurin type
     p = predict(1, 4, 0, 0)

@@ -5,6 +5,9 @@ in: the name ``float`` or any identifier containing it (``np.float64``,
 ``float_power``), the numpy and math names ``linalg``, ``true_divide`` and
 ``sqrt``, and true division ``/`` unless its left operand builds a
 ``Fraction``. Floor division ``//`` stays integral and is allowed.
+
+A second guard keeps one exact product routine: no module but ``lattice.py``
+uses the ``@`` operator, so every product goes through ``lattice.matmul``.
 """
 
 import ast
@@ -53,6 +56,15 @@ def violations(source: str, filename: str = "<source>") -> list:
     return out
 
 
+def matmul_operators(source: str, filename: str = "<source>") -> list:
+    """Where ``source`` multiplies with ``@`` or ``@=``."""
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
 def test_package_modules_are_found():
     assert {p.name for p in PACKAGE.glob("*.py")} >= {"lattice.py", "surface.py", "prym.py"}
 
@@ -91,3 +103,18 @@ def test_guard_catches_each_kind(source):
 )
 def test_guard_allows_exact_code(source):
     assert violations(source) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "lattice.py"],
+    ids=lambda p: p.name,
+)
+def test_module_multiplies_through_matmul(path):
+    assert matmul_operators(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_matmul_guard_catches_the_operator_only():
+    assert matmul_operators("c = a @ b")
+    assert matmul_operators("a @= b")
+    assert matmul_operators("c = matmul(a, b)\n@dataclass\nclass K:\n    x: int") == []

@@ -250,12 +250,7 @@ def cmd_verify(args) -> int:
     if args.file is not None and args.level != "homology":
         raise UsageError("--file is read at --level homology only; drop --file")
     datum = load_datum(args.file) if args.file else None
-    try:
-        result = corr.check_identity(
-            args.identity, args.n, level=args.level or "fiber", datum=datum
-        )
-    except KeyError as exc:
-        raise UsageError(str(exc))
+    result = corr.check_identity(args.identity, args.n, level=args.level or "fiber", datum=datum)
     payload = {
         "identity": result.name,
         "letter": result.letter,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cover as _cover
 from . import surface, weyl
-from .errors import RankError, ScaleError, UnsupportedError
+from .errors import RankError, ScaleError, UnknownIdentityError, UnsupportedError
 from .lattice import eye, intmat, mat_equal, matmul, to_lists, zeros
 from .weyl import OrbitKind
 
@@ -509,7 +509,7 @@ def _canonical(name: str) -> str:
         return name
     if name in _LETTER_ALIAS:
         return _LETTER_ALIAS[name]
-    raise KeyError(f"unknown identity {name!r}; known: {sorted(_CATALOG)}")
+    raise UnknownIdentityError(f"unknown identity {name!r}; known: {sorted(_CATALOG)}")
 
 
 def check_identity(name: str, n: int, level: str = "fiber", datum=None) -> IdentityResult:

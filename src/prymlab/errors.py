@@ -45,6 +45,10 @@ class EquivarianceError(PrymlabError):
     """Fiber matrix does not commute with the monodromy action."""
 
 
+class UnknownIdentityError(PrymlabError):
+    """No catalog identity has the given name or letter."""
+
+
 class ScenarioError(PrymlabError):
     """Scenario preconditions violated; carries the violation list."""
 

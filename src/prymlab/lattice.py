@@ -1,9 +1,20 @@
 """Exact integer matrix and lattice algebra.
 
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
-arithmetic is arbitrary precision. Every product in the package goes through
-``matmul``, which runs in int64 whenever a bound on its inputs proves that no
-partial sum can wrap, and on Python ints otherwise.
+arithmetic is arbitrary precision, and every matrix a public function returns
+is one. Inside, ``matmul``, ``det`` and ``_eliminate`` run in int64 while a
+bound proves that nothing wraps. They convert their input by one rule,
+``_int64``: ``np.asarray(x, dtype=np.int64)``, where an ``OverflowError``
+means the entries need Python ints, and the bound then comes from the int64
+max and min (which also send the one int64 value -2^63 to Python ints).
+
+Every product in the package goes through ``matmul``: in int64 when the
+largest entries times the inner dimension stay below 2^63, so that no
+partial sum can wrap, and on Python ints otherwise. Its core ``_product``
+returns the int64 result as it is, and ``_sparse_product`` multiplies a
+``SparseMatrix`` (nonzero entries only) under the same rule, with the most
+nonzeros in a row for the inner dimension. These two serve ``surface``,
+which holds each cover's homology matrices in int64.
 Sublattices of Z^m are represented by matrices whose columns generate them.
 
 Smith elimination is the workhorse: it yields kernels, images,
@@ -84,6 +95,33 @@ def _maxabs(a: np.ndarray) -> int:
 _INT64_BOUND = 2 ** 63
 
 
+def _int64(x):
+    """``(x as an int64 array, max|x|)`` when every entry is below 2^63 in
+    absolute value, else ``(None, None)``: the entries need Python ints.
+
+    The conversion is the range check, as it raises ``OverflowError`` on an
+    entry outside int64; the bound is then read from the int64 max and min,
+    which also catch -2^63. An int64 input is returned without a copy.
+    """
+    try:
+        a = np.asarray(x, dtype=np.int64)
+    except OverflowError:
+        return None, None
+    m = _maxabs(a)
+    return (a, m) if m < _INT64_BOUND else (None, None)
+
+
+def _product(a, b) -> np.ndarray:
+    """Exact integer product ``a @ b``: int64 when every entry and
+    ``max|a| * max|b| * inner`` are below 2^63, which bounds every partial
+    sum, and an object array of Python ints otherwise."""
+    a64, ma = _int64(a)
+    b64, mb = _int64(b)
+    if a64 is not None and b64 is not None and ma * mb * a64.shape[-1] < _INT64_BOUND:
+        return a64 @ b64
+    return _pyints(a) @ _pyints(b)
+
+
 def matmul(a, b) -> np.ndarray:
     """Exact integer product ``a @ b`` as an object array.
 
@@ -91,12 +129,74 @@ def matmul(a, b) -> np.ndarray:
     absolute value, so when that and every entry are below 2^63 the product
     runs in int64 and cannot wrap; otherwise it runs on Python ints.
     """
-    a = np.asarray(a)
+    out = _product(a, b)
+    return out if out.dtype == object else out.astype(object)
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An integer matrix of ``shape`` held by its nonzero entries, row after
+    row: entry k is ``vals[k]`` at ``(rows[k], cols[k])``, and ``rows`` is
+    nondecreasing. ``vals`` is int64 when every entry is below 2^63 in
+    absolute value and an object array of Python ints otherwise."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def sparse(m) -> SparseMatrix:
+    """The nonzero entries of a 2-D integer matrix, row by row."""
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    rows, cols = np.nonzero(arr)
+    vals = arr[rows, cols]
+    v64, _ = _int64(vals)
+    return SparseMatrix(arr.shape, rows, cols, _pyints(vals) if v64 is None else v64)
+
+
+_GATHER = 2 ** 15  # entries gathered at once by _sparse_product
+
+
+def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
+    """Exact integer product ``s @ b`` of a sparse and a dense matrix, under
+    ``matmul``'s rule with the most nonzeros in a row of ``s`` as the inner
+    dimension: every partial sum is at most ``max|s| * max|b| * w``, so the
+    product is int64 when that and every entry are below 2^63 and an object
+    array of Python ints otherwise.
+
+    The rows of ``b`` the nonzeros pick are gathered a chunk of nonzeros at
+    a time, at most as many as ``s`` has rows and at most ``_GATHER``
+    entries in all (one row of ``b`` at the least), so the temporary stays
+    below the size of the product.
+    """
+    m, inner = s.shape
     b = np.asarray(b)
-    ma, mb = _maxabs(a), _maxabs(b)
-    if max(ma, mb, ma * mb * a.shape[-1]) < _INT64_BOUND:
-        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
-    return _pyints(a) @ _pyints(b)
+    if b.ndim != 2 or b.shape[0] != inner:
+        raise ValueError("sparse product shape mismatch")
+    w = int(np.bincount(s.rows).max()) if s.rows.size else 0
+    b64, mb = _int64(b)
+    if (
+        s.vals.dtype != object
+        and b64 is not None
+        and _maxabs(s.vals) * mb * w < _INT64_BOUND
+    ):
+        vals, b = s.vals, b64
+        out = np.zeros((m, b.shape[1]), dtype=np.int64)
+    else:
+        vals, b = _pyints(s.vals), _pyints(b)
+        out = zeros(m, b.shape[1])
+    step = max(1, min(m, _GATHER // max(b.shape[1], 1)))
+    for lo in range(0, len(vals), step):
+        rows = s.rows[lo:lo + step]
+        terms = b[s.cols[lo:lo + step]]
+        terms *= vals[lo:lo + step, None]
+        # a row's entries are contiguous, so each row occurs once per chunk
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] += np.add.reduceat(terms, starts, axis=0)
+    return out
 
 
 def det(m) -> int:
@@ -114,7 +214,8 @@ def det(m) -> int:
         return 1
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("determinant of a non-square matrix")
-    a = a.astype(np.int64) if _maxabs(a) < _INT64_BOUND else _pyints(a)
+    a64, _ = _int64(a)
+    a = _pyints(a) if a64 is None else a64.copy()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -171,8 +272,9 @@ def _eliminate(mat, want=()):
     m, n = a.shape
     size = {"u": m, "uinv": m, "v": n}
     x = {"a": a, **{k: np.eye(size[k], dtype=np.int64) for k in want}}
-    if _maxabs(a) < _INT64_BOUND:
-        x["a"] = a.astype(np.int64)
+    a64, _ = _int64(a)
+    if a64 is not None:
+        x["a"] = a64.copy()
     else:
         x = {k: _pyints(y) for k, y in x.items()}
     # the arrays whose rows (axis 0) or columns (axis 1) an operation combines
@@ -181,16 +283,17 @@ def _eliminate(mat, want=()):
     def lines(k, axis):
         return x[k] if axis == 0 else x[k].T
 
-    def widen(grow):
+    def widen(q):
+        # on Python ints already, nothing is scanned
         if x["a"].dtype != object and (
-            max(_maxabs(y) for y in x.values()) * grow >= _INT64_BOUND
+            max(_maxabs(y) for y in x.values()) * (1 + len(q) * _maxabs(q)) >= _INT64_BOUND
         ):
             for k in x:
                 x[k] = _pyints(x[k])
 
     def update(axis, idx, q, t):
         # line i -= q_i * line t for i in idx; U^-1 column t += U^-1[:, idx] q
-        widen(1 + len(q) * _maxabs(q))
+        widen(q)
         for k in direct[axis]:
             y = lines(k, axis)
             y[idx] -= np.outer(q, y[t])

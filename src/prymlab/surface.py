@@ -16,10 +16,10 @@ First homology comes from a spanning tree: non-tree edges give fundamental
 cycles, face boundaries give the relations, and the quotient is free of rank
 2g (asserted). The basis is held as one E x 2g integer matrix ``B`` (E the
 number of edges, edge ``sheet * arcs + arc``); column j is basis cycle j as
-an edge chain. The class of any cycle is ``C`` times its non-tree rows, ``C``
-the rows of the relation transform past the relations. A fiber
-correspondence therefore acts on homology as one product: image chains
-``(F^T (x) I) B``, then ``C`` on their non-tree rows.
+an edge chain. The class of any cycle is ``C`` times its edge chain, ``C``
+the rows of the relation transform past the relations placed at the
+non-tree edges (zero at tree edges). A fiber correspondence therefore acts
+on homology as one product: image chains ``(F^T (x) I) B``, then ``C``.
 
 The intersection form is ``B^T Q B`` for a local crossing form Q: push the
 second chain off to the right of every edge; crossings then happen only
@@ -30,14 +30,26 @@ the Gram is summed one vertex at a time over the basis columns that pass
 through it. The Gram is checked to have zero diagonal and to be alternating
 and unimodular on every build.
 
-Products of these matrices go through ``lattice.matmul``, which runs in
-int64 only when ``max|a| * max|b| * inner < 2^63`` proves that no partial
-sum can wrap, and on Python ints otherwise.
+The cover's matrices are held in int64, converted once when the model is
+built: ``B``, and ``C`` and the boundary map as ``lattice.SparseMatrix``
+(``C`` is about 2% nonzero at rank 5). With beta the largest entry of the
+relation transforms they are read from, m the number of non-tree edges and
+Delta the most edge ends at one vertex, every entry of ``B`` is at most
+2 m beta (a tree entry is a sum of non-tree entries, each counted at most
+twice), and the build asserts ``2 E Delta (2 m beta)^2 < 2^63``. That bounds
+every partial sum the build forms in int64: the tree entries, the prefix
+sums at a vertex and the Gram, whose block at a vertex with Delta_v ends is
+at most ``Delta_v^2 max|B|^2`` and whose sum over the vertices' 2E ends is
+at most ``2 E Delta max|B|^2``. Products with a fiber matrix, whose entries
+are the caller's, go through ``lattice._product`` and
+``lattice._sparse_product``, which check ``matmul``'s bound on each call and
+run on Python ints where it fails. Every matrix that leaves this module is
+an object array of Python ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,11 +131,14 @@ class HomologyModel:
         self.vertex_ends.extend([None] * (self.vertex_count - d))
         for vid, (i, cyc) in cycle_members.items():
             self.vertex_ends[vid] = ("branch", [t * k + i for t in cyc])
-        # each edge ends once at a ramification vertex: their ends in vertex
-        # order, and where each vertex starts
-        heads = [ends for _kind, ends in self.vertex_ends[d:]]
-        self._head_order = [e for ends in heads for e in ends]
-        self._head_starts = np.cumsum([0] + [len(ends) for ends in heads])[:-1]
+        # boundary: row v holds the ends at vertex v, -1 at a sheet vertex
+        # (the tail of each edge) and +1 at a ramification vertex (its head)
+        ends = [(v, e, 1 if kind == "branch" else -1)
+                for v, (kind, es) in enumerate(self.vertex_ends) for e in es]
+        rows, cols, vals = (np.array(col, dtype=np.int64) for col in zip(*ends))
+        self.boundary_map = lattice.SparseMatrix(
+            (self.vertex_count, self.edge_count), rows, cols, vals
+        )
 
         # face boundaries: one per sheet, arcs in ascending order
         self.faces = []
@@ -183,16 +198,28 @@ class HomologyModel:
         self.genus = self.genus2 // 2
         if self.genus != _cover.genus(self.cover):
             raise AssertionError("homology rank disagrees with the genus count")
-        # the class of a cycle is C times its non-tree coefficients, C the
-        # rows of U past the relations
-        self.class_map = U[r:]
+        # the one conversion to int64, under the bound of the module docstring
+        C, c_max = lattice._int64(U[r:])
+        cycles, b_max = lattice._int64(Uinv[:, r:])
+        beta = max(c_max or 0, b_max or 0)
+        most_ends = max(len(ends) for _kind, ends in self.vertex_ends)
+        if C is None or cycles is None or (
+            2 * E * most_ends * (2 * m * beta) ** 2 >= lattice._INT64_BOUND
+        ):
+            raise AssertionError("relation transforms too large for int64 homology")
+        # the class of a cycle is C times its edge chain: the rows of U past
+        # the relations, at the non-tree edges
+        nonzero = lattice.sparse(C)
+        self.class_map = replace(
+            nonzero, shape=(self.genus2, E), cols=np.array(self.nontree)[nonzero.cols]
+        )
 
         # B: basis cycle j has the non-tree coefficients of column r + j of
         # U^-1; its tree coefficients close every vertex. Leaves first, the
         # edge to the parent carries off the net inflow of the vertex.
-        B = zeros(E, self.genus2)
-        B[self.nontree] = Uinv[:, r:]
-        inflow = zeros(V, self.genus2)
+        B = np.zeros((E, self.genus2), dtype=np.int64)
+        B[self.nontree] = cycles
+        inflow = np.zeros((V, self.genus2), dtype=np.int64)
         for e in self.nontree:
             inflow[self.edge_head[e]] += B[e]
             inflow[self.edge_tail[e]] -= B[e]
@@ -201,14 +228,6 @@ class HomologyModel:
             B[e] = inflow[v] if self.edge_tail[e] == v else -inflow[v]
             inflow[w] += inflow[v]
         self.B = B
-
-    def _boundary(self, chains: np.ndarray) -> np.ndarray:
-        """Boundaries of the edge chains in the columns, one row per vertex:
-        every edge runs from a sheet vertex to a ramification vertex."""
-        c = chains.shape[1]
-        tails = -chains.reshape(self.degree, self.arc_count, c).sum(axis=1)
-        heads = np.add.reduceat(chains[self._head_order], self._head_starts, axis=0)
-        return np.concatenate([tails, heads])
 
     # -- intersection numbers ----------------------------------------------
 
@@ -226,7 +245,7 @@ class HomologyModel:
         """
         B = self.B
         touched = B != 0
-        gram = zeros(self.genus2, self.genus2)
+        gram = np.zeros((self.genus2, self.genus2), dtype=np.int64)
         for kind, ends in self.vertex_ends:
             if kind == "branch" and len(ends) < 2:
                 continue  # the exclusive prefix of a single end is zero
@@ -235,14 +254,14 @@ class HomologyModel:
             run = np.cumsum(x, axis=0)
             if kind == "branch":
                 run -= x
-            gram[np.ix_(cols, cols)] -= lattice.matmul(x.T, run)
+            gram[np.ix_(cols, cols)] -= lattice._product(x.T, run)
         if np.diagonal(gram).any():
             raise AssertionError("nonzero self-intersection")
-        if not lattice.mat_equal(gram.T, -gram):
+        if not (gram.T == -gram).all():
             raise AssertionError("intersection form is not alternating")
         if self.genus2 and abs(lattice.det(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
-        self.gram = gram
+        self.gram = gram.astype(object)
 
 
 def check_equivariance(fiber, src_perms, dst_perms) -> None:
@@ -317,8 +336,9 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
     datum. Each block of the fiber matrix maps one source component into one
     destination component: the image chains of the source basis are the
     block's transpose times B with its rows grouped by sheet, and their
-    classes are C times their non-tree rows. Returns the (rank_dst x
-    rank_src) integer matrix on column cycle classes.
+    classes are C times the chains, in int64 while ``lattice``'s product
+    bound holds. Returns the (rank_dst x rank_src) integer matrix on column
+    cycle classes, an object array.
     """
     if src.cover.datum != dst.cover.datum:
         raise ValueError("source and destination covers come from different data")
@@ -331,10 +351,10 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
             block = fiber[np.ix_(la, lb)]
             if not block.any():
                 continue
-            img = lattice.matmul(block.T, by_sheet).reshape(pb.edge_count, pa.genus2)
-            if pb._boundary(img).any():
+            img = lattice._product(block.T, by_sheet).reshape(pb.edge_count, pa.genus2)
+            if lattice._sparse_product(pb.boundary_map, img).any():
                 raise AssertionError("image chain failed to close per component")
-            out[ob:ob + pb.genus2, oa:oa + pa.genus2] = lattice.matmul(
-                pb.class_map, img[pb.nontree]
+            out[ob:ob + pb.genus2, oa:oa + pa.genus2] = lattice._sparse_product(
+                pb.class_map, img
             )
     return out

@@ -170,12 +170,13 @@ def substitute(chain, fiber, src_labels, dst_labels, arcs):
 
 
 def class_of(model, chain):
-    """Class of a 1-cycle in the model's basis: its non-tree coefficients
-    times the model's class map, one entry at a time."""
-    return [
-        sum(int(model.class_map[i, t]) * chain.get(e, 0) for t, e in enumerate(model.nontree))
-        for i in range(model.genus2)
-    ]
+    """Class of a 1-cycle in the model's basis: its edge coefficients times
+    the model's class map, one stored entry (row, edge, value) at a time."""
+    cm = model.class_map
+    out = [0] * model.genus2
+    for i, e, c in zip(cm.rows.tolist(), cm.cols.tolist(), cm.vals.tolist()):
+        out[i] += c * chain.get(e, 0)
+    return out
 
 
 # -- Smith elimination on lists, one operation at a time -----------------------

@@ -107,6 +107,12 @@ def test_verify_identity_list(capsys):
     assert "quadratic_relation" in payload
 
 
+def test_verify_unknown_identity_exits_two_with_one_message_line(capsys):
+    code, out, err = _run(capsys, "verify", "--identity", "zz", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown identity 'zz'; known: {sorted(corr.identity_names())}\n"
+
+
 def test_verify_requires_exactly_one_mode(capsys):
     code, _, err = _run(capsys, "verify")
     assert code == 2

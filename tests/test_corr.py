@@ -22,6 +22,7 @@ from prymlab.errors import (
     PrymlabError,
     RankError,
     ScaleError,
+    UnknownIdentityError,
     UnsupportedError,
 )
 from prymlab.lattice import eye, intmat, mat_equal, to_lists, zeros
@@ -229,7 +230,7 @@ def test_identity_letter_aliases():
 
 
 def test_identity_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownIdentityError):
         check_identity("nonsense", 3)
 
 

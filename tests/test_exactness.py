@@ -8,12 +8,23 @@ in: the name ``float`` or any identifier containing it (``np.float64``,
 
 A second guard keeps one exact product routine: no module but ``lattice.py``
 uses the ``@`` operator, so every product goes through ``lattice.matmul``.
+
+A third guard keeps fixed-width integers inside the two modules that bound
+them: no module but ``lattice.py`` and ``surface.py`` names ``int64``, and
+the matrices those two hand out are object arrays of Python ints, so the
+elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
+wraps.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from prymlab import corr, lattice, surface
+from prymlab.cover import induce, random_simple
+from prymlab.weyl import OrbitKind
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prymlab"
 BANNED = {"linalg", "true_divide", "sqrt"}
@@ -118,3 +129,59 @@ def test_matmul_guard_catches_the_operator_only():
     assert matmul_operators("c = a @ b")
     assert matmul_operators("a @= b")
     assert matmul_operators("c = matmul(a, b)\n@dataclass\nclass K:\n    x: int") == []
+
+
+def int64_names(source: str, filename: str = "<source>") -> list:
+    """Where ``source`` names ``int64``: as a name, an attribute or a string."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename)):
+        named = (
+            (isinstance(node, ast.Name) and node.id)
+            or (isinstance(node, ast.Attribute) and node.attr)
+            or (isinstance(node, ast.alias) and node.name)
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value)
+        )
+        if named and "int64" in named:
+            out.append(f"{filename}:{node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("lattice.py", "surface.py")],
+    ids=lambda p: p.name,
+)
+def test_module_names_no_int64(path):
+    assert int64_names(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_int64_guard_catches_each_spelling():
+    for source in ("a.astype(np.int64)", "np.zeros(3, dtype='int64')", "from numpy import int64"):
+        assert int64_names(source), source
+    assert int64_names("x = np.zeros(3, dtype=object)") == []
+
+
+def _python_ints(m) -> bool:
+    return m.dtype == object and all(type(x) is int for x in m.flat)
+
+
+def test_matrices_leaving_surface_and_lattice_are_python_ints():
+    datum = random_simple(3, 4, 6, seed=3)
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    assert HX.parts[0].B.dtype == np.int64  # held in int64 inside surface
+    delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
+    s0 = surface.induced_map_all(HX, HC, corr.make_S0(3).matrix)
+    one = lattice.eye(HX.rank)
+    outputs = {
+        "gram": HX.gram,
+        "part gram": HX.parts[0].gram,
+        "induced_map_all": delta,
+        "image": lattice.image(one - delta),
+        "saturate": lattice.saturate(one - delta),
+        "kernel": lattice.kernel(one - delta),
+        "solve_exact": lattice.solve_exact(HC.gram, HC.gram),
+        "matmul": lattice.matmul(s0, delta),
+    }
+    for name, m in outputs.items():
+        assert _python_ints(m), name

@@ -383,6 +383,58 @@ def test_matmul_just_under_and_over_the_int64_bound(inner, x, offset):
     assert to_lists(matmul(a, b)) == [[inner * x * y], [-inner * x * y]]
 
 
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1, -(2**63)])
+def test_matmul_and_det_take_python_ints_at_the_int64_edge(big):
+    # 2^63 and -2^63-1 do not convert to int64; -2^63 does, but negating it
+    # wraps, so an int64 product or determinant would read -2^63 for 2^63
+    a = _object_matrix([[big, 1], [0, -1]], 2, 2)
+    b = _object_matrix([[-1, 0], [0, 1]], 2, 2)
+    assert lattice._int64(a) == (None, None)
+    got = matmul(a, b)
+    assert got.dtype == object and all(type(x) is int for x in got.flat)
+    assert to_lists(got) == [[-big, 1], [0, -1]]
+    assert det(a) == -big
+    assert det(_object_matrix([[-1, 0], [1, big]], 2, 2)) == -big
+    sparse_got = lattice._sparse_product(lattice.sparse(a), b)
+    assert sparse_got.dtype == object and to_lists(sparse_got) == [[-big, 1], [0, -1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=2**40),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_sparse_product_just_under_and_over_the_int64_bound(inner, x, offset):
+    # each row has `inner` nonzeros among 2 * inner columns, so the bound
+    # counts the nonzeros of a row: int64 exactly while inner*x*y < 2^63
+    y = 2**63 // (inner * x) + offset
+    assume(y >= 1)
+    s = lattice.sparse(
+        _object_matrix([[x] * inner + [0] * inner, [0] * inner + [-x] * inner], 2, 2 * inner)
+    )
+    b = _object_matrix([[y] * 2 * inner], 1, 2 * inner).T
+    got = lattice._sparse_product(s, b)
+    assert to_lists(got) == [[inner * x * y], [-inner * x * y]]
+    assert (got.dtype == np.int64) == (inner * x * y < 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors(), st.integers(min_value=1, max_value=9))
+def test_sparse_product_equals_matmul_in_every_chunking(factors, gather):
+    # a small gather budget splits the nonzeros of one row across chunks
+    a, b = factors
+    s = lattice.sparse(a)
+    assert s.vals.size == sum(1 for x in a.flat if x)
+    previous, lattice._GATHER = lattice._GATHER, gather
+    try:
+        got = lattice._sparse_product(s, b)
+    finally:
+        lattice._GATHER = previous
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert to_lists(got) == to_lists(matmul(a, b))
+
+
 @st.composite
 def _det_inputs(draw):
     n = draw(st.integers(min_value=0, max_value=5))

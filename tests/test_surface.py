@@ -89,6 +89,8 @@ def test_basis_cycles_are_cycles():
             boundary[p.edge_head[e], e] += 1
             boundary[p.edge_tail[e], e] -= 1
         assert mat_equal(boundary @ p.B, zeros(p.vertex_count, p.genus2))
+        # the sparse boundary map induced_map_all checks image chains with
+        assert mat_equal(lattice._sparse_product(p.boundary_map, eye(p.edge_count)), boundary)
         assert all(p.gram[i, i] == 0 for i in range(p.genus2))
 
 
@@ -210,8 +212,11 @@ def test_model_is_freed_without_the_cycle_collector():
 
 # -- the pairwise local-flow and dict-substitution oracles ----------------------
 
-# vector and spinor covers at ranks 2-4; (3, 0, 10, 2) splits the spinor cover
-ORACLE_DATA = [(2, 4, 4, 3), (3, 4, 6, 3), (3, 0, 10, 2), (4, 2, 8, 5)]
+# vector and spinor covers at ranks 2-5, rank 5 being where the int64
+# homology is timed; (3, 0, 10, 2) and (5, 0, 12, 1) split the spinor cover
+ORACLE_DATA = [
+    (2, 4, 4, 3), (3, 4, 6, 3), (3, 0, 10, 2), (4, 2, 8, 5), (5, 2, 10, 1), (5, 0, 12, 1),
+]
 
 
 def _columns(B):

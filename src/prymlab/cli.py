@@ -191,9 +191,14 @@ def cmd_ptype(args) -> int:
     else:
         lat = lattice.PolarizedLattice(H.gram, lattice.eye(H.rank))
         which = "full Jacobian lattice"
-    payload = {"orbit": args.orbit, "lattice": which, "type": list(lattice.ptype(lat))}
+    gram = lat.restricted_gram()
+    payload = {
+        "orbit": args.orbit,
+        "lattice": which,
+        "type": list(lattice.gram_type(gram, lat.basis)),
+    }
     if args.dump:
-        payload["gram"] = lattice.to_lists(lat.restricted_gram())
+        payload["gram"] = lattice.to_lists(gram)
     _emit(payload, args.format)
     return EXIT_OK
 

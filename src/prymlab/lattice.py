@@ -31,6 +31,16 @@ update forms stays below 2^63, and on Python ints from the first update
 where it does not. The divisor chain of a nonsingular square matrix (every
 nondegenerate alternating form) comes determinant first: the Smith
 elimination then runs modulo |det|, so its entries stay bounded.
+
+``det`` and ``_eliminate`` carry their int64 bounds instead of rescanning
+their arrays at every step: from the bound b on the entries before a step
+and the few entries the step scans (``det``'s pivot column and row,
+``_eliminate``'s quotients) follows a bound on every entry after it. Only
+where a carried bound would reach 2^63 are the arrays scanned for their
+true maximum, and only where that fails too do they go over to Python
+ints; so the results and the switch points are those of a scan at every
+step, and the scans are rare (none in the unimodularity ``det`` of a
+rank-258 spinor Gram).
 """
 
 from __future__ import annotations
@@ -170,7 +180,9 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
     The rows of ``b`` the nonzeros pick are gathered a chunk of nonzeros at
     a time, at most as many as ``s`` has rows and at most ``_GATHER``
     entries in all (one row of ``b`` at the least), so the temporary stays
-    below the size of the product.
+    below the size of the product. The product is laid out column by
+    column, so its transpose is contiguous: ``surface`` reshapes that
+    transpose into image chains without a copy.
     """
     m, inner = s.shape
     b = np.asarray(b)
@@ -184,10 +196,10 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
         and _maxabs(s.vals) * mb * w < _INT64_BOUND
     ):
         vals, b = s.vals, b64
-        out = np.zeros((m, b.shape[1]), dtype=np.int64)
+        out = np.zeros((b.shape[1], m), dtype=np.int64).T
     else:
         vals, b = _pyints(s.vals), _pyints(b)
-        out = zeros(m, b.shape[1])
+        out = zeros(b.shape[1], m).T
     step = max(1, min(m, _GATHER // max(b.shape[1], 1)))
     for lo in range(0, len(vals), step):
         rows = s.rows[lo:lo + step]
@@ -202,11 +214,18 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
 def det(m) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Each pivot updates the trailing block with one outer product, and every
-    division is exact (each entry is a minor of the input). A step runs in
-    int64 while ``max|block| * |pivot| + max|column| * max|row| < 2^63``
-    bounds every value it forms, and on Python ints from the first step
-    where that fails.
+    Each pivot p updates the trailing block with one outer product,
+    ``(rest * p - column row) / prev`` for the previous pivot prev, and every
+    division is exact (each entry is a minor of the input); when
+    ``|prev| == 1`` it is a sign, and the update runs in place without one.
+
+    A bound b >= max|rest| is carried from step to step, so a step scans
+    only its column and row: the step forms values of at most
+    ``b * |p| + max|column| * max|row|``, and the new block is bounded by
+    that over ``|prev|``. The input conversion gives the first b. A step
+    runs in int64 while its values stay below 2^63; where the carried b
+    fails that, the block is scanned for its true maximum, and the
+    elimination goes over to Python ints only if the bound still fails.
     """
     a = np.asarray(m)
     n = len(a)
@@ -214,7 +233,7 @@ def det(m) -> int:
         return 1
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("determinant of a non-square matrix")
-    a64, _ = _int64(a)
+    a64, bound = _int64(a)
     a = _pyints(a) if a64 is None else a64.copy()
     sign = 1
     prev = 1
@@ -228,12 +247,20 @@ def det(m) -> int:
             sign = -sign
         p = int(a[k, k])
         col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
-        if a.dtype != object and (
-            _maxabs(rest) * abs(p) + _maxabs(col) * _maxabs(row) >= _INT64_BOUND
-        ):
-            a = a.astype(object)
-            col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
-        rest[...] = (rest * p - np.outer(col, row)) // prev
+        if a.dtype != object:
+            outer = _maxabs(col) * _maxabs(row)
+            if bound * abs(p) + outer >= _INT64_BOUND:
+                bound = _maxabs(rest)
+            if bound * abs(p) + outer >= _INT64_BOUND:
+                a = a.astype(object)
+                col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
+            else:
+                bound = (bound * abs(p) + outer) // abs(prev)
+        if abs(prev) == 1:
+            rest *= p * prev
+            rest -= np.outer(prev * col, row)
+        else:
+            rest[...] = (rest * p - np.outer(col, row)) // prev
         prev = p
     return sign * int(a[n - 1, n - 1])
 
@@ -261,10 +288,13 @@ def _eliminate(mat, want=()):
     leaves the pivot line unchanged, so the run is one outer-product
     update, and the result equals one row or column operation at a time.
 
-    The arrays are int64 while ``max|entry| * (1 + k * max|q|) < 2^63``
-    before every update of k lines by quotients q, which bounds every value
-    the update forms; at the first update where that fails, every array
-    switches to Python ints for good.
+    The arrays are int64 while ``b * (1 + k * max|q|) < 2^63`` before every
+    update of k lines by quotients q, for a bound b >= max|entry| over every
+    array, which bounds every value the update forms. The bound is carried:
+    the input conversion gives the first b, and an update multiplies it by
+    ``1 + k * max|q|``, so only q is scanned. Where the carried b fails the
+    test, every array is scanned for its true maximum; where that fails
+    too, every array switches to Python ints for good.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
@@ -272,11 +302,13 @@ def _eliminate(mat, want=()):
     m, n = a.shape
     size = {"u": m, "uinv": m, "v": n}
     x = {"a": a, **{k: np.eye(size[k], dtype=np.int64) for k in want}}
-    a64, _ = _int64(a)
+    a64, a_max = _int64(a)
     if a64 is not None:
         x["a"] = a64.copy()
     else:
         x = {k: _pyints(y) for k, y in x.items()}
+    # bound >= max|entry| over every array while they are int64
+    bound = max(a_max or 0, 1)
     # the arrays whose rows (axis 0) or columns (axis 1) an operation combines
     direct = (x.keys() & {"a", "u"}, x.keys() & {"a", "v"})
 
@@ -285,11 +317,17 @@ def _eliminate(mat, want=()):
 
     def widen(q):
         # on Python ints already, nothing is scanned
-        if x["a"].dtype != object and (
-            max(_maxabs(y) for y in x.values()) * (1 + len(q) * _maxabs(q)) >= _INT64_BOUND
-        ):
+        nonlocal bound
+        if x["a"].dtype == object:
+            return
+        growth = 1 + len(q) * _maxabs(q)
+        if bound * growth >= _INT64_BOUND:
+            bound = max(_maxabs(y) for y in x.values())
+        if bound * growth >= _INT64_BOUND:
             for k in x:
                 x[k] = _pyints(x[k])
+        else:
+            bound *= growth
 
     def update(axis, idx, q, t):
         # line i -= q_i * line t for i in idx; U^-1 column t += U^-1[:, idx] q
@@ -541,7 +579,14 @@ def ptype(sub: PolarizedLattice) -> tuple:
     """Polarization type of the restricted form: the divisor chain with each
     value reported once (they occur in equal pairs on a nondegenerate
     alternating lattice)."""
-    g = sub.restricted_gram()
+    return gram_type(sub.restricted_gram(), sub.basis)
+
+
+def gram_type(g, basis) -> tuple:
+    """Polarization type of ``g``, the restricted form of the sublattice
+    spanned by the columns of ``basis``, as ``ptype`` reports it; for a
+    caller that also needs the restricted Gram. ``basis`` places the radical
+    of a degenerate form in ambient coordinates."""
     r = g.shape[0]
     if r == 0:
         return ()
@@ -550,7 +595,7 @@ def ptype(sub: PolarizedLattice) -> tuple:
         ker = kernel(g)
         raise DegenerateFormError(
             f"restricted form is degenerate with radical of rank {ker.shape[1]}",
-            radical=matmul(sub.basis, ker),
+            radical=matmul(basis, ker),
         )
     if r % 2 != 0:
         raise DegenerateFormError("nondegenerate alternating form needs even rank")

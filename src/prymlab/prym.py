@@ -76,16 +76,23 @@ def prym_tyurin_lattice(H: surface.CoverHomology):
 
     Disconnected covers (index-2 monodromy) are handled per component, the
     correspondence acting across the two halves.
+
+    With x = 1 - delta the relation (delta - 1)(delta + q - 1) = 0 reads
+    x (x - q) = 0, that is, x acts as q on its own image. So it is checked
+    on a basis Y of that image, which the lattice needs anyway, as
+    ``x Y == q Y``: a product with as many columns as P(X,delta) has rank,
+    in place of one of the size of the homology.
     """
     n = H.cover.datum.n
     delta = surface.induced_map_all(H, H, corr.make_D(n).matrix)
     q = exponent(n)
-    I = eye(H.rank)
-    if not mat_equal(matmul(delta - I, delta + (q - 1) * I), zeros(H.rank, H.rank)):
+    x = eye(H.rank) - delta
+    Y = image(x)
+    if not mat_equal(matmul(x, Y), q * Y):
         raise AssertionError(
             "quadratic relation failed on homology; the model is inconsistent"
         )
-    basis = saturate(image(I - delta))
+    basis = saturate(Y)
     cert = {
         "exponent": q,
         "quadratic_relation": f"(delta - 1)(delta + {q - 1}) = 0 on homology",

@@ -20,6 +20,10 @@ an edge chain. The class of any cycle is ``C`` times its edge chain, ``C``
 the rows of the relation transform past the relations placed at the
 non-tree edges (zero at tree edges). A fiber correspondence therefore acts
 on homology as one product: image chains ``(F^T (x) I) B``, then ``C``.
+``B`` is under 1% nonzero at rank 5, so the image chains are formed from
+its nonzero entries: the model also holds ``B`` with its rows grouped by
+sheet, transposed, as a ``lattice.SparseMatrix`` (``sheet_chains``), and
+the chains are that times the fiber block, transposed back.
 
 The intersection form is ``B^T Q B`` for a local crossing form Q: push the
 second chain off to the right of every edge; crossings then happen only
@@ -31,16 +35,17 @@ through it. The Gram is checked to have zero diagonal and to be alternating
 and unimodular on every build.
 
 The cover's matrices are held in int64, converted once when the model is
-built: ``B``, and ``C`` and the boundary map as ``lattice.SparseMatrix``
-(``C`` is about 2% nonzero at rank 5). With beta the largest entry of the
-relation transforms they are read from, m the number of non-tree edges and
-Delta the most edge ends at one vertex, every entry of ``B`` is at most
-2 m beta (a tree entry is a sum of non-tree entries, each counted at most
-twice), and the build asserts ``2 E Delta (2 m beta)^2 < 2^63``. That bounds
-every partial sum the build forms in int64: the tree entries, the prefix
-sums at a vertex and the Gram, whose block at a vertex with Delta_v ends is
-at most ``Delta_v^2 max|B|^2`` and whose sum over the vertices' 2E ends is
-at most ``2 E Delta max|B|^2``. Products with a fiber matrix, whose entries
+built: ``B``, and ``C``, the boundary map and the sheet chains of ``B``
+as ``lattice.SparseMatrix`` (``C`` is about 2% nonzero at rank 5). With
+beta the largest entry of the relation transforms they are read from, m
+the number of non-tree edges and Delta the most edge ends at one vertex,
+every entry of ``B`` is at most 2 m beta (a tree entry is a sum of
+non-tree entries, each counted at most twice), and the build asserts
+``2 E Delta (2 m beta)^2 < 2^63``. That bounds every partial sum the
+build forms in int64: the tree entries, the prefix sums at a vertex and
+the Gram, whose block at a vertex with Delta_v ends is at most
+``Delta_v^2 max|B|^2`` and whose sum over the vertices' 2E ends is at most
+``2 E Delta max|B|^2``. Products with a fiber matrix, whose entries
 are the caller's, go through ``lattice._product`` and
 ``lattice._sparse_product``, which check ``matmul``'s bound on each call and
 run on Python ints where it fails. Every matrix that leaves this module is
@@ -228,6 +233,10 @@ class HomologyModel:
             B[e] = inflow[v] if self.edge_tail[e] == v else -inflow[v]
             inflow[w] += inflow[v]
         self.B = B
+        # the same cycles by their nonzero entries, one row per (arc, basis
+        # cycle) and one column per sheet: the image chains of a fiber
+        # correspondence are this times the fiber block, transposed
+        self.sheet_chains = lattice.sparse(B.reshape(self.degree, -1).T)
 
     # -- intersection numbers ----------------------------------------------
 
@@ -335,10 +344,11 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
     full canonical label sets of both covers; both must come from the same
     datum. Each block of the fiber matrix maps one source component into one
     destination component: the image chains of the source basis are the
-    block's transpose times B with its rows grouped by sheet, and their
-    classes are C times the chains, in int64 while ``lattice``'s product
-    bound holds. Returns the (rank_dst x rank_src) integer matrix on column
-    cycle classes, an object array.
+    block's transpose times B with its rows grouped by sheet, formed as the
+    sparse sheet chains times the block, and their classes are C times the
+    chains, in int64 while ``lattice``'s product bound holds. Returns the
+    (rank_dst x rank_src) integer matrix on column cycle classes, an object
+    array.
     """
     if src.cover.datum != dst.cover.datum:
         raise ValueError("source and destination covers come from different data")
@@ -346,12 +356,13 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
     check_equivariance(fiber, src.cover.all_perms(), dst.cover.all_perms())
     out = zeros(dst.rank, src.rank)
     for pa, la, oa in zip(src.parts, src.part_labels, src.offsets):
-        by_sheet = pa.B.reshape(pa.degree, pa.arc_count * pa.genus2)
         for pb, lb, ob in zip(dst.parts, dst.part_labels, dst.offsets):
             block = fiber[np.ix_(la, lb)]
             if not block.any():
                 continue
-            img = lattice._product(block.T, by_sheet).reshape(pb.edge_count, pa.genus2)
+            img = lattice._sparse_product(pa.sheet_chains, block).T.reshape(
+                pb.edge_count, pa.genus2
+            )
             if lattice._sparse_product(pb.boundary_map, img).any():
                 raise AssertionError("image chain failed to close per component")
             out[ob:ob + pb.genus2, oa:oa + pa.genus2] = lattice._sparse_product(

@@ -353,8 +353,9 @@ class GroupClass(str, Enum):
 
 
 def generated_group(gens) -> set:
-    """Closure of the generating set, by breadth-first multiplication."""
-    gens = list(gens)
+    """Closure of the generating set, by breadth-first multiplication.
+    Repeated generators (data often repeat a reflection) are taken once."""
+    gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n

@@ -1,7 +1,7 @@
 import json
 import os
 
-from prymlab import cli, corr, prym
+from prymlab import cli, corr, lattice, prym
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -76,6 +76,25 @@ def test_ptype_spinor_matches_theorem(capsys):
     )
     assert code == 0
     assert "(2, 4)" in out
+
+
+def test_ptype_dump_forms_the_restricted_gram_once(capsys, monkeypatch):
+    calls = []
+    restricted_gram = lattice.PolarizedLattice.restricted_gram
+
+    def counted(self):
+        calls.append(self.rank)
+        return restricted_gram(self)
+
+    monkeypatch.setattr(lattice.PolarizedLattice, "restricted_gram", counted)
+    code, out, _ = _run(
+        capsys, "--format", "json", "ptype", _datafile("theorem2_b3.json"),
+        "--orbit", "spinor", "--dump",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(calls) == 1
+    assert len(payload["gram"]) == calls[0] == 2 * len(payload["type"])
 
 
 def test_verify_scenario_file_exit_zero(capsys):

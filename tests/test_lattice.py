@@ -15,7 +15,8 @@ from _oracles import (
     minors_gcd_chain,
     sum_lattices,
 )
-from prymlab import lattice
+from prymlab import lattice, surface
+from prymlab.cover import induce, random_simple
 from prymlab.errors import DegenerateFormError
 from prymlab.prym import probe_trial
 from prymlab.lattice import (
@@ -38,6 +39,7 @@ from prymlab.lattice import (
     to_lists,
     zeros,
 )
+from prymlab.weyl import OrbitKind
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -432,6 +434,7 @@ def test_sparse_product_equals_matmul_in_every_chunking(factors, gather):
     finally:
         lattice._GATHER = previous
     assert got.shape == (a.shape[0], b.shape[1])
+    assert got.T.flags.c_contiguous  # surface reshapes the transpose in place
     assert to_lists(got) == to_lists(matmul(a, b))
 
 
@@ -514,11 +517,11 @@ def test_elimination_matches_list_reference(rows):
     _assert_engines_agree(rows, m, n)
 
 
-def _lines_run(rows, m, n, want=("u", "uinv", "v")):
-    """Stripped source lines of ``lattice._eliminate``, nested functions
-    included, in the order they ran on the matrix."""
-    src, start = inspect.getsourcelines(lattice._eliminate)
-    code_file = lattice._eliminate.__code__.co_filename
+def _traced(fn, *args):
+    """``(fn(*args), lines)``: the stripped source lines of ``fn``, nested
+    functions included, in the order they ran."""
+    src, start = inspect.getsourcelines(fn)
+    code_file = fn.__code__.co_filename
     run = []
 
     def tracer(frame, event, arg):
@@ -528,18 +531,24 @@ def _lines_run(rows, m, n, want=("u", "uinv", "v")):
             run.append(src[frame.f_lineno - start].strip())
         return tracer
 
-    mat = _object_matrix(rows, m, n)
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        lattice._eliminate(mat, want)
+        out = fn(*args)
     finally:
         sys.settrace(previous)
-    return run
+    return out, run
+
+
+def _lines_run(rows, m, n, want=("u", "uinv", "v")):
+    """Stripped source lines of ``lattice._eliminate`` in the order they ran
+    on the matrix."""
+    return _traced(lattice._eliminate, _object_matrix(rows, m, n), want)[1]
 
 
 _EUCLID_SWAP = "swap(axis, int(idx[k - 1]), t)"
 _UPDATE = "y[idx] -= np.outer(q, y[t])"
+_RESCAN = "bound = max(_maxabs(y) for y in x.values())"
 _SWITCH = "x[k] = _pyints(x[k])"
 
 
@@ -598,3 +607,107 @@ def test_elimination_of_empty_and_one_by_one_shapes():
         [[4]], 1, [[-1]], [[-1]], [[1]])
     d, r = lattice._eliminate(intmat([[0]]))
     assert (to_lists(d), r) == ([[0]], 0)
+
+
+def test_elimination_rescans_where_the_carried_bound_crosses_int64():
+    # each update by quotient 1 doubles the carried bound: 2^61 -> 2^62 on
+    # column 0, then 2^63 on row 0, where a scan finds 2^61 - 1 and the
+    # elimination stays in int64
+    rows = [[1, 1], [1, 2**61]]
+    for want in _WANTS:
+        run = _lines_run(rows, 2, 2, want)
+        assert run.count(_UPDATE) >= 2
+        assert _RESCAN in run[run.index(_UPDATE) + 1:]
+        assert _SWITCH not in run
+    _assert_engines_agree(rows, 2, 2)
+
+
+def test_elimination_switches_after_a_rescan_that_confirms_the_bound():
+    # the first update doubles 2^62: the carried bound fails, the scan finds
+    # 2^62 again, and only then does every array go over to Python ints
+    rows = [[1, 1], [1, 2**62]]
+    for want in _WANTS:
+        run = _lines_run(rows, 2, 2, want)
+        assert _RESCAN in run and _SWITCH in run
+        assert run.index(_RESCAN) < run.index(_SWITCH)
+        assert _UPDATE not in run[: run.index(_SWITCH)]
+    _assert_engines_agree(rows, 2, 2)
+
+
+# -- det's carried Bareiss bound -----------------------------------------------
+
+_DET_RESCAN = "bound = _maxabs(rest)"
+_DET_SWITCH = "a = a.astype(object)"
+
+
+def _det_run(rows):
+    """``det`` of the rows with the lines it ran, checked against the
+    fraction-free oracle."""
+    n = len(rows)
+    got, run = _traced(det, _object_matrix(rows, n, n))
+    assert got == det_fraction_free(rows)
+    if n <= 4:
+        assert got == det_cofactor(rows)
+    return run
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_det_at_the_carried_bound_after_a_unit_pivot(d):
+    # step 0 (pivot 1) carries b = W + 2^40, the outer term c * r included;
+    # step 1 (pivot 3, column and row 1 and 1) forms up to 3b + 1, which is
+    # 2^63 - 1 for d = 0 and 2^63 + 2 for d = 1. Past the bound the block
+    # is scanned: its true maximum W - 2^40 keeps int64.
+    c = r = 2**20
+    W = (2**63 - 1) // 3 - c * r + d
+    rows = [[1, 0, r], [0, 3, 1], [c, 1, W]]
+    run = _det_run(rows)
+    assert (_DET_RESCAN in run) == (d == 1)
+    assert _DET_SWITCH not in run
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_det_at_the_carried_bound_after_a_larger_pivot(d):
+    # pivots 16, 16, 16 (as Bareiss forms them) on a block-diagonal matrix:
+    # after step 1 the block is 16 W, and the carried bound is
+    # (16 W * 16) // 16, exact only with the division by the previous
+    # pivot 16. Step 1 and step 2 form up to 256 W = 2^63 - 256 for d = 0;
+    # for d = 1, 256 W = 2^63 and the scan confirms it, so det goes over to
+    # Python ints.
+    W = 2**55 - 1 + d
+    rows = [[16, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, W]]
+    run = _det_run(rows)
+    assert (_DET_RESCAN in run) == (d == 1)
+    assert (_DET_SWITCH in run) == (d == 1)
+
+
+def test_det_rescans_a_block_that_cancelled_and_stays_in_int64():
+    # step 0 carries b = (2^60 + 1) + 2^60, but the block it leaves is
+    # [[4, 1], [1, 1]]: step 1's carried test 4b + 1 >= 2^63 fails, the
+    # scan passes
+    c = r = 2**30
+    rows = [[1, 0, r], [0, 4, 1], [c, 1, 2**60 + 1]]
+    run = _det_run(rows)
+    assert _DET_RESCAN in run
+    assert _DET_SWITCH not in run
+
+
+def test_det_carried_bound_counts_the_outer_term_of_a_step():
+    # step 0 stays in int64 (2^30 + c * r = 2^30 + 2^40) and leaves the
+    # entry -2^40 for step 1 (pivot 2^30) to multiply to -2^70: only a
+    # carried bound that counts step 0's c * r sees that before it wraps
+    c = r = 2**20
+    rows = [[1, 0, r], [0, 2**30, 1], [c, 1, 0]]
+    run = _det_run(rows)
+    assert _DET_SWITCH in run
+    assert run.index(_DET_SWITCH) > run.index("prev = p")
+    # and step 0's own column times row, 2^64, is past int64 at once
+    run = _det_run([[1, 2**32], [2**32, 0]])
+    assert _DET_SWITCH in run
+
+
+def test_det_of_a_rank_258_gram_scans_only_pivot_columns_and_rows():
+    H = surface.build_all(induce(random_simple(5, 12, 16, 11), OrbitKind.SPINOR))
+    assert H.rank == 258
+    got, run = _traced(det, H.gram)
+    assert abs(got) == 1
+    assert _DET_RESCAN not in run and _DET_SWITCH not in run

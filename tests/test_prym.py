@@ -6,7 +6,7 @@ import pytest
 from prymlab import cli, corr, cover, prym, surface
 from prymlab.cover import MonodromyDatum, induce, random_simple
 from prymlab.errors import DisconnectedError, ScenarioError
-from prymlab.lattice import mat_equal, ptype
+from prymlab.lattice import eye, mat_equal, matmul, ptype, zeros
 from prymlab.prym import (
     conjecture_probe,
     conjectured_type,
@@ -96,6 +96,59 @@ def test_prym_tyurin_split_etale_case():
     L, cert = prym_tyurin_lattice(_build(datum, OrbitKind.SPINOR))
     assert ptype(L) == (2, 2)
     assert cert["components"] == 2
+
+
+def _patch_D(monkeypatch, a, b, c):
+    """Replace ``corr.make_D`` by D + a I + b sigma + c J; each term
+    commutes with the group, so only the quadratic relation can tell."""
+    make_D = corr.make_D
+
+    def perturbed(n):
+        sigma = corr.sigma_matrix(n)
+        m = make_D(n).matrix + a * eye(len(sigma)) + b * sigma + c * (sigma * 0 + 1)
+        return corr.FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
+
+    monkeypatch.setattr(corr, "make_D", perturbed)
+
+
+def test_prym_tyurin_rejects_D_plus_sigma(monkeypatch):
+    H = _build(random_simple(3, 4, 6, seed=1), OrbitKind.SPINOR)
+    _patch_D(monkeypatch, 0, 1, 0)
+    with pytest.raises(AssertionError, match="quadratic relation failed"):
+        prym_tyurin_lattice(H)
+
+
+def _full_quadratic_product_vanishes(H):
+    n = H.cover.datum.n
+    delta = surface.induced_map_all(H, H, corr.make_D(n).matrix)
+    q, I = 2 ** (n - 1), eye(H.rank)
+    return mat_equal(matmul(delta - I, delta + (q - 1) * I), zeros(H.rank, H.rank))
+
+
+def _image_basis_check_passes(H):
+    try:
+        prym_tyurin_lattice(H)
+    except AssertionError as err:
+        assert "quadratic relation failed" in str(err)
+        return False
+    return True
+
+
+def test_image_basis_check_agrees_with_the_full_quadratic_product(monkeypatch):
+    # J induces zero on homology, so D + J keeps the relation; I and sigma
+    # break it
+    data = [(3, 4, 6, 1), (3, 6, 4, 2), (3, 0, 10, 2), (4, 4, 8, 5), (4, 2, 8, 9)]
+    homologies = [_build(random_simple(n, ds, dl, seed=s), OrbitKind.SPINOR)
+                  for n, ds, dl, s in data]
+    seen = set()
+    for a, b, c in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (0, 1, 1)]:
+        _patch_D(monkeypatch, a, b, c)
+        for H in homologies:
+            full = _full_quadratic_product_vanishes(H)
+            assert _image_basis_check_passes(H) == full
+            seen.add(full)
+        monkeypatch.undo()
+    assert seen == {True, False}
 
 
 def test_mu_check_small_ranks():

@@ -34,6 +34,12 @@ def test_simple_reflections_generate_the_group(n):
     assert len(generated_group(gens)) == 2**n * math.factorial(n)
 
 
+def test_repeated_generators_generate_the_same_group():
+    gens = [reflection(r, 3) for r in simple_roots(3)]
+    assert generated_group(gens * 5 + gens[:1]) == generated_group(gens)
+    assert generated_group([gens[0]] * 4) == {SignedPerm.identity(3), gens[0]}
+
+
 def test_reflection_short_root_flips_index():
     assert reflection(short_root(1), 2).to_list() == [-1, 2]
 

@@ -264,8 +264,8 @@ def predict(n: int, branch_short: int, branch_long: int, base_genus: int) -> Pre
     predicted multiplicities are flagged out of regime instead of clamped.
     """
     ds, dl, gy = branch_short, branch_long, base_genus
-    if n < 1:
-        raise RankError(f"rank must be at least 1, got {n}")
+    if not 1 <= n <= weyl.RANK_MAX:
+        raise RankError(f"rank must be at least 1 and at most {weyl.RANK_MAX}, got {n}")
     if ds < 0 or dl < 0 or ds % 2 or dl % 2:
         raise ValueError("branch counts must be even and nonnegative")
     if gy < 0:

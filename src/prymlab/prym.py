@@ -4,9 +4,11 @@ theorem-verification scenarios.
 Every statement about an abelian subvariety is evaluated as its lattice
 shadow: the saturated sublattice of first homology it spans, carrying the
 restricted intersection form. Over the rational base the norm kernel is all
-of homology, so the Prym lattice of an involution is the saturation of the
-anti-invariant image, and the Prym-Tyurin lattice is the saturation of
-``(1 - delta)``-image for the subset-orbit correspondence.
+of homology, so a Prym-Tyurin lattice of exponent q is the saturation of
+the image of 1 - phi for an endomorphism phi with (phi - 1)(phi + q - 1) = 0.
+One routine computes it: the Prym lattice of an involution is the case
+q = 2 (the anti-invariant image), and P(X,delta) of the subset-orbit
+correspondence the case q = 2**(n-1).
 
 Scenarios bundle the checks of the individual rank-2, rank-3 and rank-4
 statements: computed polarization types against predicted ones, lattice
@@ -17,13 +19,13 @@ asserting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import corr, cover as _cover, lattice, surface, weyl
 from .cover import MonodromyDatum, induce, random_simple
-from .errors import DisconnectedError, ScenarioError
+from .errors import DisconnectedError, RankError, ScenarioError
 from .lattice import (
     PolarizedLattice,
     divisors,
@@ -50,57 +52,58 @@ def _homology(datum: MonodromyDatum, orbit: OrbitKind) -> surface.CoverHomology:
     return surface.build_all(induce(datum, orbit))
 
 
-def _anti_invariant(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
-    iota = surface.induced_map_all(H, H, fiber_involution)
-    if not mat_equal(matmul(iota, iota), eye(H.rank)):
-        raise ValueError("fiber matrix does not induce an involution on homology")
-    basis = saturate(image(eye(H.rank) - iota))
-    return PolarizedLattice(H.gram, basis)
+def _prym_tyurin(H: surface.CoverHomology, phi, q: int) -> PolarizedLattice:
+    """Saturated image of x = 1 - phi, with the restricted form, for an
+    endomorphism ``phi`` of homology of exponent ``q``. Its relation
+    (phi - 1)(phi + q - 1) = 0 reads x (x - q) = 0: x acts as q on its image.
+    That is checked on x 1 (the row sums of x) before any elimination, then
+    as ``x Y == q Y`` on the image basis Y, which has as many columns as the
+    lattice has rank. For an involution (q = 2) it is phi^2 = 1."""
+    x = eye(H.rank) - phi
+
+    def acts_as_q(Y):
+        if not mat_equal(matmul(x, Y), q * Y):
+            raise AssertionError(
+                "quadratic relation failed on homology; the model is inconsistent"
+            )
+        return Y
+
+    acts_as_q(x.sum(axis=1).reshape(-1, 1))
+    return PolarizedLattice(H.gram, saturate(acts_as_q(image(x))))
 
 
 def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
-    """Saturation of the anti-invariant image of an involution, with the
-    restricted intersection form. Requires the homology of a connected cover
-    of the rational base."""
+    """Prym lattice of an involution, the exponent-2 Prym-Tyurin lattice: the
+    saturated image of 1 - iota (the anti-invariant part) with the restricted
+    form. Needs a connected cover of the rational base and a fiber matrix that
+    induces an involution (else AssertionError)."""
     if len(H.parts) != 1:
         raise DisconnectedError(
             "ordinary Prym lattice needs a connected cover", components=list(H.part_labels)
         )
-    return _anti_invariant(H, fiber_involution)
+    return _prym_tyurin(H, surface.induced_map_all(H, H, fiber_involution), 2)
 
 
 def prym_tyurin_lattice(H: surface.CoverHomology):
     """Prym-Tyurin lattice in the homology of a subset-orbit cover, with a
     certificate that the induced endomorphism satisfies its quadratic
-    relation exactly.
+    relation exactly: the exponent-``2**(n-1)`` case of the routine behind
+    ``prym_lattice``.
 
     Disconnected covers (index-2 monodromy) are handled per component, the
     correspondence acting across the two halves.
-
-    With x = 1 - delta the relation (delta - 1)(delta + q - 1) = 0 reads
-    x (x - q) = 0, that is, x acts as q on its own image. So it is checked
-    on a basis Y of that image, which the lattice needs anyway, as
-    ``x Y == q Y``: a product with as many columns as P(X,delta) has rank,
-    in place of one of the size of the homology.
     """
     n = H.cover.datum.n
-    delta = surface.induced_map_all(H, H, corr.make_D(n).matrix)
     q = exponent(n)
-    x = eye(H.rank) - delta
-    Y = image(x)
-    if not mat_equal(matmul(x, Y), q * Y):
-        raise AssertionError(
-            "quadratic relation failed on homology; the model is inconsistent"
-        )
-    basis = saturate(Y)
+    lat = _prym_tyurin(H, surface.induced_map_all(H, H, corr.make_D(n).matrix), q)
     cert = {
         "exponent": q,
         "quadratic_relation": f"(delta - 1)(delta + {q - 1}) = 0 on homology",
         "homology_rank": H.rank,
-        "lattice_rank": basis.shape[1],
+        "lattice_rank": lat.rank,
         "components": len(H.parts),
     }
-    return PolarizedLattice(H.gram, basis), cert
+    return lat, cert
 
 
 class MuCheck(NamedTuple):
@@ -208,19 +211,7 @@ class PrymResult:
                 return x
             return str(x)
 
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "branch_short": self.branch_short,
-            "branch_long": self.branch_long,
-            "computed": clean(self.computed),
-            "predicted": clean(self.predicted),
-            "checks": clean(self.checks),
-            "mu_surjective": self.mu_surjective,
-            "scaling_verified": self.scaling_verified,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
+        return clean(asdict(self))
 
 
 def _branch_counts(datum: MonodromyDatum):
@@ -240,7 +231,6 @@ def _scenario_pantazis_b2(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 2, "rank must be 2"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds >= 4, "need at least four short branch points"),
             (dl >= 4, "need at least four long branch points"),
@@ -269,7 +259,6 @@ def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 3, "rank must be 3"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds >= 2, "the index-2 stage must ramify"),
             (dl >= 4, "the degree-3 stage must ramify"),
@@ -297,7 +286,6 @@ def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 3, "rank must be 3"),
             (datum.base_genus == 0, "base genus must be 0"),
             (dl == 4, "the middle curve must be rational: exactly four long points"),
             (ds >= 4, "need short ramification for a nontrivial Jacobian"),
@@ -316,9 +304,10 @@ def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
     # scaling the form by the exponent 4
     s0 = corr.make_S0(3).matrix
     lift = surface.induced_map_all(HC, HX, s0.T)
-    res.checks["lift lands in P(X,delta)"] = lattice.contains(pt.basis, lift)
+    lands = lattice.contains(pt.basis, lift)
+    res.checks["lift lands in P(X,delta)"] = lands
     res.checks["lift is a lattice bijection"] = (
-        lift.shape[1] == pt.rank and lattices_equal(pt.basis, image(lift))
+        lands and lift.shape[1] == pt.rank and lattice.contains(lift, pt.basis)
     )
     res.checks["form scales by 4"] = mat_equal(
         matmul(matmul(lift.T, HX.gram), lift), 4 * HC.gram
@@ -331,7 +320,6 @@ def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 3, "rank must be 3"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds == 0, "all local monodromies must be long reflections"),
             (dl >= 4, "need simple branching"),
@@ -363,9 +351,10 @@ def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
     full_map = surface.induced_map_all(HX, HC, s0)
     even_rank = HX.parts[0].genus2
     r = full_map[:, :even_rank]
-    res.checks["image lands in P(X,X')"] = lattice.contains(pxxp.basis, r)
+    lands = lattice.contains(pxxp.basis, r)
+    res.checks["image lands in P(X,X')"] = lands
     res.checks["lattice bijection"] = (
-        even_rank == pxxp.rank and lattices_equal(pxxp.basis, image(r))
+        lands and even_rank == pxxp.rank and lattice.contains(r, pxxp.basis)
     )
     res.checks["form scales by 2"] = mat_equal(
         matmul(matmul(r.T, HC.gram), r), 2 * HX.parts[0].gram
@@ -377,7 +366,6 @@ def _scenario_d3_antidiagonal(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 3, "rank must be 3"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds == 0, "the index-2 stage must be unramified"),
             (
@@ -411,7 +399,6 @@ def _scenario_etale_dn(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (3 <= datum.n <= 4, "supported ranks are 3 and 4"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds == 0, "the index-2 stage must be unramified (etale case)"),
             (
@@ -441,7 +428,6 @@ def _scenario_b3_complement(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 3, "rank must be 3"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds >= 2 and dl >= 4, "need a simple datum with both kinds of points"),
         ]
@@ -449,20 +435,21 @@ def _scenario_b3_complement(datum: MonodromyDatum) -> PrymResult:
     res = PrymResult("b3_complement", 3, ds, dl, {}, {}, {})
     HX = _homology(datum, OrbitKind.SPINOR)
     HY = _homology(datum, OrbitKind.PARITY)
-    pt, cert = prym_tyurin_lattice(HX)
-    pxxp = _anti_invariant(HX, corr.sigma_matrix(3))
+    delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
+    pt = _prym_tyurin(HX, delta, exponent(3))
+    sigma = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
+    pxxp = _prym_tyurin(HX, sigma, 2)
     push = surface.induced_map_all(HX, HY, corr.parity_incidence(3))
     pull = surface.induced_map_all(HY, HX, corr.parity_incidence(3).T)
     ker_in_pxx = intersect(pxxp.basis, lattice.kernel(push))
     res.checks["P(X,delta) = ker(Nm) in P(X,X')"] = lattices_equal(pt.basis, ker_in_pxx)
-    delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
     lhs = saturate(matmul(delta + 3 * eye(HX.rank), pxxp.basis))
-    ptilde = _anti_invariant(HY, lattice.intmat([[0, 1], [1, 0]]))
+    ptilde = prym_lattice(HY, lattice.intmat([[0, 1], [1, 0]]))
     rhs = saturate(matmul(pull, ptilde.basis))
     res.checks["(delta+3)P(X,X') = pullback of P(Ytilde,Y)"] = lattices_equal(lhs, rhs)
     res.computed["dim P(X,delta)"] = pt.rank // 2
     res.predicted["dim P(X,delta)"] = pxxp.rank // 2 - ptilde.rank // 2
-    res.computed["exponent"] = cert["exponent"]
+    res.computed["exponent"] = exponent(3)
     return res.finalize()
 
 
@@ -470,17 +457,17 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
     ds, dl = _branch_counts(datum)
     _require(
         [
-            (datum.n == 4, "rank must be 4"),
             (datum.base_genus == 0, "base genus must be 0"),
             (ds >= 2 and dl >= 2, "need a simple datum with both kinds of points"),
         ]
     )
     res = PrymResult("b4_structure", 4, ds, dl, {}, {}, {})
     HX = _homology(datum, OrbitKind.SPINOR)
-    pt, cert = prym_tyurin_lattice(HX)
-    pxxp = _anti_invariant(HX, corr.sigma_matrix(4))
-    I = eye(HX.rank)
     delta = surface.induced_map_all(HX, HX, corr.make_D(4).matrix)
+    pt = _prym_tyurin(HX, delta, exponent(4))
+    sigma = surface.induced_map_all(HX, HX, corr.sigma_matrix(4))
+    pxxp = _prym_tyurin(HX, sigma, 2)
+    I = eye(HX.rank)
     d0 = surface.induced_map_all(HX, HX, corr.make_Di(4, 0).matrix)
     res.checks["P(X,delta) = (delta0+2)P(X,X')"] = lattices_equal(
         pt.basis, saturate(matmul(d0 + 2 * I, pxxp.basis))
@@ -495,19 +482,20 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
     )
     res.computed["dim P(X,delta)"] = pt.rank // 2
     res.predicted["dim P(X,delta)"] = _cover.predict(datum.n, ds, dl, 0).dims["P(X,delta)"]
-    res.computed["exponent"] = cert["exponent"]
+    res.computed["exponent"] = exponent(4)
     return res.finalize()
 
 
+# name -> (scenario, its ranks with the default first, default branch counts)
 _SCENARIOS = {
-    "pantazis_b2": (_scenario_pantazis_b2, 2, (4, 4)),
-    "recillas_a3": (_scenario_recillas_a3, 3, (0, 8)),
-    "theorem2_b3": (_scenario_theorem2_b3, 3, (4, 6)),
-    "hyperelliptic_4xi": (_scenario_hyperelliptic_4xi, 3, (6, 4)),
-    "d3_antidiagonal": (_scenario_d3_antidiagonal, 3, (0, 10)),
-    "etale_dn": (_scenario_etale_dn, 3, (0, 10)),
-    "b3_complement": (_scenario_b3_complement, 3, (4, 6)),
-    "b4_structure": (_scenario_b4_structure, 4, (4, 8)),
+    "pantazis_b2": (_scenario_pantazis_b2, (2,), (4, 4)),
+    "recillas_a3": (_scenario_recillas_a3, (3,), (0, 8)),
+    "theorem2_b3": (_scenario_theorem2_b3, (3,), (4, 6)),
+    "hyperelliptic_4xi": (_scenario_hyperelliptic_4xi, (3,), (6, 4)),
+    "d3_antidiagonal": (_scenario_d3_antidiagonal, (3,), (0, 10)),
+    "etale_dn": (_scenario_etale_dn, (3, 4), (0, 10)),
+    "b3_complement": (_scenario_b3_complement, (3,), (4, 6)),
+    "b4_structure": (_scenario_b4_structure, (4,), (4, 8)),
 }
 
 
@@ -518,14 +506,23 @@ def scenario_names() -> list:
 def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
                     counts=None, seed: int = 0) -> PrymResult:
     """Run one named scenario on a given datum, or on a seeded random simple
-    datum with the scenario's default (or given) branch counts."""
+    datum with the scenario's default (or given) rank and branch counts. The
+    rank is checked first, before any datum is drawn or covered."""
     if name not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {name!r}; known: {scenario_names()}")
-    fn, default_n, default_counts = _SCENARIOS[name]
+    fn, ranks, default_counts = _SCENARIOS[name]
+    if datum is not None:
+        n = datum.n
+    elif n is None:
+        n = ranks[0]
+    if n not in ranks:
+        raise ScenarioError(
+            f"rank must be {ranks[0]}" if len(ranks) == 1
+            else f"supported ranks are {' and '.join(map(str, ranks))}"
+        )
     if datum is None:
-        use_n = n if n is not None else default_n
         ds, dl = counts if counts is not None else default_counts
-        datum = random_simple(use_n, ds, dl, seed)
+        datum = random_simple(n, ds, dl, seed)
     return fn(datum)
 
 
@@ -546,17 +543,7 @@ class ProbeReport:
     note: str
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "branch_short": self.branch_short,
-            "branch_long": self.branch_long,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": self.rows,
-            "agreement": self.agreement,
-            "asserted": self.asserted,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
@@ -583,10 +570,13 @@ def probe_stream(n: int, count_s: int, count_l: int, trials: int, seed: int):
     """The probe's items, one at a time: a row per trial ``t`` on data seed
     ``seed + t``, then the summary, or an ``error`` item when a trial disagrees
     in the proven unramified regime. The parameters are checked at the call,
-    before any trial runs: ranks below 4 are theorems, and a probe needs at
-    least one trial."""
+    before any trial runs: ranks below 4 are theorems, ranks above
+    ``corr.FIBER_RANK_MAX`` have no fiber matrices, and a probe needs at least
+    one trial."""
     if n < 4:
         raise ScenarioError("the probe targets rank >= 4; lower ranks are theorems")
+    if n > corr.FIBER_RANK_MAX:
+        raise RankError(f"fiber matrices supported for rank 2..{corr.FIBER_RANK_MAX}")
     if trials < 1:
         raise ScenarioError(f"the probe needs at least one trial, got {trials}")
     return _probe_items(n, count_s, count_l, trials, seed)

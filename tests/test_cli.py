@@ -335,6 +335,41 @@ def test_verify_identity_refuses_file_at_fiber_level(capsys):
         assert "drop --file" in err
 
 
+def test_predict_rejects_huge_rank_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "--format", "json", "predict", "--n", "20000", "--ds", "2", "--dl", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "rank must be" in err
+
+
+def test_probe_rejects_rank_without_fiber_matrices_exits_two(capsys):
+    code, out, err = _run(
+        capsys, "probe", "--n", "8", "--ds", "4", "--dl", "16", "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"fiber matrices supported for rank 2..{corr.FIBER_RANK_MAX}" in err
+
+
+def test_verify_scenario_rejects_rank_before_drawing_a_datum(capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("datum drawn before the rank check")
+
+    monkeypatch.setattr(prym, "random_simple", no_draw)
+    for scenario, n, ds, message in [
+        ("theorem2_b3", "8", "4", "rank must be 3"),
+        ("etale_dn", "7", "0", "supported ranks are 3 and 4"),
+    ]:
+        code, out, err = _run(
+            capsys, "verify", "--scenario", scenario, "--n", n, "--ds", ds, "--dl", "16"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_predict_rejects_negative_base_genus(capsys):
     code, out, err = _run(capsys, "predict", "--n", "3", "--ds", "4", "--dl", "6", "--gy", "-1")
     assert code == 2

@@ -228,6 +228,15 @@ def test_predict_rank_one_and_below():
         predict(0, 2, 2, 0)
 
 
+def test_predict_refuses_ranks_above_the_signed_permutation_cap():
+    from prymlab.weyl import RANK_MAX
+
+    assert predict(RANK_MAX, 4, 16, 0).genera["X"] > 0
+    for n in (RANK_MAX + 1, 20000):
+        with pytest.raises(RankError, match=f"at most {RANK_MAX}, got {n}"):
+            predict(n, 2, 2, 0)
+
+
 def test_random_simple_deterministic_and_valid():
     a = random_simple(3, 4, 6, seed=42)
     b = random_simple(3, 4, 6, seed=42)

@@ -1,11 +1,12 @@
 import os
 import random
+import time
 
 import pytest
 
 from prymlab import cli, corr, cover, prym, surface
 from prymlab.cover import MonodromyDatum, induce, random_simple
-from prymlab.errors import DisconnectedError, ScenarioError
+from prymlab.errors import DisconnectedError, RankError, ScenarioError
 from prymlab.lattice import eye, mat_equal, matmul, ptype, zeros
 from prymlab.prym import (
     conjecture_probe,
@@ -118,6 +119,42 @@ def test_prym_tyurin_rejects_D_plus_sigma(monkeypatch):
         prym_tyurin_lattice(H)
 
 
+def test_prym_tyurin_rejects_a_broken_relation_before_any_elimination(monkeypatch):
+    # D + 2I + sigma - J: on this datum, eliminating 1 - delta alone runs
+    # for over a minute
+    H = _build(random_simple(4, 4, 8, seed=5), OrbitKind.SPINOR)
+    _patch_D(monkeypatch, 2, 1, -1)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="quadratic relation failed"):
+        prym_tyurin_lattice(H)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prym_lattice_rejects_an_equivariant_non_involution():
+    # twice the negation commutes with the group, but squares to 4
+    H = _build(random_simple(3, 4, 6, seed=1), OrbitKind.VECTOR)
+    with pytest.raises(AssertionError, match="quadratic relation failed"):
+        prym_lattice(H, 2 * corr.negation_matrix(3))
+
+
+def test_no_product_is_rank_cubed(monkeypatch):
+    datum = random_simple(4, 12, 16, seed=1)
+    H = _build(datum, OrbitKind.SPINOR)
+    assert H.rank >= 100
+    shapes = []
+
+    def recording(a, b):
+        shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+        return matmul(a, b)
+
+    monkeypatch.setattr(prym, "matmul", recording)
+    P = prym_lattice(H, corr.sigma_matrix(4))
+    L, _ = prym_tyurin_lattice(H)
+    assert 0 < L.rank < P.rank < H.rank
+    assert len(shapes) == 4
+    assert (H.rank,) * 3 not in shapes
+
+
 def _full_quadratic_product_vanishes(H):
     n = H.cover.datum.n
     delta = surface.induced_map_all(H, H, corr.make_D(n).matrix)
@@ -182,7 +219,8 @@ def test_mu_check_rejects_disconnected_signed_index_cover():
     assert cover.validate(datum) is None
     HC = _build(datum, OrbitKind.VECTOR)
     assert len(HC.parts) == 2
-    pprime = prym._anti_invariant(HC, corr.negation_matrix(2))
+    iota = surface.induced_map_all(HC, HC, corr.negation_matrix(2))
+    pprime = prym._prym_tyurin(HC, iota, 2)
     with pytest.raises(ValueError, match="must be connected"):
         mu_check(_build(datum, OrbitKind.SPINOR), HC, pprime)
 
@@ -320,6 +358,10 @@ def test_probe_reports_rows_and_agreement():
         assert row["conjectured_type"] == [4, 8]
         assert isinstance(row["agree"], bool)
     assert not rep.asserted
+    assert rep.as_dict() == dict(
+        n=4, branch_short=4, branch_long=8, trials=2, seed=7, rows=rep.rows,
+        agreement=rep.agreement, asserted=False, note=rep.note,
+    )
 
 
 def test_probe_asserts_in_unramified_regime():
@@ -339,6 +381,9 @@ def test_probe_stream_checks_arguments_at_the_call():
         prym.probe_stream(3, 4, 6, 1, 0)
     with pytest.raises(ScenarioError):
         prym.probe_stream(4, 4, 8, 0, 0)
+    for n in (7, 8):
+        with pytest.raises(RankError, match=f"supported for rank 2..{corr.FIBER_RANK_MAX}$"):
+            prym.probe_stream(n, 4, 16, 1, 0)
 
 
 def test_probe_rows_are_numbered_trials_on_consecutive_seeds():
@@ -384,6 +429,22 @@ def builds(monkeypatch):
 def test_scenario_builds_each_cover_once(builds, name):
     assert verify_scenario(name, seed=3).verdict
     assert builds and len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize("name", ["b3_complement", "b4_structure"])
+def test_scenario_induces_delta_once(monkeypatch, name):
+    fibers = []
+    real = surface.induced_map_all
+
+    def recording(src, dst, fiber):
+        fibers.append(fiber)
+        return real(src, dst, fiber)
+
+    monkeypatch.setattr(surface, "induced_map_all", recording)
+    result = verify_scenario(name, seed=3)
+    assert result.verdict
+    D = corr.make_D(result.n).matrix
+    assert sum(mat_equal(f, D) for f in fibers) == 1
 
 
 def test_probe_trial_builds_each_cover_once(builds):

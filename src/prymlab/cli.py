@@ -78,12 +78,22 @@ def load_datum(path: str) -> MonodromyDatum:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}")
+
+    def whole(v, what):
+        # JSON integers only: int() would read 2.5 as 2, true as 1 and "3" as 3
+        if type(v) is not int:
+            raise UsageError(f"{path}: {what} must be an integer, got {json.dumps(v)}")
+        return v
+
+    def perm(images, what):
+        return SignedPerm(n, tuple(whole(v, what) for v in images))
+
     try:
-        n = int(raw["n"])
-        base_genus = int(raw.get("base_genus", 0))
-        gens = tuple(SignedPerm(n, tuple(int(v) for v in g)) for g in raw["generators"])
+        n = whole(raw["n"], "n")
+        base_genus = whole(raw.get("base_genus", 0), "base_genus")
+        gens = tuple(perm(g, "a generator entry") for g in raw["generators"])
         handles = tuple(
-            (SignedPerm(n, tuple(int(v) for v in a)), SignedPerm(n, tuple(int(v) for v in b)))
+            (perm(a, "a handle entry"), perm(b, "a handle entry"))
             for a, b in raw.get("handles", [])
         )
         return MonodromyDatum(n, base_genus, gens, handles)

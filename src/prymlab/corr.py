@@ -177,7 +177,6 @@ def parity_indicator(n: int, parity: int) -> np.ndarray:
 class OrbitGram:
     n: int
     weight: str
-    scale: int
     gram: np.ndarray
 
     def __post_init__(self):
@@ -212,21 +211,22 @@ def _weight_vectors(n: int, weight: str):
     raise ValueError("weight must be 'vector' or 'spinor'")
 
 
-def orbit_gram(n: int, weight: str, scale: int = -2):
+# the scale of the form on the weight orbits: minus twice the standard one
+ORBIT_SCALE = -2
+
+
+def orbit_gram(n: int, weight: str):
     """Gram matrix of the extended weight orbit and the exponent of its
     correspondence.
 
-    The form is ``scale * sum(x_i y_i)`` with a negative integer scale; the
-    entries ``(pairing of orbit vectors) - (self pairing) - 1`` must come out
-    integral, else the scale is rejected.
+    The form is ``ORBIT_SCALE * sum(x_i y_i)``; the entries ``(pairing of
+    orbit vectors) - (self pairing) - 1`` must come out integral.
     """
-    if scale >= 0:
-        raise ScaleError("the form must be negative definite: scale < 0")
     vecs = _weight_vectors(n, weight)
     d = len(vecs)
 
     def form(x, y):
-        return scale * sum(a * b for a, b in zip(x, y))
+        return ORBIT_SCALE * sum(a * b for a, b in zip(x, y))
 
     self_pair = form(vecs[0], vecs[0])
     g = zeros(d, d)
@@ -235,13 +235,13 @@ def orbit_gram(n: int, weight: str, scale: int = -2):
             val = form(vecs[i], vecs[j]) - self_pair - 1
             if val.denominator != 1:
                 raise ScaleError(
-                    f"scale {scale} gives non-integral pairing {val} on the {weight} orbit"
+                    f"scale {ORBIT_SCALE} gives non-integral pairing {val} on the {weight} orbit"
                 )
             g[i, j] = int(val)
     q = Fraction(-d) * self_pair / n
     if q.denominator != 1 or q <= 0:
         raise ScaleError(f"exponent {q} is not a positive integer")
-    return OrbitGram(n=n, weight=weight, scale=scale, gram=g), int(q)
+    return OrbitGram(n=n, weight=weight, gram=g), int(q)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +456,8 @@ def _x(ev):
     d, e = 1 << n, 2 * n
     T = _ones(d, e)
     S = 2 * ev("S0") + n * T
-    g_spin, q = orbit_gram(n, "spinor", scale=-2)
-    g_vec, qprime = orbit_gram(n, "vector", scale=-2)
+    g_spin, q = orbit_gram(n, "spinor")
+    g_vec, qprime = orbit_gram(n, "vector")
     lhs1 = matmul(S, S.T) + qprime * g_spin.gram
     d1, ok1 = _match_scalar(lhs1, _ones(d, d))
     lhs2 = matmul(S.T, S) + q * g_vec.gram

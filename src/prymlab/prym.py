@@ -12,9 +12,12 @@ correspondence the case q = 2**(n-1).
 
 Scenarios bundle the checks of the individual rank-2, rank-3 and rank-4
 statements: computed polarization types against predicted ones, lattice
-equalities, and explicit correspondence-induced isometries. The conjecture
-probe gathers evidence for the open general-rank duality statement without
-asserting it.
+equalities, and explicit correspondence-induced isometries. ``verify_scenario``
+checks the standing hypotheses (rational base, connected signed-index cover)
+and each scenario's own conditions in one place and reaches the verdict; a
+scenario body only computes. The conjecture probe gathers evidence for the
+open general-rank duality statement without asserting it, through the same
+routine (``_duality``) as the three duality theorems it extends.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .lattice import (
     ptype,
     saturate,
     solve_exact,
-    zeros,
 )
 from .weyl import OrbitKind
 
@@ -214,32 +216,29 @@ class PrymResult:
         return clean(asdict(self))
 
 
-def _branch_counts(datum: MonodromyDatum):
-    ram = _cover.ramification(induce(datum, OrbitKind.VECTOR))
-    if not ram.simple:
-        raise ScenarioError("datum is not simple: some local monodromy is not a reflection")
-    return len(ram.short_points), len(ram.long_points)
-
-
 def _require(conds):
     bad = [msg for ok, msg in conds if not ok]
     if bad:
         raise ScenarioError("; ".join(bad), violations=bad)
 
 
-def _scenario_pantazis_b2(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds >= 4, "need at least four short branch points"),
-            (dl >= 4, "need at least four long branch points"),
-        ]
-    )
-    res = PrymResult("pantazis_b2", 2, ds, dl, {}, {}, {})
-    HC = _homology(datum, OrbitKind.VECTOR)
+def _full_d(datum: MonodromyDatum) -> bool:
+    return weyl.classify_subgroup(list(datum.gens)) is weyl.GroupClass.FULL_D
+
+
+def _duality(datum: MonodromyDatum):
+    """The duality statement on one datum, each cover built once: the spinor
+    homology HX, P(X,delta) in it, P(C,C') in the signed-index homology and
+    ``mu_check``'s flags for the incidence between the two."""
     HX = _homology(datum, OrbitKind.SPINOR)
-    pprime = prym_lattice(HC, corr.negation_matrix(2))
+    HC = _homology(datum, OrbitKind.VECTOR)
+    pt, _ = prym_tyurin_lattice(HX)
+    pprime = prym_lattice(HC, corr.negation_matrix(datum.n))
+    return HX, pt, pprime, mu_check(HX, HC, pprime)
+
+
+def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):
+    HX, pt, pprime, mu = _duality(datum)
     pxxp = prym_lattice(HX, corr.sigma_matrix(2))
     tp, tpp = ptype(pxxp), ptype(pprime)
     res.computed["type P(C,C')"] = tpp
@@ -247,28 +246,14 @@ def _scenario_pantazis_b2(datum: MonodromyDatum) -> PrymResult:
     pred = _cover.predict(datum.n, ds, dl, 0).types
     res.predicted["type P(C,C')"] = pred["P(C,C')"]
     res.predicted["type P(X,X')"] = pred["P(X,X')"]
-    pt, cert = prym_tyurin_lattice(HX)
     res.checks["P(X,delta) equals P(X,X')"] = lattices_equal(pt.basis, pxxp.basis)
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 2)
-    res.computed["exponent"] = cert["exponent"]
-    res.mu_surjective, res.scaling_verified = mu_check(HX, HC, pprime)
-    return res.finalize()
+    res.computed["exponent"] = exponent(2)
+    res.mu_surjective, res.scaling_verified = mu
 
 
-def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds >= 2, "the index-2 stage must ramify"),
-            (dl >= 4, "the degree-3 stage must ramify"),
-        ]
-    )
-    res = PrymResult("theorem2_b3", 3, ds, dl, {}, {}, {})
-    HC = _homology(datum, OrbitKind.VECTOR)
-    HX = _homology(datum, OrbitKind.SPINOR)
-    pprime = prym_lattice(HC, corr.negation_matrix(3))
-    pt, cert = prym_tyurin_lattice(HX)
+def _scenario_theorem2_b3(res: PrymResult, datum, ds, dl):
+    _, pt, pprime, mu = _duality(datum)
     tpp, tp = ptype(pprime), ptype(pt)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,delta)"] = tp
@@ -277,24 +262,14 @@ def _scenario_theorem2_b3(datum: MonodromyDatum) -> PrymResult:
     res.predicted["type P(X,delta)"] = pred["P(X,delta)"]
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 3)
     res.checks["lattice ranks agree"] = pt.rank == pprime.rank
-    res.computed["exponent"] = cert["exponent"]
-    res.mu_surjective, res.scaling_verified = mu_check(HX, HC, pprime)
-    return res.finalize()
+    res.computed["exponent"] = exponent(3)
+    res.mu_surjective, res.scaling_verified = mu
 
 
-def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (dl == 4, "the middle curve must be rational: exactly four long points"),
-            (ds >= 4, "need short ramification for a nontrivial Jacobian"),
-        ]
-    )
-    res = PrymResult("hyperelliptic_4xi", 3, ds, dl, {}, {}, {})
+def _scenario_hyperelliptic_4xi(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
-    pt, cert = prym_tyurin_lattice(HX)
+    pt, _ = prym_tyurin_lattice(HX)
     pred = _cover.predict(datum.n, ds, dl, 0)
     res.computed["type P(X,delta)"] = ptype(pt)
     res.predicted["type P(X,delta)"] = pred.types["P(X,delta)"]
@@ -312,24 +287,10 @@ def _scenario_hyperelliptic_4xi(datum: MonodromyDatum) -> PrymResult:
     res.checks["form scales by 4"] = mat_equal(
         matmul(matmul(lift.T, HX.gram), lift), 4 * HC.gram
     )
-    res.computed["exponent"] = cert["exponent"]
-    return res.finalize()
+    res.computed["exponent"] = exponent(3)
 
 
-def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds == 0, "all local monodromies must be long reflections"),
-            (dl >= 4, "need simple branching"),
-            (
-                weyl.classify_subgroup(list(datum.gens)) is weyl.GroupClass.FULL_D,
-                "monodromy must be the full even subgroup (symmetric group on 4 sheets)",
-            ),
-        ]
-    )
-    res = PrymResult("recillas_a3", 3, ds, dl, {}, {}, {})
+def _scenario_recillas_a3(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)   # splits: two degree-4 halves
     _require([(len(HX.parts) == 2, "subset cover must split into two halves")])
     HC = _homology(datum, OrbitKind.VECTOR)   # the degree-6 cover
@@ -359,80 +320,36 @@ def _scenario_recillas_a3(datum: MonodromyDatum) -> PrymResult:
     res.checks["form scales by 2"] = mat_equal(
         matmul(matmul(r.T, HC.gram), r), 2 * HX.parts[0].gram
     )
-    return res.finalize()
 
 
-def _scenario_d3_antidiagonal(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds == 0, "the index-2 stage must be unramified"),
-            (
-                weyl.classify_subgroup(list(datum.gens)) is weyl.GroupClass.FULL_D,
-                "monodromy must be the full even subgroup",
-            ),
-        ]
-    )
-    res = PrymResult("d3_antidiagonal", 3, ds, dl, {}, {}, {})
+def _scenario_d3_antidiagonal(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     _require([(len(HX.parts) == 2, "subset cover must split into two halves")])
-    pt, cert = prym_tyurin_lattice(HX)
+    pt, _ = prym_tyurin_lattice(HX)
     res.computed["type P(X,delta)"] = ptype(pt)
     # ds = 0: the conjectured type is the proven etale case
     res.predicted["type P(X,delta)"] = conjectured_type(datum.n, ds, dl)
     sig = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
     g0 = HX.parts[0].genus2
-    incl0 = zeros(HX.rank, g0)
-    for i in range(g0):
-        incl0[i, i] = 1
-    anti = matmul(eye(HX.rank) - sig, incl0)
+    anti = (eye(HX.rank) - sig)[:, :g0]
     res.checks["equals antidiagonal of B x B"] = lattices_equal(pt.basis, anti)
-    res.checks["sheet involution swaps the halves"] = all(
-        all(sig[i, j] == 0 for i in range(g0)) for j in range(g0)
-    )
-    res.computed["exponent"] = cert["exponent"]
-    return res.finalize()
+    res.checks["sheet involution swaps the halves"] = not sig[:g0, :g0].any()
+    res.computed["exponent"] = exponent(3)
 
 
-def _scenario_etale_dn(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds == 0, "the index-2 stage must be unramified (etale case)"),
-            (
-                weyl.classify_subgroup(list(datum.gens)) is weyl.GroupClass.FULL_D,
-                "monodromy must be the full even subgroup",
-            ),
-        ]
-    )
+def _scenario_etale_dn(res: PrymResult, datum, ds, dl):
     n = datum.n
-    res = PrymResult("etale_dn", n, ds, dl, {}, {}, {})
-    HX = _homology(datum, OrbitKind.SPINOR)
+    HX, pt, _, mu = _duality(datum)
     res.computed["spinor components"] = len(HX.parts)
     res.predicted["spinor components"] = 2
-    pt, cert = prym_tyurin_lattice(HX)
     res.computed["type P(X,delta)"] = ptype(pt)
     # ds = 0: the conjectured type is the proven etale case
     res.predicted["type P(X,delta)"] = conjectured_type(n, ds, dl)
-    HC = _homology(datum, OrbitKind.VECTOR)
-    res.mu_surjective, res.scaling_verified = mu_check(
-        HX, HC, prym_lattice(HC, corr.negation_matrix(n))
-    )
-    res.computed["exponent"] = cert["exponent"]
-    return res.finalize()
+    res.mu_surjective, res.scaling_verified = mu
+    res.computed["exponent"] = exponent(n)
 
 
-def _scenario_b3_complement(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds >= 2 and dl >= 4, "need a simple datum with both kinds of points"),
-        ]
-    )
-    res = PrymResult("b3_complement", 3, ds, dl, {}, {}, {})
+def _scenario_b3_complement(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     HY = _homology(datum, OrbitKind.PARITY)
     delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
@@ -450,18 +367,9 @@ def _scenario_b3_complement(datum: MonodromyDatum) -> PrymResult:
     res.computed["dim P(X,delta)"] = pt.rank // 2
     res.predicted["dim P(X,delta)"] = pxxp.rank // 2 - ptilde.rank // 2
     res.computed["exponent"] = exponent(3)
-    return res.finalize()
 
 
-def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
-    ds, dl = _branch_counts(datum)
-    _require(
-        [
-            (datum.base_genus == 0, "base genus must be 0"),
-            (ds >= 2 and dl >= 2, "need a simple datum with both kinds of points"),
-        ]
-    )
-    res = PrymResult("b4_structure", 4, ds, dl, {}, {}, {})
+def _scenario_b4_structure(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     delta = surface.induced_map_all(HX, HX, corr.make_D(4).matrix)
     pt = _prym_tyurin(HX, delta, exponent(4))
@@ -483,19 +391,43 @@ def _scenario_b4_structure(datum: MonodromyDatum) -> PrymResult:
     res.computed["dim P(X,delta)"] = pt.rank // 2
     res.predicted["dim P(X,delta)"] = _cover.predict(datum.n, ds, dl, 0).dims["P(X,delta)"]
     res.computed["exponent"] = exponent(4)
-    return res.finalize()
 
 
-# name -> (scenario, its ranks with the default first, default branch counts)
+# name -> (scenario, its ranks with the default first, default branch counts,
+# its own conditions on (datum, ds, dl) as (holds, message) pairs)
 _SCENARIOS = {
-    "pantazis_b2": (_scenario_pantazis_b2, (2,), (4, 4)),
-    "recillas_a3": (_scenario_recillas_a3, (3,), (0, 8)),
-    "theorem2_b3": (_scenario_theorem2_b3, (3,), (4, 6)),
-    "hyperelliptic_4xi": (_scenario_hyperelliptic_4xi, (3,), (6, 4)),
-    "d3_antidiagonal": (_scenario_d3_antidiagonal, (3,), (0, 10)),
-    "etale_dn": (_scenario_etale_dn, (3, 4), (0, 10)),
-    "b3_complement": (_scenario_b3_complement, (3,), (4, 6)),
-    "b4_structure": (_scenario_b4_structure, (4,), (4, 8)),
+    "pantazis_b2": (_scenario_pantazis_b2, (2,), (4, 4), lambda datum, ds, dl: [
+        (ds >= 4, "need at least four short branch points"),
+        (dl >= 4, "need at least four long branch points"),
+    ]),
+    "recillas_a3": (_scenario_recillas_a3, (3,), (0, 8), lambda datum, ds, dl: [
+        (ds == 0, "all local monodromies must be long reflections"),
+        (dl >= 4, "need simple branching"),
+        (_full_d(datum),
+         "monodromy must be the full even subgroup (symmetric group on 4 sheets)"),
+    ]),
+    "theorem2_b3": (_scenario_theorem2_b3, (3,), (4, 6), lambda datum, ds, dl: [
+        (ds >= 2, "the index-2 stage must ramify"),
+        (dl >= 4, "the degree-3 stage must ramify"),
+    ]),
+    "hyperelliptic_4xi": (_scenario_hyperelliptic_4xi, (3,), (6, 4), lambda datum, ds, dl: [
+        (dl == 4, "the middle curve must be rational: exactly four long points"),
+        (ds >= 4, "need short ramification for a nontrivial Jacobian"),
+    ]),
+    "d3_antidiagonal": (_scenario_d3_antidiagonal, (3,), (0, 10), lambda datum, ds, dl: [
+        (ds == 0, "the index-2 stage must be unramified"),
+        (_full_d(datum), "monodromy must be the full even subgroup"),
+    ]),
+    "etale_dn": (_scenario_etale_dn, (3, 4), (0, 10), lambda datum, ds, dl: [
+        (ds == 0, "the index-2 stage must be unramified (etale case)"),
+        (_full_d(datum), "monodromy must be the full even subgroup"),
+    ]),
+    "b3_complement": (_scenario_b3_complement, (3,), (4, 6), lambda datum, ds, dl: [
+        (ds >= 2 and dl >= 4, "need a simple datum with both kinds of points"),
+    ]),
+    "b4_structure": (_scenario_b4_structure, (4,), (4, 8), lambda datum, ds, dl: [
+        (ds >= 2 and dl >= 2, "need a simple datum with both kinds of points"),
+    ]),
 }
 
 
@@ -506,11 +438,16 @@ def scenario_names() -> list:
 def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
                     counts=None, seed: int = 0) -> PrymResult:
     """Run one named scenario on a given datum, or on a seeded random simple
-    datum with the scenario's default (or given) rank and branch counts. The
-    rank is checked first, before any datum is drawn or covered."""
+    datum with the scenario's default (or given) rank and branch counts.
+
+    The rank is checked first, before any datum is drawn or covered. Then the
+    signed-index cover C is induced once: its branch points give the short
+    and long counts, and one ``ScenarioError`` lists every hypothesis that
+    fails, the standing ones (rational base, connected C) and the scenario's
+    own. The scenario body only computes; the verdict is reached here."""
     if name not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {name!r}; known: {scenario_names()}")
-    fn, ranks, default_counts = _SCENARIOS[name]
+    fn, ranks, default_counts, conditions = _SCENARIOS[name]
     if datum is not None:
         n = datum.n
     elif n is None:
@@ -523,7 +460,21 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
     if datum is None:
         ds, dl = counts if counts is not None else default_counts
         datum = random_simple(n, ds, dl, seed)
-    return fn(datum)
+    C = induce(datum, OrbitKind.VECTOR)
+    ram = _cover.ramification(C)
+    if not ram.simple:
+        raise ScenarioError("datum is not simple: some local monodromy is not a reflection")
+    ds, dl = len(ram.short_points), len(ram.long_points)
+    _require(
+        [
+            (datum.base_genus == 0, "base genus must be 0"),
+            *conditions(datum, ds, dl),
+            (len(_cover.components(C)) == 1, "the signed-index cover C must be connected"),
+        ]
+    )
+    res = PrymResult(name, n, ds, dl, {}, {}, {})
+    fn(res, datum, ds, dl)
+    return res.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +500,9 @@ class ProbeReport:
 def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
     """One probe draw: computed Prym-Tyurin type against the conjectured one,
     plus the duality-isogeny flags."""
-    datum = random_simple(n, count_s, count_l, seed)
-    HX = _homology(datum, OrbitKind.SPINOR)
-    pt, cert = prym_tyurin_lattice(HX)
+    _, pt, _, mu = _duality(random_simple(n, count_s, count_l, seed))
     got = ptype(pt)
     want = conjectured_type(n, count_s, count_l)
-    HC = _homology(datum, OrbitKind.VECTOR)
-    mu = mu_check(HX, HC, prym_lattice(HC, corr.negation_matrix(n)))
     return {
         "seed": seed,
         "computed_type": list(got),

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from prymlab import cli, corr, lattice, prym
 
 
@@ -44,6 +46,28 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     code, _, err = _run(capsys, "validate", str(p))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+# data/pantazis_b2.json (a valid datum) with one field replaced by a JSON value
+# that is not an integer; its first generator entry is -1, so int() would
+# truncate -1.9 back to the valid datum
+@pytest.mark.parametrize("bad", [-1.9, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", ["n", "a generator entry"])
+def test_non_integer_fields_exit_two(tmp_path, capsys, field, bad):
+    with open(_datafile("pantazis_b2.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    assert raw["generators"][0][0] == -1
+    if field == "n":
+        raw["n"] = bad
+    else:
+        raw["generators"][0][0] = bad
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    for argv in (["validate", str(p)], ["verify", "--scenario", "pantazis_b2", "--file", str(p)]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{p}: {field} must be an integer, got {json.dumps(bad)}" in err
 
 
 def test_classify_etale_file(capsys):

@@ -21,7 +21,6 @@ from prymlab.errors import (
     EquivarianceError,
     PrymlabError,
     RankError,
-    ScaleError,
     UnknownIdentityError,
     UnsupportedError,
 )
@@ -168,13 +167,13 @@ def test_make_Di_requires_rank_four():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_gram_spinor_exponent(n):
-    og, q = orbit_gram(n, "spinor", scale=-2)
+    og, q = orbit_gram(n, "spinor")
     assert q == 2 ** (n - 1)
     assert mat_equal(og.gram, make_D(n).matrix - eye(1 << n))
 
 
 def test_orbit_gram_vector_structure():
-    og, q = orbit_gram(3, "vector", scale=-2)
+    og, q = orbit_gram(3, "vector")
     assert q == 4
     e = 6
     expected = 2 * (corr.negation_matrix(3) - eye(e)) + intmat([[1] * e] * e)
@@ -183,7 +182,7 @@ def test_orbit_gram_vector_structure():
 
 def test_orbit_gram_rank2_brute_force():
     # direct rational arithmetic on the half-sum vectors
-    og, q = orbit_gram(2, "spinor", scale=-2)
+    og, q = orbit_gram(2, "spinor")
     vecs = spinor_weight_vectors(2)
     self_pair = pairing(vecs[0], vecs[0], -2)
     for i in range(4):
@@ -191,13 +190,6 @@ def test_orbit_gram_rank2_brute_force():
             expected = pairing(vecs[i], vecs[j], -2) - self_pair - 1
             assert expected == Fraction(int(og.gram[i, j]))
     assert q == 2
-
-
-def test_orbit_gram_rejects_bad_scale():
-    with pytest.raises(ScaleError):
-        orbit_gram(3, "spinor", scale=-1)
-    with pytest.raises(ScaleError):
-        orbit_gram(3, "spinor", scale=2)
 
 
 def test_identity_catalog_all_fiber_levels():

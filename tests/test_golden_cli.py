@@ -32,6 +32,8 @@ SCENARIO_COUNTS = (
     ("b4_structure", 4, 6, 10),
 )
 
+DATA_FILES = ("etale_d3", "pantazis_b2", "theorem2_b3")
+
 # the identities with homology content over the rational base, each pinned on
 # its default datum at every rank it applies to
 HOMOLOGY_LETTERS = ("a", "b", "c", "d", "e", "f", "g", "j", "k")
@@ -43,7 +45,11 @@ CASES = (
         "--ds", str(ds), "--dl", str(dl), "--seed", "1")
        for name, n, ds, dl in SCENARIO_COUNTS]
     + [("--format", "json", "ptype", f"{name}.json", "--orbit", "spinor", "--dump")
-       for name in ("etale_d3", "pantazis_b2", "theorem2_b3")]
+       for name in DATA_FILES]
+    + [("--format", "json", "verify", "--scenario", name, "--file", f"{data}.json")
+       for name in prym.scenario_names() for data in DATA_FILES]
+    + [("--format", "text", "verify", "--scenario", name, "--seed", "0")
+       for name in prym.scenario_names()]
     + [("--format", "json", "probe", "--n", "4", "--ds", "4", "--dl", "8",
         "--trials", "2", "--seed", "5")]
     + [("--format", "json", "verify", "--identity", "list")]
@@ -77,7 +83,12 @@ def test_golden_file_covers_every_case():
     assert sorted(_load()) == sorted(CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[2:]))
+def _case_id(argv):
+    # JSON is the default case; other formats keep "--format F" in the id
+    return " ".join(argv[2:] if argv[:2] == ("--format", "json") else argv)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_cli_output_matches_golden(argv):
     want = _load()[argv]
     code, out = _run(argv)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import time
@@ -348,6 +349,45 @@ def test_scenario_rejects_non_simple_datum():
     datum = MonodromyDatum(2, 0, (w, w.inverse()))
     with pytest.raises(ScenarioError):
         verify_scenario("pantazis_b2", datum=datum)
+
+
+# monodromy data whose signed-index cover C is disconnected: no generator moves
+# index 3 (rank 3) or indices 3 and 4 (rank 4)
+DISCONNECTED_C = {
+    3: [[-1, 2, 3]] * 4 + [[2, 1, 3]] * 4,
+    4: [[-1, 2, 3, 4]] * 2 + [[2, 1, 3, 4]] * 2,
+}
+CONNECTED_C = "the signed-index cover C must be connected"
+
+
+@pytest.mark.parametrize("n", sorted(DISCONNECTED_C))
+def test_scenarios_require_a_connected_signed_index_cover(tmp_path, capsys, n):
+    p = tmp_path / f"disconnected{n}.json"
+    p.write_text(json.dumps({"n": n, "generators": DISCONNECTED_C[n]}))
+    datum = cli.load_datum(str(p))
+    assert len(cover.components(induce(datum, OrbitKind.VECTOR))) > 1
+    names = [name for name in prym.scenario_names() if n in prym._SCENARIOS[name][1]]
+    assert names
+    for name in names:
+        with pytest.raises(ScenarioError) as err:
+            verify_scenario(name, datum=datum)
+        assert err.value.violations[-1] == CONNECTED_C
+        assert cli.main(["verify", "--scenario", name, "--file", str(p)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and CONNECTED_C in out.err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_probe_agrees_with_the_etale_theorem_on_one_datum(seed):
+    # both draw random_simple(4, 0, 12, seed); the probe and the theorem must
+    # report the same P(X,delta) type and the same duality-isogeny flags
+    row = prym.probe_trial(4, 0, 12, seed)
+    result = verify_scenario("etale_dn", n=4, counts=(0, 12), seed=seed)
+    assert result.verdict
+    assert row["computed_type"] == list(result.computed["type P(X,delta)"])
+    assert (row["mu_surjective"], row["scaling"]) == (
+        result.mu_surjective, result.scaling_verified
+    )
 
 
 def test_probe_reports_rows_and_agreement():

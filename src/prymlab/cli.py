@@ -70,6 +70,9 @@ def _flat(v):
     return str(v)
 
 
+_DATUM_FIELDS = ("n", "base_genus", "generators", "handles")
+
+
 def load_datum(path: str) -> MonodromyDatum:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,6 +81,15 @@ def load_datum(path: str) -> MonodromyDatum:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}")
+
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    unknown = [k for k in raw if k not in _DATUM_FIELDS]
+    if unknown:
+        raise UsageError(
+            f"{path}: unknown field {', '.join(map(json.dumps, unknown))}; "
+            f"the fields are {', '.join(_DATUM_FIELDS)}"
+        )
 
     def whole(v, what):
         # JSON integers only: int() would read 2.5 as 2, true as 1 and "3" as 3

@@ -60,8 +60,10 @@ def _prym_tyurin(H: surface.CoverHomology, phi, q: int) -> PolarizedLattice:
     (phi - 1)(phi + q - 1) = 0 reads x (x - q) = 0: x acts as q on its image.
     That is checked on x 1 (the row sums of x) before any elimination, then
     as ``x Y == q Y`` on the image basis Y, which has as many columns as the
-    lattice has rank. For an involution (q = 2) it is phi^2 = 1."""
-    x = eye(H.rank) - phi
+    lattice has rank. For an involution (q = 2) it is phi^2 = 1. x is
+    formed once, by ``lattice.eye_minus``, and handed as it is to every
+    product and to the elimination."""
+    x = lattice.eye_minus(phi)
 
     def acts_as_q(Y):
         if not mat_equal(matmul(x, Y), q * Y):
@@ -70,7 +72,7 @@ def _prym_tyurin(H: surface.CoverHomology, phi, q: int) -> PolarizedLattice:
             )
         return Y
 
-    acts_as_q(x.sum(axis=1).reshape(-1, 1))
+    acts_as_q((1 - phi.sum(axis=1)).reshape(-1, 1))  # x 1, the row sums of x
     return PolarizedLattice(H.gram, saturate(acts_as_q(image(x))))
 
 

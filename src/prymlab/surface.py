@@ -31,8 +31,13 @@ inside the disk around each vertex, where they are counted from the cyclic
 order of edge ends (ascending arcs at a sheet vertex, inverse-monodromy
 order at a ramification vertex). Q is block diagonal over the vertices, so
 the Gram is summed one vertex at a time over the basis columns that pass
-through it. The Gram is checked to have zero diagonal and to be alternating
-and unimodular on every build.
+through it. A ramification vertex with two ends (e1, e2), as every
+reflection makes, adds ``-outer(B[e2], B[e1])``; these, over half the
+vertices of a spinor cover at rank 5, are summed by one sparse product
+``B[second ends]^T B[first ends]``, and only sheet vertices and
+ramification vertices with three or more ends (non-simple data) are summed
+one at a time. The Gram is checked to have zero diagonal and to be alternating and
+unimodular on every build.
 
 The cover's matrices are held in int64, converted once when the model is
 built: ``B``, and ``C``, the boundary map and the sheet chains of ``B``
@@ -43,13 +48,17 @@ every entry of ``B`` is at most 2 m beta (a tree entry is a sum of
 non-tree entries, each counted at most twice), and the build asserts
 ``2 E Delta (2 m beta)^2 < 2^63``. That bounds every partial sum the
 build forms in int64: the tree entries, the prefix sums at a vertex and
-the Gram, whose block at a vertex with Delta_v ends is at most
-``Delta_v^2 max|B|^2`` and whose sum over the vertices' 2E ends is at most
-``2 E Delta max|B|^2``. Products with a fiber matrix, whose entries
-are the caller's, go through ``lattice._product`` and
-``lattice._sparse_product``, which check ``matmul``'s bound on each call and
-run on Python ints where it fails. Every matrix that leaves this module is
-an object array of Python ints.
+the Gram. Each Gram entry is a sum of products of two entries of ``B``,
+at most ``Delta_v^2`` of them from a vertex with Delta_v ends and so at
+most ``2 E Delta`` in all over the vertices' 2E ends, so that every partial
+sum, whatever the order and grouping of its terms, is at most
+``2 E Delta max|B|^2``. That covers the batched product of the two-end
+vertices, whose partial sums group the same terms by basis column, and
+its own bound check (``max|B|^2`` times at most E terms) then holds too.
+Products with a fiber matrix, whose entries are the caller's, go through
+``lattice._product`` and ``lattice._sparse_product``, which check
+``matmul``'s bound on each call and run on Python ints where it fails.
+Every matrix that leaves this module is an object array of Python ints.
 """
 
 from __future__ import annotations
@@ -242,7 +251,8 @@ class HomologyModel:
 
     def _build_gram(self):
         """Gram = B^T Q B for the local crossing form Q, summed vertex by
-        vertex over the basis columns that touch the vertex.
+        vertex over the basis columns that touch the vertex, but for the
+        two-end ramification vertices, summed by one product.
 
         The second cycle is displaced to the right of every oriented edge,
         so its strand arrives just clockwise of a tail end and just counter-
@@ -255,9 +265,16 @@ class HomologyModel:
         B = self.B
         touched = B != 0
         gram = np.zeros((self.genus2, self.genus2), dtype=np.int64)
+        # a ramification vertex with ends (e1, e2) pairs e2 with e1 alone:
+        # its block is -outer(B[e2], B[e1]), and one product sums them all
+        pairs = [ends for kind, ends in self.vertex_ends
+                 if kind == "branch" and len(ends) == 2]
+        if pairs:
+            first, second = (list(e) for e in zip(*pairs))
+            gram -= lattice._sparse_product(lattice.sparse(B[second].T), B[first])
         for kind, ends in self.vertex_ends:
-            if kind == "branch" and len(ends) < 2:
-                continue  # the exclusive prefix of a single end is zero
+            if kind == "branch" and len(ends) <= 2:
+                continue  # one end pairs with nothing; two were summed above
             cols = np.flatnonzero(touched[ends].any(axis=0))
             x = B[np.ix_(ends, cols)]
             run = np.cumsum(x, axis=0)

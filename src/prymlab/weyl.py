@@ -354,25 +354,32 @@ class GroupClass(str, Enum):
 
 def generated_group(gens) -> set:
     """Closure of the generating set, by breadth-first multiplication.
-    Repeated generators (data often repeat a reflection) are taken once."""
+    Repeated generators (data often repeat a reflection) are taken once.
+
+    The closure runs on image tuples: each generator becomes a lookup table
+    on the signed indices -n..n, so ``g * h`` is one table lookup per entry
+    of ``h``, and each element becomes a ``SignedPerm`` once, at the end."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValueError("generators of mixed rank")
-    seen = {SignedPerm.identity(n)}
-    frontier = [SignedPerm.identity(n)]
+    # table[v + n] is g(v)
+    tables = [[-v for v in reversed(g.image)] + [0] + list(g.image) for g in gens]
+    one = SignedPerm.identity(n).image
+    seen = {one}
+    frontier = [one]
     while frontier:
         nxt = []
         for h in frontier:
-            for g in gens:
-                p = g * h
+            for table in tables:
+                p = tuple(table[v + n] for v in h)
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
         frontier = nxt
-    return seen
+    return {SignedPerm(n, p) for p in seen}
 
 
 def _is_transitive_signed(gens, n: int) -> bool:

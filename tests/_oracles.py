@@ -4,10 +4,12 @@ These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion or fraction-free elimination written here, divisor chains
 by gcds of minors, weight pairings by direct rational arithmetic, and
 homology chains as dicts (edge -> coefficient), paired one vertex at a time
-and pushed through a correspondence one edge at a time. The Smith
-elimination on lists of Python ints, one row or column operation at a time
-on all four transforms, is the reference for the library's vectorised one,
-and the entry-by-entry equivariance check under every reflection is the
+and pushed through a correspondence one edge at a time, and the Gram summed
+one vertex at a time. A generated group is closed by multiplying signed
+permutations, the reference for the library's closure on image tuples. The
+Smith elimination on lists of Python ints, one row or column operation at a
+time on all four transforms, is the reference for the library's vectorised
+one, and the entry-by-entry equivariance check under every reflection is the
 reference for the library's check on the simple reflections.
 Two helpers at the end only compose library calls for tests that use them.
 """
@@ -177,6 +179,44 @@ def class_of(model, chain):
     for i, e, c in zip(cm.rows.tolist(), cm.cols.tolist(), cm.vals.tolist()):
         out[i] += c * chain.get(e, 0)
     return out
+
+
+def gram_by_vertices(model):
+    """The Gram B^T Q B of a model summed one vertex at a time, each vertex
+    by its own prefix-sum block over the basis columns that touch it, on
+    Python ints: the per-vertex loop that ``surface`` batches its two-end
+    ramification vertices out of."""
+    B = np.asarray(model.B).astype(object)
+    gram = np.full((model.genus2, model.genus2), 0, dtype=object)
+    for kind, ends in model.vertex_ends:
+        cols = np.flatnonzero((B[ends] != 0).any(axis=0))
+        x = B[np.ix_(ends, cols)]
+        run = np.cumsum(x, axis=0)
+        if kind == "branch":
+            run -= x
+        gram[np.ix_(cols, cols)] -= x.T @ run
+    return gram
+
+
+# -- groups ---------------------------------------------------------------------
+
+
+def generated_group_bfs(gens) -> set:
+    """Closure of the generating set by breadth-first multiplication of
+    ``weyl.SignedPerm``s, each product built and checked as one."""
+    gens = list(dict.fromkeys(gens))
+    seen = {weyl.SignedPerm.identity(gens[0].n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                p = g * h
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return seen
 
 
 # -- Smith elimination on lists, one operation at a time -----------------------

@@ -70,6 +70,27 @@ def test_non_integer_fields_exit_two(tmp_path, capsys, field, bad):
         assert f"{p}: {field} must be an integer, got {json.dumps(bad)}" in err
 
 
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ('"n"', "str")])
+def test_top_level_value_that_is_not_an_object_exits_two(tmp_path, capsys, text, kind):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = _run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}: expected a JSON object, got {kind}\n"
+
+
+def test_unknown_top_level_field_exits_two_naming_it(tmp_path, capsys):
+    with open(_datafile("pantazis_b2.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["handels"] = []  # misspelled "handles"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    for argv in (["validate", str(p)], ["verify", "--scenario", "pantazis_b2", "--file", str(p)]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f'{p}: unknown field "handels"' in err
+
+
 def test_classify_etale_file(capsys):
     code, out, _ = _run(capsys, "classify", _datafile("etale_d3.json"))
     assert code == 0

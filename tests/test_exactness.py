@@ -13,7 +13,9 @@ A third guard keeps fixed-width integers inside the two modules that bound
 them: no module but ``lattice.py`` and ``surface.py`` names ``int64``, and
 the matrices those two hand out are object arrays of Python ints, so the
 elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
-wraps.
+wraps. The one exception is ``lattice.eye_minus``, whose caller hands its
+result back to ``lattice``'s products and eliminations and computes nothing
+on it itself.
 """
 
 import ast
@@ -178,6 +180,8 @@ def test_matrices_leaving_surface_and_lattice_are_python_ints():
         "part gram": HX.parts[0].gram,
         "induced_map_all": delta,
         "image": lattice.image(one - delta),
+        "image of eye_minus": lattice.image(lattice.eye_minus(delta)),
+        "matmul of eye_minus": lattice.matmul(lattice.eye_minus(delta), delta),
         "saturate": lattice.saturate(one - delta),
         "kernel": lattice.kernel(one - delta),
         "solve_exact": lattice.solve_exact(HC.gram, HC.gram),

@@ -1,7 +1,8 @@
 """Canonical CLI output pinned byte for byte.
 
-``golden_cli.json`` holds the exit code and the exact stdout of each case.
-A change that alters canonical output fails here; when the change is meant,
+``golden_cli.json`` holds the exit code and the exact stdout of each case,
+and the exact stderr of each case that exits 2, so that a changed error
+message fails too. A change that alters canonical output fails here; when the change is meant,
 rewrite the file with ``PYTHONPATH=src python tests/test_golden_cli.py`` and
 review the diff.
 """
@@ -68,10 +69,10 @@ def _resolve(argv):
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(_resolve(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _load():
@@ -91,16 +92,21 @@ def _case_id(argv):
 @pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_cli_output_matches_golden(argv):
     want = _load()[argv]
-    code, out = _run(argv)
+    code, out, err = _run(argv)
     assert code == want["exit"]
     assert out == want["stdout"]
+    if code == cli.EXIT_USAGE:
+        assert err == want["stderr"]
 
 
 if __name__ == "__main__":
     cases = []
     for argv in CASES:
-        code, out = _run(argv)
-        cases.append({"argv": list(argv), "exit": code, "stdout": out})
+        code, out, err = _run(argv)
+        case = {"argv": list(argv), "exit": code, "stdout": out}
+        if code == cli.EXIT_USAGE:
+            case["stderr"] = err
+        cases.append(case)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")

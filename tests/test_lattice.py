@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+from math import prod
 
 import numpy as np
 import pytest
@@ -468,6 +469,14 @@ def test_det_matches_fraction_free_and_cofactor(rows):
         assert got == det_cofactor(rows)
 
 
+@pytest.mark.parametrize("big", [2**62, 2**63 - 2, -(2**63 - 2), 2**63 - 1, -(2**63 - 1), 2**70])
+def test_eye_minus_at_the_int64_edge(big):
+    x = lattice.eye_minus(intmat([[big, 3], [-5, 1]]))
+    assert to_lists(x) == [[1 - big, -3], [5, 0]]
+    assert (x.dtype == object) == (abs(big) + 1 >= 2**63)
+    assert to_lists(lattice.eye_minus(x)) == [[big, 3], [-5, 1]]
+
+
 def test_det_accepts_int64_input():
     M = np.array([[2, 1], [7, 4]], dtype=np.int64)
     assert det(M) == 1
@@ -572,6 +581,28 @@ def test_elimination_adds_a_row_the_pivot_does_not_divide():
     assert any(line.startswith("update(0, [t], np.array([-1])") for line in run)
     assert to_lists(lattice._eliminate(_object_matrix(rows, 2, 2))[0]) == [[1, 0], [0, 6]]
     _assert_engines_agree(rows, 2, 2)
+
+
+_REMAINDER_SCAN = "bad = np.flatnonzero(vals % p)"
+_DIVISIBILITY_SCAN = "bad = np.flatnonzero((rest % a[t, t] != 0).any(axis=1))"
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, -3], [3, 5, -4], [-2, -8, 27]], [[-1, 4], [3, -11]]])
+def test_elimination_at_unit_pivots_scans_no_remainders(rows):
+    # every pivot is +-1: it divides every line and block, so neither the
+    # remainders of a line nor the divisibility of the block are scanned
+    n = len(rows)
+    for want in _WANTS:
+        run = _lines_run(rows, n, n, want)
+        assert _UPDATE in run
+        assert _REMAINDER_SCAN not in run and _DIVISIBILITY_SCAN not in run
+    _assert_engines_agree(rows, n, n)
+
+
+def test_elimination_scans_remainders_at_a_pivot_of_two():
+    run = _lines_run([[2, 4], [6, 3]], 2, 2)
+    assert _REMAINDER_SCAN in run and _DIVISIBILITY_SCAN in run
+    _assert_engines_agree([[2, 4], [6, 3]], 2, 2)
 
 
 def test_elimination_switches_to_python_ints_mid_elimination():
@@ -699,7 +730,7 @@ def test_det_carried_bound_counts_the_outer_term_of_a_step():
     rows = [[1, 0, r], [0, 2**30, 1], [c, 1, 0]]
     run = _det_run(rows)
     assert _DET_SWITCH in run
-    assert run.index(_DET_SWITCH) > run.index("prev = p")
+    assert run.index(_DET_SWITCH) > run.index("prev = scale * p")
     # and step 0's own column times row, 2^64, is past int64 at once
     run = _det_run([[1, 2**32], [2**32, 0]])
     assert _DET_SWITCH in run
@@ -711,3 +742,81 @@ def test_det_of_a_rank_258_gram_scans_only_pivot_columns_and_rows():
     got, run = _traced(det, H.gram)
     assert abs(got) == 1
     assert _DET_RESCAN not in run and _DET_SWITCH not in run
+
+
+# -- det's sign folding over unit pivots ---------------------------------------
+
+
+def _lu_rows(diag, lower, upper):
+    """Rows of L U for L unit lower triangular with ``lower[i][j]`` below the
+    diagonal and U upper triangular with ``diag`` on the diagonal and
+    ``upper[i][j]`` above it. Bareiss step k pivots on the leading minor of
+    order k + 1, which is diag[0] * ... * diag[k]: a run of unit entries in
+    ``diag`` is a run of unit pivots, and each -1 a change of sign."""
+    n = len(diag)
+    L = [[1 if i == j else lower[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
+    U = [[diag[i] if i == j else upper[i][j] if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    return [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _unit_run_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    unit = st.sampled_from([1, -1])
+    diag = [draw(st.one_of(unit, unit, unit, st.sampled_from([2, -2, 3, -6])))
+            for _ in range(n)]
+    small = st.integers(min_value=-3, max_value=3)
+    lower, upper = ([[draw(small) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    return diag, lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_run_inputs())
+@example(([1, -1, 1], [[0] * 3, [2, 0, 0], [1, -3, 0]], [[0, 1, 2], [0, 0, -1], [0] * 3]))
+@example(([-1, 1, 2, -1], [[1] * 4] * 4, [[2] * 4] * 4))
+def test_det_over_unit_pivots_matches_fraction_free(case):
+    diag, lower, upper = case
+    rows = _lu_rows(diag, lower, upper)
+    n = len(rows)
+    assert det(_object_matrix(rows, n, n)) == det_fraction_free(rows) == prod(diag)
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        [1, -1, 1, 1],    # pivots 1, -1, -1: an odd number of -1 steps
+        [-1, 1, 1, 1],    # pivots -1, -1, -1
+        [-1, -1, 1, -1],  # pivots -1, 1, 1 and a final -1
+        [1, -1, 2, 1],    # a unit run, then the non-unit pivot -2, then -2
+        [-1, 3, -1, 1],   # -1, then the non-unit pivots -3, 3
+    ],
+)
+def test_det_sign_of_unit_runs(diag):
+    lower = [[(i * 7 + j * 3) % 5 - 2 for j in range(4)] for i in range(4)]
+    upper = [[(i * 5 + j * 2) % 7 - 3 for j in range(4)] for i in range(4)]
+    rows = _lu_rows(diag, lower, upper)
+    assert det_fraction_free(rows) == prod(diag)
+    assert _DET_SWITCH not in _det_run(rows)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_det_switches_to_python_ints_inside_a_unit_run(sign):
+    # every pivot is a unit. Steps 0 and 1 form small values; the column and
+    # row of step 2 are 3 * 10^9 each (L[3:, 2] and U[2, 3:]), so their outer
+    # product, 9 * 10^18, with the block's own maximum passes 2^63 and det
+    # goes over to Python ints there, in the middle of the run. Every input
+    # entry is still below 2^63, so the run starts in int64.
+    n = 6
+    big = 3 * 10**9
+    diag = [1, -1, sign, -1, 1, -1]
+    lower = [[big if j == 2 and i > 2 else (i + j) % 3 - 1 for j in range(n)]
+             for i in range(n)]
+    upper = [[big if i == 2 and j > 2 else (i * j) % 3 - 1 for j in range(n)]
+             for i in range(n)]
+    rows = _lu_rows(diag, lower, upper)
+    assert max(abs(x) for row in rows for x in row) < 2**63
+    assert det_fraction_free(rows) == prod(diag)
+    run = _det_run(rows)
+    assert _DET_SWITCH in run
+    assert run[: run.index(_DET_SWITCH)].count("prev = scale * p") == 2  # at step 2

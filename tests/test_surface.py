@@ -238,6 +238,28 @@ def test_gram_matches_pairwise_flow_oracle(n, ds, dl, seed, orbit):
         ]
 
 
+# a datum that is not simple: its 3-cycles give ramification vertices with
+# three ends, which the Gram sums one vertex at a time
+NON_SIMPLE = MonodromyDatum(3, 0, tuple(
+    weyl.SignedPerm(3, g) for g in ((2, 3, 1), (3, 1, 2), (-2, -3, 1), (3, -1, -2))
+))
+
+
+@pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY])
+@pytest.mark.parametrize(
+    "datum",
+    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA] + [NON_SIMPLE],
+    ids=[str(case) for case in ORACLE_DATA] + ["non-simple"],
+)
+def test_gram_matches_the_vertex_by_vertex_sum(datum, orbit):
+    H = surface.build_all(induce(datum, orbit))
+    ends = {(kind, len(e)) for p in H.parts for kind, e in p.vertex_ends}
+    if orbit is not OrbitKind.PARITY:
+        assert ("branch", 3 if datum is NON_SIMPLE else 2) in ends
+    for p in H.parts:
+        assert to_lists(p.gram) == to_lists(_oracles.gram_by_vertices(p))
+
+
 @pytest.mark.parametrize("n,ds,dl,seed", ORACLE_DATA)
 def test_induced_maps_match_substitution_oracle(n, ds, dl, seed):
     datum = random_simple(n, ds, dl, seed=seed)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import generated_group_bfs
 from prymlab.errors import RankError
 from prymlab.weyl import (
     GroupClass,
@@ -239,3 +240,14 @@ def test_composition_matches_pointwise_application(n, data):
     for j in range(-n, n + 1):
         if j != 0:
             assert (w * v)(j) == w(v(j))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_generated_group_matches_signed_permutation_closure(n, data):
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    gens = [_random_element(rng, n) for _ in range(data.draw(st.integers(1, 4)))]
+    gens += gens[: data.draw(st.integers(0, 2))]  # repeated generators
+    group = generated_group(gens)
+    assert group == generated_group_bfs(gens)
+    assert all(type(g) is SignedPerm for g in group)

@@ -97,16 +97,30 @@ def load_datum(path: str) -> MonodromyDatum:
             raise UsageError(f"{path}: {what} must be an integer, got {json.dumps(v)}")
         return v
 
-    def perm(images, what):
-        return SignedPerm(n, tuple(whole(v, what) for v in images))
+    def listed(v, what, shape, size=None):
+        # JSON lists only: a number does not iterate and a string iterates by
+        # character, and neither error would name the field
+        if type(v) is not list or size not in (None, len(v)):
+            raise UsageError(f"{path}: {what} must be {shape}, got {json.dumps(v)}")
+        return v
+
+    def perm(images, what, entry):
+        images = listed(images, what, "a list of integers")
+        return SignedPerm(n, tuple(whole(v, entry) for v in images))
 
     try:
         n = whole(raw["n"], "n")
         base_genus = whole(raw.get("base_genus", 0), "base_genus")
-        gens = tuple(perm(g, "a generator entry") for g in raw["generators"])
+        gens = tuple(
+            perm(g, "a generator", "a generator entry")
+            for g in listed(raw["generators"], "generators", "a list of signed permutations")
+        )
         handles = tuple(
-            (perm(a, "a handle entry"), perm(b, "a handle entry"))
-            for a, b in raw.get("handles", [])
+            tuple(
+                perm(w, "a handle permutation", "a handle entry")
+                for w in listed(h, "a handle", "a pair [a, b] of signed permutations", 2)
+            )
+            for h in listed(raw.get("handles", []), "handles", "a list of [a, b] pairs")
         )
         return MonodromyDatum(n, base_genus, gens, handles)
     except KeyError as exc:

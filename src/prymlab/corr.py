@@ -1,9 +1,11 @@
 """Fiber-level correspondence matrices and their exact identities.
 
 A correspondence between two covers of the same base is encoded by an
-integer matrix indexed by the canonical fiber labels: entry ``[i][j]`` is
-the multiplicity with which sheet i of the source maps to sheet j of the
-destination. Composition in diagram order is plain matrix multiplication of
+integer matrix indexed by the label positions of ``weyl`` (a subset at its
+bitmask, ``+-j`` at ``2(j-1)`` and ``2(j-1) + 1``): entry ``[i][j]`` is the
+multiplicity with which sheet i of the source maps to sheet j of the
+destination, and each matrix here is built from that mask and position
+arithmetic. Composition in diagram order is plain matrix multiplication of
 these coefficient matrices, and the transpose encodes the transposed
 correspondence.
 
@@ -72,8 +74,9 @@ def _require_rank(n: int, low: int = 2):
         raise RankError(f"fiber matrices supported for rank {low}..{FIBER_RANK_MAX}")
 
 
-def _subsets(n: int):
-    return [set(lab.value) for lab in weyl.orbit_labels(OrbitKind.SPINOR, n)]
+def _spinor_matrix(n: int, entry) -> np.ndarray:
+    d = 1 << n
+    return intmat([[entry(a, b) for b in range(d)] for a in range(d)])
 
 
 def make_D(n: int) -> FiberMatrix:
@@ -81,13 +84,7 @@ def make_D(n: int) -> FiberMatrix:
     symmetric difference minus one; its induced endomorphism has exponent
     ``2**(n-1)``."""
     _require_rank(n)
-    subs = _subsets(n)
-    d = len(subs)
-    m = zeros(d, d)
-    for a in range(d):
-        for b in range(d):
-            if a != b:
-                m[a, b] = len(subs[a] ^ subs[b]) - 1
+    m = _spinor_matrix(n, lambda a, b: (a ^ b).bit_count() - 1 if a != b else 0)
     fm = FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
     if fm.degree != 2 ** (n - 1) * (n - 2) + 1:
         raise AssertionError("degree drifted from the closed form")
@@ -101,13 +98,9 @@ def make_S0(n: int) -> FiberMatrix:
     correspondences are built from it and the all-ones matrix J, which every
     group element fixes."""
     _require_rank(n)
-    subs = _subsets(n)
-    vec = [lab.value for lab in weyl.orbit_labels(OrbitKind.VECTOR, n)]
-    s0 = zeros(len(subs), len(vec))
-    for a, A in enumerate(subs):
-        for j, v in enumerate(vec):
-            if (v > 0 and v in A) or (v < 0 and -v not in A):
-                s0[a, j] = 1
+    # position p holds index p // 2 + 1, negated iff p is odd; mask a selects
+    # it iff that index is a member exactly when p is even
+    s0 = intmat([[(a >> (p >> 1) & 1) ^ (p & 1) for p in range(2 * n)] for a in range(1 << n)])
     return FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR, s0)
 
 
@@ -118,55 +111,30 @@ def make_Di(n: int, i: int) -> FiberMatrix:
         raise RankError("shell correspondences are defined for rank 4")
     if not 0 <= i <= 3:
         raise ValueError("shell index must lie in 0..3")
-    subs = _subsets(n)
-    d = len(subs)
-    m = zeros(d, d)
-    for a in range(d):
-        for b in range(d):
-            if len(subs[a] ^ subs[b]) == i + 1:
-                m[a, b] = 1
+    m = _spinor_matrix(n, lambda a, b: int((a ^ b).bit_count() == i + 1))
     return FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
 
 
 def sigma_matrix(n: int) -> np.ndarray:
     """Complementation permutation on the subset orbit (the sheet involution
     of the degree-2^n cover)."""
-    subs = _subsets(n)
-    full = set(range(1, n + 1))
-    index = {tuple(sorted(s)): i for i, s in enumerate(subs)}
-    m = zeros(len(subs), len(subs))
-    for a, A in enumerate(subs):
-        m[a, index[tuple(sorted(full - A))]] = 1
-    return m
+    full = (1 << n) - 1
+    return _spinor_matrix(n, lambda a, b: int(b == full ^ a))
 
 
 def negation_matrix(n: int) -> np.ndarray:
     """Sign-flip permutation on the signed-index orbit (the Prym involution
-    of the degree-2n cover)."""
-    labels = [lab.value for lab in weyl.orbit_labels(OrbitKind.VECTOR, n)]
-    index = {v: i for i, v in enumerate(labels)}
-    m = zeros(len(labels), len(labels))
-    for i, v in enumerate(labels):
-        m[i, index[-v]] = 1
-    return m
+    of the degree-2n cover): position p goes to p ^ 1."""
+    return intmat([[int(q == p ^ 1) for q in range(2 * n)] for p in range(2 * n)])
 
 
 def parity_incidence(n: int) -> np.ndarray:
     """Subset orbit -> parity orbit incidence (the degree-2 quotient map)."""
-    subs = _subsets(n)
-    m = zeros(len(subs), 2)
-    for a, A in enumerate(subs):
-        m[a, len(A) % 2] = 1
-    return m
+    return intmat([[int(a.bit_count() % 2 == p) for p in (0, 1)] for a in range(1 << n)])
 
 
 def parity_indicator(n: int, parity: int) -> np.ndarray:
-    subs = _subsets(n)
-    v = zeros(len(subs), 1)
-    for a, A in enumerate(subs):
-        if len(A) % 2 == parity % 2:
-            v[a, 0] = 1
-    return v
+    return intmat([[int(a.bit_count() % 2 == parity % 2)] for a in range(1 << n)])
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +159,17 @@ class OrbitGram:
 
 def _weight_vectors(n: int, weight: str):
     if weight == "vector":
-        out = []
-        for lab in weyl.orbit_labels(OrbitKind.VECTOR, n):
-            v = [Fraction(0)] * n
-            v[abs(lab.value) - 1] = Fraction(1 if lab.value > 0 else -1)
-            out.append(tuple(v))
-        return out
+        # position p is the unit vector of index p // 2 + 1, negated iff p is odd
+        return [
+            tuple(Fraction(1 - 2 * (p & 1)) if j == p >> 1 else Fraction(0) for j in range(n))
+            for p in range(2 * n)
+        ]
     if weight == "spinor":
-        out = []
-        for lab in weyl.orbit_labels(OrbitKind.SPINOR, n):
-            inside = set(lab.value)
-            out.append(
-                tuple(
-                    Fraction(-1, 2) if j in inside else Fraction(1, 2)
-                    for j in range(1, n + 1)
-                )
-            )
-        return out
+        # mask a has coordinate -1/2 on its members and 1/2 elsewhere
+        return [
+            tuple(Fraction(-1, 2) if a >> j & 1 else Fraction(1, 2) for j in range(n))
+            for a in range(1 << n)
+        ]
     raise ValueError("weight must be 'vector' or 'spinor'")
 
 

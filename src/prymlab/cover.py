@@ -25,6 +25,8 @@ class MonodromyDatum:
     handles: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "gens", tuple(self.gens))
+        object.__setattr__(self, "handles", tuple(tuple(pair) for pair in self.handles))
         if self.base_genus < 0:
             raise MonodromyError("base genus must be nonnegative")
         if any(g.n != self.n for g in self.gens):

@@ -5,14 +5,24 @@ with negation, so it is stored by the images of the positive indices alone.
 Composition follows function application: ``(w * v)(j) == w(v(j))``.
 
 The weight orbits that drive the covering constructions are realised as
-concrete label sets:
+concrete label sets, and each label has one position in its orbit, given in
+closed form:
 
-* vector labels -- the signed indices themselves (orbit size ``2n``);
+* vector labels -- the signed indices (orbit size ``2n``); ``+j`` sits at
+  ``2(j-1)`` and ``-j`` at ``2(j-1) + 1``;
 * spinor labels -- subsets of ``{1..n}``, one per sign pattern of the
-  half-sum weight (orbit size ``2**n``);
-* pair labels -- the unordered pairs ``{j, -j}`` (orbit size ``n``);
-* parity labels -- even/odd subset size, a two-element quotient;
-* spinor-class labels -- unordered pairs ``{A, complement(A)}``.
+  half-sum weight (orbit size ``2**n``); a subset sits at its bitmask, bit
+  ``j-1`` set iff ``j`` is a member;
+* pair labels -- the unordered pairs ``{j, -j}`` (orbit size ``n``); ``j``
+  sits at ``j-1``;
+* parity labels -- even/odd subset size, a two-element quotient; parity
+  ``p`` sits at ``p``;
+* spinor-class labels -- unordered pairs ``{A, complement(A)}`` (orbit size
+  ``2**(n-1)``); a class sits at the smaller of its two masks.
+
+The position is the one encoding of an orbit action: ``perm_on_orbit``
+reads the permutation of positions off the images of ``1..n``, and fiber
+matrices are indexed by positions. Label objects are for input and output.
 
 Text form used by the CLI: a signed permutation is the list of images of
 ``1..n``, e.g. ``[-1, 2, 3]`` for the sign flip of the first index.
@@ -39,6 +49,9 @@ class SignedPerm:
     image: tuple
 
     def __post_init__(self):
+        # a list image would make the value unequal to its tuple twin and
+        # unhashable
+        object.__setattr__(self, "image", tuple(self.image))
         if not 1 <= self.n <= RANK_MAX:
             raise RankError(f"rank must be in 1..{RANK_MAX}, got {self.n}")
         if len(self.image) != self.n:
@@ -224,7 +237,7 @@ def parity_label(parity: int) -> OrbitLabel:
     return OrbitLabel(OrbitKind.PARITY, parity % 2)
 
 
-def _mask(subset, n: int) -> int:
+def _mask(subset) -> int:
     m = 0
     for j in subset:
         m |= 1 << (j - 1)
@@ -232,31 +245,20 @@ def _mask(subset, n: int) -> int:
 
 
 def _unmask(mask: int) -> tuple:
-    out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def spinor_class_label(subset, n: int) -> OrbitLabel:
-    a = _mask(subset, n)
+    a = _mask(subset)
     b = ((1 << n) - 1) ^ a
-    rep = min(a, b)
-    return OrbitLabel(OrbitKind.SPINOR_CLASS, (_unmask(rep), _unmask(max(a, b))))
+    return OrbitLabel(OrbitKind.SPINOR_CLASS, (_unmask(min(a, b)), _unmask(max(a, b))))
 
 
 @lru_cache(maxsize=None)
 def orbit_labels(kind: OrbitKind, n: int) -> tuple:
-    """Canonical ordered labels of a weight orbit.
-
-    Vector order is ``1, -1, 2, -2, ..., n, -n``; spinor subsets come in
-    binary mask order (bit ``j-1`` set iff ``j`` is in the subset). These
-    orders fix every matrix in the package bit-for-bit.
-    """
+    """Canonical ordered labels of a weight orbit: the label at position i
+    is the one whose closed-form position (module docstring) is i. These
+    orders fix every matrix in the package bit-for-bit."""
     kind = OrbitKind(kind)
     if kind is OrbitKind.VECTOR:
         out = []
@@ -269,61 +271,7 @@ def orbit_labels(kind: OrbitKind, n: int) -> tuple:
         return tuple(pair_label(j) for j in range(1, n + 1))
     if kind is OrbitKind.PARITY:
         return (parity_label(0), parity_label(1))
-    if kind is OrbitKind.SPINOR_CLASS:
-        full = (1 << n) - 1
-        reps = [m for m in range(1 << n) if m < (full ^ m)]
-        return tuple(spinor_class_label(_unmask(m), n) for m in reps)
-    raise ValueError(f"unknown orbit kind {kind!r}")
-
-
-def _label_rank_ok(label: OrbitLabel, n: int) -> bool:
-    kind, value = label.kind, label.value
-    if kind is OrbitKind.VECTOR:
-        return 1 <= abs(value) <= n
-    if kind is OrbitKind.SPINOR:
-        return all(1 <= j <= n for j in value)
-    if kind is OrbitKind.PAIR_CLASS:
-        return 1 <= value <= n
-    if kind is OrbitKind.SPINOR_CLASS:
-        a, b = value
-        return len(a) + len(b) == n and all(1 <= j <= n for j in a + b)
-    return True
-
-
-def act(w: SignedPerm, label: OrbitLabel) -> OrbitLabel:
-    """Action of a signed permutation on an orbit label.
-
-    Spinor subsets transform by pushing each signed coordinate of the
-    half-sum weight through ``w``; the quotient orbits inherit the action.
-    """
-    if not _label_rank_ok(label, w.n):
-        raise RankError(f"label {label!r} does not live in rank {w.n}")
-    kind = label.kind
-    if kind is OrbitKind.VECTOR:
-        return vector_label(w(label.value))
-    if kind is OrbitKind.SPINOR:
-        return spinor_label(_act_subset(w, label.value))
-    if kind is OrbitKind.PAIR_CLASS:
-        return pair_label(abs(w(label.value)))
-    if kind is OrbitKind.PARITY:
-        return parity_label(label.value + w.neg_count())
-    if kind is OrbitKind.SPINOR_CLASS:
-        return spinor_class_label(_act_subset(w, label.value[0]), w.n)
-    raise ValueError(f"unknown orbit kind {kind!r}")
-
-
-def _act_subset(w: SignedPerm, subset) -> tuple:
-    # sign pattern: -1 on members, +1 off members; push through w
-    inside = set(subset)
-    out = []
-    for j in range(1, w.n + 1):
-        v = w(j)
-        sign = -1 if j in inside else 1
-        if v < 0:
-            sign = -sign
-        if sign < 0:
-            out.append(abs(v))
-    return tuple(sorted(out))
+    return tuple(spinor_class_label(_unmask(m), n) for m in range(1 << (n - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -331,12 +279,40 @@ def _label_index(kind: OrbitKind, n: int):
     return {lab: i for i, lab in enumerate(orbit_labels(kind, n))}
 
 
+def act(w: SignedPerm, label: OrbitLabel) -> OrbitLabel:
+    """Action of a signed permutation on an orbit label: the label at the
+    image of its position under ``perm_on_orbit``. A label that is not one
+    of the rank-n orbit's canonical labels raises ``RankError``."""
+    i = _label_index(OrbitKind(label.kind), w.n).get(label)
+    if i is None:
+        raise RankError(f"label {label!r} is not a canonical label in rank {w.n}")
+    return orbit_labels(label.kind, w.n)[perm_on_orbit(w, label.kind)[i]]
+
+
 def perm_on_orbit(w: SignedPerm, kind: OrbitKind) -> tuple:
-    """Index permutation induced on the canonical labels: position i maps to
-    ``perm[i]``."""
-    labels = orbit_labels(OrbitKind(kind), w.n)
-    index = _label_index(OrbitKind(kind), w.n)
-    return tuple(index[act(w, lab)] for lab in labels)
+    """Index permutation induced on the label positions: position i maps to
+    ``perm[i]``. Each kind reads it off ``w.image`` in closed form."""
+    kind = OrbitKind(kind)
+    if kind is OrbitKind.VECTOR:
+        perm = []
+        for v in w.image:
+            p = 2 * (abs(v) - 1)
+            perm.extend((p, p + 1) if v > 0 else (p + 1, p))
+        return tuple(perm)
+    if kind is OrbitKind.PAIR_CLASS:
+        return tuple(abs(v) - 1 for v in w.image)
+    if kind is OrbitKind.PARITY:
+        return (1, 0) if w.neg_count() % 2 else (0, 1)
+    # subset A is the sign pattern -1 on A, and w sends e_j to
+    # sign(w(j)) e_|w(j)|: the image of mask 0 is the mask of the negated
+    # targets, and member j of A toggles bit |w(j)| - 1 of the image
+    spin = [_mask(-v for v in w.image if v < 0)]
+    for v in w.image:
+        spin += [m ^ (1 << (abs(v) - 1)) for m in spin]
+    if kind is OrbitKind.SPINOR:
+        return tuple(spin)
+    full = (1 << w.n) - 1
+    return tuple(min(m, full ^ m) for m in spin[: 1 << (w.n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +402,8 @@ def classify_subgroup(gens) -> GroupClass:
     Full enumeration, exact; refuses ranks above CLASSIFY_RANK_MAX.
     """
     gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
     n = gens[0].n
     if n > CLASSIFY_RANK_MAX:
         raise RankError(

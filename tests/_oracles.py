@@ -11,7 +11,10 @@ Smith elimination on lists of Python ints, one row or column operation at a
 time on all four transforms, is the reference for the library's vectorised
 one, and the entry-by-entry equivariance check under every reflection is the
 reference for the library's check on the simple reflections.
-Two helpers at the end only compose library calls for tests that use them.
+Orbit actions pushed through label values one sign at a time, and fiber
+matrices built from Python sets of those values, are the references for the
+library's closed forms on label positions and masks. Two helpers at the end
+only compose library calls for tests that use them.
 """
 
 from fractions import Fraction
@@ -357,14 +360,117 @@ def check_equivariance_all_roots(n, src_orbit, dst_orbit, matrix):
         raise ValueError("matrix shape does not match the orbit sizes")
     for root in weyl.all_roots(n):
         w = weyl.reflection(root, n)
-        ps = weyl.perm_on_orbit(w, src_orbit)
-        pd = weyl.perm_on_orbit(w, dst_orbit)
+        ps = perm_on_orbit_by_values(w, src_orbit)
+        pd = perm_on_orbit_by_values(w, dst_orbit)
         for i in range(len(src)):
             for j in range(len(dst)):
                 if m[ps[i], pd[j]] != m[i, j]:
                     raise EquivarianceError(
                         f"matrix not equivariant under reflection {root}"
                     )
+
+
+# -- orbit actions and fiber matrices on label values ----------------------------
+
+
+def act_on_value(w, label):
+    """Action on an orbit label through its value: a signed index, a subset
+    pushed through ``w`` one sign at a time, or a quotient of those. The
+    reference for the library's action on label positions."""
+    kind, value = label.kind, label.value
+    if kind is weyl.OrbitKind.VECTOR:
+        return weyl.vector_label(w(value))
+    if kind is weyl.OrbitKind.SPINOR:
+        return weyl.spinor_label(_act_subset(w, value))
+    if kind is weyl.OrbitKind.PAIR_CLASS:
+        return weyl.pair_label(abs(w(value)))
+    if kind is weyl.OrbitKind.PARITY:
+        return weyl.parity_label(value + w.neg_count())
+    return weyl.spinor_class_label(_act_subset(w, value[0]), w.n)
+
+
+def _act_subset(w, subset):
+    # sign pattern: -1 on members, +1 off members; push through w
+    inside = set(subset)
+    out = []
+    for j in range(1, w.n + 1):
+        v = w(j)
+        sign = -1 if j in inside else 1
+        if v < 0:
+            sign = -sign
+        if sign < 0:
+            out.append(abs(v))
+    return tuple(sorted(out))
+
+
+def perm_on_orbit_by_values(w, kind):
+    labels = weyl.orbit_labels(kind, w.n)
+    index = {lab: i for i, lab in enumerate(labels)}
+    return tuple(index[act_on_value(w, lab)] for lab in labels)
+
+
+def _subsets(n):
+    return [set(lab.value) for lab in weyl.orbit_labels(weyl.OrbitKind.SPINOR, n)]
+
+
+def _signed(n):
+    return [lab.value for lab in weyl.orbit_labels(weyl.OrbitKind.VECTOR, n)]
+
+
+def _matrix(rows, cols, entry):
+    m = np.full((len(rows), len(cols)), 0, dtype=object)
+    for a, x in enumerate(rows):
+        for b, y in enumerate(cols):
+            m[a, b] = entry(x, y)
+    return m
+
+
+def fiber_D(n):
+    subs = _subsets(n)
+    return _matrix(subs, subs, lambda A, B: len(A ^ B) - 1 if A != B else 0)
+
+
+def fiber_S0(n):
+    return _matrix(
+        _subsets(n), _signed(n), lambda A, v: int((v > 0 and v in A) or (v < 0 and -v not in A))
+    )
+
+
+def fiber_Di(n, i):
+    subs = _subsets(n)
+    return _matrix(subs, subs, lambda A, B: int(len(A ^ B) == i + 1))
+
+
+def fiber_sigma(n):
+    subs = _subsets(n)
+    full = set(range(1, n + 1))
+    return _matrix(subs, subs, lambda A, B: int(B == full - A))
+
+
+def fiber_negation(n):
+    signed = _signed(n)
+    return _matrix(signed, signed, lambda v, u: int(u == -v))
+
+
+def fiber_parity_incidence(n):
+    return _matrix(_subsets(n), (0, 1), lambda A, p: int(len(A) % 2 == p))
+
+
+def fiber_parity_indicator(n, parity):
+    return _matrix(_subsets(n), (0,), lambda A, _: int(len(A) % 2 == parity % 2))
+
+
+def weight_vectors_by_values(n, weight):
+    """Orbit weight vectors read off the label values."""
+    if weight == "vector":
+        return [
+            tuple(Fraction(v // j) if abs(v) == j else Fraction(0) for j in range(1, n + 1))
+            for v in _signed(n)
+        ]
+    return [
+        tuple(Fraction(-1, 2) if j in A else Fraction(1, 2) for j in range(1, n + 1))
+        for A in _subsets(n)
+    ]
 
 
 # -- helpers only the tests call ------------------------------------------------

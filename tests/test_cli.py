@@ -79,6 +79,37 @@ def test_top_level_value_that_is_not_an_object_exits_two(tmp_path, capsys, text,
     assert err == f"error: {p}: expected a JSON object, got {kind}\n"
 
 
+# a generator or handle list of the wrong shape is named with the shape it needs
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"generators": 5}, "generators must be a list of signed permutations, got 5"),
+        ({"generators": "12"}, 'generators must be a list of signed permutations, got "12"'),
+        ({"generators": [5]}, "a generator must be a list of integers, got 5"),
+        (
+            {"base_genus": 1, "generators": [], "handles": 3},
+            "handles must be a list of [a, b] pairs, got 3",
+        ),
+        (
+            {"base_genus": 1, "generators": [], "handles": [[[1, 2]]]},
+            "a handle must be a pair [a, b] of signed permutations, got [[1, 2]]",
+        ),
+        (
+            {"base_genus": 1, "generators": [], "handles": [[[1, 2], 5]]},
+            "a handle permutation must be a list of integers, got 5",
+        ),
+    ],
+    ids=["int-generators", "string-generators", "int-generator", "int-handles",
+         "short-handle", "int-handle-permutation"],
+)
+def test_generator_and_handle_shapes_exit_two_naming_the_field(tmp_path, capsys, fields, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"n": 2, **fields}))
+    code, out, err = _run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}: {message}\n"
+
+
 def test_unknown_top_level_field_exits_two_naming_it(tmp_path, capsys):
     with open(_datafile("pantazis_b2.json"), encoding="utf-8") as fh:
         raw = json.load(fh)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import check_equivariance_all_roots, pairing, spinor_weight_vectors
 from prymlab import corr, cover, surface, weyl
 from prymlab.corr import (
@@ -129,6 +130,34 @@ def test_check_needs_the_short_simple_root(n):
         FiberMatrix(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
     with pytest.raises(EquivarianceError):
         check_equivariance_all_roots(n, OrbitKind.VECTOR, OrbitKind.VECTOR, m)
+
+
+def _same_ints(ours, oracle):
+    return (
+        ours.dtype == object
+        and ours.shape == oracle.shape
+        and all(type(x) is int for x in ours.flat)
+        and mat_equal(ours, oracle)
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fiber_matrices_match_the_set_oracles(n):
+    assert _same_ints(make_D(n).matrix, _oracles.fiber_D(n))
+    assert _same_ints(make_S0(n).matrix, _oracles.fiber_S0(n))
+    assert _same_ints(corr.sigma_matrix(n), _oracles.fiber_sigma(n))
+    assert _same_ints(corr.negation_matrix(n), _oracles.fiber_negation(n))
+    assert _same_ints(corr.parity_incidence(n), _oracles.fiber_parity_incidence(n))
+    for parity in (0, 1, 2, -1):
+        ours = corr.parity_indicator(n, parity)
+        assert _same_ints(ours, _oracles.fiber_parity_indicator(n, parity))
+    for weight in ("vector", "spinor"):
+        assert corr._weight_vectors(n, weight) == _oracles.weight_vectors_by_values(n, weight)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_shells_match_the_set_oracle(i):
+    assert _same_ints(make_Di(4, i).matrix, _oracles.fiber_Di(4, i))
 
 
 def test_make_S0_rows():

@@ -50,6 +50,14 @@ def test_validate_genus_one_commuting_handles():
     assert validate(bad) is not None
 
 
+def test_datum_holds_tuples_of_generators_and_handles():
+    w, v = _s(1, 2), _l(1, 2, -1, 2)
+    listed = MonodromyDatum(2, 1, [w, w], [[w, v]])
+    assert listed == MonodromyDatum(2, 1, (w, w), ((w, v),))
+    assert hash(listed) == hash(MonodromyDatum(2, 1, (w, w), ((w, v),)))
+    assert isinstance(listed.gens, tuple) and isinstance(listed.handles[0], tuple)
+
+
 def test_datum_requires_matching_handles():
     with pytest.raises(MonodromyError):
         MonodromyDatum(2, 1, (_s(1, 2), _s(1, 2)))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import generated_group_bfs
+from _oracles import generated_group_bfs, perm_on_orbit_by_values
 from prymlab.errors import RankError
 from prymlab.weyl import (
     GroupClass,
     OrbitKind,
+    OrbitLabel,
     SignedPerm,
     act,
     all_roots,
@@ -108,6 +109,9 @@ def test_act_rejects_rank_mismatch():
         act(w, spinor_label((3,)))
     with pytest.raises(RankError):
         act(w, vector_label(3))
+    # an unsorted subset names no sheet of the spinor orbit
+    with pytest.raises(RankError):
+        act(w, OrbitLabel(OrbitKind.SPINOR, (2, 1)))
 
 
 def _random_element(rng, n):
@@ -160,6 +164,13 @@ def test_spinor_labels_binary_order():
         (2,),
         (1, 2),
     ]
+    # a class sits at the smaller of its two masks
+    assert [l.value for l in orbit_labels(OrbitKind.SPINOR_CLASS, 3)] == [
+        ((), (1, 2, 3)),
+        ((1,), (2, 3)),
+        ((2,), (1, 3)),
+        ((1, 2), (3,)),
+    ]
 
 
 def test_perm_on_orbit_is_a_permutation():
@@ -167,6 +178,32 @@ def test_perm_on_orbit_is_a_permutation():
     for kind in OrbitKind:
         p = perm_on_orbit(w, kind)
         assert sorted(p) == list(range(len(p)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_perm_on_orbit_matches_the_label_value_oracle(n):
+    rng = random.Random(n)
+    elements = [reflection(r, n) for r in all_roots(n)]
+    elements += [_random_element(rng, n) for _ in range(20)]
+    for w in elements:
+        for kind in OrbitKind:
+            assert perm_on_orbit(w, kind) == perm_on_orbit_by_values(w, kind), (w, kind)
+
+
+# --- value types --------------------------------------------------------------
+
+
+def test_signed_perm_holds_a_tuple_image():
+    w = SignedPerm(2, [-1, 2])
+    assert w.image == (-1, 2)
+    assert w == SignedPerm(2, (-1, 2))
+    assert hash(w) == hash(SignedPerm(2, (-1, 2)))
+    assert classify_subgroup([w]) is classify_subgroup([SignedPerm(2, (-1, 2))])
+
+
+def test_classify_needs_a_generator():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        classify_subgroup([])
 
 
 # --- classification ---------------------------------------------------------

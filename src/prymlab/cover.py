@@ -26,7 +26,9 @@ class MonodromyDatum:
 
     def __post_init__(self):
         object.__setattr__(self, "gens", tuple(self.gens))
-        object.__setattr__(self, "handles", tuple(tuple(pair) for pair in self.handles))
+        object.__setattr__(
+            self, "handles", tuple(_handle_pair(k, pair) for k, pair in enumerate(self.handles))
+        )
         if self.base_genus < 0:
             raise MonodromyError("base genus must be nonnegative")
         if any(g.n != self.n for g in self.gens):
@@ -38,6 +40,17 @@ class MonodromyDatum:
             raise MonodromyError("need one handle pair per unit of base genus")
         if not self.gens and self.base_genus == 0:
             raise MonodromyError("a genus-0 datum needs at least one branch point")
+
+
+def _handle_pair(k: int, pair) -> tuple:
+    """Handle ``k`` of a datum as a tuple ``(a, b)`` of signed permutations."""
+    try:
+        pair = tuple(pair)
+    except TypeError:
+        pair = None
+    if pair is None or len(pair) != 2 or not all(isinstance(w, SignedPerm) for w in pair):
+        raise MonodromyError(f"handle {k} is not a pair (a, b) of signed permutations")
+    return pair
 
 
 @dataclass(frozen=True)

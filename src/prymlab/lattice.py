@@ -20,17 +20,21 @@ Sublattices of Z^m are represented by matrices whose columns generate them.
 
 Smith elimination is the workhorse: it yields kernels, images,
 saturations, integral solving and the divisor chains of singular or
-non-square matrices. There is one engine, ``_eliminate(mat, want)``, on
-numpy rows, and it updates only the transforms its caller reads: U^-1 for
-``image`` and ``saturate``, V for ``kernel``, U and V for ``solve_exact`` and
-``snf``, U and U^-1 for the relation matrix of ``surface``, none for
-``divisors``. Its pivot order and operations are those of one row or column
-operation at a time (the list version in ``tests/_oracles.py``), so its
-results are too; a run of entries its pivot divides is cleared by one
-outer-product update. It runs in int64 while a bound on every value an
-update forms stays below 2^63, and on Python ints from the first update
-where it does not. The divisor chain of a nonsingular square matrix (every
-nondegenerate alternating form) comes determinant first: the Smith
+non-square matrices. There is one engine, ``_eliminate(mat, want, rhs)``,
+on numpy rows, and it updates only the transforms its caller reads: U^-1
+for ``image`` and ``saturate``, V for ``kernel``, U and V for ``snf``, U
+and U^-1 for the relation matrix of ``surface``, none for ``divisors``.
+``solve_exact`` and ``contains`` form no U: they hand their right-hand side
+to the engine, which applies every row operation to it as well and returns
+U b, and ``contains`` forms no V either. Its pivot order and operations are
+those of one row or column operation at a time (the list version in
+``tests/_oracles.py``), so its results are too; a run of entries its pivot
+divides is cleared by one outer-product update. In int64 one ``argmin``
+over ``|entry| - 1``, read as unsigned so that 0 comes last, finds each
+pivot without copying the block. It runs in int64 while a bound on every
+value an update forms stays below 2^63, and on Python ints from the first
+update where it does not. The divisor chain of a nonsingular square matrix
+(every nondegenerate alternating form) comes determinant first: the Smith
 elimination then runs modulo |det|, so its entries stay bounded.
 
 ``det`` and ``_eliminate`` carry their int64 bounds instead of rescanning
@@ -50,12 +54,16 @@ multiplying the whole block by it, so that a unit step updates only the
 rows its column reaches; every pivot of the spinor Grams of rank 130 to 386
 measured is a unit. ``_eliminate`` divides by a pivot of +-1 without
 remainders, so it neither scans a line for them nor the remaining block
-for divisibility.
+for divisibility; it clears the pivot's column by one row update, after
+which the column operations on its row reach that row alone, so the row
+is zeroed and only V takes them. A line is scanned again only after a
+remainder was swapped in as the pivot: a clear that swapped nothing leaves
+its line clear, and clearing the row leaves the cleared column as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 
 import numpy as np
@@ -320,35 +328,46 @@ def det(m) -> int:
 # Smith normal form
 
 
-def _eliminate(mat, want=()):
+def _eliminate(mat, want=(), rhs=None):
     """Smith elimination of an integer matrix that updates only the
     transforms named in ``want``: ``"u"``, ``"uinv"`` and ``"v"``, with
     ``U @ mat @ V == D`` and ``uinv`` the inverse of ``U``.
 
     Returns ``(D, r, *transforms)``: D diagonal with its r nonzero entries a
     divisibility chain first, then the transforms in the order of ``want``,
-    all object arrays of Python ints.
+    all object arrays of Python ints. Given ``rhs``, a matrix with as many
+    rows as ``mat``, the row operations are applied to it as well, and
+    ``U @ rhs`` follows the transforms, without U being formed.
 
     Each step takes as pivot the smallest nonzero entry of the remaining
-    block, first in row-major order, and moves it to (t, t). It clears
-    column t, then row t, by Euclid's algorithm against the pivot (a
-    nonzero remainder is swapped in as the new pivot) until both are clear,
-    adds to row t the first row holding an entry the pivot does not divide
-    and starts over, and finally makes the pivot positive. A clear takes
-    the entries of its line in order: a run of entries the pivot divides
-    leaves the pivot line unchanged, so the run is one outer-product
-    update, and the result equals one row or column operation at a time.
-    A pivot of +-1 divides every entry: its quotients are the entries times
-    the pivot, its line is cleared by one update with no remainders taken,
-    and the remaining block is not scanned for an entry it does not divide.
+    block, first in row-major order, and moves it to (t, t). In int64 one
+    ``argmin`` finds it: ``|entry| - 1`` read as unsigned makes 0 the
+    largest key. It clears column t, then row t, by Euclid's algorithm
+    against the pivot (a nonzero remainder is swapped in as the new pivot,
+    and the old one, now off the pivot, sends the step back to column t)
+    until both are clear, adds to row t the first row holding an entry the
+    pivot does not divide and starts over, and finally makes the pivot
+    positive. A clear takes the entries of its line in order: a run of
+    entries the pivot divides leaves the pivot line unchanged, so the run
+    is one outer-product update, and the result equals one row or column
+    operation at a time.
+
+    A pivot p of +-1 divides every entry, and its quotients are the entries
+    times p. Its column is cleared by one row update, with no remainders
+    taken; column t is then p e_t, so the column operations that clear row
+    t change no other entry of the matrix, and row t is zeroed directly
+    while only V takes them. The remaining block is not scanned for an
+    entry the pivot does not divide.
 
     The arrays are int64 while ``b * (1 + k * max|q|) < 2^63`` before every
     update of k lines by quotients q, for a bound b >= max|entry| over every
     array, which bounds every value the update forms. The bound is carried:
     the input conversion gives the first b, and an update multiplies it by
-    ``1 + k * max|q|``, so only q is scanned. Where the carried b fails the
-    test, every array is scanned for its true maximum; where that fails
-    too, every array switches to Python ints for good.
+    ``1 + k * max|q|``, so only q is scanned (the row of a unit step too,
+    so every rescan and switch falls where a full update would put it).
+    Where the carried b fails the test, every array is scanned for its true
+    maximum; where that fails too, every array switches to Python ints for
+    good.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
@@ -356,15 +375,19 @@ def _eliminate(mat, want=()):
     m, n = a.shape
     size = {"u": m, "uinv": m, "v": n}
     x = {"a": a, **{k: np.eye(size[k], dtype=np.int64) for k in want}}
-    a64, a_max = _int64(a)
-    if a64 is not None:
-        x["a"] = a64.copy()
+    if rhs is not None:
+        x["rhs"] = rhs
+    inputs = {k: _int64(x[k]) for k in ("a", "rhs") if k in x}
+    # bound >= max|entry| over every array while they are int64
+    bound = 1
+    if all(y is not None for y, _ in inputs.values()):
+        for k, (y, top) in inputs.items():
+            x[k] = y.copy()
+            bound = max(bound, top)
     else:
         x = {k: _pyints(y) for k, y in x.items()}
-    # bound >= max|entry| over every array while they are int64
-    bound = max(a_max or 0, 1)
     # the arrays whose rows (axis 0) or columns (axis 1) an operation combines
-    direct = (x.keys() & {"a", "u"}, x.keys() & {"a", "v"})
+    direct = (x.keys() & {"a", "u", "rhs"}, x.keys() & {"a", "v"})
 
     def lines(k, axis):
         return x[k] if axis == 0 else x[k].T
@@ -374,7 +397,7 @@ def _eliminate(mat, want=()):
         nonlocal bound
         if x["a"].dtype == object:
             return
-        growth = 1 + len(q) * _maxabs(q)
+        growth = 1 + len(q) * int(np.abs(q).max())
         if bound * growth >= _INT64_BOUND:
             bound = max(_maxabs(y) for y in x.values())
         if bound * growth >= _INT64_BOUND:
@@ -388,61 +411,87 @@ def _eliminate(mat, want=()):
         widen(q)
         for k in direct[axis]:
             y = lines(k, axis)
-            y[idx] -= np.outer(q, y[t])
+            y[idx] -= q[:, None] * y[t]
         if axis == 0 and "uinv" in x:
             x["uinv"][:, t] += x["uinv"][:, idx] @ q
 
     def swap(axis, i, t):
-        for k in direct[axis]:
-            y = lines(k, axis)
-            y[[i, t]] = y[[t, i]]
+        ys = [lines(k, axis) for k in direct[axis]]
         if axis == 0 and "uinv" in x:
-            x["uinv"][:, [i, t]] = x["uinv"][:, [t, i]]
+            ys.append(x["uinv"].T)
+        for y in ys:
+            line = y[t].copy()
+            y[t] = y[i]
+            y[i] = line
 
     def off_pivot(axis, t):
-        line = lines("a", axis)[:, t]
-        idx = np.flatnonzero(line)
+        idx = lines("a", axis)[:, t].nonzero()[0]
         return idx[idx != t]
 
     def clear(axis, t):
+        # whether a remainder was swapped in: the old pivot is then off it
         idx = off_pivot(axis, t)
+        swapped = False
         while idx.size:
             vals = lines("a", axis)[idx, t]
             p = x["a"][t, t]
             if abs(p) == 1:  # divides everything: q = vals / p = vals * p
                 update(axis, idx, vals * p, t)
-                return
+                break
             q = vals // p
             bad = np.flatnonzero(vals % p)
             k = int(bad[0]) + 1 if bad.size else len(idx)
             update(axis, idx[:k], q[:k], t)
             if not bad.size:
-                return
+                break
             swap(axis, int(idx[k - 1]), t)
+            swapped = True
             idx = idx[k:]
+        return swapped
+
+    def unit_step(t, p):
+        # column t by one row update; it is then p e_t, so the column
+        # operations that clear row t change row t of the matrix alone
+        idx = off_pivot(0, t)
+        if idx.size:
+            update(0, idx, x["a"][idx, t] * p, t)
+        idx = off_pivot(1, t)
+        if idx.size:
+            q = x["a"][t, idx] * p
+            widen(q)
+            x["a"][t, idx] = 0
+            if "v" in x:
+                x["v"][:, idx] -= x["v"][:, t, None] * q
 
     t = 0
-    while True:
-        flat = x["a"][t:, t:].ravel()
-        nz = np.flatnonzero(flat)
-        if not nz.size:
-            break
-        i, j = divmod(int(nz[np.argmin(np.abs(flat[nz]))]), n - t)
+    while t < min(m, n):
+        a = x["a"]
+        if a.dtype == object:
+            flat = a[t:, t:].ravel()
+            nz = np.flatnonzero(flat)
+            if not nz.size:
+                break
+            f = int(nz[np.argmin(np.abs(flat[nz]))])
+        else:
+            key = np.abs(a[t:, t:])
+            key -= 1
+            f = int(key.view(np.uint64).argmin())
+            if key.flat[f] < 0:  # every entry is 0
+                break
+        i, j = divmod(f, n - t)
         if i:
             swap(0, t + i, t)
         if j:
             swap(1, t + j, t)
         while True:
-            clear(0, t)
-            if off_pivot(0, t).size:
-                continue
-            clear(1, t)
-            if off_pivot(0, t).size or off_pivot(1, t).size:
-                continue
-            # the pivot must divide the remaining block, as a unit does
-            a = x["a"]
-            if abs(a[t, t]) == 1:
+            p = x["a"][t, t]
+            if abs(p) == 1:
+                unit_step(t, p)
                 break
+            if clear(0, t) or clear(1, t):
+                continue
+            # the pivot must divide the remaining block
+            a = x["a"]
             rest = a[t + 1:, t + 1:]
             bad = np.flatnonzero((rest % a[t, t] != 0).any(axis=1))
             if not bad.size:
@@ -454,7 +503,8 @@ def _eliminate(mat, want=()):
             if "uinv" in x:
                 x["uinv"][:, t] = -x["uinv"][:, t]
         t += 1
-    return (x["a"].astype(object), t, *(x[k].astype(object) for k in want))
+    out = (x["a"].astype(object), t, *(x[k].astype(object) for k in want))
+    return out if rhs is None else (*out, x["rhs"].astype(object))
 
 
 def snf(mat):
@@ -558,31 +608,42 @@ def saturate(mat) -> np.ndarray:
     return uinv[:, :r]
 
 
-def solve_exact(a, b) -> np.ndarray:
-    """Integer solution X of ``a @ X == b``; raises ValueError if none exists."""
+def _carried(a, b, want=()):
+    """The Smith elimination of ``a`` with the columns of ``b`` carried:
+    ``(pivots, r, U @ b, *transforms)``, after checking that ``a`` and ``b``
+    have one ambient rank."""
     a = np.asarray(a, dtype=object)
     b = np.asarray(b, dtype=object)
-    vec = b.ndim == 1
-    if vec:
+    if b.ndim == 1:
         b = b.reshape(-1, 1)
-    d, r, U, V = _eliminate(a, ("u", "v"))
-    ub = matmul(U, b)
-    pivots = np.diagonal(d)[:r, None]
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("ambient rank mismatch")
+    d, r, *transforms, ub = _eliminate(a, want, b)
+    return np.diagonal(d)[:r, None], r, ub, *transforms
+
+
+def solve_exact(a, b) -> np.ndarray:
+    """Integer solution X of ``a @ X == b``; raises ValueError if none exists.
+
+    The row operations of the Smith elimination of ``a`` are applied to
+    ``b`` as they run, so ``U b`` is formed without U: X = V (U b / D)."""
+    pivots, r, ub, V = _carried(a, b, ("v",))
     if (ub[:r] % pivots).any() or ub[r:].any():
         raise ValueError("no integral solution")
-    x = zeros(a.shape[1], b.shape[1])
+    x = zeros(V.shape[0], ub.shape[1])
     x[:r] = ub[:r] // pivots
     out = matmul(V, x)
-    return out[:, 0] if vec else out
+    return out[:, 0] if np.ndim(b) == 1 else out
 
 
 def contains(basis, vectors) -> bool:
-    """Whether every column of ``vectors`` lies in the column span of ``basis``."""
-    try:
-        solve_exact(basis, vectors)
-        return True
-    except ValueError:
-        return False
+    """Whether every column of ``vectors`` lies in the column span of
+    ``basis``: whether ``U vectors`` is divisible by the pivots and zero past
+    the rank, with no transform formed."""
+    pivots, r, ub = _carried(basis, vectors)
+    return not ((ub[:r] % pivots).any() or ub[r:].any())
 
 
 def lattices_equal(a, b) -> bool:
@@ -612,26 +673,33 @@ class PolarizedLattice:
     """A sublattice of Z^m carrying the restriction of an alternating form.
 
     ``gram`` is the m x m alternating form on the ambient lattice; ``basis``
-    holds the sublattice generators as columns (full column rank).
+    holds the sublattice generators as columns (full column rank). The Gram
+    is read once, when the lattice is made: converted to int64 where its
+    entries fit, checked to be alternating on that array, and kept so for
+    every ``restricted_gram``.
     """
 
     gram: np.ndarray
     basis: np.ndarray
+    _gram64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=object)
-        b = np.asarray(self.basis, dtype=object)
+        g = np.asarray(self.gram)
+        b = np.asarray(self.basis)
         if g.shape[0] != g.shape[1] or g.shape[0] != b.shape[0]:
             raise ValueError("gram/basis shape mismatch")
-        if not is_alternating(g):
+        g64, _ = _int64(g)
+        if not (is_alternating(g) if g64 is None else (g64.T == -g64).all()):
             raise ValueError("gram matrix must be alternating")
+        object.__setattr__(self, "_gram64", g64)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
 
     def restricted_gram(self) -> np.ndarray:
-        return matmul(matmul(self.basis.T, self.gram), self.basis)
+        g = self.gram if self._gram64 is None else self._gram64
+        return matmul(self.basis.T, _product(g, self.basis))
 
 
 def ptype(sub: PolarizedLattice) -> tuple:

@@ -9,8 +9,10 @@ one vertex at a time. A generated group is closed by multiplying signed
 permutations, the reference for the library's closure on image tuples. The
 Smith elimination on lists of Python ints, one row or column operation at a
 time on all four transforms, is the reference for the library's vectorised
-one, and the entry-by-entry equivariance check under every reflection is the
-reference for the library's check on the simple reflections.
+one, and integral solving by U b after that elimination is the reference
+for the library's solving with b carried through it. The entry-by-entry
+equivariance check under every reflection is the reference for the
+library's check on the simple reflections.
 Orbit actions pushed through label values one sign at a time, and fiber
 matrices built from Python sets of those values, are the references for the
 library's closed forms on label positions and masks. Two helpers at the end
@@ -471,6 +473,40 @@ def weight_vectors_by_values(n, weight):
         tuple(Fraction(-1, 2) if j in A else Fraction(1, 2) for j in range(1, n + 1))
         for A in _subsets(n)
     ]
+
+
+# -- integral solving through the full transforms ------------------------------
+
+
+def solve_exact_via_u(a, b):
+    """Integer solution X of ``a X = b`` from the list elimination's U and
+    V: U b divided by the pivots, then V times that, with U b formed after
+    the elimination as a product. The reference for the library's solving,
+    which carries b through the row operations instead. Raises ValueError
+    when no integral solution exists; ``a`` and ``b`` have one row count."""
+    st = _snf_state(a)
+    b = [[int(x) for x in row] for row in np.asarray(b, dtype=object)]
+    k = len(b[0]) if b else 0
+    ub = [[sum(st.u[i][l] * b[l][j] for l in range(st.m)) for j in range(k)]
+          for i in range(st.m)]
+    pivots = [st.a[i][i] for i in range(min(st.m, st.n)) if st.a[i][i]]
+    r = len(pivots)
+    if any(x % p for p, row in zip(pivots, ub) for x in row) or any(
+        x for row in ub[r:] for x in row
+    ):
+        raise ValueError("no integral solution")
+    y = [[ub[i][j] // pivots[i] if i < r else 0 for j in range(k)] for i in range(st.n)]
+    return [[sum(st.v[i][l] * y[l][j] for l in range(st.n)) for j in range(k)]
+            for i in range(st.n)]
+
+
+def contains_via_u(basis, vectors) -> bool:
+    """Whether ``solve_exact_via_u`` finds a solution."""
+    try:
+        solve_exact_via_u(basis, vectors)
+        return True
+    except ValueError:
+        return False
 
 
 # -- helpers only the tests call ------------------------------------------------

@@ -63,6 +63,25 @@ def test_datum_requires_matching_handles():
         MonodromyDatum(2, 1, (_s(1, 2), _s(1, 2)))
 
 
+@pytest.mark.parametrize("handles", [
+    lambda w: ((w,),),
+    lambda w: (w,),
+    lambda w: ((w, w, w),),
+    lambda w: ((w, [2, 1]),),
+    lambda w: (3,),
+])
+def test_datum_rejects_a_handle_that_is_not_a_pair(handles):
+    w = _s(1, 2)
+    with pytest.raises(MonodromyError, match="handle 0 is not a pair"):
+        MonodromyDatum(2, 1, (), handles(w))
+
+
+def test_datum_names_the_bad_handle():
+    w = _s(1, 2)
+    with pytest.raises(MonodromyError, match="handle 1 "):
+        MonodromyDatum(2, 2, (), ((w, w), (w,)))
+
+
 def test_induce_degrees():
     d2 = random_simple(2, 4, 4, seed=0)
     assert induce(d2, OrbitKind.SPINOR).degree == 4

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from _oracles import (
     _snf_state,
+    contains_via_u,
     det_cofactor,
     det_fraction_free,
     minors_gcd_chain,
+    solve_exact_via_u,
     sum_lattices,
 )
 from prymlab import lattice, surface
@@ -22,6 +24,7 @@ from prymlab.errors import DegenerateFormError
 from prymlab.prym import probe_trial
 from prymlab.lattice import (
     PolarizedLattice,
+    contains,
     det,
     divisors,
     dual_type,
@@ -176,6 +179,38 @@ def test_ptype_odd_rank_rejected():
 def test_polarized_lattice_requires_alternating():
     with pytest.raises(ValueError):
         PolarizedLattice(eye(2), eye(2))
+
+
+def test_polarized_lattice_checks_alternation_past_int64():
+    big = 2**70
+    with pytest.raises(ValueError, match="alternating"):
+        PolarizedLattice(intmat([[0, big], [big, 0]]), eye(2))
+    with pytest.raises(ValueError, match="alternating"):
+        PolarizedLattice(np.array([[0, 3], [3, 0]], dtype=np.int64), eye(2))
+    g = intmat([[0, big, 0, 1], [-big, 0, 2, 0], [0, -2, 0, 5], [-1, 0, -5, 0]])
+    b = intmat([[1, 0], [2, 1], [0, 3], [1, 1]])
+    got = PolarizedLattice(g, b).restricted_gram()
+    assert got.dtype == object and mat_equal(got, matmul(matmul(b.T, g), b))
+
+
+def test_polarized_lattice_reads_its_gram_once(monkeypatch):
+    g = intmat([[0, 1, 0, 3], [-1, 0, 2, 0], [0, -2, 0, 5], [-3, 0, -5, 0]])
+    b = intmat([[1, 0], [2, 1], [0, 3], [1, 1]])
+    lat = PolarizedLattice(g, b)
+    assert lat.gram is g  # the Gram is kept as given
+    expected = matmul(matmul(b.T, g), b)
+    real = lattice._int64
+    read = []
+
+    def spy(x):
+        read.append(x is g)
+        return real(x)
+
+    monkeypatch.setattr(lattice, "_int64", spy)
+    for _ in range(2):
+        got = lat.restricted_gram()
+        assert got.dtype == object and mat_equal(got, expected)
+    assert read and not any(read)
 
 
 def test_dual_type_examples():
@@ -556,8 +591,9 @@ def _lines_run(rows, m, n, want=("u", "uinv", "v")):
 
 
 _EUCLID_SWAP = "swap(axis, int(idx[k - 1]), t)"
-_UPDATE = "y[idx] -= np.outer(q, y[t])"
+_UPDATE = "y[idx] -= q[:, None] * y[t]"
 _RESCAN = "bound = max(_maxabs(y) for y in x.values())"
+_WIDEN = "growth = 1 + len(q) * int(np.abs(q).max())"
 _SWITCH = "x[k] = _pyints(x[k])"
 
 
@@ -647,7 +683,9 @@ def test_elimination_rescans_where_the_carried_bound_crosses_int64():
     rows = [[1, 1], [1, 2**61]]
     for want in _WANTS:
         run = _lines_run(rows, 2, 2, want)
-        assert run.count(_UPDATE) >= 2
+        # a unit step zeroes row t of the matrix directly, but widens the
+        # bound by its quotients all the same
+        assert run.count(_WIDEN) >= 2
         assert _RESCAN in run[run.index(_UPDATE) + 1:]
         assert _SWITCH not in run
     _assert_engines_agree(rows, 2, 2)
@@ -663,6 +701,129 @@ def test_elimination_switches_after_a_rescan_that_confirms_the_bound():
         assert run.index(_RESCAN) < run.index(_SWITCH)
         assert _UPDATE not in run[: run.index(_SWITCH)]
     _assert_engines_agree(rows, 2, 2)
+
+
+_OFF_PIVOT_SCAN = 'idx = lines("a", axis)[:, t].nonzero()[0]'
+_RAVEL = "flat = a[t:, t:].ravel()"
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, -3], [3, 5, -4], [-2, -8, 27]], [[-1, 4], [3, -11]]])
+def test_elimination_unit_step_scans_each_line_once_and_never_ravels(rows):
+    # at a unit pivot the column is cleared by one row update and the row
+    # is zeroed: one scan of each line, no remainder scan, no rescan of a
+    # cleared line, and in int64 the pivot search copies no block
+    n = len(rows)
+    for want in _WANTS:
+        run = _lines_run(rows, n, n, want)
+        assert run.count(_OFF_PIVOT_SCAN) == 2 * n
+        assert _REMAINDER_SCAN not in run and _RAVEL not in run
+        assert _SWITCH not in run
+    _assert_engines_agree(rows, n, n)
+
+
+def test_elimination_rescans_only_after_a_swapped_in_remainder():
+    # [[2, 4], [6, 12]]: pivot 2 divides its column and its row, so each is
+    # scanned once; in [[2, 3]] the row clear swaps in the remainder 1, and
+    # the step goes back to its column
+    run = _lines_run([[2, 4], [6, 12]], 2, 2)
+    assert _EUCLID_SWAP not in run and _REMAINDER_SCAN in run
+    assert run.count(_OFF_PIVOT_SCAN) == 2
+    run = _lines_run([[2, 3]], 1, 2)
+    assert _EUCLID_SWAP in run
+    assert run.count(_OFF_PIVOT_SCAN) == 4  # row, then column and row again
+    for rows in ([[2, 4], [6, 12]], [[2, 3]]):
+        _assert_engines_agree(rows, len(rows), len(rows[0]))
+
+
+@st.composite
+def _carried_inputs(draw):
+    rows = draw(_elimination_inputs())
+    k = draw(st.integers(min_value=0, max_value=3))
+    bits = draw(st.sampled_from([3, 40, 70]))
+    entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+    return rows, [[draw(entry) for _ in range(k)] for _ in rows], k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_carried_inputs())
+@example(([[1, 1], [1, 2**61]], [[1], [2**62]], 1))
+@example(([[2, 3], [4, 5]], [[2**70, 1], [-3, 2**63]], 2))
+@example(([[], []], [[5], [-7]], 1))
+def test_elimination_carries_rhs_as_u_times_it(case):
+    rows, rhs, k = case
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    _, _, u = lattice._eliminate(_object_matrix(rows, m, n), ("u",))
+    expected = to_lists(matmul(u, _object_matrix(rhs, m, k)))
+    for want in _WANTS:
+        plain = lattice._eliminate(_object_matrix(rows, m, n), want)
+        *same, carried = lattice._eliminate(
+            _object_matrix(rows, m, n), want, _object_matrix(rhs, m, k))
+        assert same[1] == plain[1]
+        assert [to_lists(x) for x in same[:1] + same[2:]] == [
+            to_lists(x) for x in plain[:1] + plain[2:]]
+        assert carried.dtype == object and all(type(x) is int for x in carried.flat)
+        assert to_lists(carried) == expected
+
+
+@st.composite
+def _systems(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=-6, max_value=6)
+    a = [[draw(small) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # b in the span of a
+        x = [[draw(small) for _ in range(k)] for _ in range(n)]
+        b = [[sum(a[i][l] * x[l][j] for l in range(n)) for j in range(k)] for i in range(m)]
+    else:
+        b = [[draw(small) for _ in range(k)] for _ in range(m)]
+    return _object_matrix(a, m, n), _object_matrix(b, m, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_solve_exact_and_contains_match_solving_through_u(system):
+    a, b = system
+    assert contains(a, b) is contains_via_u(a, b)
+    if not contains_via_u(a, b):
+        with pytest.raises(ValueError, match="no integral solution"):
+            solve_exact(a, b)
+        return
+    x = solve_exact(a, b)
+    assert to_lists(x) == solve_exact_via_u(a, b)
+    assert mat_equal(matmul(a, x), b)
+    assert [int(v) for v in solve_exact(a, b[:, 0])] == [row[0] for row in to_lists(x)]
+
+
+def test_contains_forms_no_transform(monkeypatch):
+    calls = []
+    engine = lattice._eliminate
+
+    def spy(mat, want=(), rhs=None):
+        calls.append(want)
+        return engine(mat, want, rhs)
+
+    monkeypatch.setattr(lattice, "_eliminate", spy)
+    assert contains(intmat([[2, 0], [0, 3]]), intmat([[4], [-3]]))
+    assert not contains(intmat([[2, 0], [0, 3]]), intmat([[1], [0]]))
+    assert calls == [(), ()]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: contains(a, b),
+    lambda a, b: lattices_equal(a, b),
+    lambda a, b: lattices_equal(b, a),
+    lambda a, b: solve_exact(a, b),
+    lambda a, b: solve_exact(a, b[:, 0]),
+])
+def test_ambient_rank_mismatch_raises_before_any_elimination(call, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("eliminated a mismatched pair")
+
+    monkeypatch.setattr(lattice, "_eliminate", no_elimination)
+    with pytest.raises(ValueError, match="ambient rank mismatch"):
+        call(intmat([[1, 0], [0, 1], [0, 0]]), intmat([[1], [0]]))
 
 
 # -- det's carried Bareiss bound -----------------------------------------------

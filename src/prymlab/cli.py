@@ -16,6 +16,7 @@ and arguments reproduce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,7 +226,7 @@ def cmd_ptype(args) -> int:
         lat = prym.prym_lattice(H, lattice.intmat([[0, 1], [1, 0]]))
         which = "P(Ytilde,Y)"
     else:
-        lat = lattice.PolarizedLattice(H.gram, lattice.eye(H.rank))
+        lat = H.sublattice(lattice.eye(H.rank))
         which = "full Jacobian lattice"
     gram = lat.restricted_gram()
     payload = {
@@ -312,7 +313,10 @@ def cmd_probe(args) -> int:
     return EXIT_FAIL if "error" in item else EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    is, so every ``main`` call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a subcommand from clobbering a value parsed up front
     common.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)

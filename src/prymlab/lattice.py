@@ -23,7 +23,9 @@ saturations, integral solving and the divisor chains of singular or
 non-square matrices. There is one engine, ``_eliminate(mat, want, rhs)``,
 on numpy rows, and it updates only the transforms its caller reads: U^-1
 for ``image`` and ``saturate``, V for ``kernel``, U and V for ``snf``, U
-and U^-1 for the relation matrix of ``surface``, none for ``divisors``.
+and U^-1 for the relation matrix of ``surface``, none for ``divisors``. It
+returns its working arrays, int64 unless it outgrew them, and only the
+public wrappers convert what they hand out.
 ``solve_exact`` and ``contains`` form no U: they hand their right-hand side
 to the engine, which applies every row operation to it as well and returns
 U b, and ``contains`` forms no V either. Its pivot order and operations are
@@ -35,7 +37,9 @@ pivot without copying the block. It runs in int64 while a bound on every
 value an update forms stays below 2^63, and on Python ints from the first
 update where it does not. The divisor chain of a nonsingular square matrix
 (every nondegenerate alternating form) comes determinant first: the Smith
-elimination then runs modulo |det|, so its entries stay bounded.
+elimination then runs modulo |det|, or modulo the Pfaffian isqrt(|det|)
+for an alternating matrix, so its entries stay bounded, in int64 while the
+modulus squared does.
 
 ``det`` and ``_eliminate`` carry their int64 bounds instead of rescanning
 their arrays at every step: from the bound b on the entries before a step
@@ -64,7 +68,7 @@ its line clear, and clearing the row leaves the cleared column as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -108,6 +112,12 @@ def is_alternating(g) -> bool:
 def to_lists(m) -> list:
     """Row-major nested lists of Python ints (JSON-ready)."""
     return [[int(x) for x in row] for row in np.asarray(m, dtype=object)]
+
+
+def _objects(m: np.ndarray) -> np.ndarray:
+    """An int64 array as an object array of Python ints; an object array as
+    it is."""
+    return m if m.dtype == object else m.astype(object)
 
 
 def _pyints(m) -> np.ndarray:
@@ -157,8 +167,7 @@ def matmul(a, b) -> np.ndarray:
     absolute value, so when that and every entry are below 2^63 the product
     runs in int64 and cannot wrap; otherwise it runs on Python ints.
     """
-    out = _product(a, b)
-    return out if out.dtype == object else out.astype(object)
+    return _objects(_product(a, b))
 
 
 def eye_minus(phi) -> np.ndarray:
@@ -335,9 +344,11 @@ def _eliminate(mat, want=(), rhs=None):
 
     Returns ``(D, r, *transforms)``: D diagonal with its r nonzero entries a
     divisibility chain first, then the transforms in the order of ``want``,
-    all object arrays of Python ints. Given ``rhs``, a matrix with as many
-    rows as ``mat``, the row operations are applied to it as well, and
-    ``U @ rhs`` follows the transforms, without U being formed.
+    as the working arrays: int64 where the elimination stayed there, object
+    arrays of Python ints otherwise. The public wrappers convert only what
+    they hand out. Given ``rhs``, a matrix with as many rows as ``mat``, the
+    row operations are applied to it as well, and ``U @ rhs`` follows the
+    transforms, without U being formed.
 
     Each step takes as pivot the smallest nonzero entry of the remaining
     block, first in row-major order, and moves it to (t, t). In int64 one
@@ -503,80 +514,131 @@ def _eliminate(mat, want=(), rhs=None):
             if "uinv" in x:
                 x["uinv"][:, t] = -x["uinv"][:, t]
         t += 1
-    out = (x["a"].astype(object), t, *(x[k].astype(object) for k in want))
-    return out if rhs is None else (*out, x["rhs"].astype(object))
+    out = (x["a"], t, *(x[k] for k in want))
+    return out if rhs is None else (*out, x["rhs"])
 
 
 def snf(mat):
     """Smith normal form: returns ``(U, D, V)`` with ``U @ mat @ V == D``,
     ``U`` and ``V`` unimodular, ``D`` diagonal with a divisibility chain."""
     D, _, U, V = _eliminate(mat, ("u", "v"))
+    U, D, V = _objects(U), _objects(D), _objects(V)
     if D.size and not mat_equal(matmul(matmul(U, mat), V), D):
         raise AssertionError("smith normal form self-check failed")
     return U, D, V
 
 
 def _chain_mod(rows, D: int) -> tuple:
-    """Divisor chain of a nonsingular n x n integer matrix with ``|det| == D``,
-    by Smith elimination modulo D (Cohen, Alg. 2.4.14; no transforms).
+    """Divisor chain of the lattice L + D Z^n for the column span L of an
+    n x n integer matrix, by Smith elimination modulo D (Cohen, Alg. 2.4.14;
+    no transforms): ``gcd(d_i, D)`` for the chain d_i of L. With
+    ``|det| == D`` that is the chain of L itself.
 
-    The column span L contains D Z^n, and unimodular row operations keep it
-    there, so adding D-multiples to entries leaves L unchanged: every entry
-    stays in [0, D). Once column t is cleared, its pivot p spans, together
-    with D e_t, the same as gcd(p, D); a block that is zero mod D gives D.
+    The span contains D Z^n, and unimodular row operations keep it there,
+    so adding D-multiples to entries leaves it unchanged: every entry stays
+    in [0, D). Once column t is cleared, its pivot p spans, together with
+    D e_t, the same as gcd(p, D); a block that is zero mod D gives D.
+
+    Each operation takes whole lines: the rows below the pivot are reduced
+    by it at once, and the smallest remainder, swapped in, is the next
+    pivot until the column is clear. The elimination only diagonalizes:
+    the diagonal d_t of a lattice spans what its Smith chain does, which
+    pairwise gcd and lcm then give, so no block is scanned for entries a
+    pivot does not divide. A pivot prime to D leaves a 1, which clears its
+    row, and its step ends there. An entry less q times a pivot row entry,
+    q < D, lies above -D^2, so the arrays are int64 while ``D^2 + D <
+    2^63``, where one ``argmin`` over the entries less 1, read as unsigned
+    so that 0 comes last, finds a pivot, and Python ints otherwise. The
+    list version in ``tests/_oracles.py`` is the reference.
     """
-    n = len(rows)
-    a = [[int(x) % D for x in row] for row in rows]
-    chain = []
+    a = _pyints(rows) % D
+    if D * D + D < _INT64_BOUND:
+        a = a.astype(np.int64)
+    n = len(a)
+
+    def smallest(block):
+        # flat position of the smallest nonzero entry, first in row-major
+        # order, or None when every entry is 0
+        if not block.size:
+            return None
+        if a.dtype == object:
+            flat = block.ravel()
+            nz = np.flatnonzero(flat)
+            return int(nz[np.argmin(flat[nz])]) if nz.size else None
+        key = block - 1
+        f = int(key.view(np.uint64).argmin())
+        return None if key.flat[f] < 0 else f
+
+    def swap(i, j, axis):
+        if i != j:
+            lines = a if axis == 0 else a.T
+            lines[[i, j]] = lines[[j, i]]
+
+    diagonal = []
     for t in range(n):
-        nonzero = [(a[i][j], i, j) for i in range(t, n) for j in range(t, n) if a[i][j]]
-        if not nonzero:
-            chain += [D] * (n - t)
+        f = smallest(a[t:, t:])
+        if f is None:
+            diagonal += [D] * (n - t)
             break
-        _, i, j = min(nonzero)
-        a[t], a[i] = a[i], a[t]
-        for row in a[t:]:  # rows above t are zero from column t on
-            row[t], row[j] = row[j], row[t]
+        i, j = divmod(f, n - t)
+        swap(t, t + i, 0)
+        swap(t, t + j, 1)  # rows above t are not read again
         while True:
-            # clear column t by Euclid between row t and each row below; a
-            # pivot dividing the entry stays the pivot
-            for i in range(t + 1, n):
-                while a[i][t]:
-                    ri, rt = a[i], a[t]
-                    q = ri[t] // rt[t]
-                    for c in range(t, n):
-                        ri[c] = (ri[c] - q * rt[c]) % D
-                    if ri[t]:
-                        a[i], a[t] = rt, ri
-            d = a[t][t] = gcd(a[t][t], D)
+            # clear column t: reduce every row below by the pivot row, and
+            # swap in the smallest remainder as the pivot until none is left
+            while True:
+                below = t + 1 + np.flatnonzero(a[t + 1:, t])
+                if not below.size:
+                    break
+                q = a[below, t] // a[t, t]
+                a[below, t:] = (a[below, t:] - q[:, None] * a[t, t:]) % D
+                if a[t, t] == 1:
+                    break
+                i = smallest(a[t + 1:, t])
+                if i is None:
+                    break
+                swap(t, t + 1 + i, 0)
+            d = gcd(int(a[t, t]), D)
+            if d == 1:
+                break  # row t is not read again
             # column t is d e_t, so column operations reduce row t mod d; a
             # remainder, swapped in, is a smaller pivot
-            j = next((j for j in range(t + 1, n) if a[t][j] % d), None)
-            if j is not None:
-                a[t][j] %= d
-                for row in a[t:]:
-                    row[t], row[j] = row[j], row[t]
-                continue
-            for j in range(t + 1, n):
-                a[t][j] = 0
-            # the pivot must divide the remaining block
-            i = next(
-                (i for i in range(t + 1, n) if any(x % d for x in a[i][t + 1:])), None
-            )
-            if i is None:
+            a[t, t] = d
+            a[t, t + 1:] %= d
+            j = smallest(a[t, t + 1:])
+            if j is None:
                 break
-            a[t][t + 1:] = a[i][t + 1:]  # row t += row i
-        chain.append(d)
+            swap(t, t + 1 + j, 1)
+        diagonal.append(d)
+    # the Smith chain of the diagonal: entry i ends as the gcd of what is
+    # left, and the lcm moves on (products and the span stay as they are)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if diagonal[i] == 1:
+                break
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return tuple(diagonal)
+
+
+def _nonsingular_chain(mat, alternating=False):
+    """Divisor chain of a square matrix by the determinant-first path, or
+    ``None`` when the matrix is singular.
+
+    The elimination runs modulo a multiple M of the last divisor d_n, which
+    gives every gcd(d_i, M) = d_i: M = |det| in general, and for an
+    alternating matrix the Pfaffian, ``isqrt(|det|)``. Its chain comes in
+    pairs e_1, e_1, ..., e_k, e_k, so |det| is the square of the product of
+    the e_i, which d_n = e_k divides; M^2 then stays in int64 for
+    determinants up to about 2^125 instead of 2^63. The chain multiplies to
+    |det| exactly when every d_i divides M, which is checked."""
+    D = abs(det(mat))
+    if not D:
+        return None
+    chain = _chain_mod(mat, isqrt(D) if alternating else D)
     if prod(chain) != D:
         raise AssertionError("modular divisor chain self-check failed")
-    return tuple(chain)
-
-
-def _nonsingular_chain(mat):
-    """Divisor chain of a square matrix by the determinant-first path, or
-    ``None`` when the matrix is singular."""
-    D = abs(det(mat))
-    return _chain_mod(mat, D) if D else None
+    return chain
 
 
 def divisors(mat) -> tuple:
@@ -593,19 +655,19 @@ def divisors(mat) -> tuple:
 def kernel(mat) -> np.ndarray:
     """Columns generate the integer kernel (always saturated)."""
     _, r, V = _eliminate(mat, ("v",))
-    return V[:, r:]
+    return _objects(V[:, r:])
 
 
 def image(mat) -> np.ndarray:
     """Columns form a basis of the image lattice (not saturated)."""
     d, r, uinv = _eliminate(mat, ("uinv",))
-    return uinv[:, :r] * np.diagonal(d)[:r]
+    return _objects(uinv[:, :r]) * _objects(np.diagonal(d)[:r])
 
 
 def saturate(mat) -> np.ndarray:
     """Basis of the smallest primitive sublattice containing the column span."""
     _, r, uinv = _eliminate(mat, ("uinv",))
-    return uinv[:, :r]
+    return _objects(uinv[:, :r])
 
 
 def _carried(a, b, want=()):
@@ -676,19 +738,25 @@ class PolarizedLattice:
     holds the sublattice generators as columns (full column rank). The Gram
     is read once, when the lattice is made: converted to int64 where its
     entries fit, checked to be alternating on that array, and kept so for
-    every ``restricted_gram``.
+    every ``restricted_gram``. A caller that already holds the same Gram in
+    int64 (``surface``'s homologies do) hands it in as ``_gram64``, and only
+    the check runs.
     """
 
     gram: np.ndarray
     basis: np.ndarray
-    _gram64: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram64: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gram)
         b = np.asarray(self.basis)
         if g.shape[0] != g.shape[1] or g.shape[0] != b.shape[0]:
             raise ValueError("gram/basis shape mismatch")
-        g64, _ = _int64(g)
+        g64 = self._gram64
+        if g64 is None:
+            g64, _ = _int64(g)
+        elif g64.dtype != np.int64 or g64.shape != g.shape:
+            raise ValueError("the int64 Gram must have the Gram's shape")
         if not (is_alternating(g) if g64 is None else (g64.T == -g64).all()):
             raise ValueError("gram matrix must be alternating")
         object.__setattr__(self, "_gram64", g64)
@@ -717,7 +785,7 @@ def gram_type(g, basis) -> tuple:
     r = g.shape[0]
     if r == 0:
         return ()
-    chain = _nonsingular_chain(g)
+    chain = _nonsingular_chain(g, alternating=True)
     if chain is None:
         ker = kernel(g)
         raise DegenerateFormError(

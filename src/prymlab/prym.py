@@ -18,6 +18,15 @@ and each scenario's own conditions in one place and reaches the verdict; a
 scenario body only computes. The conjecture probe gathers evidence for the
 open general-rank duality statement without asserting it, through the same
 routine (``_duality``) as the three duality theorems it extends.
+
+``_duality`` reaches P(X,delta) through the signed-index homology H(C), by
+identity b: over the rational base the trace J induces 0, so tS0 S0 = 1 -
+delta on homology. With the incidence S0 induced once as B: H(X) -> H(C)
+and tS0 once as A back, x = 1 - delta = A B and image(A B) = A image(B):
+delta is never induced, the elimination is B's (rank H(C) rows, not the
+square of rank H(X)), and the same A and B give ``mu_check``'s flags.
+``prym_tyurin_lattice``, which ``ptype`` prints and which builds no H(C),
+keeps the induced delta.
 """
 
 from __future__ import annotations
@@ -54,6 +63,15 @@ def _homology(datum: MonodromyDatum, orbit: OrbitKind) -> surface.CoverHomology:
     return surface.build_all(induce(datum, orbit))
 
 
+def _acts_as_q(xY, Y, q: int):
+    """``Y``, after checking that x acts on it as ``q``, given ``xY`` = x Y."""
+    if not mat_equal(xY, q * Y):
+        raise AssertionError(
+            "quadratic relation failed on homology; the model is inconsistent"
+        )
+    return Y
+
+
 def _prym_tyurin(H: surface.CoverHomology, phi, q: int) -> PolarizedLattice:
     """Saturated image of x = 1 - phi, with the restricted form, for an
     endomorphism ``phi`` of homology of exponent ``q``. Its relation
@@ -64,16 +82,23 @@ def _prym_tyurin(H: surface.CoverHomology, phi, q: int) -> PolarizedLattice:
     formed once, by ``lattice.eye_minus``, and handed as it is to every
     product and to the elimination."""
     x = lattice.eye_minus(phi)
+    x1 = (1 - phi.sum(axis=1)).reshape(-1, 1)  # x 1, the row sums of x
+    _acts_as_q(matmul(x, x1), x1, q)
+    Y = image(x)
+    return H.sublattice(saturate(_acts_as_q(matmul(x, Y), Y, q)))
 
-    def acts_as_q(Y):
-        if not mat_equal(matmul(x, Y), q * Y):
-            raise AssertionError(
-                "quadratic relation failed on homology; the model is inconsistent"
-            )
-        return Y
 
-    acts_as_q((1 - phi.sum(axis=1)).reshape(-1, 1))  # x 1, the row sums of x
-    return PolarizedLattice(H.gram, saturate(acts_as_q(image(x))))
+def _prym_tyurin_through(H: surface.CoverHomology, A, B, q: int) -> PolarizedLattice:
+    """``_prym_tyurin`` for x = A B, a map B out of H followed by a map A
+    back, with x never formed: x v is A (B v). The image of x is A times
+    the image of B, so the elimination is B's, with as many rows as B's
+    target has rank, and Y = A image(B) generates image(x). The relation is
+    checked as there: on x 1 first, then as ``x Y == q Y``. Y may have more
+    columns than the lattice has rank; saturating it gives the lattice."""
+    x1 = matmul(A, B.sum(axis=1).reshape(-1, 1))
+    _acts_as_q(matmul(A, matmul(B, x1)), x1, q)
+    Y = matmul(A, image(B))
+    return H.sublattice(saturate(_acts_as_q(matmul(A, matmul(B, Y)), Y, q)))
 
 
 def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
@@ -115,6 +140,14 @@ class MuCheck(NamedTuple):
     scaling: bool
 
 
+def _incidence(HX: surface.CoverHomology, HC: surface.CoverHomology):
+    """``(A, B)``: the incidence S0 induced as B from the spinor homology
+    ``HX`` to the signed-index homology ``HC``, and its transpose tS0 as A
+    back."""
+    s0 = corr.make_S0(HX.cover.datum.n).matrix
+    return surface.induced_map_all(HC, HX, s0.T), surface.induced_map_all(HX, HC, s0)
+
+
 def mu_check(
     HX: surface.CoverHomology, HC: surface.CoverHomology, pprime: PolarizedLattice
 ) -> MuCheck:
@@ -132,22 +165,25 @@ def mu_check(
         raise ValueError("checks run over the rational base only")
     if len(HC.parts) != 1:
         raise ValueError("signed-index cover must be connected")
-    n = datum.n
-    s0 = corr.make_S0(n).matrix
-    s0_h = surface.induced_map_all(HX, HC, s0)
+    return _mu(HX, pprime, *_incidence(HX, HC))
+
+
+def _mu(HX: surface.CoverHomology, pprime: PolarizedLattice, A, B) -> MuCheck:
+    """``mu_check``'s flags from the induced incidence B: H(X) -> H(C) and
+    its transpose A back. The scaling compares two restricted Grams: that of
+    A P' in H(X) and ``2**(n-1)`` times that of P'."""
     prym_basis = pprime.basis
     try:
-        coords = solve_exact(prym_basis, s0_h)
+        coords = solve_exact(prym_basis, B)
     except ValueError:
         # image escapes the Prym lattice: certainly not onto it
         return MuCheck(False, False)
     chain = divisors(coords)
     surjective = len(chain) == prym_basis.shape[1] and all(d == 1 for d in chain)
-    ts0_h = surface.induced_map_all(HC, HX, s0.T)
-    lifted = matmul(ts0_h, prym_basis)
+    lifted = HX.sublattice(matmul(A, prym_basis))
     scaling = mat_equal(
-        matmul(matmul(lifted.T, HX.gram), lifted),
-        exponent(n) * matmul(matmul(prym_basis.T, HC.gram), prym_basis),
+        lifted.restricted_gram(),
+        exponent(HX.cover.datum.n) * pprime.restricted_gram(),
     )
     return MuCheck(surjective, scaling)
 
@@ -231,12 +267,22 @@ def _full_d(datum: MonodromyDatum) -> bool:
 def _duality(datum: MonodromyDatum):
     """The duality statement on one datum, each cover built once: the spinor
     homology HX, P(X,delta) in it, P(C,C') in the signed-index homology and
-    ``mu_check``'s flags for the incidence between the two."""
+    ``mu_check``'s flags for the incidence between the two.
+
+    P(X,delta) comes through H(C), by identity b: over the rational base J
+    induces 0, so tS0 S0 = 1 - delta on homology. With S0 induced once as
+    B: H(X) -> H(C) and tS0 as A back, x = 1 - delta = A B, and
+    image(A B) = A image(B). So delta is not induced, and the elimination
+    is B's, rank H(C) by rank H(X), not the square 1 - delta of rank H(X).
+    The relation x (x - q) = 0 is checked on x 1 and on A image(B), and the
+    same A and B give the flags. The basis may differ from
+    ``prym_tyurin_lattice``'s; the lattice, and so its type, is the same."""
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
-    pt, _ = prym_tyurin_lattice(HX)
+    A, B = _incidence(HX, HC)
+    pt = _prym_tyurin_through(HX, A, B, exponent(datum.n))
     pprime = prym_lattice(HC, corr.negation_matrix(datum.n))
-    return HX, pt, pprime, mu_check(HX, HC, pprime)
+    return HX, pt, pprime, _mu(HX, pprime, A, B)
 
 
 def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):
@@ -302,9 +348,7 @@ def _scenario_recillas_a3(res: PrymResult, datum, ds, dl):
     res.computed["g(X)"] = HC.genus_total
     # the pairs cover factors through an etale double of a trisection
     res.predicted["g(X)"] = 2 * (dl // 2 - 2) - 1
-    res.computed["type JC"] = ptype(
-        PolarizedLattice(HX.parts[0].gram, eye(HX.parts[0].genus2))
-    )
+    res.computed["type JC"] = ptype(HX.parts[0].sublattice(eye(HX.parts[0].genus2)))
     res.predicted["type JC"] = (1,) * g_c
     pxxp = prym_lattice(HC, corr.negation_matrix(3))
     res.computed["type P(X,X')"] = ptype(pxxp)

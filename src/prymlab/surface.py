@@ -58,12 +58,14 @@ its own bound check (``max|B|^2`` times at most E terms) then holds too.
 Products with a fiber matrix, whose entries are the caller's, go through
 ``lattice._product`` and ``lattice._sparse_product``, which check
 ``matmul``'s bound on each call and run on Python ints where it fails.
-Every matrix that leaves this module is an object array of Python ints.
+Every matrix that leaves this module is an object array of Python ints,
+but the checked int64 Gram, which the homology hands only to
+``lattice.PolarizedLattice`` for its sublattices (``sublattice``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,7 +200,7 @@ class HomologyModel:
         # relations: face boundaries in non-tree coordinates
         m = len(self.nontree)
         pos = {e: i for i, e in enumerate(self.nontree)}
-        rel = zeros(m, len(self.faces))
+        rel = np.zeros((m, len(self.faces)), dtype=np.int64)
         for t, chain in enumerate(self.faces):
             for e, c in chain.items():
                 if not in_tree[e]:
@@ -212,7 +214,8 @@ class HomologyModel:
         self.genus = self.genus2 // 2
         if self.genus != _cover.genus(self.cover):
             raise AssertionError("homology rank disagrees with the genus count")
-        # the one conversion to int64, under the bound of the module docstring
+        # the transforms as the elimination left them, int64 unless they
+        # outgrew it, under the bound of the module docstring
         C, c_max = lattice._int64(U[r:])
         cycles, b_max = lattice._int64(Uinv[:, r:])
         beta = max(c_max or 0, b_max or 0)
@@ -287,7 +290,13 @@ class HomologyModel:
             raise AssertionError("intersection form is not alternating")
         if self.genus2 and abs(lattice.det(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
+        self.gram64 = gram
         self.gram = gram.astype(object)
+
+    def sublattice(self, basis) -> lattice.PolarizedLattice:
+        """The sublattice spanned by the columns of ``basis``, with the
+        intersection form, read from the int64 Gram checked here."""
+        return lattice.PolarizedLattice(self.gram, basis, self.gram64)
 
 
 def check_equivariance(fiber, src_perms, dst_perms) -> None:
@@ -299,11 +308,14 @@ def check_equivariance(fiber, src_perms, dst_perms) -> None:
         raise EquivarianceError(
             f"fiber matrix shape {fiber.shape} does not match degrees {degrees}"
         )
-    for ps, pd in zip(src_perms, dst_perms):
-        if not lattice.mat_equal(fiber[np.ix_(ps, pd)], fiber):
-            raise EquivarianceError(
-                "fiber matrix does not commute with the monodromy action"
-            )
+    f64, _ = lattice._int64(fiber)
+    f = fiber if f64 is None else f64
+    # every pair at once: moved[k, i, j] = fiber[p_k[i], q_k[j]]
+    ps, pd = np.asarray(src_perms), np.asarray(dst_perms)
+    if not (f[ps[:, :, None], pd[:, None, :]] == f).all():
+        raise EquivarianceError(
+            "fiber matrix does not commute with the monodromy action"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +325,16 @@ def check_equivariance(fiber, src_perms, dst_perms) -> None:
 @dataclass(frozen=True)
 class CoverHomology:
     """Homology of a possibly disconnected cover: the direct sum of the
-    component models, with block-diagonal Gram."""
+    component models, with block-diagonal Gram. ``gram64`` is the same
+    Gram in int64, assembled from the components' checked ones; its
+    sublattices read it."""
 
     cover: CoverModel
     parts: tuple
     part_labels: tuple
     gram: np.ndarray
     offsets: tuple
+    gram64: np.ndarray = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -329,6 +344,11 @@ class CoverHomology:
     def genus_total(self) -> int:
         return self.rank // 2
 
+    def sublattice(self, basis) -> lattice.PolarizedLattice:
+        """The sublattice spanned by the columns of ``basis``, with the
+        intersection form, read from the int64 Gram."""
+        return lattice.PolarizedLattice(self.gram, basis, self.gram64)
+
 
 def build_all(cover_model: CoverModel) -> CoverHomology:
     comps = components(cover_model)
@@ -336,20 +356,22 @@ def build_all(cover_model: CoverModel) -> CoverHomology:
     for comp in comps:
         sub = cover_model if len(comps) == 1 else _cover.component_cover(cover_model, comp)
         parts.append(HomologyModel(sub))
-    total = sum(p.genus2 for p in parts)
-    gram = zeros(total, total)
-    offsets = []
-    at = 0
-    for p in parts:
-        offsets.append(at)
-        gram[at:at + p.genus2, at:at + p.genus2] = p.gram
-        at += p.genus2
+    offsets = np.cumsum([0] + [p.genus2 for p in parts]).tolist()
+    if len(parts) == 1:
+        gram64, gram = parts[0].gram64, parts[0].gram
+    else:
+        total = offsets[-1]
+        gram64 = np.zeros((total, total), dtype=np.int64)
+        for p, at in zip(parts, offsets):
+            gram64[at:at + p.genus2, at:at + p.genus2] = p.gram64
+        gram = gram64.astype(object)
     return CoverHomology(
         cover=cover_model,
         parts=tuple(parts),
         part_labels=tuple(tuple(c) for c in comps),
         gram=gram,
-        offsets=tuple(offsets),
+        offsets=tuple(offsets[:-1]),
+        gram64=gram64,
     )
 
 

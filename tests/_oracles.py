@@ -10,9 +10,11 @@ permutations, the reference for the library's closure on image tuples. The
 Smith elimination on lists of Python ints, one row or column operation at a
 time on all four transforms, is the reference for the library's vectorised
 one, and integral solving by U b after that elimination is the reference
-for the library's solving with b carried through it. The entry-by-entry
-equivariance check under every reflection is the reference for the
-library's check on the simple reflections.
+for the library's solving with b carried through it. The elimination
+modulo the determinant on lists, one entry at a time, is the reference for
+the library's whole-line one. The entry-by-entry equivariance check under
+every reflection is the reference for the library's check on the simple
+reflections.
 Orbit actions pushed through label values one sign at a time, and fiber
 matrices built from Python sets of those values, are the references for the
 library's closed forms on label positions and masks. Two helpers at the end
@@ -21,7 +23,7 @@ only compose library calls for tests that use them.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -473,6 +475,67 @@ def weight_vectors_by_values(n, weight):
         tuple(Fraction(-1, 2) if j in A else Fraction(1, 2) for j in range(1, n + 1))
         for A in _subsets(n)
     ]
+
+
+# -- the divisor chain modulo the determinant ---------------------------------
+
+
+def chain_mod_lists(rows, D: int) -> tuple:
+    """Divisor chain of a nonsingular n x n integer matrix with ``|det| == D``,
+    by Smith elimination modulo D (Cohen, Alg. 2.4.14; no transforms), on
+    lists of Python ints one entry at a time: the reference for the
+    library's whole-line ``lattice._chain_mod``.
+
+    The column span L contains D Z^n, and unimodular row operations keep it
+    there, so adding D-multiples to entries leaves L unchanged: every entry
+    stays in [0, D). Once column t is cleared, its pivot p spans, together
+    with D e_t, the same as gcd(p, D); a block that is zero mod D gives D.
+    """
+    n = len(rows)
+    a = [[int(x) % D for x in row] for row in rows]
+    chain = []
+    for t in range(n):
+        nonzero = [(a[i][j], i, j) for i in range(t, n) for j in range(t, n) if a[i][j]]
+        if not nonzero:
+            chain += [D] * (n - t)
+            break
+        _, i, j = min(nonzero)
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:  # rows above t are zero from column t on
+            row[t], row[j] = row[j], row[t]
+        while True:
+            # clear column t by Euclid between row t and each row below; a
+            # pivot dividing the entry stays the pivot
+            for i in range(t + 1, n):
+                while a[i][t]:
+                    ri, rt = a[i], a[t]
+                    q = ri[t] // rt[t]
+                    for c in range(t, n):
+                        ri[c] = (ri[c] - q * rt[c]) % D
+                    if ri[t]:
+                        a[i], a[t] = rt, ri
+            d = a[t][t] = gcd(a[t][t], D)
+            # column t is d e_t, so column operations reduce row t mod d; a
+            # remainder, swapped in, is a smaller pivot
+            j = next((j for j in range(t + 1, n) if a[t][j] % d), None)
+            if j is not None:
+                a[t][j] %= d
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                continue
+            for j in range(t + 1, n):
+                a[t][j] = 0
+            # the pivot must divide the remaining block
+            i = next(
+                (i for i in range(t + 1, n) if any(x % d for x in a[i][t + 1:])), None
+            )
+            if i is None:
+                break
+            a[t][t + 1:] = a[i][t + 1:]  # row t += row i
+        chain.append(d)
+    if prod(chain) != D:
+        raise AssertionError("modular divisor chain self-check failed")
+    return tuple(chain)
 
 
 # -- integral solving through the full transforms ------------------------------

@@ -471,3 +471,16 @@ def test_verify_identity_failure_exits_one_with_witness(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    predict = ("predict", "--n", "3", "--ds", "4", "--dl", "6")
+    code, as_json, _ = _run(capsys, "--format", "json", *predict)
+    assert code == 0 and json.loads(as_json)["types"]
+    # the next call falls back to text, not to the json given before
+    code, as_text, _ = _run(capsys, *predict)
+    assert code == 0 and not as_text.startswith("{") and "(2, 4)" in as_text
+    code, out, err = _run(capsys, "predict", "--n", "3")
+    assert (code, out) == (2, "") and "required" in err
+    assert _run(capsys, *predict) == (0, as_text, "")

@@ -2,7 +2,7 @@ import inspect
 import itertools
 import random
 import sys
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     _snf_state,
+    chain_mod_lists,
     contains_via_u,
     det_cofactor,
     det_fraction_free,
@@ -337,6 +338,54 @@ def test_modular_chain_invariant_under_unimodular_change(M, data):
     assert divisors(U @ M @ V) == divisors(M)
 
 
+@st.composite
+def _chain_inputs(draw):
+    """A nonsingular square matrix, alternating or not, with entries small
+    enough for int64 rows modulo |det| or large enough to need Python ints."""
+    alternating = draw(st.booleans())
+    k = draw(st.integers(min_value=1, max_value=3 if alternating else 6))
+    size = 2 * k if alternating else k
+    bits = draw(st.sampled_from([2, 4, 4, 20, 40]))
+    entries = st.integers(min_value=-(2**bits), max_value=2**bits)
+    M = intmat([[draw(entries) for _ in range(size)] for _ in range(size)])
+    if alternating:
+        M = M - M.T
+    # a common factor of row 0 (and column 0, to stay alternating) forces
+    # nontrivial divisors
+    c = draw(st.integers(min_value=1, max_value=4))
+    M[0] = M[0] * c
+    if alternating:
+        M[:, 0] = M[:, 0] * c
+    assume(det(M) != 0)
+    return M, alternating
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_inputs())
+@example((intmat([[2**40, 0], [0, 6]]), False))
+@example((intmat([[0, 2**33], [-(2**33), 0]]), True))
+@example((intmat([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), False))
+def test_modular_chain_matches_the_list_reference(case):
+    M, alternating = case
+    D = abs(det(M))
+    want = chain_mod_lists(to_lists(M), D)
+    assert lattice._chain_mod(M, D) == want
+    assert lattice._nonsingular_chain(M, alternating) == want
+    if alternating:
+        # modulo the Pfaffian alone, the same chain
+        assert lattice._chain_mod(M, isqrt(D)) == want
+
+
+def test_modular_chain_runs_in_int64_below_the_square_bound():
+    # D^2 + D < 2^63 keeps int64 rows; past it the rows stay Python ints
+    assert 3037000499 ** 2 + 3037000499 < 2**63 <= 3037000500 ** 2 + 3037000500
+    for D, int64_rows in ((3037000499, True), (3037000500, False)):
+        M = intmat([[D, 0], [0, 1]])
+        chain, run = _traced(lattice._chain_mod, M, D)
+        assert chain == chain_mod_lists(to_lists(M), D) == (1, D)
+        assert ("a = a.astype(np.int64)" in run) is int64_rows
+
+
 def test_modular_chain_keeps_dividing_pivot():
     # the pivot 2 divides the other entries of its row and column
     M = intmat([[2, 4, 6], [4, 2, 8], [6, 8, 2]])
@@ -522,8 +571,17 @@ def test_det_accepts_int64_input():
 _WANTS = [w for k in range(4) for w in itertools.combinations(("u", "uinv", "v"), k)]
 
 
+def _working_arrays(*mats) -> bool:
+    """Whether ``_eliminate``'s arrays are what it works on: all int64, or
+    all object arrays of Python ints (they switch together)."""
+    if all(mat.dtype == np.int64 for mat in mats):
+        return True
+    return all(mat.dtype == object and all(type(x) is int for x in mat.flat) for mat in mats)
+
+
 def _assert_engines_agree(rows, m, n):
-    """Equal D, rank and transforms for every ``want``, all Python ints."""
+    """Equal D, rank and transforms for every ``want``, as working arrays;
+    the public wrappers hand out Python ints."""
     ref = _snf_state(_object_matrix(rows, m, n))
     transforms = {"u": ref.u, "uinv": ref.uinv, "v": ref.v}
     rank = sum(1 for i in range(min(m, n)) if ref.a[i][i] != 0)
@@ -531,8 +589,10 @@ def _assert_engines_agree(rows, m, n):
         d, r, *got = lattice._eliminate(_object_matrix(rows, m, n), want)
         assert (to_lists(d), r) == (ref.a, rank)
         assert [to_lists(mat) for mat in got] == [transforms[name] for name in want]
-        for mat in (d, *got):
-            assert mat.dtype == object and all(type(x) is int for x in mat.flat)
+        assert _working_arrays(d, *got)
+    mat = _object_matrix(rows, m, n)
+    for out in (image(mat), saturate(mat), kernel(mat), *snf(mat)):
+        assert out.dtype == object and all(type(x) is int for x in out.flat)
 
 
 @st.composite
@@ -762,7 +822,7 @@ def test_elimination_carries_rhs_as_u_times_it(case):
         assert same[1] == plain[1]
         assert [to_lists(x) for x in same[:1] + same[2:]] == [
             to_lists(x) for x in plain[:1] + plain[2:]]
-        assert carried.dtype == object and all(type(x) is int for x in carried.flat)
+        assert _working_arrays(*same[:1], *same[2:], carried)
         assert to_lists(carried) == expected
 
 

@@ -3,12 +3,13 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
-from prymlab import cli, corr, cover, prym, surface
+from prymlab import cli, corr, cover, lattice, prym, surface
 from prymlab.cover import MonodromyDatum, induce, random_simple
-from prymlab.errors import DisconnectedError, RankError, ScenarioError
-from prymlab.lattice import eye, mat_equal, matmul, ptype, zeros
+from prymlab.errors import DisconnectedError, EquivarianceError, RankError, ScenarioError
+from prymlab.lattice import eye, lattices_equal, mat_equal, matmul, ptype, zeros
 from prymlab.prym import (
     conjecture_probe,
     conjectured_type,
@@ -497,3 +498,129 @@ def test_cli_ptype_builds_its_cover_once(builds, orbit, capsys):
     path = os.path.join(os.path.dirname(__file__), "..", "data", "theorem2_b3.json")
     assert cli.main(["ptype", path, "--orbit", orbit]) == 0
     assert [o.value for _, o in builds] == [orbit]
+
+
+# -- P(X,delta) through H(C) on the duality path (identity b) -----------------
+
+# seeded data at ranks 2..5; (4,2,6) and (5,2,8) have P(C,C') = 0, and
+# (3,0,10) a split spinor cover
+DUALITY_DATA = [
+    (2, 4, 4, 0), (3, 4, 6, 1), (3, 0, 10, 2), (3, 6, 4, 2), (4, 4, 8, 5),
+    (4, 2, 6, 0), (4, 0, 12, 0), (5, 2, 8, 0), (5, 0, 12, 0),
+]
+
+
+@pytest.mark.parametrize("n,ds,dl,seed", DUALITY_DATA)
+def test_duality_lattice_equals_prym_tyurin_lattice(n, ds, dl, seed):
+    datum = random_simple(n, ds, dl, seed)
+    HX, pt, pprime, mu = prym._duality(datum)
+    L, _ = prym_tyurin_lattice(HX)
+    assert lattices_equal(pt.basis, L.basis)
+    assert pt.rank == L.rank and ptype(pt) == ptype(L)
+    HC = _build(datum, OrbitKind.VECTOR)
+    assert mu == mu_check(HX, HC, prym_lattice(HC, corr.negation_matrix(n)))
+    if (n, ds, dl) in ((4, 2, 6), (5, 2, 8)):
+        assert pprime.rank == 0 and pt.rank == 0
+
+
+@pytest.mark.parametrize("n,ds,dl,seed", [(3, 4, 6, 1), (4, 4, 8, 5), (4, 0, 12, 0)])
+def test_incidence_maps_compose_to_one_minus_delta(n, ds, dl, seed):
+    # identity b at homology level, on the maps _duality uses: tS0 S0 = 1 - delta
+    datum = random_simple(n, ds, dl, seed)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    A, B = prym._incidence(HX, HC)
+    delta = surface.induced_map_all(HX, HX, corr.make_D(n).matrix)
+    assert mat_equal(matmul(A, B), eye(HX.rank) - delta)
+
+
+def test_duality_induces_no_delta_and_eliminates_no_square_of_rank_hx(monkeypatch):
+    datum = random_simple(4, 12, 16, seed=1)
+    rank_hx = _build(datum, OrbitKind.SPINOR).rank
+    assert rank_hx >= 100
+
+    def no_delta(n):
+        raise AssertionError("the duality path induced delta")
+
+    shapes, differences = [], []
+    engine, eye_minus = lattice._eliminate, lattice.eye_minus
+
+    def recording(mat, want=(), rhs=None):
+        shapes.append(np.shape(mat))
+        return engine(mat, want, rhs)
+
+    def recording_difference(phi):
+        differences.append(np.shape(phi))
+        return eye_minus(phi)
+
+    monkeypatch.setattr(corr, "make_D", no_delta)
+    monkeypatch.setattr(lattice, "_eliminate", recording)
+    monkeypatch.setattr(lattice, "eye_minus", recording_difference)
+    prym.probe_trial(4, 12, 16, 1)
+    assert shapes and (rank_hx, rank_hx) not in shapes
+    # 1 - iota on H(C) alone
+    assert differences and all(rows < rank_hx for rows, _ in differences)
+
+
+def _patch_S0(monkeypatch, change):
+    """Replace ``corr.make_S0`` by the fiber matrix ``change(S0)``."""
+    make_S0 = corr.make_S0
+
+    def changed(n):
+        return corr.FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.VECTOR,
+                                change(make_S0(n).matrix.copy()))
+
+    monkeypatch.setattr(corr, "make_S0", changed)
+
+
+def _bump_first_entry(m):
+    m[0, 0] += 1
+    return m
+
+
+def test_duality_rejects_a_mutated_incidence_fiber(monkeypatch):
+    datum = random_simple(4, 4, 8, seed=5)
+    # one entry changed: the matrix no longer commutes with the group
+    _patch_S0(monkeypatch, _bump_first_entry)
+    with pytest.raises(EquivarianceError):
+        prym._duality(datum)
+    monkeypatch.undo()
+    # twice S0 commutes with the group, but A B is then 4 (1 - delta)
+    _patch_S0(monkeypatch, lambda m: 2 * m)
+    with pytest.raises(AssertionError, match="quadratic relation failed"):
+        prym._duality(datum)
+
+
+def test_duality_rejects_a_mutated_entry_of_the_induced_incidence(monkeypatch):
+    datum = random_simple(4, 4, 8, seed=5)
+    real = surface.induced_map_all
+    for i, j in [(0, 0), (1, 7), (3, 20), (5, 33), (7, 11), (9, 2)]:
+        def mutated(src, dst, fiber, i=i, j=j):
+            out = real(src, dst, fiber)
+            if (src.cover.orbit, dst.cover.orbit) == (OrbitKind.SPINOR, OrbitKind.VECTOR):
+                out = out.copy()
+                out[i % out.shape[0], j % out.shape[1]] += 1
+            return out
+
+        monkeypatch.setattr(surface, "induced_map_all", mutated)
+        with pytest.raises(AssertionError, match="quadratic relation failed"):
+            prym._duality(datum)
+
+
+def test_duality_checks_the_relation_on_the_image_past_x1():
+    # B + e_0 w^T, for w orthogonal to 1 and to x 1, leaves x 1 and x (x 1)
+    # as they were, so only the check on A image(B) can catch it
+    datum = random_simple(4, 4, 8, seed=5)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    A, B = prym._incidence(HX, HC)
+    q = prym.exponent(4)
+    ones = np.full((HX.rank, 1), 1, dtype=object)
+    x1 = matmul(A, matmul(B, ones))
+    w = lattice.kernel(np.concatenate([ones, x1], axis=1).T)[:, :1]
+    e0 = zeros(B.shape[0], 1)
+    e0[0, 0] = 1
+    bad = B + matmul(e0, w.T)
+    assert mat_equal(matmul(A, matmul(bad, ones)), x1)
+    assert mat_equal(matmul(A, matmul(bad, x1)), q * x1)
+    assert prym._prym_tyurin_through(HX, A, B, q).rank == 4
+    with pytest.raises(AssertionError, match="quadratic relation failed"):
+        prym._prym_tyurin_through(HX, A, bad, q)

@@ -286,3 +286,33 @@ def test_induced_maps_match_substitution_oracle(n, ds, dl, seed):
                     col += cls
                 want.append(col)
         assert to_lists(got.T) == want
+
+
+def _commutes_pair_by_pair(fiber, src_perms, dst_perms) -> bool:
+    """fiber[p[i], q[j]] == fiber[i, j] for every pair, one pair at a time."""
+    return all(
+        fiber[ps[i], pd[j]] == fiber[i, j]
+        for ps, pd in zip(src_perms, dst_perms)
+        for i in range(len(ps)) for j in range(len(pd))
+    )
+
+
+@pytest.mark.parametrize("big", [1, 2**70])
+def test_check_equivariance_gathers_every_pair_at_once(big):
+    rng = random.Random(5)
+    src = [[1, 0, 2, 3], [0, 1, 3, 2]]
+    dst = [[1, 0, 2], [0, 2, 1]]
+    # constant on the orbits of the pairs: the rows {0, 1} and {2, 3}
+    fiber = lattice.intmat([[big, big, big]] * 2 + [[3, 3, 3]] * 2)
+    assert _commutes_pair_by_pair(fiber, src, dst)
+    surface.check_equivariance(fiber, src, dst)
+    for _ in range(6):
+        bad = fiber.copy()
+        bad[rng.randrange(4), rng.randrange(3)] += 1
+        assert not _commutes_pair_by_pair(bad, src, dst)
+        with pytest.raises(EquivarianceError,
+                           match="^fiber matrix does not commute with the monodromy action$"):
+            surface.check_equivariance(bad, src, dst)
+    with pytest.raises(EquivarianceError,
+                       match=r"^fiber matrix shape \(4, 2\) does not match degrees \(4, 3\)$"):
+        surface.check_equivariance(fiber[:, :2], src, dst)

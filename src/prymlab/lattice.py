@@ -665,9 +665,18 @@ def image(mat) -> np.ndarray:
 
 
 def saturate(mat) -> np.ndarray:
-    """Basis of the smallest primitive sublattice containing the column span."""
-    _, r, uinv = _eliminate(mat, ("uinv",))
-    return _objects(uinv[:, :r])
+    """Basis of the smallest primitive sublattice containing the column span.
+
+    With ``U @ mat @ V == D``, the basis is the first r columns of U^-1.
+    For a matrix with more rows than columns V is the smaller transform,
+    and ``mat @ V == U^-1 @ D`` gives the same columns, each divided by its
+    pivot, without U^-1."""
+    rows, cols = np.shape(mat)
+    if cols >= rows:
+        _, r, uinv = _eliminate(mat, ("uinv",))
+        return _objects(uinv[:, :r])
+    d, r, V = _eliminate(mat, ("v",))
+    return matmul(mat, V[:, :r]) // _objects(np.diagonal(d)[:r])
 
 
 def _carried(a, b, want=()):
@@ -738,25 +747,20 @@ class PolarizedLattice:
     holds the sublattice generators as columns (full column rank). The Gram
     is read once, when the lattice is made: converted to int64 where its
     entries fit, checked to be alternating on that array, and kept so for
-    every ``restricted_gram``. A caller that already holds the same Gram in
-    int64 (``surface``'s homologies do) hands it in as ``_gram64``, and only
-    the check runs.
+    every ``restricted_gram``. A Gram given in int64 (``surface``'s
+    homologies hand theirs so) is kept without a copy.
     """
 
     gram: np.ndarray
     basis: np.ndarray
-    _gram64: np.ndarray = field(default=None, repr=False, compare=False)
+    _gram64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gram)
         b = np.asarray(self.basis)
         if g.shape[0] != g.shape[1] or g.shape[0] != b.shape[0]:
             raise ValueError("gram/basis shape mismatch")
-        g64 = self._gram64
-        if g64 is None:
-            g64, _ = _int64(g)
-        elif g64.dtype != np.int64 or g64.shape != g.shape:
-            raise ValueError("the int64 Gram must have the Gram's shape")
+        g64, _ = _int64(g)
         if not (is_alternating(g) if g64 is None else (g64.T == -g64).all()):
             raise ValueError("gram matrix must be alternating")
         object.__setattr__(self, "_gram64", g64)

@@ -21,12 +21,12 @@ routine (``_duality``) as the three duality theorems it extends.
 
 ``_duality`` reaches P(X,delta) through the signed-index homology H(C), by
 identity b: over the rational base the trace J induces 0, so tS0 S0 = 1 -
-delta on homology. With the incidence S0 induced once as B: H(X) -> H(C)
-and tS0 once as A back, x = 1 - delta = A B and image(A B) = A image(B):
-delta is never induced, the elimination is B's (rank H(C) rows, not the
-square of rank H(X)), and the same A and B give ``mu_check``'s flags.
-``prym_tyurin_lattice``, which ``ptype`` prints and which builds no H(C),
-keeps the induced delta.
+delta on homology. ``incidence_maps`` induces the incidence S0 once as
+B: H(X) -> H(C) and tS0 once as A back, so x = 1 - delta = A B and
+image(A B) = A image(B): handed that pair, ``prym_tyurin_lattice`` induces
+no delta and eliminates B (rank H(C) rows, not the square of rank H(X)),
+and ``mu_check`` reads its flags off the same A and B. Without it, as for
+``ptype``, which builds no H(C), ``prym_tyurin_lattice`` induces delta.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice
     return _prym_tyurin(H, surface.induced_map_all(H, H, fiber_involution), 2)
 
 
-def prym_tyurin_lattice(H: surface.CoverHomology):
+def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None):
     """Prym-Tyurin lattice in the homology of a subset-orbit cover, with a
     certificate that the induced endomorphism satisfies its quadratic
     relation exactly: the exponent-``2**(n-1)`` case of the routine behind
@@ -121,10 +121,18 @@ def prym_tyurin_lattice(H: surface.CoverHomology):
 
     Disconnected covers (index-2 monodromy) are handled per component, the
     correspondence acting across the two halves.
+
+    ``incidence``, the pair ``(A, B)`` that ``incidence_maps(H, HC)``
+    returns, takes x = 1 - delta as A B by identity b (the base is then
+    rational): delta is not induced, and the relation is checked on A B.
+    The lattice is the same, in another basis.
     """
     n = H.cover.datum.n
     q = exponent(n)
-    lat = _prym_tyurin(H, surface.induced_map_all(H, H, corr.make_D(n).matrix), q)
+    if incidence is None:
+        lat = _prym_tyurin(H, surface.induced_map_all(H, H, corr.make_D(n).matrix), q)
+    else:
+        lat = _prym_tyurin_through(H, *incidence, q)
     cert = {
         "exponent": q,
         "quadratic_relation": f"(delta - 1)(delta + {q - 1}) = 0 on homology",
@@ -140,24 +148,12 @@ class MuCheck(NamedTuple):
     scaling: bool
 
 
-def _incidence(HX: surface.CoverHomology, HC: surface.CoverHomology):
+def incidence_maps(HX: surface.CoverHomology, HC: surface.CoverHomology):
     """``(A, B)``: the incidence S0 induced as B from the spinor homology
     ``HX`` to the signed-index homology ``HC``, and its transpose tS0 as A
-    back."""
-    s0 = corr.make_S0(HX.cover.datum.n).matrix
-    return surface.induced_map_all(HC, HX, s0.T), surface.induced_map_all(HX, HC, s0)
-
-
-def mu_check(
-    HX: surface.CoverHomology, HC: surface.CoverHomology, pprime: PolarizedLattice
-) -> MuCheck:
-    """Whether the incidence correspondence from the spinor cover (homology
-    ``HX``) to the signed-index cover (``HC``) realises the duality isogeny
-    as an isomorphism: its homology map must cover the whole Prym lattice
-    ``pprime`` = P(C,C') of the signed-index cover, as ``prym_lattice(HC,
-    corr.negation_matrix(n))`` returns it (all elementary divisors 1), and
-    its transpose must scale the intersection form by ``2**(n-1)``.
-    """
+    back, after the standing checks of the duality statement: one datum,
+    the rational base (where identity b, A B = 1 - delta, holds) and a
+    connected ``HC``."""
     datum = HX.cover.datum
     if HC.cover.datum != datum:
         raise ValueError("covers come from different data")
@@ -165,13 +161,28 @@ def mu_check(
         raise ValueError("checks run over the rational base only")
     if len(HC.parts) != 1:
         raise ValueError("signed-index cover must be connected")
-    return _mu(HX, pprime, *_incidence(HX, HC))
+    s0 = corr.make_S0(datum.n).matrix
+    return surface.induced_map_all(HC, HX, s0.T), surface.induced_map_all(HX, HC, s0)
 
 
-def _mu(HX: surface.CoverHomology, pprime: PolarizedLattice, A, B) -> MuCheck:
-    """``mu_check``'s flags from the induced incidence B: H(X) -> H(C) and
-    its transpose A back. The scaling compares two restricted Grams: that of
-    A P' in H(X) and ``2**(n-1)`` times that of P'."""
+def mu_check(
+    HX: surface.CoverHomology,
+    HC: surface.CoverHomology,
+    pprime: PolarizedLattice,
+    incidence=None,
+) -> MuCheck:
+    """Whether the incidence correspondence from the spinor cover (homology
+    ``HX``) to the signed-index cover (``HC``) realises the duality isogeny
+    as an isomorphism: its homology map must cover the whole Prym lattice
+    ``pprime`` = P(C,C') of the signed-index cover, as ``prym_lattice(HC,
+    corr.negation_matrix(n))`` returns it (all elementary divisors 1), and
+    its transpose must scale the intersection form by ``2**(n-1)``: the
+    restricted Gram of tS0 P' in ``HX`` is ``2**(n-1)`` times that of P'.
+
+    ``incidence`` is ``incidence_maps(HX, HC)`` when the caller holds it
+    already; otherwise it is made here.
+    """
+    A, B = incidence_maps(HX, HC) if incidence is None else incidence
     prym_basis = pprime.basis
     try:
         coords = solve_exact(prym_basis, B)
@@ -271,18 +282,19 @@ def _duality(datum: MonodromyDatum):
 
     P(X,delta) comes through H(C), by identity b: over the rational base J
     induces 0, so tS0 S0 = 1 - delta on homology. With S0 induced once as
-    B: H(X) -> H(C) and tS0 as A back, x = 1 - delta = A B, and
-    image(A B) = A image(B). So delta is not induced, and the elimination
-    is B's, rank H(C) by rank H(X), not the square 1 - delta of rank H(X).
-    The relation x (x - q) = 0 is checked on x 1 and on A image(B), and the
-    same A and B give the flags. The basis may differ from
-    ``prym_tyurin_lattice``'s; the lattice, and so its type, is the same."""
+    B: H(X) -> H(C) and tS0 as A back (``incidence_maps``), x = 1 - delta
+    = A B, and image(A B) = A image(B). So delta is not induced, and the
+    elimination is B's, rank H(C) by rank H(X), not the square 1 - delta
+    of rank H(X). The relation x (x - q) = 0 is checked on x 1 and on
+    A image(B), and the same A and B give the flags. The basis may differ
+    from that of ``prym_tyurin_lattice(HX)``; the lattice, and so its
+    type, is the same."""
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
-    A, B = _incidence(HX, HC)
-    pt = _prym_tyurin_through(HX, A, B, exponent(datum.n))
+    incidence = incidence_maps(HX, HC)
+    pt, _ = prym_tyurin_lattice(HX, incidence)
     pprime = prym_lattice(HC, corr.negation_matrix(datum.n))
-    return HX, pt, pprime, _mu(HX, pprime, A, B)
+    return HX, pt, pprime, mu_check(HX, HC, pprime, incidence)
 
 
 def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):
@@ -348,7 +360,9 @@ def _scenario_recillas_a3(res: PrymResult, datum, ds, dl):
     res.computed["g(X)"] = HC.genus_total
     # the pairs cover factors through an etale double of a trisection
     res.predicted["g(X)"] = 2 * (dl // 2 - 2) - 1
-    res.computed["type JC"] = ptype(HX.parts[0].sublattice(eye(HX.parts[0].genus2)))
+    res.computed["type JC"] = ptype(
+        PolarizedLattice(HX.parts[0].gram, eye(HX.parts[0].genus2))
+    )
     res.predicted["type JC"] = (1,) * g_c
     pxxp = prym_lattice(HC, corr.negation_matrix(3))
     res.computed["type P(X,X')"] = ptype(pxxp)

@@ -59,8 +59,8 @@ Products with a fiber matrix, whose entries are the caller's, go through
 ``lattice._product`` and ``lattice._sparse_product``, which check
 ``matmul``'s bound on each call and run on Python ints where it fails.
 Every matrix that leaves this module is an object array of Python ints,
-but the checked int64 Gram, which the homology hands only to
-``lattice.PolarizedLattice`` for its sublattices (``sublattice``).
+but the checked int64 Gram, which a homology hands only to
+``lattice.PolarizedLattice``, for its sublattices (``sublattice``).
 """
 
 from __future__ import annotations
@@ -290,13 +290,8 @@ class HomologyModel:
             raise AssertionError("intersection form is not alternating")
         if self.genus2 and abs(lattice.det(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
-        self.gram64 = gram
+        self._gram64 = gram
         self.gram = gram.astype(object)
-
-    def sublattice(self, basis) -> lattice.PolarizedLattice:
-        """The sublattice spanned by the columns of ``basis``, with the
-        intersection form, read from the int64 Gram checked here."""
-        return lattice.PolarizedLattice(self.gram, basis, self.gram64)
 
 
 def check_equivariance(fiber, src_perms, dst_perms) -> None:
@@ -325,7 +320,7 @@ def check_equivariance(fiber, src_perms, dst_perms) -> None:
 @dataclass(frozen=True)
 class CoverHomology:
     """Homology of a possibly disconnected cover: the direct sum of the
-    component models, with block-diagonal Gram. ``gram64`` is the same
+    component models, with block-diagonal Gram. ``_gram64`` is the same
     Gram in int64, assembled from the components' checked ones; its
     sublattices read it."""
 
@@ -334,7 +329,7 @@ class CoverHomology:
     part_labels: tuple
     gram: np.ndarray
     offsets: tuple
-    gram64: np.ndarray = field(repr=False, compare=False)
+    _gram64: np.ndarray = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -346,8 +341,9 @@ class CoverHomology:
 
     def sublattice(self, basis) -> lattice.PolarizedLattice:
         """The sublattice spanned by the columns of ``basis``, with the
-        intersection form, read from the int64 Gram."""
-        return lattice.PolarizedLattice(self.gram, basis, self.gram64)
+        intersection form. The lattice keeps the int64 Gram as its ``gram``;
+        only ``lattice`` computes with it."""
+        return lattice.PolarizedLattice(self._gram64, basis)
 
 
 def build_all(cover_model: CoverModel) -> CoverHomology:
@@ -358,12 +354,12 @@ def build_all(cover_model: CoverModel) -> CoverHomology:
         parts.append(HomologyModel(sub))
     offsets = np.cumsum([0] + [p.genus2 for p in parts]).tolist()
     if len(parts) == 1:
-        gram64, gram = parts[0].gram64, parts[0].gram
+        gram64, gram = parts[0]._gram64, parts[0].gram
     else:
         total = offsets[-1]
         gram64 = np.zeros((total, total), dtype=np.int64)
         for p, at in zip(parts, offsets):
-            gram64[at:at + p.genus2, at:at + p.genus2] = p.gram64
+            gram64[at:at + p.genus2, at:at + p.genus2] = p._gram64
         gram = gram64.astype(object)
     return CoverHomology(
         cover=cover_model,
@@ -371,7 +367,7 @@ def build_all(cover_model: CoverModel) -> CoverHomology:
         part_labels=tuple(tuple(c) for c in comps),
         gram=gram,
         offsets=tuple(offsets[:-1]),
-        gram64=gram64,
+        _gram64=gram64,
     )
 
 

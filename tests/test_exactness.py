@@ -13,9 +13,11 @@ A third guard keeps fixed-width integers inside the two modules that bound
 them: no module but ``lattice.py`` and ``surface.py`` names ``int64``, and
 the matrices those two hand out are object arrays of Python ints, so the
 elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
-wraps. The one exception is ``lattice.eye_minus``, whose caller hands its
+wraps. The exceptions are ``lattice.eye_minus``, whose caller hands its
 result back to ``lattice``'s products and eliminations and computes nothing
-on it itself.
+on it itself, and the ``gram`` a homology's sublattice keeps, the checked
+int64 Gram, which only ``lattice`` reads: the restricted Gram it hands out
+is Python ints.
 """
 
 import ast
@@ -186,6 +188,7 @@ def test_matrices_leaving_surface_and_lattice_are_python_ints():
         "kernel": lattice.kernel(one - delta),
         "solve_exact": lattice.solve_exact(HC.gram, HC.gram),
         "matmul": lattice.matmul(s0, delta),
+        "restricted_gram": HX.sublattice(one).restricted_gram(),
     }
     for name, m in outputs.items():
         assert _python_ints(m), name

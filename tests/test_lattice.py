@@ -125,6 +125,25 @@ def test_saturate_keeps_primitive_basis():
     assert lattices_equal(saturate(M), M)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from([9, 2**40]),
+    st.data(),
+)
+def test_saturate_of_a_tall_matrix_is_the_first_columns_of_uinv(rows, cols, top, data):
+    # with more rows than columns saturate reads V: mat V = U^-1 D gives the
+    # very columns of U^-1 it read before, in int64 and on Python ints
+    assume(cols < rows)
+    entries = st.integers(min_value=-top, max_value=top)
+    M = intmat([[data.draw(entries) for _ in range(cols)] for _ in range(rows)])
+    _, r, uinv = lattice._eliminate(M, ("uinv",))
+    got = saturate(M)
+    assert got.dtype == object and got.shape == (rows, r)
+    assert to_lists(got) == to_lists(uinv[:, :r])
+
+
 def test_intersect_transverse_lines():
     A = intmat([[1], [0]])
     B = intmat([[0], [1]])

@@ -2,13 +2,20 @@ import json
 import os
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prymlab import cli, corr, cover, lattice, prym, surface
 from prymlab.cover import MonodromyDatum, induce, random_simple
-from prymlab.errors import DisconnectedError, EquivarianceError, RankError, ScenarioError
+from prymlab.errors import (
+    DisconnectedError,
+    EquivarianceError,
+    RankError,
+    ScenarioError,
+    UnsupportedError,
+)
 from prymlab.lattice import eye, lattices_equal, mat_equal, matmul, ptype, zeros
 from prymlab.prym import (
     conjecture_probe,
@@ -528,9 +535,33 @@ def test_incidence_maps_compose_to_one_minus_delta(n, ds, dl, seed):
     # identity b at homology level, on the maps _duality uses: tS0 S0 = 1 - delta
     datum = random_simple(n, ds, dl, seed)
     HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    A, B = prym._incidence(HX, HC)
+    A, B = prym.incidence_maps(HX, HC)
     delta = surface.induced_map_all(HX, HX, corr.make_D(n).matrix)
     assert mat_equal(matmul(A, B), eye(HX.rank) - delta)
+
+
+def test_duality_runs_its_standing_checks_before_identity_b():
+    # off the rational base A B = 1 - delta fails: no homology is built
+    # there, and the incidence maps are refused on their own as well
+    w = SignedPerm(2, (2, 1))
+    datum = MonodromyDatum(2, 1, (), ((w, w),))
+    with pytest.raises(UnsupportedError, match="genus-0 bases only"):
+        prym._duality(datum)
+    H = SimpleNamespace(cover=SimpleNamespace(datum=datum), parts=(None,))
+    with pytest.raises(ValueError, match="rational base only"):
+        prym.incidence_maps(H, H)
+
+
+def test_duality_runs_the_traced_lattice_and_flag_routines(monkeypatch):
+    # P(X,delta) and the flags come from the public names a tracer wraps
+    calls = []
+    for name in ("prym_tyurin_lattice", "mu_check", "incidence_maps"):
+        real = getattr(prym, name)
+        monkeypatch.setattr(
+            prym, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    prym._duality(random_simple(3, 4, 6, seed=1))
+    assert calls == ["incidence_maps", "prym_tyurin_lattice", "mu_check"]
 
 
 def test_duality_induces_no_delta_and_eliminates_no_square_of_rank_hx(monkeypatch):
@@ -611,7 +642,7 @@ def test_duality_checks_the_relation_on_the_image_past_x1():
     # as they were, so only the check on A image(B) can catch it
     datum = random_simple(4, 4, 8, seed=5)
     HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    A, B = prym._incidence(HX, HC)
+    A, B = prym.incidence_maps(HX, HC)
     q = prym.exponent(4)
     ones = np.full((HX.rank, 1), 1, dtype=object)
     x1 = matmul(A, matmul(B, ones))
@@ -621,6 +652,6 @@ def test_duality_checks_the_relation_on_the_image_past_x1():
     bad = B + matmul(e0, w.T)
     assert mat_equal(matmul(A, matmul(bad, ones)), x1)
     assert mat_equal(matmul(A, matmul(bad, x1)), q * x1)
-    assert prym._prym_tyurin_through(HX, A, B, q).rank == 4
+    assert prym_tyurin_lattice(HX, (A, B))[0].rank == 4
     with pytest.raises(AssertionError, match="quadratic relation failed"):
-        prym._prym_tyurin_through(HX, A, bad, q)
+        prym_tyurin_lattice(HX, (A, bad))

@@ -5,10 +5,11 @@ Every statement about an abelian subvariety is evaluated as its lattice
 shadow: the saturated sublattice of first homology it spans, carrying the
 restricted intersection form. Over the rational base the norm kernel is all
 of homology, so a Prym-Tyurin lattice of exponent q is the saturation of
-the image of 1 - phi for an endomorphism phi with (phi - 1)(phi + q - 1) = 0.
-One routine computes it: the Prym lattice of an involution is the case
-q = 2 (the anti-invariant image), and P(X,delta) of the subset-orbit
-correspondence the case q = 2**(n-1).
+the image of an endomorphism x with x (x - q) = 0, x = 1 - phi for phi with
+(phi - 1)(phi + q - 1) = 0. One routine, ``_prym_tyurin``, computes it from
+x given as a product of induced maps, never formed: the Prym lattice of an
+involution is the case q = 2 (x = 1 - iota, one map), and P(X,delta) of
+the subset-orbit correspondence the case q = 2**(n-1).
 
 Scenarios bundle the checks of the individual rank-2, rank-3 and rank-4
 statements: computed polarization types against predicted ones, lattice
@@ -22,11 +23,12 @@ routine (``_duality``) as the three duality theorems it extends.
 ``_duality`` reaches P(X,delta) through the signed-index homology H(C), by
 identity b: over the rational base the trace J induces 0, so tS0 S0 = 1 -
 delta on homology. ``incidence_maps`` induces the incidence S0 once as
-B: H(X) -> H(C) and tS0 once as A back, so x = 1 - delta = A B and
-image(A B) = A image(B): handed that pair, ``prym_tyurin_lattice`` induces
-no delta and eliminates B (rank H(C) rows, not the square of rank H(X)),
-and ``mu_check`` reads its flags off the same A and B. Without it, as for
-``ptype``, which builds no H(C), ``prym_tyurin_lattice`` induces delta.
+B: H(X) -> H(C) and tS0 once as A back, and the routine takes x = A B as
+the two maps (A, B): delta is not induced, and the one elimination is
+B's (rank H(C) rows, not the square of rank H(X)). ``mu_check`` reads its
+flags off the same A and B by containment. A caller with no H(C), as
+``ptype``, or one that needs delta itself induces delta and passes
+1 - delta as a single map.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .cover import MonodromyDatum, induce, random_simple
 from .errors import DisconnectedError, RankError, ScenarioError
 from .lattice import (
     PolarizedLattice,
-    divisors,
     dual_type,
     eye,
     image,
@@ -50,7 +51,7 @@ from .lattice import (
     matmul,
     ptype,
     saturate,
-    solve_exact,
+    zeros,
 )
 from .weyl import OrbitKind
 
@@ -72,33 +73,27 @@ def _acts_as_q(xY, Y, q: int):
     return Y
 
 
-def _prym_tyurin(H: surface.CoverHomology, phi, q: int) -> PolarizedLattice:
-    """Saturated image of x = 1 - phi, with the restricted form, for an
-    endomorphism ``phi`` of homology of exponent ``q``. Its relation
-    (phi - 1)(phi + q - 1) = 0 reads x (x - q) = 0: x acts as q on its image.
-    That is checked on x 1 (the row sums of x) before any elimination, then
-    as ``x Y == q Y`` on the image basis Y, which has as many columns as the
-    lattice has rank. For an involution (q = 2) it is phi^2 = 1. x is
-    formed once, by ``lattice.eye_minus``, and handed as it is to every
-    product and to the elimination."""
-    x = lattice.eye_minus(phi)
-    x1 = (1 - phi.sum(axis=1)).reshape(-1, 1)  # x 1, the row sums of x
-    _acts_as_q(matmul(x, x1), x1, q)
-    Y = image(x)
-    return H.sublattice(saturate(_acts_as_q(matmul(x, Y), Y, q)))
+def _through(maps, v):
+    """``maps[0] ... maps[-1] v``: the maps applied to ``v`` in turn, the
+    last one first."""
+    for m in reversed(maps):
+        v = matmul(m, v)
+    return v
 
 
-def _prym_tyurin_through(H: surface.CoverHomology, A, B, q: int) -> PolarizedLattice:
-    """``_prym_tyurin`` for x = A B, a map B out of H followed by a map A
-    back, with x never formed: x v is A (B v). The image of x is A times
-    the image of B, so the elimination is B's, with as many rows as B's
-    target has rank, and Y = A image(B) generates image(x). The relation is
-    checked as there: on x 1 first, then as ``x Y == q Y``. Y may have more
+def _prym_tyurin(H: surface.CoverHomology, maps, q: int) -> PolarizedLattice:
+    """Saturated image of x = maps[0] ... maps[-1], with the restricted form,
+    for an endomorphism x of homology with x (x - q) = 0 (for x = 1 - phi,
+    (phi - 1)(phi + q - 1) = 0): x acts as q on its image. x is never
+    formed; x v is the maps applied to v in turn, the last one first. The
+    relation is checked on x 1 before any elimination, then as
+    ``x Y == q Y`` on Y = maps[0] ... image(maps[-1]), which generates
+    image(x): the one elimination is the last map's. Y may have more
     columns than the lattice has rank; saturating it gives the lattice."""
-    x1 = matmul(A, B.sum(axis=1).reshape(-1, 1))
-    _acts_as_q(matmul(A, matmul(B, x1)), x1, q)
-    Y = matmul(A, image(B))
-    return H.sublattice(saturate(_acts_as_q(matmul(A, matmul(B, Y)), Y, q)))
+    x1 = _through(maps, zeros(maps[-1].shape[1], 1) + 1)
+    _acts_as_q(_through(maps, x1), x1, q)
+    Y = _through(maps[:-1], image(maps[-1]))
+    return H.sublattice(saturate(_acts_as_q(_through(maps, Y), Y, q)))
 
 
 def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
@@ -110,7 +105,8 @@ def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice
         raise DisconnectedError(
             "ordinary Prym lattice needs a connected cover", components=list(H.part_labels)
         )
-    return _prym_tyurin(H, surface.induced_map_all(H, H, fiber_involution), 2)
+    iota = surface.induced_map_all(H, H, fiber_involution)
+    return _prym_tyurin(H, [lattice.eye_minus(iota)], 2)
 
 
 def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None):
@@ -124,15 +120,15 @@ def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None):
 
     ``incidence``, the pair ``(A, B)`` that ``incidence_maps(H, HC)``
     returns, takes x = 1 - delta as A B by identity b (the base is then
-    rational): delta is not induced, and the relation is checked on A B.
-    The lattice is the same, in another basis.
+    rational): delta is not induced, and the one elimination is B's. The
+    lattice is the same, in another basis.
     """
     n = H.cover.datum.n
     q = exponent(n)
-    if incidence is None:
-        lat = _prym_tyurin(H, surface.induced_map_all(H, H, corr.make_D(n).matrix), q)
-    else:
-        lat = _prym_tyurin_through(H, *incidence, q)
+    maps = incidence
+    if maps is None:
+        maps = [lattice.eye_minus(surface.induced_map_all(H, H, corr.make_D(n).matrix))]
+    lat = _prym_tyurin(H, maps, q)
     cert = {
         "exponent": q,
         "quadratic_relation": f"(delta - 1)(delta + {q - 1}) = 0 on homology",
@@ -165,32 +161,27 @@ def incidence_maps(HX: surface.CoverHomology, HC: surface.CoverHomology):
     return surface.induced_map_all(HC, HX, s0.T), surface.induced_map_all(HX, HC, s0)
 
 
-def mu_check(
-    HX: surface.CoverHomology,
-    HC: surface.CoverHomology,
-    pprime: PolarizedLattice,
-    incidence=None,
-) -> MuCheck:
+def mu_check(HX: surface.CoverHomology, pprime: PolarizedLattice, incidence) -> MuCheck:
     """Whether the incidence correspondence from the spinor cover (homology
-    ``HX``) to the signed-index cover (``HC``) realises the duality isogeny
-    as an isomorphism: its homology map must cover the whole Prym lattice
-    ``pprime`` = P(C,C') of the signed-index cover, as ``prym_lattice(HC,
-    corr.negation_matrix(n))`` returns it (all elementary divisors 1), and
-    its transpose must scale the intersection form by ``2**(n-1)``: the
-    restricted Gram of tS0 P' in ``HX`` is ``2**(n-1)`` times that of P'.
+    ``HX``) to the signed-index cover realises the duality isogeny as an
+    isomorphism. ``incidence`` is the pair ``(A, B)`` that
+    ``incidence_maps(HX, HC)`` returns after the standing checks, and
+    ``pprime`` is P(C,C') as ``prym_lattice(HC, corr.negation_matrix(n))``
+    returns it.
 
-    ``incidence`` is ``incidence_maps(HX, HC)`` when the caller holds it
-    already; otherwise it is made here.
+    Surjective: the homology map B of the incidence maps onto P', image(B)
+    = P'. Two lattices are equal when each contains the other, so that is
+    image(B) in P' and P' in image(B); the coordinates of B in a basis of
+    P' then generate all of Z^rank P' (their elementary divisors are all
+    1). If B escapes P', neither flag holds. Scaling: the transpose A
+    scales the form by ``2**(n-1)``, the restricted Gram of A P' in ``HX``
+    being ``2**(n-1)`` times that of P'.
     """
-    A, B = incidence_maps(HX, HC) if incidence is None else incidence
+    A, B = incidence
     prym_basis = pprime.basis
-    try:
-        coords = solve_exact(prym_basis, B)
-    except ValueError:
-        # image escapes the Prym lattice: certainly not onto it
+    if not lattice.contains(prym_basis, B):
         return MuCheck(False, False)
-    chain = divisors(coords)
-    surjective = len(chain) == prym_basis.shape[1] and all(d == 1 for d in chain)
+    surjective = lattice.contains(B, prym_basis)
     lifted = HX.sublattice(matmul(A, prym_basis))
     scaling = mat_equal(
         lifted.restricted_gram(),
@@ -281,20 +272,21 @@ def _duality(datum: MonodromyDatum):
     ``mu_check``'s flags for the incidence between the two.
 
     P(X,delta) comes through H(C), by identity b: over the rational base J
-    induces 0, so tS0 S0 = 1 - delta on homology. With S0 induced once as
-    B: H(X) -> H(C) and tS0 as A back (``incidence_maps``), x = 1 - delta
-    = A B, and image(A B) = A image(B). So delta is not induced, and the
-    elimination is B's, rank H(C) by rank H(X), not the square 1 - delta
-    of rank H(X). The relation x (x - q) = 0 is checked on x 1 and on
-    A image(B), and the same A and B give the flags. The basis may differ
-    from that of ``prym_tyurin_lattice(HX)``; the lattice, and so its
-    type, is the same."""
+    induces 0, so tS0 S0 = 1 - delta on homology. ``incidence_maps``
+    induces S0 once as B: H(X) -> H(C) and tS0 as A back, and
+    ``prym_tyurin_lattice`` runs the one Prym-Tyurin routine on the maps
+    (A, B), x = A B: delta is not induced, the relation x (x - q) = 0 is
+    checked on x 1 and on Y = A image(B), and the elimination is B's, rank
+    H(C) by rank H(X), not the square 1 - delta of rank H(X). The same A
+    and B give the flags. The basis may differ from that of
+    ``prym_tyurin_lattice(HX)``; the lattice, and so its type, is the
+    same."""
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
     incidence = incidence_maps(HX, HC)
     pt, _ = prym_tyurin_lattice(HX, incidence)
     pprime = prym_lattice(HC, corr.negation_matrix(datum.n))
-    return HX, pt, pprime, mu_check(HX, HC, pprime, incidence)
+    return HX, pt, pprime, mu_check(HX, pprime, incidence)
 
 
 def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):
@@ -329,7 +321,8 @@ def _scenario_theorem2_b3(res: PrymResult, datum, ds, dl):
 def _scenario_hyperelliptic_4xi(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
-    pt, _ = prym_tyurin_lattice(HX)
+    lift, B = incidence_maps(HX, HC)
+    pt, _ = prym_tyurin_lattice(HX, (lift, B))
     pred = _cover.predict(datum.n, ds, dl, 0)
     res.computed["type P(X,delta)"] = ptype(pt)
     res.predicted["type P(X,delta)"] = pred.types["P(X,delta)"]
@@ -337,8 +330,6 @@ def _scenario_hyperelliptic_4xi(res: PrymResult, datum, ds, dl):
     res.predicted["g(C)"] = pred.genera["C"]
     # transpose incidence carries the whole Jacobian onto the lattice,
     # scaling the form by the exponent 4
-    s0 = corr.make_S0(3).matrix
-    lift = surface.induced_map_all(HC, HX, s0.T)
     lands = lattice.contains(pt.basis, lift)
     res.checks["lift lands in P(X,delta)"] = lands
     res.checks["lift is a lattice bijection"] = (
@@ -413,9 +404,9 @@ def _scenario_b3_complement(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     HY = _homology(datum, OrbitKind.PARITY)
     delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
-    pt = _prym_tyurin(HX, delta, exponent(3))
+    pt = _prym_tyurin(HX, [lattice.eye_minus(delta)], exponent(3))
     sigma = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
-    pxxp = _prym_tyurin(HX, sigma, 2)
+    pxxp = _prym_tyurin(HX, [lattice.eye_minus(sigma)], 2)
     push = surface.induced_map_all(HX, HY, corr.parity_incidence(3))
     pull = surface.induced_map_all(HY, HX, corr.parity_incidence(3).T)
     ker_in_pxx = intersect(pxxp.basis, lattice.kernel(push))
@@ -432,9 +423,9 @@ def _scenario_b3_complement(res: PrymResult, datum, ds, dl):
 def _scenario_b4_structure(res: PrymResult, datum, ds, dl):
     HX = _homology(datum, OrbitKind.SPINOR)
     delta = surface.induced_map_all(HX, HX, corr.make_D(4).matrix)
-    pt = _prym_tyurin(HX, delta, exponent(4))
+    pt = _prym_tyurin(HX, [lattice.eye_minus(delta)], exponent(4))
     sigma = surface.induced_map_all(HX, HX, corr.sigma_matrix(4))
-    pxxp = _prym_tyurin(HX, sigma, 2)
+    pxxp = _prym_tyurin(HX, [lattice.eye_minus(sigma)], 2)
     I = eye(HX.rank)
     d0 = surface.induced_map_all(HX, HX, corr.make_Di(4, 0).matrix)
     res.checks["P(X,delta) = (delta0+2)P(X,X')"] = lattices_equal(

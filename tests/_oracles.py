@@ -17,8 +17,9 @@ every reflection is the reference for the library's check on the simple
 reflections.
 Orbit actions pushed through label values one sign at a time, and fiber
 matrices built from Python sets of those values, are the references for the
-library's closed forms on label positions and masks. Two helpers at the end
-only compose library calls for tests that use them.
+library's closed forms on label positions and masks. Three helpers at the
+end only compose library calls for tests that use them; one of them is the
+older mu check, which read surjectivity off the divisors of coordinates.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ import numpy as np
 
 from prymlab import weyl
 from prymlab.errors import EquivarianceError
-from prymlab.lattice import image
+from prymlab.lattice import divisors, image, mat_equal, matmul, solve_exact
 from prymlab.surface import HomologyModel
 
 
@@ -588,3 +589,25 @@ def build(cover_model):
     """Homology basis with intersection Gram for a connected cover of the
     rational base; deterministic for a fixed cover."""
     return HomologyModel(cover_model)
+
+
+def mu_check_via_divisors(HX, pprime, incidence):
+    """``(surjective, scaling)`` as the mu check read them before it
+    decided surjectivity by containment: the coordinates of the incidence
+    map B in the basis of ``pprime`` by ``solve_exact``, surjective when
+    their ``divisors`` are rank-many ones. The reference for ``mu_check``."""
+    A, B = incidence
+    prym_basis = pprime.basis
+    try:
+        coords = solve_exact(prym_basis, B)
+    except ValueError:
+        # image escapes the Prym lattice: certainly not onto it
+        return False, False
+    chain = divisors(coords)
+    surjective = len(chain) == prym_basis.shape[1] and all(d == 1 for d in chain)
+    lifted = HX.sublattice(matmul(A, prym_basis))
+    scaling = mat_equal(
+        lifted.restricted_gram(),
+        2 ** (HX.cover.datum.n - 1) * pprime.restricted_gram(),
+    )
+    return surjective, scaling

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _oracles import mu_check_via_divisors
 from prymlab import cli, corr, cover, lattice, prym, surface
 from prymlab.cover import MonodromyDatum, induce, random_simple
 from prymlab.errors import (
@@ -160,7 +161,8 @@ def test_no_product_is_rank_cubed(monkeypatch):
     P = prym_lattice(H, corr.sigma_matrix(4))
     L, _ = prym_tyurin_lattice(H)
     assert 0 < L.rank < P.rank < H.rank
-    assert len(shapes) == 4
+    # per lattice: x 1, x (x 1) and x Y
+    assert len(shapes) == 6
     assert (H.rank,) * 3 not in shapes
 
 
@@ -200,17 +202,17 @@ def test_image_basis_check_agrees_with_the_full_quadratic_product(monkeypatch):
 def test_mu_check_small_ranks():
     for n, ds, dl in [(2, 4, 4), (3, 4, 6)]:
         datum = random_simple(n, ds, dl, seed=5)
-        HC = _build(datum, OrbitKind.VECTOR)
+        HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
         mu = mu_check(
-            _build(datum, OrbitKind.SPINOR), HC, prym_lattice(HC, corr.negation_matrix(n))
+            HX, prym_lattice(HC, corr.negation_matrix(n)), prym.incidence_maps(HX, HC)
         )
         assert mu.surjective and mu.scaling
 
 
 def test_mu_scaling_at_rank_four():
     datum = random_simple(4, 4, 8, seed=5)
-    HC = _build(datum, OrbitKind.VECTOR)
-    mu = mu_check(_build(datum, OrbitKind.SPINOR), HC, prym_lattice(HC, corr.negation_matrix(4)))
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    mu = mu_check(HX, prym_lattice(HC, corr.negation_matrix(4)), prym.incidence_maps(HX, HC))
     assert mu.scaling  # the form identity holds regardless of surjectivity
 
 
@@ -218,7 +220,7 @@ def test_mu_check_rejects_homologies_of_different_data():
     HX = _build(random_simple(3, 4, 6, seed=5), OrbitKind.SPINOR)
     HC = _build(random_simple(3, 4, 6, seed=6), OrbitKind.VECTOR)
     with pytest.raises(ValueError, match="different data"):
-        mu_check(HX, HC, prym_lattice(HC, corr.negation_matrix(3)))
+        prym.incidence_maps(HX, HC)
 
 
 def test_mu_check_rejects_disconnected_signed_index_cover():
@@ -228,10 +230,8 @@ def test_mu_check_rejects_disconnected_signed_index_cover():
     assert cover.validate(datum) is None
     HC = _build(datum, OrbitKind.VECTOR)
     assert len(HC.parts) == 2
-    iota = surface.induced_map_all(HC, HC, corr.negation_matrix(2))
-    pprime = prym._prym_tyurin(HC, iota, 2)
     with pytest.raises(ValueError, match="must be connected"):
-        mu_check(_build(datum, OrbitKind.SPINOR), HC, pprime)
+        prym.incidence_maps(_build(datum, OrbitKind.SPINOR), HC)
 
 
 def test_transpose_composition_is_multiplication_by_exponent():
@@ -265,7 +265,7 @@ def test_duality_scaling_consistency_whenever_mu_passes():
         datum = random_simple(3, ds, dl, seed=rng.randint(0, 10**6))
         HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
         P = prym_lattice(HC, corr.negation_matrix(3))
-        mu = mu_check(HX, HC, P)
+        mu = mu_check(HX, P, prym.incidence_maps(HX, HC))
         if not (mu.surjective and mu.scaling):
             continue
         L, _ = prym_tyurin_lattice(HX)
@@ -524,8 +524,8 @@ def test_duality_lattice_equals_prym_tyurin_lattice(n, ds, dl, seed):
     L, _ = prym_tyurin_lattice(HX)
     assert lattices_equal(pt.basis, L.basis)
     assert pt.rank == L.rank and ptype(pt) == ptype(L)
-    HC = _build(datum, OrbitKind.VECTOR)
-    assert mu == mu_check(HX, HC, prym_lattice(HC, corr.negation_matrix(n)))
+    incidence = prym.incidence_maps(HX, _build(datum, OrbitKind.VECTOR))
+    assert tuple(mu) == mu_check_via_divisors(HX, pprime, incidence)
     if (n, ds, dl) in ((4, 2, 6), (5, 2, 8)):
         assert pprime.rank == 0 and pt.rank == 0
 
@@ -568,6 +568,7 @@ def test_duality_induces_no_delta_and_eliminates_no_square_of_rank_hx(monkeypatc
     datum = random_simple(4, 12, 16, seed=1)
     rank_hx = _build(datum, OrbitKind.SPINOR).rank
     assert rank_hx >= 100
+    rank_hx_4xi = _build(random_simple(3, 6, 4, seed=2), OrbitKind.SPINOR).rank
 
     def no_delta(n):
         raise AssertionError("the duality path induced delta")
@@ -590,6 +591,13 @@ def test_duality_induces_no_delta_and_eliminates_no_square_of_rank_hx(monkeypatc
     assert shapes and (rank_hx, rank_hx) not in shapes
     # 1 - iota on H(C) alone
     assert differences and all(rows < rank_hx for rows, _ in differences)
+    # hyperelliptic_4xi takes P(X,delta) and its lift from one incidence
+    # pair, and forms no 1 - x at all
+    shapes.clear()
+    differences.clear()
+    assert verify_scenario("hyperelliptic_4xi", seed=2).verdict
+    assert shapes and (rank_hx_4xi, rank_hx_4xi) not in shapes
+    assert not differences
 
 
 def _patch_S0(monkeypatch, change):
@@ -655,3 +663,24 @@ def test_duality_checks_the_relation_on_the_image_past_x1():
     assert prym_tyurin_lattice(HX, (A, B))[0].rank == 4
     with pytest.raises(AssertionError, match="quadratic relation failed"):
         prym_tyurin_lattice(HX, (A, bad))
+
+
+# -- mu_check against the older divisor test ------------------------------------
+
+
+def test_mu_check_equals_the_divisor_oracle_where_the_flags_fail():
+    # the seeded data all give (True, True); two constructed P' reach the
+    # other branches: twice P', which B escapes, and all of H(C), on which
+    # B lands but not onto, as g(C') = 1 here
+    datum = random_simple(3, 4, 6, seed=1)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    incidence = prym.incidence_maps(HX, HC)
+    pprime = prym_lattice(HC, corr.negation_matrix(3))
+    assert 0 < pprime.rank < HC.rank
+    doubled = HC.sublattice(2 * pprime.basis)
+    assert tuple(mu_check(HX, doubled, incidence)) == (False, False)
+    assert mu_check_via_divisors(HX, doubled, incidence) == (False, False)
+    whole = HC.sublattice(eye(HC.rank))
+    mu = mu_check(HX, whole, incidence)
+    assert not mu.surjective
+    assert tuple(mu) == mu_check_via_divisors(HX, whole, incidence)

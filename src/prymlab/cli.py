@@ -232,7 +232,7 @@ def cmd_ptype(args) -> int:
     payload = {
         "orbit": args.orbit,
         "lattice": which,
-        "type": list(lattice.gram_type(gram, lat.basis)),
+        "type": list(lattice.gram_type(gram, lat.basis, lat.exponent)),
     }
     if args.dump:
         payload["gram"] = lattice.to_lists(gram)

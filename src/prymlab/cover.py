@@ -387,8 +387,12 @@ def random_simple(n: int, count_s: int, count_l: int, seed: int) -> MonodromyDat
     """Random genus-0 datum whose local monodromies are ``count_s`` short and
     ``count_l`` long reflections with identity product and connected vector
     cover. All factors but the last are uniform; the forced last factor is
-    accepted only when it is a reflection of the required kind.
+    accepted only when it is a reflection of the required kind. The seed
+    must lie in [0, 2^64), the state space of ``SplitMix64``, so that no
+    two seeds give the same stream.
     """
+    if not 0 <= seed <= SplitMix64.MASK:
+        raise GenerationError(f"seed must lie in [0, 2^64), got {seed}")
     if count_s < 0 or count_l < 0:
         raise GenerationError("reflection counts must be nonnegative")
     if count_s + count_l < 2:

@@ -3,8 +3,9 @@
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
 arithmetic is arbitrary precision, and every matrix a public function returns
 is one, but for ``eye_minus``, whose int64 result is only handed back here.
-Inside, ``matmul``, ``det`` and ``_eliminate`` run in int64 while a bound
-proves that nothing wraps. They convert their input by one rule,
+Inside, ``matmul``, ``det`` and ``_eliminate`` run in int64 (``det`` in
+int16 or int32 where its values fit) while a bound proves that nothing
+wraps. They convert their input by one rule,
 ``_int64``: ``np.asarray(x, dtype=np.int64)``, where an ``OverflowError``
 means the entries need Python ints, and the bound then comes from the int64
 max and min (which also send the one int64 value -2^63 to Python ints).
@@ -39,7 +40,8 @@ update where it does not. The divisor chain of a nonsingular square matrix
 (every nondegenerate alternating form) comes determinant first: the Smith
 elimination then runs modulo |det|, or modulo the Pfaffian isqrt(|det|)
 for an alternating matrix, so its entries stay bounded, in int64 while the
-modulus squared does.
+modulus squared does; or modulo a lattice's known exponent first, kept
+when the chain multiplies to |det| (``PolarizedLattice.exponent``).
 
 ``det`` and ``_eliminate`` carry their int64 bounds instead of rescanning
 their arrays at every step: from the bound b on the entries before a step
@@ -50,6 +52,17 @@ true maximum, and only where that fails too do they go over to Python
 ints; so the results and the switch points are those of a scan at every
 step, and the scans are rare (none in the unimodularity ``det`` of a
 rank-258 spinor Gram).
+
+``det`` also runs at the width its values need, on a ladder: int16 while
+every value a step forms stays below 2^15, then int32 below 2^31, then
+int64 below 2^63, then Python ints. Each width is a limit for the carried
+bound as 2^63 is; where the bound fails it, the block is scanned, and the
+array goes up the ladder only where the scanned bound fails too, to the
+narrowest width that holds it. The step to Python ints is taken at the
+same points as from int64 alone, since a scanned bound is the true maximum
+whatever was carried before. A spinor Gram (entries -1, 0, 1, within 3
+through every unit step) runs in int16 throughout, so the unimodularity
+``det`` moves a quarter of the memory it would in int64.
 
 Both also skip the passes whose result a unit pivot already fixes. ``det``
 carries a sign with its trailing block, the block being that sign times the
@@ -131,6 +144,18 @@ def _maxabs(a: np.ndarray) -> int:
 
 
 _INT64_BOUND = 2 ** 63
+# the widths ``det`` steps through, each with the bound its values stay below
+_LIMIT = {
+    np.dtype(np.int16): 2 ** 15,
+    np.dtype(np.int32): 2 ** 31,
+    np.dtype(np.int64): _INT64_BOUND,
+}
+
+
+def _narrowest(bound: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every value of at
+    most ``bound`` in absolute value (``bound`` below 2^63)."""
+    return next(width for width, limit in _LIMIT.items() if bound < limit)
 
 
 def _int64(x):
@@ -279,11 +304,19 @@ def det(m) -> int:
 
     A bound b >= max|rest| is carried from step to step, so a step scans
     only its column and row: the step forms values of at most
-    ``b * |p| + max|column| * max|row|``, and the new block is bounded by
-    that over ``|prev|``. The input conversion gives the first b. A step
-    runs in int64 while its values stay below 2^63; where the carried b
-    fails that, the block is scanned for its true maximum, and the
-    elimination goes over to Python ints only if the bound still fails.
+    ``need = b * |p| + max|column| * max|row|``, and the new block is
+    bounded by that over ``|prev|``. The input conversion gives the first
+    b. The steps run in the narrowest of int16, int32 and int64 whose
+    range holds ``need`` (below 2^15, 2^31 and 2^63), so that a Gram of
+    small entries moves a quarter of the memory it would in int64; where
+    the carried b fails the current width, the block is scanned for its
+    true maximum, and the array goes over to a wider dtype only if the
+    scanned bound still fails it: to the narrowest that holds ``need``, or
+    to Python ints past 2^63. The scanned bound is the true maximum
+    whatever was carried before, so the switch to Python ints falls at the
+    first step whose true ``need`` reaches 2^63, as in an elimination that
+    starts in int64. Spinor Grams (entries -1, 0, 1) stay within 3 through
+    every unit step and run in int16 throughout.
     """
     a = np.asarray(m)
     n = len(a)
@@ -292,7 +325,7 @@ def det(m) -> int:
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("determinant of a non-square matrix")
     a64, bound = _int64(a)
-    a = _pyints(a) if a64 is None else a64.copy()
+    a = _pyints(a) if a64 is None else a64.astype(_narrowest(bound))
     sign = 1
     prev = 1
     scale = 1  # the trailing block is scale (+-1) times the stored one
@@ -308,13 +341,16 @@ def det(m) -> int:
         col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
         if a.dtype != object:
             outer = _maxabs(col) * _maxabs(row)
-            if bound * abs(p) + outer >= _INT64_BOUND:
+            if bound * abs(p) + outer >= _LIMIT[a.dtype]:
                 bound = _maxabs(rest)
-            if bound * abs(p) + outer >= _INT64_BOUND:
+            need = bound * abs(p) + outer
+            if need >= _INT64_BOUND:
                 a = a.astype(object)
+            elif need >= _LIMIT[a.dtype]:
+                a = a.astype(_narrowest(need))
+            if a.dtype != col.dtype:
                 col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
-            else:
-                bound = (bound * abs(p) + outer) // abs(prev)
+            bound = need // abs(prev)
         # the true numerator is rest * p - column row (scale^2 = 1)
         if abs(prev) != 1:
             rest[...] = (rest * p - np.outer(col, row)) // prev
@@ -621,7 +657,7 @@ def _chain_mod(rows, D: int) -> tuple:
     return tuple(diagonal)
 
 
-def _nonsingular_chain(mat, alternating=False):
+def _nonsingular_chain(mat, alternating=False, modulus=None):
     """Divisor chain of a square matrix by the determinant-first path, or
     ``None`` when the matrix is singular.
 
@@ -631,10 +667,20 @@ def _nonsingular_chain(mat, alternating=False):
     pairs e_1, e_1, ..., e_k, e_k, so |det| is the square of the product of
     the e_i, which d_n = e_k divides; M^2 then stays in int64 for
     determinants up to about 2^125 instead of 2^63. The chain multiplies to
-    |det| exactly when every d_i divides M, which is checked."""
+    |det| exactly when every d_i divides M, which is checked.
+
+    A caller that expects a smaller multiple of d_n passes it as
+    ``modulus`` (the exponent q of a Prym-Tyurin lattice, whose type
+    divides q): the chain modulo it is tried first and kept when it
+    multiplies to |det|, for then every d_i divides it; otherwise the
+    chain is taken modulo M as above, so the result is exact either way."""
     D = abs(det(mat))
     if not D:
         return None
+    if modulus:
+        chain = _chain_mod(mat, modulus)
+        if prod(chain) == D:
+            return chain
     chain = _chain_mod(mat, isqrt(D) if alternating else D)
     if prod(chain) != D:
         raise AssertionError("modular divisor chain self-check failed")
@@ -744,7 +790,10 @@ class PolarizedLattice:
     """A sublattice of Z^m carrying the restriction of an alternating form.
 
     ``gram`` is the m x m alternating form on the ambient lattice; ``basis``
-    holds the sublattice generators as columns (full column rank). The Gram
+    holds the sublattice generators as columns (full column rank).
+    ``exponent``, when known, is a multiple of the last entry of the type,
+    such as the exponent q of a Prym-Tyurin lattice: ``ptype`` tries its
+    divisor chain modulo it first. It does not enter equality. The Gram
     is read once, when the lattice is made: converted to int64 where its
     entries fit, checked to be alternating on that array, and kept so for
     every ``restricted_gram``. A Gram given in int64 (``surface``'s
@@ -753,6 +802,7 @@ class PolarizedLattice:
 
     gram: np.ndarray
     basis: np.ndarray
+    exponent: int = field(default=None, compare=False)
     _gram64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -778,18 +828,19 @@ def ptype(sub: PolarizedLattice) -> tuple:
     """Polarization type of the restricted form: the divisor chain with each
     value reported once (they occur in equal pairs on a nondegenerate
     alternating lattice)."""
-    return gram_type(sub.restricted_gram(), sub.basis)
+    return gram_type(sub.restricted_gram(), sub.basis, sub.exponent)
 
 
-def gram_type(g, basis) -> tuple:
+def gram_type(g, basis, exponent=None) -> tuple:
     """Polarization type of ``g``, the restricted form of the sublattice
     spanned by the columns of ``basis``, as ``ptype`` reports it; for a
     caller that also needs the restricted Gram. ``basis`` places the radical
-    of a degenerate form in ambient coordinates."""
+    of a degenerate form in ambient coordinates; ``exponent`` is the
+    lattice's, when known, and the divisor chain is tried modulo it first."""
     r = g.shape[0]
     if r == 0:
         return ()
-    chain = _nonsingular_chain(g, alternating=True)
+    chain = _nonsingular_chain(g, alternating=True, modulus=exponent)
     if chain is None:
         ker = kernel(g)
         raise DegenerateFormError(

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import corr, cover as _cover, lattice, surface, weyl
 from .cover import MonodromyDatum, induce, random_simple
-from .errors import DisconnectedError, RankError, ScenarioError
+from .errors import DisconnectedError, GenerationError, RankError, ScenarioError
 from .lattice import (
     PolarizedLattice,
     dual_type,
@@ -89,11 +89,12 @@ def _prym_tyurin(H: surface.CoverHomology, maps, q: int) -> PolarizedLattice:
     relation is checked on x 1 before any elimination, then as
     ``x Y == q Y`` on Y = maps[0] ... image(maps[-1]), which generates
     image(x): the one elimination is the last map's. Y may have more
-    columns than the lattice has rank; saturating it gives the lattice."""
+    columns than the lattice has rank; saturating it gives the lattice,
+    tagged with its exponent q, which its type divides."""
     x1 = _through(maps, zeros(maps[-1].shape[1], 1) + 1)
     _acts_as_q(_through(maps, x1), x1, q)
     Y = _through(maps[:-1], image(maps[-1]))
-    return H.sublattice(saturate(_acts_as_q(_through(maps, Y), Y, q)))
+    return H.sublattice(saturate(_acts_as_q(_through(maps, Y), Y, q)), q)
 
 
 def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
@@ -569,14 +570,19 @@ def probe_stream(n: int, count_s: int, count_l: int, trials: int, seed: int):
     ``seed + t``, then the summary, or an ``error`` item when a trial disagrees
     in the proven unramified regime. The parameters are checked at the call,
     before any trial runs: ranks below 4 are theorems, ranks above
-    ``corr.FIBER_RANK_MAX`` have no fiber matrices, and a probe needs at least
-    one trial."""
+    ``corr.FIBER_RANK_MAX`` have no fiber matrices, a probe needs at least
+    one trial, and every data seed must lie in [0, 2^64), where
+    ``random_simple`` takes them."""
     if n < 4:
         raise ScenarioError("the probe targets rank >= 4; lower ranks are theorems")
     if n > corr.FIBER_RANK_MAX:
         raise RankError(f"fiber matrices supported for rank 2..{corr.FIBER_RANK_MAX}")
     if trials < 1:
         raise ScenarioError(f"the probe needs at least one trial, got {trials}")
+    if seed < 0 or seed + trials - 1 > _cover.SplitMix64.MASK:
+        raise GenerationError(
+            f"data seeds {seed}..{seed + trials - 1} must lie in [0, 2^64)"
+        )
     return _probe_items(n, count_s, count_l, trials, seed)
 
 

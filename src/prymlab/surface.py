@@ -12,6 +12,22 @@ explicit cell complex:
 * one face per sheet, whose boundary walks every arc down and back, hopping
   sheets by the inverse local monodromy at each ramification vertex.
 
+The complex is built by array passes over the monodromy arrays, never one
+sheet or edge at a time: every sheet is walked around its cycle under every
+arc at once, for as many steps as the longest cycle has sheets, which gives
+each cycle's least sheet (its vertex is walked from there), its length and
+its ends in cyclic order; edge heads and the boundary map follow by
+scatters. The faces are one k x d walk (``face_walk``: row i holds the sheet
+each face is on before arc i), and the relation matrix is read off it by
+``np.add.at``. The boundary of a block of edge chains (``_boundary``) is a
+segment sum, not a product with the boundary map: the sheet vertices are
+the chains reshaped sheet by arc and summed over the arcs, and the
+ramification vertices, grouped by their number of ends L (``branch_groups``),
+are one gather and one sum over L per group. It runs under ``matmul``'s
+rule with the most ends at a vertex for the inner dimension: int64 while
+that times the largest entry is below 2^63, Python ints otherwise.
+``induced_map_all`` checks with it that every image chain closes.
+
 First homology comes from a spanning tree: non-tree edges give fundamental
 cycles, face boundaries give the relations, and the quotient is free of rank
 2g (asserted). The basis is held as one E x 2g integer matrix ``B`` (E the
@@ -102,111 +118,132 @@ class HomologyModel:
         k = len(cov.perms)
         self.degree = d
         self.arc_count = k
-        self.perms = [list(p) for p in cov.perms]
-        self.inv_perms = []
-        for p in self.perms:
-            inv = [0] * d
-            for i, v in enumerate(p):
-                inv[v] = i
-            self.inv_perms.append(inv)
+        perms = np.array(cov.perms, dtype=np.intp).reshape(k, d)
+        inv = np.empty_like(perms)
+        inv[np.arange(k)[:, None], perms] = np.arange(d)
 
-        # vertices: sheets first, then one per monodromy cycle of each arc
-        self.vertex_count = d
-        self.branch_vertex = {}       # (arc, sheet) -> vertex id
-        self.vertex_ends = [None] * d  # vertex id -> ("sheet"/"branch", ends)
-        cycle_members = {}
-        for i in range(k):
-            seen = [False] * d
-            for s in range(d):
-                if seen[s]:
-                    continue
-                vid = self.vertex_count
-                self.vertex_count += 1
-                cyc = []
-                t = s
-                while not seen[t]:
-                    seen[t] = True
-                    cyc.append(t)
-                    t = self.inv_perms[i][t]
-                for t in cyc:
-                    self.branch_vertex[(i, t)] = vid
-                cycle_members[vid] = (i, cyc)
-        # edge id: sheet * k + arc, oriented sheet vertex -> branch vertex
-        self.edge_count = d * k
-        self.edge_tail = [0] * self.edge_count
-        self.edge_head = [0] * self.edge_count
-        for s in range(d):
-            for i in range(k):
-                e = s * k + i
-                self.edge_tail[e] = s
-                self.edge_head[e] = self.branch_vertex[(i, s)]
+        # walk every sheet around its cycle under each arc's inverse
+        # monodromy at once, until every walk has come back: walks[j, i, s]
+        # is the sheet j steps on from s under arc i, for j below the
+        # longest cycle, and cycle[i, s] the length of the cycle through s
+        start = np.tile(np.arange(d), (k, 1))
+        walks, at = [start], start
+        cycle, open_ = np.ones((k, d), dtype=np.intp), np.ones((k, d), dtype=bool)
+        while True:
+            at = np.take_along_axis(inv, at, axis=1)
+            open_ &= at != start
+            if not open_.any():
+                break
+            cycle += open_
+            walks.append(at)
+        walks = np.stack(walks)
+        # vertices: sheets first, then one per cycle, arc by arc and each
+        # arc's cycles by their least sheet, which a walk from it starts at
+        arcs, heads = np.nonzero(walks.min(axis=0) == start)
+        branches = len(heads)
+        self.vertex_count = d + branches
+        sizes = cycle[arcs, heads]
+        on_cycle = np.arange(len(walks)) < sizes[:, None]
+        # edge id: sheet * k + arc, oriented sheet vertex -> branch vertex;
+        # ends[j] are the edges ending at vertex d + j in cyclic order
+        ends = walks[:, arcs, heads].T * k + arcs[:, None]
+        # every branch end, vertex after vertex, and its vertex
+        end_edge, end_vertex = ends[on_cycle], np.repeat(d + np.arange(branches), sizes)
+        self.edge_count = E = d * k
+        self.edge_tail = np.arange(E) // k
+        self.edge_head = np.empty(E, dtype=np.intp)
+        self.edge_head[end_edge] = end_vertex
+        self.most_ends = max(k, len(walks))
+        # the ramification vertices grouped by their number of ends L, each
+        # group as (vertex ids, their ends in an array of L columns)
+        self.branch_groups = []
+        for size in sorted(set(sizes.tolist())):
+            rows = np.flatnonzero(sizes == size)
+            self.branch_groups.append((d + rows, ends[rows, :size]))
         # cyclic end order per vertex; ccw is ascending arcs at a sheet
         # vertex and the inverse-monodromy cycle at a ramification vertex
-        for s in range(d):
-            self.vertex_ends[s] = ("sheet", [s * k + i for i in range(k)])
-        self.vertex_ends.extend([None] * (self.vertex_count - d))
-        for vid, (i, cyc) in cycle_members.items():
-            self.vertex_ends[vid] = ("branch", [t * k + i for t in cyc])
+        self.vertex_ends = [("sheet", list(range(s * k, s * k + k))) for s in range(d)] + [
+            ("branch", row[:size]) for row, size in zip(ends.tolist(), sizes.tolist())
+        ]
         # boundary: row v holds the ends at vertex v, -1 at a sheet vertex
         # (the tail of each edge) and +1 at a ramification vertex (its head)
-        ends = [(v, e, 1 if kind == "branch" else -1)
-                for v, (kind, es) in enumerate(self.vertex_ends) for e in es]
-        rows, cols, vals = (np.array(col, dtype=np.int64) for col in zip(*ends))
         self.boundary_map = lattice.SparseMatrix(
-            (self.vertex_count, self.edge_count), rows, cols, vals
+            (self.vertex_count, E),
+            np.concatenate([self.edge_tail, end_vertex]).astype(np.int64),
+            np.concatenate([np.arange(E), end_edge]).astype(np.int64),
+            np.repeat(np.array([-1, 1], dtype=np.int64), E),
         )
 
-        # face boundaries: one per sheet, arcs in ascending order
-        self.faces = []
-        for t in range(d):
-            chain = {}
-            s = t
-            for i in range(k):
-                chain[s * k + i] = chain.get(s * k + i, 0) + 1
-                s2 = self.inv_perms[i][s]
-                chain[s2 * k + i] = chain.get(s2 * k + i, 0) - 1
-                s = s2
-            if s != t:
-                raise AssertionError("face walk failed to close")
-            self.faces.append(chain)
+        # face boundaries, one per sheet: face t walks the arcs in
+        # ascending order, down arc i on sheet face_walk[i, t] and back up
+        # it on face_walk[i + 1, t], hopping by the inverse monodromy
+        walk = np.empty((k + 1, d), dtype=np.intp)
+        walk[0] = np.arange(d)
+        for i in range(k):
+            walk[i + 1] = inv[i, walk[i]]
+        if (walk[k] != walk[0]).any():
+            raise AssertionError("face walk failed to close")
+        self.face_walk = walk
+
+    def _boundary(self, chains) -> np.ndarray:
+        """``boundary_map @ chains`` for edge chains (the columns of
+        ``chains``) by segment sums: the sheet vertices are one sum over
+        the arcs of ``chains`` reshaped sheet by arc, and the ramification
+        vertices one such sum per group of equal size, over their ends
+        gathered a chunk of at most ``lattice._GATHER`` entries at a time
+        (one vertex at the least), so the temporary stays small. Under
+        ``lattice``'s product rule, with the most ends at a vertex for the
+        inner dimension: int64 while that times the largest entry is below
+        2^63, Python ints otherwise."""
+        c64, top = lattice._int64(chains)
+        if c64 is None or top * self.most_ends >= lattice._INT64_BOUND:
+            chains = lattice._pyints(chains)
+        else:
+            chains = c64
+        g = chains.shape[1]
+        out = np.empty((self.vertex_count, g), dtype=chains.dtype)
+        out[:self.degree] = -chains.reshape(self.degree, self.arc_count, g).sum(axis=1)
+        for vertices, ends in self.branch_groups:
+            step = max(1, lattice._GATHER // max(ends.shape[1] * g, 1))
+            for lo in range(0, len(ends), step):
+                out[vertices[lo:lo + step]] = chains[ends[lo:lo + step]].sum(axis=1)
+        return out
 
     # -- cycles and relations ----------------------------------------------
 
     def _build_cycles(self):
-        # spanning tree by breadth-first search from sheet vertex 0
-        V, E = self.vertex_count, self.edge_count
+        # spanning tree by breadth-first search from sheet vertex 0, each
+        # vertex's edges taken in ascending order
+        V, E, d, k = self.vertex_count, self.edge_count, self.degree, self.arc_count
         adj = [[] for _ in range(V)]
-        for e in range(E):
-            adj[self.edge_tail[e]].append((e, self.edge_head[e]))
-            adj[self.edge_head[e]].append((e, self.edge_tail[e]))
-        for lst in adj:
-            lst.sort()
-        parent = [None] * V   # (edge to the parent, parent vertex)
+        for e, (t, h) in enumerate(zip(self.edge_tail.tolist(), self.edge_head.tolist())):
+            adj[t].append((e, h))
+            adj[h].append((e, t))
+        parent = [None] * V  # (edge to the parent, parent vertex)
         order = [0]
         seen = [False] * V
         seen[0] = True
-        in_tree = [False] * E
         for v in order:
             for e, w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
-                    in_tree[e] = True
                     parent[w] = (e, v)
                     order.append(w)
-        if not all(seen):
+        if len(order) != V:
             raise AssertionError("1-skeleton disconnected despite transitivity")
-        self.nontree = [e for e in range(E) if not in_tree[e]]
+        in_tree = np.zeros(E, dtype=bool)
+        in_tree[[parent[w][0] for w in order[1:]]] = True
+        self.nontree = np.flatnonzero(~in_tree)
 
-        # relations: face boundaries in non-tree coordinates
+        # relations: face boundaries in non-tree coordinates, face t being
+        # +1 on each edge it walks down and -1 on each it walks back up
         m = len(self.nontree)
-        pos = {e: i for i, e in enumerate(self.nontree)}
-        rel = np.zeros((m, len(self.faces)), dtype=np.int64)
-        for t, chain in enumerate(self.faces):
-            for e, c in chain.items():
-                if not in_tree[e]:
-                    rel[pos[e], t] = c
-        d, r, U, Uinv = lattice._eliminate(rel, ("u", "uinv"))
-        if (np.diagonal(d)[:r] != 1).any():
+        walk, arc, face = self.face_walk, np.arange(k)[:, None], np.arange(d)
+        rel = np.zeros((E, d), dtype=np.int64)
+        np.add.at(rel, (walk[:-1] * k + arc, face), 1)
+        np.add.at(rel, (walk[1:] * k + arc, face), -1)
+        dd, r, U, Uinv = lattice._eliminate(rel[self.nontree], ("u", "uinv"))
+        if (np.diagonal(dd)[:r] != 1).any():
             raise AssertionError("homology acquired torsion; construction broken")
         self.genus2 = m - r
         if self.genus2 % 2:
@@ -219,30 +256,30 @@ class HomologyModel:
         C, c_max = lattice._int64(U[r:])
         cycles, b_max = lattice._int64(Uinv[:, r:])
         beta = max(c_max or 0, b_max or 0)
-        most_ends = max(len(ends) for _kind, ends in self.vertex_ends)
         if C is None or cycles is None or (
-            2 * E * most_ends * (2 * m * beta) ** 2 >= lattice._INT64_BOUND
+            2 * E * self.most_ends * (2 * m * beta) ** 2 >= lattice._INT64_BOUND
         ):
             raise AssertionError("relation transforms too large for int64 homology")
         # the class of a cycle is C times its edge chain: the rows of U past
         # the relations, at the non-tree edges
         nonzero = lattice.sparse(C)
-        self.class_map = replace(
-            nonzero, shape=(self.genus2, E), cols=np.array(self.nontree)[nonzero.cols]
-        )
+        self.class_map = replace(nonzero, shape=(self.genus2, E), cols=self.nontree[nonzero.cols])
 
         # B: basis cycle j has the non-tree coefficients of column r + j of
         # U^-1; its tree coefficients close every vertex. Leaves first, the
-        # edge to the parent carries off the net inflow of the vertex.
+        # edge to the parent carries off the net inflow of the vertex. Row
+        # by row, as whole-array passes over B, which is mostly zero here,
+        # measured slower (3x at rank 1026).
         B = np.zeros((E, self.genus2), dtype=np.int64)
         B[self.nontree] = cycles
         inflow = np.zeros((V, self.genus2), dtype=np.int64)
-        for e in self.nontree:
-            inflow[self.edge_head[e]] += B[e]
-            inflow[self.edge_tail[e]] -= B[e]
+        for e, t, h in zip(self.nontree.tolist(), self.edge_tail[self.nontree].tolist(),
+                           self.edge_head[self.nontree].tolist()):
+            inflow[h] += B[e]
+            inflow[t] -= B[e]
         for v in reversed(order[1:]):
             e, w = parent[v]
-            B[e] = inflow[v] if self.edge_tail[e] == v else -inflow[v]
+            B[e] = inflow[v] if v < d else -inflow[v]
             inflow[w] += inflow[v]
         self.B = B
         # the same cycles by their nonzero entries, one row per (arc, basis
@@ -270,11 +307,10 @@ class HomologyModel:
         gram = np.zeros((self.genus2, self.genus2), dtype=np.int64)
         # a ramification vertex with ends (e1, e2) pairs e2 with e1 alone:
         # its block is -outer(B[e2], B[e1]), and one product sums them all
-        pairs = [ends for kind, ends in self.vertex_ends
-                 if kind == "branch" and len(ends) == 2]
-        if pairs:
-            first, second = (list(e) for e in zip(*pairs))
-            gram -= lattice._sparse_product(lattice.sparse(B[second].T), B[first])
+        for _vertices, ends in self.branch_groups:
+            if ends.shape[1] == 2:
+                first, second = ends.T
+                gram -= lattice._sparse_product(lattice.sparse(B[second].T), B[first])
         for kind, ends in self.vertex_ends:
             if kind == "branch" and len(ends) <= 2:
                 continue  # one end pairs with nothing; two were summed above
@@ -339,11 +375,12 @@ class CoverHomology:
     def genus_total(self) -> int:
         return self.rank // 2
 
-    def sublattice(self, basis) -> lattice.PolarizedLattice:
+    def sublattice(self, basis, exponent=None) -> lattice.PolarizedLattice:
         """The sublattice spanned by the columns of ``basis``, with the
-        intersection form. The lattice keeps the int64 Gram as its ``gram``;
-        only ``lattice`` computes with it."""
-        return lattice.PolarizedLattice(self._gram64, basis)
+        intersection form, tagged with its ``exponent`` when known. The
+        lattice keeps the int64 Gram as its ``gram``; only ``lattice``
+        computes with it."""
+        return lattice.PolarizedLattice(self._gram64, basis, exponent)
 
 
 def build_all(cover_model: CoverModel) -> CoverHomology:
@@ -398,7 +435,7 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
             img = lattice._sparse_product(pa.sheet_chains, block).T.reshape(
                 pb.edge_count, pa.genus2
             )
-            if lattice._sparse_product(pb.boundary_map, img).any():
+            if pb._boundary(img).any():
                 raise AssertionError("image chain failed to close per component")
             out[ob:ob + pb.genus2, oa:oa + pa.genus2] = lattice._sparse_product(
                 pb.class_map, img

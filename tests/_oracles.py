@@ -15,6 +15,8 @@ modulo the determinant on lists, one entry at a time, is the reference for
 the library's whole-line one. The entry-by-entry equivariance check under
 every reflection is the reference for the library's check on the simple
 reflections.
+The homology model built one sheet, edge and vertex at a time, with faces
+as dicts, is the reference for the library's array-built cell complex.
 Orbit actions pushed through label values one sign at a time, and fiber
 matrices built from Python sets of those values, are the references for the
 library's closed forms on label positions and masks. Three helpers at the
@@ -22,6 +24,7 @@ end only compose library calls for tests that use them; one of them is the
 older mu check, which read surjectivity off the divisors of coordinates.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -30,7 +33,16 @@ import numpy as np
 
 from prymlab import weyl
 from prymlab.errors import EquivarianceError
-from prymlab.lattice import divisors, image, mat_equal, matmul, solve_exact
+from prymlab.lattice import (
+    SparseMatrix,
+    _eliminate,
+    divisors,
+    image,
+    mat_equal,
+    matmul,
+    solve_exact,
+    sparse,
+)
 from prymlab.surface import HomologyModel
 
 
@@ -589,6 +601,129 @@ def build(cover_model):
     """Homology basis with intersection Gram for a connected cover of the
     rational base; deterministic for a fixed cover."""
     return HomologyModel(cover_model)
+
+
+class LoopHomologyModel(HomologyModel):
+    """The homology model built one sheet, arc, edge and vertex at a time:
+    cycles of the local monodromies walked sheet by sheet, faces as dicts
+    (edge -> coefficient), the boundary map from a list of ends, the tree
+    closed one vertex at a time from the leaves, and the Gram summed one
+    vertex at a time. The reference for ``surface.HomologyModel``'s array
+    passes; the relation elimination is the library's."""
+
+    def _build_complex(self):
+        cov = self.cover
+        d = cov.degree
+        k = len(cov.perms)
+        self.degree = d
+        self.arc_count = k
+        inv_perms = []
+        for p in cov.perms:
+            inv = [0] * d
+            for i, v in enumerate(p):
+                inv[v] = i
+            inv_perms.append(inv)
+        # vertices: sheets first, then one per monodromy cycle of each arc
+        self.vertex_count = d
+        branch_vertex = {}  # (arc, sheet) -> vertex id
+        cycle_members = {}
+        for i in range(k):
+            seen = [False] * d
+            for s in range(d):
+                if seen[s]:
+                    continue
+                vid = self.vertex_count
+                self.vertex_count += 1
+                cyc = []
+                t = s
+                while not seen[t]:
+                    seen[t] = True
+                    cyc.append(t)
+                    t = inv_perms[i][t]
+                for t in cyc:
+                    branch_vertex[(i, t)] = vid
+                cycle_members[vid] = (i, cyc)
+        self.edge_count = d * k
+        self.edge_tail = [e // k for e in range(self.edge_count)]
+        self.edge_head = [branch_vertex[(e % k, e // k)] for e in range(self.edge_count)]
+        self.vertex_ends = [("sheet", [s * k + i for i in range(k)]) for s in range(d)]
+        for vid in range(d, self.vertex_count):
+            i, cyc = cycle_members[vid]
+            self.vertex_ends.append(("branch", [t * k + i for t in cyc]))
+        self.most_ends = max(len(ends) for _kind, ends in self.vertex_ends)
+        ends = [(v, e, 1 if kind == "branch" else -1)
+                for v, (kind, es) in enumerate(self.vertex_ends) for e in es]
+        rows, cols, vals = (np.array(col, dtype=np.int64) for col in zip(*ends))
+        self.boundary_map = SparseMatrix((self.vertex_count, self.edge_count), rows, cols, vals)
+        # face boundaries: one per sheet, arcs in ascending order
+        self.faces = []
+        for t in range(d):
+            chain = {}
+            s = t
+            for i in range(k):
+                chain[s * k + i] = chain.get(s * k + i, 0) + 1
+                s2 = inv_perms[i][s]
+                chain[s2 * k + i] = chain.get(s2 * k + i, 0) - 1
+                s = s2
+            if s != t:
+                raise AssertionError("face walk failed to close")
+            self.faces.append(chain)
+
+    def _build_cycles(self):
+        V, E = self.vertex_count, self.edge_count
+        adj = [[] for _ in range(V)]
+        for e in range(E):
+            adj[self.edge_tail[e]].append((e, self.edge_head[e]))
+            adj[self.edge_head[e]].append((e, self.edge_tail[e]))
+        for lst in adj:
+            lst.sort()
+        parent = [None] * V
+        order = [0]
+        seen = [False] * V
+        seen[0] = True
+        in_tree = [False] * E
+        for v in order:
+            for e, w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    in_tree[e] = True
+                    parent[w] = (e, v)
+                    order.append(w)
+        if not all(seen):
+            raise AssertionError("1-skeleton disconnected despite transitivity")
+        self.nontree = [e for e in range(E) if not in_tree[e]]
+        m = len(self.nontree)
+        pos = {e: i for i, e in enumerate(self.nontree)}
+        rel = np.zeros((m, len(self.faces)), dtype=np.int64)
+        for t, chain in enumerate(self.faces):
+            for e, c in chain.items():
+                if not in_tree[e]:
+                    rel[pos[e], t] = c
+        d, r, U, Uinv = _eliminate(rel, ("u", "uinv"))
+        if (np.diagonal(d)[:r] != 1).any():
+            raise AssertionError("homology acquired torsion")
+        self.genus2 = m - r
+        self.genus = self.genus2 // 2
+        C = np.asarray(U[r:], dtype=np.int64)
+        nonzero = sparse(C)
+        self.class_map = replace(
+            nonzero, shape=(self.genus2, E), cols=np.array(self.nontree)[nonzero.cols]
+        )
+        B = np.zeros((E, self.genus2), dtype=np.int64)
+        B[self.nontree] = np.asarray(Uinv[:, r:], dtype=np.int64)
+        inflow = np.zeros((V, self.genus2), dtype=np.int64)
+        for e in self.nontree:
+            inflow[self.edge_head[e]] += B[e]
+            inflow[self.edge_tail[e]] -= B[e]
+        for v in reversed(order[1:]):
+            e, w = parent[v]
+            B[e] = inflow[v] if self.edge_tail[e] == v else -inflow[v]
+            inflow[w] += inflow[v]
+        self.B = B
+        self.sheet_chains = sparse(B.reshape(self.degree, -1).T)
+
+    def _build_gram(self):
+        self.gram = gram_by_vertices(self)
 
 
 def mu_check_via_divisors(HX, pprime, incidence):

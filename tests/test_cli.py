@@ -484,3 +484,36 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
     code, out, err = _run(capsys, "predict", "--n", "3")
     assert (code, out) == (2, "") and "required" in err
     assert _run(capsys, *predict) == (0, as_text, "")
+
+
+@pytest.mark.parametrize(
+    "seed,trials",
+    [(-1, 1), (2**64, 1), (2**64 - 1, 2), (-(2**64), 3)],
+    ids=["negative", "2^64", "last trial past 2^64", "far below"],
+)
+def test_probe_refuses_seeds_outside_the_stream_before_any_trial(capsys, seed, trials):
+    # SplitMix64 takes its seed mod 2^64: -1 and 2^64 would alias other seeds
+    code, out, err = _run(
+        capsys, "probe", "--n", "4", "--ds", "4", "--dl", "8",
+        "--trials", str(trials), "--seed", str(seed),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"data seeds {seed}..{seed + trials - 1} must lie in [0, 2^64)" in err
+
+
+def test_probe_takes_the_last_seed_of_the_stream(capsys):
+    code, out, _ = _run(
+        capsys, "probe", "--n", "4", "--ds", "4", "--dl", "8",
+        "--trials", "1", "--seed", str(2**64 - 1),
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_refuses_a_seed_outside_the_stream(capsys, seed):
+    code, out, err = _run(capsys, "verify", "--scenario", "theorem2_b3", "--seed", str(seed))
+    assert code == 2
+    assert out == ""
+    assert f"seed must lie in [0, 2^64), got {seed}" in err

@@ -312,3 +312,16 @@ def test_splitmix_stream_is_pinned():
     ]
     rng2 = SplitMix64(0)
     assert rng2.below(10) == (first[0] * 10) >> 64
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**70])
+def test_random_simple_refuses_seeds_outside_the_stream(seed):
+    # the stream takes its seed mod 2^64, so these would alias seeds in range
+    with pytest.raises(GenerationError, match=r"^seed must lie in \[0, 2\^64\), got "):
+        random_simple(2, 4, 4, seed=seed)
+
+
+def test_random_simple_takes_both_ends_of_the_seed_range():
+    for seed in (0, 2**64 - 1):
+        assert random_simple(2, 4, 4, seed=seed) == random_simple(2, 4, 4, seed=seed)
+    assert random_simple(2, 4, 4, seed=2**64 - 1) != random_simple(2, 4, 4, seed=0)

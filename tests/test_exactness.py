@@ -10,8 +10,10 @@ A second guard keeps one exact product routine: no module but ``lattice.py``
 uses the ``@`` operator, so every product goes through ``lattice.matmul``.
 
 A third guard keeps fixed-width integers inside the two modules that bound
-them: no module but ``lattice.py`` and ``surface.py`` names ``int64``, and
-the matrices those two hand out are object arrays of Python ints, so the
+them: no module but ``lattice.py`` and ``surface.py`` names a fixed-width
+integer type (``int8`` through ``int64``, or any ``uint``: ``det`` steps
+through int16 and int32, and ``uint64`` wraps as well), and the matrices
+those two hand out are object arrays of Python ints, so the
 elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
 wraps. The exceptions are ``lattice.eye_minus``, whose caller hands its
 result back to ``lattice``'s products and eliminations and computes nothing
@@ -21,6 +23,7 @@ is Python ints.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +138,12 @@ def test_matmul_guard_catches_the_operator_only():
     assert matmul_operators("c = matmul(a, b)\n@dataclass\nclass K:\n    x: int") == []
 
 
+FIXED_WIDTH = re.compile(r"int(8|16|32|64)|uint")
+
+
 def int64_names(source: str, filename: str = "<source>") -> list:
-    """Where ``source`` names ``int64``: as a name, an attribute or a string."""
+    """Where ``source`` names a fixed-width integer type, ``int8`` through
+    ``int64`` or any ``uint``: as a name, an attribute or a string."""
     out = []
     for node in ast.walk(ast.parse(source, filename)):
         named = (
@@ -145,7 +152,7 @@ def int64_names(source: str, filename: str = "<source>") -> list:
             or (isinstance(node, ast.alias) and node.name)
             or (isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value)
         )
-        if named and "int64" in named:
+        if named and FIXED_WIDTH.search(named):
             out.append(f"{filename}:{node.lineno}")
     return out
 
@@ -163,6 +170,17 @@ def test_int64_guard_catches_each_spelling():
     for source in ("a.astype(np.int64)", "np.zeros(3, dtype='int64')", "from numpy import int64"):
         assert int64_names(source), source
     assert int64_names("x = np.zeros(3, dtype=object)") == []
+
+
+@pytest.mark.parametrize(
+    "width", ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64", "uintp"]
+)
+def test_fixed_width_guard_catches_every_width(width):
+    for source in (f"a.astype(np.{width})", f"np.zeros(3, dtype='{width}')",
+                   f"from numpy import {width}", f"x = {width}(3)"):
+        assert int64_names(source), source
+    for source in ("x = int(3)", "print(intmat(a))", "np.zeros(3, dtype=object)"):
+        assert int64_names(source) == [], source
 
 
 def _python_ints(m) -> bool:

@@ -1060,3 +1060,103 @@ def test_det_switches_to_python_ints_inside_a_unit_run(sign):
     run = _det_run(rows)
     assert _DET_SWITCH in run
     assert run[: run.index(_DET_SWITCH)].count("prev = scale * p") == 2  # at step 2
+
+
+# -- det's width ladder: int16, int32, int64, then Python ints -----------------
+
+_DET_WIDEN = "a = a.astype(_narrowest(need))"
+_EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**63 - 1]
+
+
+@st.composite
+def _width_edge_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    edge = st.sampled_from(_EDGES).flatmap(lambda x: st.sampled_from([x, -x]))
+    entry = st.one_of(edge, st.integers(min_value=-3, max_value=3))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[-1] = [draw(st.integers(-2, 2)) * x for x in rows[0]]  # singular
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_width_edge_inputs())
+@example([[2**15 - 1, 1], [1, 2**15 - 1]])
+@example([[2**15, -(2**15)], [2**15 - 1, 2**15]])
+@example([[2**31 - 1, 1, 0], [1, 2**31 - 1, 1], [0, 1, -(2**31 - 1)]])
+@example([[2**63 - 1, 2], [-(2**63 - 1), 2**63 - 1]])
+@example([[1, 2**15 - 1, 0], [2**15 - 1, 3, 2**15], [0, 2**15, 1]])
+def test_det_at_the_width_edges_matches_fraction_free(rows):
+    n = len(rows)
+    assert det(_object_matrix(rows, n, n)) == det_fraction_free(rows)
+    assert det(np.array(rows, dtype=object)) == det_fraction_free(rows)
+
+
+def test_narrowest_width_holds_its_bound():
+    assert lattice._narrowest(0) == np.int16
+    assert lattice._narrowest(2**15 - 1) == np.int16
+    assert lattice._narrowest(2**15) == np.int32
+    assert lattice._narrowest(2**31 - 1) == np.int32
+    assert lattice._narrowest(2**31) == np.int64
+    assert lattice._narrowest(2**63 - 1) == np.int64
+
+
+def test_det_widens_where_the_scanned_bound_fails_and_only_there():
+    # entries 2^14 start in int16; step 0 (pivot 1) forms up to
+    # 2^14 + 2^14 * 2^14 = 2^28 + 2^14, past int16 even after the scan, so
+    # the array goes to int32, not int64; the result is exact
+    x = 2**14
+    rows = [[1, x, 0], [x, 1, 1], [0, 1, 1]]
+    got, run = _traced(det, _object_matrix(rows, 3, 3))
+    assert got == det_fraction_free(rows)
+    assert run.count(_DET_WIDEN) == 1 and _DET_SWITCH not in run
+    # small entries stay in int16 throughout: no scan, no widening
+    got, run = _traced(det, _object_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 3, 3))
+    assert got == 4
+    assert _DET_WIDEN not in run and _DET_RESCAN not in run
+
+
+def test_det_of_a_rank_258_gram_stays_in_int16():
+    # spinor Gram entries are -1, 0 and 1 and stay within 3 through the
+    # unit steps, so the carried bound never leaves int16
+    H = surface.build_all(induce(random_simple(5, 12, 16, 11), OrbitKind.SPINOR))
+    assert lattice._narrowest(lattice._maxabs(H._gram64)) == np.int16
+    got, run = _traced(det, H._gram64)
+    assert abs(got) == 1
+    assert _DET_WIDEN not in run and _DET_RESCAN not in run and _DET_SWITCH not in run
+
+
+# -- the divisor chain modulo a known exponent ---------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_inputs(), st.integers(min_value=1, max_value=64))
+def test_chain_modulo_any_modulus_is_exact(case, modulus):
+    # a modulus that the last divisor does not divide misses the product
+    # check against |det| and falls back; one that it divides is kept
+    M, alternating = case
+    D = abs(det(M))
+    want = chain_mod_lists(to_lists(M), D)
+    assert lattice._nonsingular_chain(M, alternating, modulus) == want
+
+
+@pytest.mark.parametrize("modulus,tries", [(None, 1), (4, 1), (8, 1), (2, 2), (3, 2)])
+def test_chain_modulo_the_exponent_falls_back_to_the_pfaffian(monkeypatch, modulus, tries):
+    # type (1, 4): chain 1, 1, 4, 4, |det| 16 and Pfaffian 4, in a basis
+    # that mixes the blocks
+    U = intmat([[1, 1, 0, 2], [0, 1, 0, 0], [1, 0, 1, 0], [0, 3, 0, 1]])
+    g = matmul(matmul(U.T, intmat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 4], [0, 0, -4, 0]])), U)
+    moduli = []
+    real = lattice._chain_mod
+    monkeypatch.setattr(lattice, "_chain_mod", lambda m, D: moduli.append(D) or real(m, D))
+    assert lattice._nonsingular_chain(g, True, modulus) == (1, 1, 4, 4)
+    assert len(moduli) == tries
+    if tries == 2:
+        assert moduli == [modulus, 4]
+    assert ptype(PolarizedLattice(g, eye(4), modulus)) == (1, 4)
+
+
+def test_exponent_does_not_enter_lattice_equality():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(PolarizedLattice) if f.compare] == ["gram", "basis"]

@@ -684,3 +684,21 @@ def test_mu_check_equals_the_divisor_oracle_where_the_flags_fail():
     mu = mu_check(HX, whole, incidence)
     assert not mu.surjective
     assert tuple(mu) == mu_check_via_divisors(HX, whole, incidence)
+
+
+@pytest.mark.parametrize("n,ds,dl,seed", [(3, 4, 6, 1), (4, 2, 8, 5), (5, 2, 10, 1)])
+def test_prym_tyurin_lattices_carry_their_exponent(n, ds, dl, seed):
+    # the exponent tag only lets the type try its chain modulo q first
+    from dataclasses import replace
+
+    datum = random_simple(n, ds, dl, seed=seed)
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    lat, cert = prym_tyurin_lattice(HX)
+    through, _ = prym_tyurin_lattice(HX, prym.incidence_maps(HX, HC))
+    pprime = prym_lattice(HC, corr.negation_matrix(n))
+    assert lat.exponent == through.exponent == cert["exponent"] == 2 ** (n - 1)
+    assert pprime.exponent == 2
+    for tagged in (lat, through, pprime):
+        assert ptype(replace(tagged, exponent=None)) == ptype(tagged)
+    assert all(2 ** (n - 1) % d == 0 for d in ptype(lat))

@@ -2,6 +2,8 @@ import gc
 import random
 import weakref
 
+import numpy as np
+
 import pytest
 
 import _oracles
@@ -217,6 +219,8 @@ def test_model_is_freed_without_the_cycle_collector():
 ORACLE_DATA = [
     (2, 4, 4, 3), (3, 4, 6, 3), (3, 0, 10, 2), (4, 2, 8, 5), (5, 2, 10, 1), (5, 0, 12, 1),
 ]
+# more seeded data for the loop-built reference, (4, 0, 12, 7) split again
+BUILD_DATA = [(2, 2, 6, 11), (3, 6, 4, 12), (4, 0, 12, 7), (4, 4, 6, 13)]
 
 
 def _columns(B):
@@ -316,3 +320,95 @@ def test_check_equivariance_gathers_every_pair_at_once(big):
     with pytest.raises(EquivarianceError,
                        match=r"^fiber matrix shape \(4, 2\) does not match degrees \(4, 3\)$"):
         surface.check_equivariance(fiber[:, :2], src, dst)
+
+
+# -- the array build against the loop-built reference ----------------------------
+
+
+def _same_sparse(a, b) -> bool:
+    return a.shape == b.shape and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "cols", "vals")
+    )
+
+
+@pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY])
+@pytest.mark.parametrize(
+    "datum",
+    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA + BUILD_DATA] + [NON_SIMPLE],
+    ids=[str(case) for case in ORACLE_DATA + BUILD_DATA] + ["non-simple"],
+)
+def test_array_build_matches_the_loop_build(datum, orbit):
+    cm = induce(datum, orbit)
+    comps = cover.components(cm)
+    for comp in comps:
+        sub = cm if len(comps) == 1 else cover.component_cover(cm, comp)
+        got, want = surface.HomologyModel(sub), _oracles.LoopHomologyModel(sub)
+        assert got.vertex_ends == want.vertex_ends
+        assert got.edge_head.tolist() == want.edge_head
+        assert got.edge_tail.tolist() == want.edge_tail
+        assert got.most_ends == want.most_ends
+        assert _same_sparse(got.boundary_map, want.boundary_map)
+        assert got.nontree.tolist() == want.nontree
+        assert got.B.dtype == want.B.dtype and np.array_equal(got.B, want.B)
+        assert _same_sparse(got.class_map, want.class_map)
+        assert _same_sparse(got.sheet_chains, want.sheet_chains)
+        assert to_lists(got.gram) == to_lists(want.gram)
+        # the face walk spells out the loop build's face dicts
+        k = got.arc_count
+        for t, chain in enumerate(want.faces):
+            walked = {}
+            for i in range(k):
+                down, up = got.face_walk[i, t] * k + i, got.face_walk[i + 1, t] * k + i
+                walked[down] = walked.get(down, 0) + 1
+                walked[up] = walked.get(up, 0) - 1
+            assert walked == chain
+
+
+def _chains(p, entry, columns=3, seed=0):
+    """Edge chains on model ``p`` with entries drawn from ``entry``."""
+    rng = random.Random(seed)
+    return lattice.intmat(
+        [[rng.choice(entry) for _ in range(columns)] for _ in range(p.edge_count)]
+    )
+
+
+@pytest.mark.parametrize("datum", [random_simple(4, 2, 8, seed=5), NON_SIMPLE], ids=["simple", "non-simple"])
+@pytest.mark.parametrize("top", [7, 2**62, 2**80])
+def test_boundary_by_segment_sums_matches_the_boundary_map(datum, top):
+    # 2^62 times the most ends at a vertex passes 2^63: Python ints, exact
+    p = surface.build_all(induce(datum, OrbitKind.SPINOR)).parts[0]
+    chains = _chains(p, [-top, -1, 0, 0, 1, top])
+    got = p._boundary(chains)
+    assert to_lists(got) == to_lists(lattice._sparse_product(p.boundary_map, chains))
+    on_pyints = top * p.most_ends >= 2**63
+    assert (got.dtype == object) == on_pyints
+    if on_pyints:
+        assert all(type(x) is int for x in got.flat)
+    assert not p._boundary(p.B).any()
+
+
+def test_boundary_python_int_path_at_the_bound():
+    p = surface.build_all(induce(random_simple(3, 4, 6, seed=3), OrbitKind.SPINOR)).parts[0]
+    edge = p.vertex_ends[0][1][0]
+    for x, on_pyints in [((2**63 - 1) // p.most_ends, False), (2**63 // p.most_ends + 1, True)]:
+        chains = zeros(p.edge_count, 1)
+        chains[edge, 0] = x
+        got = p._boundary(chains)
+        assert (got.dtype == object) == on_pyints
+        assert to_lists(got) == to_lists(lattice._sparse_product(p.boundary_map, chains))
+
+
+def test_induced_map_catches_a_chain_that_does_not_close():
+    datum = random_simple(3, 4, 6, seed=3)
+    H = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    p = H.parts[0]
+    # one coefficient of one basis cycle moved to another edge of the same
+    # sheet: still a chain, no longer a cycle
+    chains = p.B.reshape(p.degree, -1).T.copy()
+    row = int(np.flatnonzero(chains.any(axis=1))[0])
+    sheet = int(np.flatnonzero(chains[row])[0])
+    chains[row, sheet] += 1
+    p.sheet_chains = lattice.sparse(chains)
+    assert p._boundary(chains.T.reshape(p.edge_count, -1)).any()
+    with pytest.raises(AssertionError, match="^image chain failed to close per component$"):
+        surface.induced_map_all(H, H, eye(p.degree))

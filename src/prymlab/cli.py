@@ -215,6 +215,8 @@ def cmd_ptype(args) -> int:
     datum = load_datum(args.file)
     cover.require_valid(datum)
     kind = OrbitKind(args.orbit)
+    if kind is OrbitKind.SPINOR:
+        corr._require_rank(datum.n)  # make_D's cap, before the build
     H = surface.build_all(cover.induce(datum, kind))
     if kind is OrbitKind.SPINOR:
         lat, cert = prym.prym_tyurin_lattice(H)

@@ -16,50 +16,54 @@ The complex is built by array passes over the monodromy arrays, never one
 sheet or edge at a time: every sheet is walked around its cycle under every
 arc at once, for as many steps as the longest cycle has sheets, which gives
 each cycle's least sheet (its vertex is walked from there), its length and
-its ends in cyclic order; edge heads and the boundary map follow by
-scatters. The faces are one k x d walk (``face_walk``: row i holds the sheet
-each face is on before arc i), and the relation matrix is read off it by
-``np.add.at``. The boundary of a block of edge chains (``_boundary``) is a
-segment sum, not a product with the boundary map: the sheet vertices are
-the chains reshaped sheet by arc and summed over the arcs, and the
-ramification vertices, grouped by their number of ends L (``branch_groups``),
-are one gather and one sum over L per group. It runs under ``matmul``'s
-rule with the most ends at a vertex for the inner dimension: int64 while
-that times the largest entry is below 2^63, Python ints otherwise.
-``induced_map_all`` checks with it that every image chain closes.
+its ends in cyclic order; edge heads follow by one scatter. The model keeps
+the vertex ends in one form: the ramification vertices grouped by their
+number of ends L (``branch_groups``), each group an array of L columns,
+while sheet vertex s has the ends ``s * k ... s * k + k - 1`` (k arcs) by
+construction. The faces are one k x d walk (``face_walk``: row i holds the
+sheet each face is on before arc i), and the relation matrix is read off it
+by ``np.add.at``. The boundary of a block of edge chains (``_boundary``) is
+a segment sum; the model holds no boundary map: the sheet vertices are the
+chains reshaped sheet by arc and summed over the arcs, and the ramification
+vertices are one gather and one sum over L per group. It runs under
+``matmul``'s rule with the most ends at a vertex for the inner dimension:
+int64 while that times the largest entry is below 2^63, Python ints
+otherwise. ``induced_map_all`` checks with it that every image chain
+closes.
 
 First homology comes from a spanning tree: non-tree edges give fundamental
 cycles, face boundaries give the relations, and the quotient is free of rank
-2g (asserted). The basis is held as one E x 2g integer matrix ``B`` (E the
-number of edges, edge ``sheet * arcs + arc``); column j is basis cycle j as
-an edge chain. The class of any cycle is ``C`` times its edge chain, ``C``
-the rows of the relation transform past the relations placed at the
-non-tree edges (zero at tree edges). A fiber correspondence therefore acts
-on homology as one product: image chains ``(F^T (x) I) B``, then ``C``.
-``B`` is under 1% nonzero at rank 5, so the image chains are formed from
-its nonzero entries: the model also holds ``B`` with its rows grouped by
-sheet, transposed, as a ``lattice.SparseMatrix`` (``sheet_chains``), and
-the chains are that times the fiber block, transposed back.
+2g (asserted). The build forms the basis as one E x 2g integer matrix ``B``
+(E the number of edges, edge ``sheet * arcs + arc``); column j is basis
+cycle j as an edge chain. The class of any cycle is ``C`` times its edge
+chain, ``C`` the rows of the relation transform past the relations placed
+at the non-tree edges (zero at tree edges). A fiber correspondence
+therefore acts on homology as one product: image chains ``(F^T (x) I) B``,
+then ``C``. ``B`` is under 1% nonzero at rank 5, so the model keeps it only
+by its nonzero entries, its rows grouped by sheet and transposed, as a
+``lattice.SparseMatrix`` (``sheet_chains``), and the image chains are that
+times the fiber block, transposed back. Dense ``B`` goes to the Gram and is
+freed when the build returns.
 
 The intersection form is ``B^T Q B`` for a local crossing form Q: push the
 second chain off to the right of every edge; crossings then happen only
 inside the disk around each vertex, where they are counted from the cyclic
 order of edge ends (ascending arcs at a sheet vertex, inverse-monodromy
-order at a ramification vertex). Q is block diagonal over the vertices, so
-the Gram is summed one vertex at a time over the basis columns that pass
-through it. A ramification vertex with two ends (e1, e2), as every
-reflection makes, adds ``-outer(B[e2], B[e1])``; these, over half the
-vertices of a spinor cover at rank 5, are summed by one sparse product
-``B[second ends]^T B[first ends]``, and only sheet vertices and
-ramification vertices with three or more ends (non-simple data) are summed
-one at a time. The Gram is checked to have zero diagonal and to be alternating and
-unimodular on every build.
+order at a ramification vertex). Q is block diagonal over the vertices. A
+ramification vertex with ends e_1, ..., e_L pairs each e_i with the sum of
+the ends before it and adds ``-sum_i outer(B[e_i], B[e_1] + ... +
+B[e_(i-1)])``, which is ``-outer(B[e_2], B[e_1])`` for the two ends every
+reflection makes. One sparse product per group of equal L sums these over
+the group: ``B[later ends]^T`` times the prefix sums of ``B[earlier ends]``,
+taken in place on the gathered block. The sheet vertices are summed one at
+a time, each over the basis columns that pass through it. The Gram is
+checked to have zero diagonal and to be alternating and unimodular on every
+build.
 
-The cover's matrices are held in int64, converted once when the model is
-built: ``B``, and ``C``, the boundary map and the sheet chains of ``B``
-as ``lattice.SparseMatrix`` (``C`` is about 2% nonzero at rank 5). With
-beta the largest entry of the relation transforms they are read from, m
-the number of non-tree edges and Delta the most edge ends at one vertex,
+The model's matrices are int64: ``C`` (``class_map``, about 2% nonzero at
+rank 5) and the sheet chains as ``lattice.SparseMatrix``, and the Gram.
+With beta the largest entry of the relation transforms they are read from,
+m the number of non-tree edges and Delta the most edge ends at one vertex,
 every entry of ``B`` is at most 2 m beta (a tree entry is a sum of
 non-tree entries, each counted at most twice), and the build asserts
 ``2 E Delta (2 m beta)^2 < 2^63``. That bounds every partial sum the
@@ -68,15 +72,20 @@ the Gram. Each Gram entry is a sum of products of two entries of ``B``,
 at most ``Delta_v^2`` of them from a vertex with Delta_v ends and so at
 most ``2 E Delta`` in all over the vertices' 2E ends, so that every partial
 sum, whatever the order and grouping of its terms, is at most
-``2 E Delta max|B|^2``. That covers the batched product of the two-end
-vertices, whose partial sums group the same terms by basis column, and
-its own bound check (``max|B|^2`` times at most E terms) then holds too.
-Products with a fiber matrix, whose entries are the caller's, go through
-``lattice._product`` and ``lattice._sparse_product``, which check
-``matmul``'s bound on each call and run on Python ints where it fails.
-Every matrix that leaves this module is an object array of Python ints,
-but the checked int64 Gram, which a homology hands only to
-``lattice.PolarizedLattice``, for its sublattices (``sublattice``).
+``2 E Delta max|B|^2``. That covers the product of each group, whose
+partial sums group the same terms by basis column and by prefix, and its
+own bound check (``max|B|`` times ``(L - 1) max|B|`` times at most E terms)
+then holds too. Products with a fiber matrix, whose entries are the
+caller's, go through ``lattice._product`` and ``lattice._sparse_product``,
+which check ``matmul``'s bound on each call and run on Python ints where it
+fails.
+
+The checked Gram is held once, in int64, by each model and by each
+homology (``_gram64``). Their ``gram`` reads it out as an object array of
+Python ints, a new one on each read; the int64 array goes only to
+``lattice.PolarizedLattice``, for a homology's sublattices
+(``sublattice``). Every other matrix that leaves this module is an object
+array of Python ints too.
 """
 
 from __future__ import annotations
@@ -107,8 +116,12 @@ class HomologyModel:
             )
         self.cover = cover_model
         self._build_complex()
-        self._build_cycles()
-        self._build_gram()
+        self._build_gram(self._build_cycles())
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The intersection Gram as an object array of Python ints."""
+        return lattice._objects(self._gram64)
 
     # -- complex ----------------------------------------------------------
 
@@ -147,32 +160,19 @@ class HomologyModel:
         # edge id: sheet * k + arc, oriented sheet vertex -> branch vertex;
         # ends[j] are the edges ending at vertex d + j in cyclic order
         ends = walks[:, arcs, heads].T * k + arcs[:, None]
-        # every branch end, vertex after vertex, and its vertex
-        end_edge, end_vertex = ends[on_cycle], np.repeat(d + np.arange(branches), sizes)
         self.edge_count = E = d * k
         self.edge_tail = np.arange(E) // k
         self.edge_head = np.empty(E, dtype=np.intp)
-        self.edge_head[end_edge] = end_vertex
+        self.edge_head[ends[on_cycle]] = np.repeat(d + np.arange(branches), sizes)
         self.most_ends = max(k, len(walks))
         # the ramification vertices grouped by their number of ends L, each
-        # group as (vertex ids, their ends in an array of L columns)
+        # group as (vertex ids, their ends in an array of L columns, in the
+        # cyclic order of the inverse monodromy); sheet vertex s has the
+        # ends s * k ... s * k + k - 1, in ascending arcs
         self.branch_groups = []
         for size in sorted(set(sizes.tolist())):
             rows = np.flatnonzero(sizes == size)
             self.branch_groups.append((d + rows, ends[rows, :size]))
-        # cyclic end order per vertex; ccw is ascending arcs at a sheet
-        # vertex and the inverse-monodromy cycle at a ramification vertex
-        self.vertex_ends = [("sheet", list(range(s * k, s * k + k))) for s in range(d)] + [
-            ("branch", row[:size]) for row, size in zip(ends.tolist(), sizes.tolist())
-        ]
-        # boundary: row v holds the ends at vertex v, -1 at a sheet vertex
-        # (the tail of each edge) and +1 at a ramification vertex (its head)
-        self.boundary_map = lattice.SparseMatrix(
-            (self.vertex_count, E),
-            np.concatenate([self.edge_tail, end_vertex]).astype(np.int64),
-            np.concatenate([np.arange(E), end_edge]).astype(np.int64),
-            np.repeat(np.array([-1, 1], dtype=np.int64), E),
-        )
 
         # face boundaries, one per sheet: face t walks the arcs in
         # ascending order, down arc i on sheet face_walk[i, t] and back up
@@ -186,15 +186,15 @@ class HomologyModel:
         self.face_walk = walk
 
     def _boundary(self, chains) -> np.ndarray:
-        """``boundary_map @ chains`` for edge chains (the columns of
-        ``chains``) by segment sums: the sheet vertices are one sum over
-        the arcs of ``chains`` reshaped sheet by arc, and the ramification
-        vertices one such sum per group of equal size, over their ends
-        gathered a chunk of at most ``lattice._GATHER`` entries at a time
-        (one vertex at the least), so the temporary stays small. Under
-        ``lattice``'s product rule, with the most ends at a vertex for the
-        inner dimension: int64 while that times the largest entry is below
-        2^63, Python ints otherwise."""
+        """The boundary of edge chains (the columns of ``chains``), -1 at
+        the tail and +1 at the head of each edge, by segment sums: the
+        sheet vertices are one sum over the arcs of ``chains`` reshaped
+        sheet by arc, and the ramification vertices one such sum per group
+        of equal size, over their ends gathered a chunk of at most
+        ``lattice._GATHER`` entries at a time (one vertex at the least), so
+        the temporary stays small. Under ``lattice``'s product rule, with
+        the most ends at a vertex for the inner dimension: int64 while that
+        times the largest entry is below 2^63, Python ints otherwise."""
         c64, top = lattice._int64(chains)
         if c64 is None or top * self.most_ends >= lattice._INT64_BOUND:
             chains = lattice._pyints(chains)
@@ -281,18 +281,20 @@ class HomologyModel:
             e, w = parent[v]
             B[e] = inflow[v] if v < d else -inflow[v]
             inflow[w] += inflow[v]
-        self.B = B
-        # the same cycles by their nonzero entries, one row per (arc, basis
-        # cycle) and one column per sheet: the image chains of a fiber
-        # correspondence are this times the fiber block, transposed
+        # the model keeps the cycles by their nonzero entries only, one row
+        # per (arc, basis cycle) and one column per sheet: the image chains
+        # of a fiber correspondence are this times the fiber block,
+        # transposed; B itself goes to the Gram and is dropped
         self.sheet_chains = lattice.sparse(B.reshape(self.degree, -1).T)
+        return B
 
     # -- intersection numbers ----------------------------------------------
 
-    def _build_gram(self):
-        """Gram = B^T Q B for the local crossing form Q, summed vertex by
-        vertex over the basis columns that touch the vertex, but for the
-        two-end ramification vertices, summed by one product.
+    def _build_gram(self, B):
+        """Gram = B^T Q B for the local crossing form Q, for the basis
+        cycles ``B`` as an edge-by-cycle matrix: the ramification vertices
+        by one product per group of equal size, the sheet vertices one at
+        a time over the basis columns that touch the vertex.
 
         The second cycle is displaced to the right of every oriented edge,
         so its strand arrives just clockwise of a tail end and just counter-
@@ -302,32 +304,29 @@ class HomologyModel:
         vertex. The flow is minus the coefficient at a tail end, and the two
         signs cancel in the product.
         """
-        B = self.B
-        touched = B != 0
-        gram = np.zeros((self.genus2, self.genus2), dtype=np.int64)
-        # a ramification vertex with ends (e1, e2) pairs e2 with e1 alone:
-        # its block is -outer(B[e2], B[e1]), and one product sums them all
+        d, k, g = self.degree, self.arc_count, self.genus2
+        gram = np.zeros((g, g), dtype=np.int64)
+        # a ramification vertex pairs each end after the first with the sum
+        # of the ends before it: one sparse product sums a whole group
         for _vertices, ends in self.branch_groups:
-            if ends.shape[1] == 2:
-                first, second = ends.T
-                gram -= lattice._sparse_product(lattice.sparse(B[second].T), B[first])
-        for kind, ends in self.vertex_ends:
-            if kind == "branch" and len(ends) <= 2:
-                continue  # one end pairs with nothing; two were summed above
-            cols = np.flatnonzero(touched[ends].any(axis=0))
-            x = B[np.ix_(ends, cols)]
-            run = np.cumsum(x, axis=0)
-            if kind == "branch":
-                run -= x
-            gram[np.ix_(cols, cols)] -= lattice._product(x.T, run)
+            if ends.shape[1] > 1:
+                run = B[ends[:, :-1]]
+                for i in range(1, run.shape[1]):
+                    run[:, i] += run[:, i - 1]
+                later = lattice.sparse(B[ends[:, 1:].ravel()].T)
+                gram -= lattice._sparse_product(later, run.reshape(later.shape[1], g))
+        for s in range(d):
+            x = B[s * k:(s + 1) * k]
+            cols = np.flatnonzero(x.any(axis=0))
+            x = x[:, cols]
+            gram[np.ix_(cols, cols)] -= lattice._product(x.T, np.cumsum(x, axis=0))
         if np.diagonal(gram).any():
             raise AssertionError("nonzero self-intersection")
         if not (gram.T == -gram).all():
             raise AssertionError("intersection form is not alternating")
-        if self.genus2 and abs(lattice.det(gram)) != 1:
+        if g and abs(lattice.det(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
         self._gram64 = gram
-        self.gram = gram.astype(object)
 
 
 def check_equivariance(fiber, src_perms, dst_perms) -> None:
@@ -356,20 +355,24 @@ def check_equivariance(fiber, src_perms, dst_perms) -> None:
 @dataclass(frozen=True)
 class CoverHomology:
     """Homology of a possibly disconnected cover: the direct sum of the
-    component models, with block-diagonal Gram. ``_gram64`` is the same
-    Gram in int64, assembled from the components' checked ones; its
-    sublattices read it."""
+    component models, with block-diagonal Gram, held once in int64
+    (``_gram64``) and assembled from the components' checked ones. Its
+    sublattices read that array; ``gram`` reads it out as Python ints."""
 
     cover: CoverModel
     parts: tuple
     part_labels: tuple
-    gram: np.ndarray
     offsets: tuple
     _gram64: np.ndarray = field(repr=False, compare=False)
 
     @property
+    def gram(self) -> np.ndarray:
+        """The block-diagonal Gram as an object array of Python ints."""
+        return lattice._objects(self._gram64)
+
+    @property
     def rank(self) -> int:
-        return self.gram.shape[0]
+        return self._gram64.shape[0]
 
     @property
     def genus_total(self) -> int:
@@ -391,18 +394,16 @@ def build_all(cover_model: CoverModel) -> CoverHomology:
         parts.append(HomologyModel(sub))
     offsets = np.cumsum([0] + [p.genus2 for p in parts]).tolist()
     if len(parts) == 1:
-        gram64, gram = parts[0]._gram64, parts[0].gram
+        gram64 = parts[0]._gram64
     else:
         total = offsets[-1]
         gram64 = np.zeros((total, total), dtype=np.int64)
         for p, at in zip(parts, offsets):
             gram64[at:at + p.genus2, at:at + p.genus2] = p._gram64
-        gram = gram64.astype(object)
     return CoverHomology(
         cover=cover_model,
         parts=tuple(parts),
         part_labels=tuple(tuple(c) for c in comps),
-        gram=gram,
         offsets=tuple(offsets[:-1]),
         _gram64=gram64,
     )

@@ -127,7 +127,9 @@ def pairing(x, y, scale):
     return scale * sum(a * b for a, b in zip(x, y))
 
 
-# -- homology chains as dicts, on a surface.HomologyModel ----------------------
+# -- homology chains as dicts, on a LoopHomologyModel ---------------------------
+# (the helpers that read cyclic end orders or the dense basis B take the loop
+# model, which keeps both; surface.HomologyModel keeps neither)
 
 
 def _vertex_flows(model, chain):
@@ -204,8 +206,9 @@ def class_of(model, chain):
 def gram_by_vertices(model):
     """The Gram B^T Q B of a model summed one vertex at a time, each vertex
     by its own prefix-sum block over the basis columns that touch it, on
-    Python ints: the per-vertex loop that ``surface`` batches its two-end
-    ramification vertices out of."""
+    Python ints: the per-vertex loop that ``surface`` batches its
+    ramification vertices out of, one product per group of equal size.
+    ``model`` is a ``LoopHomologyModel``."""
     B = np.asarray(model.B).astype(object)
     gram = np.full((model.genus2, model.genus2), 0, dtype=object)
     for kind, ends in model.vertex_ends:
@@ -609,7 +612,10 @@ class LoopHomologyModel(HomologyModel):
     (edge -> coefficient), the boundary map from a list of ends, the tree
     closed one vertex at a time from the leaves, and the Gram summed one
     vertex at a time. The reference for ``surface.HomologyModel``'s array
-    passes; the relation elimination is the library's."""
+    passes; the relation elimination is the library's. It keeps what the
+    array model drops after its build: the dense cycle basis ``B`` (edge by
+    basis cycle), every vertex's ends in cyclic order (``vertex_ends``, a
+    list of ``(kind, ends)``) and the boundary map."""
 
     def _build_complex(self):
         cov = self.cover
@@ -721,9 +727,10 @@ class LoopHomologyModel(HomologyModel):
             inflow[w] += inflow[v]
         self.B = B
         self.sheet_chains = sparse(B.reshape(self.degree, -1).T)
+        return B
 
-    def _build_gram(self):
-        self.gram = gram_by_vertices(self)
+    def _build_gram(self, B):
+        self._gram64 = gram_by_vertices(self).astype(np.int64)
 
 
 def mu_check_via_divisors(HX, pprime, incidence):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from prymlab import cli, corr, lattice, prym
+from prymlab import cli, corr, lattice, prym, surface
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -427,6 +427,48 @@ def test_probe_rejects_rank_without_fiber_matrices_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert f"fiber matrices supported for rank 2..{corr.FIBER_RANK_MAX}" in err
+
+
+# random_simple(7, 6, 14, seed=0) and random_simple(8, 4, 16, seed=1), whose
+# spinor covers have homology of rank 578 and 1026
+RANK_7_8 = {
+    "r7": [[1, 2, -3, 4, 5, 6, 7], [1, 2, 3, 4, 5, -6, 7], [1, 2, 3, 4, 5, -6, 7],
+           [-1, 2, 3, 4, 5, 6, 7], [1, 2, -3, 4, 5, 6, 7], [1, 2, 3, 4, -5, 6, 7],
+           [-7, 2, 3, 4, 5, 6, -1], [1, 2, 6, 4, 5, 3, 7], [-3, 2, -1, 4, 5, 6, 7],
+           [4, 2, 3, 1, 5, 6, 7], [1, 2, 7, 4, 5, 6, 3], [1, 2, 3, 6, 5, 4, 7],
+           [6, 2, 3, 4, 5, 1, 7], [1, 3, 2, 4, 5, 6, 7], [5, 2, 3, 4, 1, 6, 7],
+           [1, 2, 3, -5, -4, 6, 7], [1, 3, 2, 4, 5, 6, 7], [1, 2, -5, 4, -3, 6, 7],
+           [-5, 2, 3, 4, -1, 6, 7], [1, 2, 3, 6, 5, 4, 7]],
+    "r8": [[1, 2, 3, 4, 5, -6, 7, 8], [-1, 2, 3, 4, 5, 6, 7, 8], [1, -2, 3, 4, 5, 6, 7, 8],
+           [1, 2, 3, 4, 5, 6, -7, 8], [1, 2, 3, 4, 5, 8, 7, 6], [1, 2, 8, 4, 5, 6, 7, 3],
+           [1, 2, 3, 4, 6, 5, 7, 8], [1, 2, 3, 4, 5, 6, 8, 7], [-6, 2, 3, 4, 5, -1, 7, 8],
+           [1, 2, 4, 3, 5, 6, 7, 8], [1, 2, 3, -6, 5, -4, 7, 8], [1, 2, 3, -6, 5, -4, 7, 8],
+           [1, 2, -8, 4, 5, 6, 7, -3], [1, 2, 3, 4, -6, -5, 7, 8], [1, 4, 3, 2, 5, 6, 7, 8],
+           [1, -4, 3, -2, 5, 6, 7, 8], [1, 2, 3, -8, 5, 6, 7, -4], [1, 2, 7, 4, 5, 6, 3, 8],
+           [-5, 2, 3, 4, -1, 6, 7, 8], [1, 2, 3, 4, 5, -8, 7, -6]],
+}
+
+
+def test_ptype_spinor_refuses_rank_before_building(tmp_path, capsys, monkeypatch):
+    paths = {}
+    for name, gens in RANK_7_8.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"n": len(gens[0]), "base_genus": 0, "generators": gens}))
+    with monkeypatch.context() as m:
+        def no_build(*args):
+            raise AssertionError("homology built before the rank check")
+
+        m.setattr(surface, "build_all", no_build)
+        for path in paths.values():
+            code, out, err = _run(capsys, "ptype", str(path), "--orbit", "spinor")
+            assert code == 2
+            assert out == ""
+            assert f"fiber matrices supported for rank 2..{corr.FIBER_RANK_MAX}" in err
+    # the other orbits need no capped fiber matrix and still run at rank 8
+    for orbit in ("vector", "parity"):
+        code, out, _ = _run(capsys, "--format", "json", "ptype", str(paths["r8"]), "--orbit", orbit)
+        assert code == 0
+        assert json.loads(out)["orbit"] == orbit
 
 
 def test_verify_scenario_rejects_rank_before_drawing_a_datum(capsys, monkeypatch):

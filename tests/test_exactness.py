@@ -191,13 +191,19 @@ def test_matrices_leaving_surface_and_lattice_are_python_ints():
     datum = random_simple(3, 4, 6, seed=3)
     HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
     HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
-    assert HX.parts[0].B.dtype == np.int64  # held in int64 inside surface
+    # a split spinor cover: the block-diagonal Gram and each part's
+    split = surface.build_all(induce(random_simple(3, 0, 10, seed=2), OrbitKind.SPINOR))
+    assert len(split.parts) == 2
+    assert HX.parts[0].sheet_chains.vals.dtype == np.int64  # held in int64 inside surface
     delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
     s0 = surface.induced_map_all(HX, HC, corr.make_S0(3).matrix)
     one = lattice.eye(HX.rank)
     outputs = {
         "gram": HX.gram,
         "part gram": HX.parts[0].gram,
+        "split gram": split.gram,
+        "split part 0 gram": split.parts[0].gram,
+        "split part 1 gram": split.parts[1].gram,
         "induced_map_all": delta,
         "image": lattice.image(one - delta),
         "image of eye_minus": lattice.image(lattice.eye_minus(delta)),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -48,7 +49,7 @@ def test_build_is_deterministic():
     H1 = _oracles.build(induce(d, OrbitKind.SPINOR))
     H2 = _oracles.build(induce(d, OrbitKind.SPINOR))
     assert to_lists(H1.gram) == to_lists(H2.gram)
-    assert mat_equal(H1.B, H2.B)
+    assert _same_sparse(H1.sheet_chains, H2.sheet_chains)
 
 
 def test_build_rejects_positive_base_genus():
@@ -90,10 +91,13 @@ def test_basis_cycles_are_cycles():
         for e in range(p.edge_count):
             boundary[p.edge_head[e], e] += 1
             boundary[p.edge_tail[e], e] -= 1
-        assert mat_equal(boundary @ p.B, zeros(p.vertex_count, p.genus2))
-        # the sparse boundary map induced_map_all checks image chains with
-        assert mat_equal(lattice._sparse_product(p.boundary_map, eye(p.edge_count)), boundary)
-        assert all(p.gram[i, i] == 0 for i in range(p.genus2))
+        assert mat_equal(boundary @ _cycles(p), zeros(p.vertex_count, p.genus2))
+        # the segment sums induced_map_all checks image chains with, and the
+        # loop build's sparse boundary map
+        assert mat_equal(p._boundary(eye(p.edge_count)), boundary)
+        loop = _oracles.LoopHomologyModel(p.cover)
+        assert mat_equal(lattice._sparse_product(loop.boundary_map, eye(p.edge_count)), boundary)
+        assert not np.diagonal(p.gram).any()
 
 
 def test_induced_identity_map():
@@ -183,10 +187,10 @@ def test_build_all_split_cover():
     assert len(H.parts) == 2
     assert H.rank == sum(p.genus2 for p in H.parts)
     # block diagonal gram
-    g0 = H.parts[0].genus2
+    g0, gram = H.parts[0].genus2, H.gram
     for i in range(g0):
         for j in range(g0, H.rank):
-            assert H.gram[i, j] == 0
+            assert gram[i, j] == 0
 
 
 def test_induced_map_all_sheet_involution_swaps_parts():
@@ -212,6 +216,39 @@ def test_model_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def _arrays(value):
+    """Every array in an attribute value, through lists, tuples and the
+    fields of a ``lattice.SparseMatrix``."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, lattice.SparseMatrix):
+        yield from (value.rows, value.cols, value.vals)
+
+
+def test_models_keep_one_form_of_each_structure():
+    # after a build a model holds its cycles only as sheet chains, its vertex
+    # ends only as branch groups and its Gram only in int64: no dense
+    # edge-by-cycle basis, no object array, no boundary map, no per-vertex
+    # end list; and a homology has one Gram field
+    H = surface.build_all(induce(random_simple(3, 0, 10, seed=2), OrbitKind.SPINOR))
+    assert len(H.parts) == 2
+    for p in H.parts:
+        for name, value in vars(p).items():
+            if isinstance(value, lattice.SparseMatrix):
+                assert value.shape != (p.vertex_count, p.edge_count), name
+            if isinstance(value, (list, tuple)):
+                assert len(value) != p.vertex_count, name
+            for a in _arrays(value):
+                assert a.shape != (p.edge_count, p.genus2), name
+                assert a.dtype != object, name
+    grams = [f.name for f in dataclasses.fields(H) if "gram" in f.name]
+    assert grams == ["_gram64"]
+    assert H._gram64.dtype == np.int64
+
+
 # -- the pairwise local-flow and dict-substitution oracles ----------------------
 
 # vector and spinor covers at ranks 2-5, rank 5 being where the int64
@@ -229,6 +266,19 @@ def _columns(B):
     ]
 
 
+def _dense(s):
+    """A ``lattice.SparseMatrix`` as a dense array."""
+    out = zeros(*s.shape)
+    out[s.rows, s.cols] = s.vals
+    return out
+
+
+def _cycles(p):
+    """The basis cycles of model ``p`` as an edge-by-cycle matrix, read off
+    its sheet chains (one row per (arc, cycle), one column per sheet)."""
+    return _dense(p.sheet_chains).T.reshape(p.edge_count, p.genus2)
+
+
 @pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR])
 @pytest.mark.parametrize("n,ds,dl,seed", ORACLE_DATA)
 def test_gram_matches_pairwise_flow_oracle(n, ds, dl, seed, orbit):
@@ -236,32 +286,57 @@ def test_gram_matches_pairwise_flow_oracle(n, ds, dl, seed, orbit):
     if (ds, orbit) == (0, OrbitKind.SPINOR):
         assert len(H.parts) == 2
     for p in H.parts:
-        cycles = _columns(p.B)
+        loop = _oracles.LoopHomologyModel(p.cover)
+        cycles = _columns(loop.B)
         assert to_lists(p.gram) == [
-            [_oracles.intersection(p, a, b) for b in cycles] for a in cycles
+            [_oracles.intersection(loop, a, b) for b in cycles] for a in cycles
         ]
 
 
 # a datum that is not simple: its 3-cycles give ramification vertices with
-# three ends, which the Gram sums one vertex at a time
+# three ends
 NON_SIMPLE = MonodromyDatum(3, 0, tuple(
     weyl.SignedPerm(3, g) for g in ((2, 3, 1), (3, 1, 2), (-2, -3, 1), (3, -1, -2))
 ))
 
 
+def _product_one(n, factors, seed):
+    """A datum of ``factors`` arbitrary signed permutations of rank ``n``
+    with product one, seeded, one factor at least of order 3 or more; its
+    vector and spinor covers, on which W(B_n) acts faithfully, then have
+    ramification vertices with three or more ends."""
+    rng = random.Random(seed)
+    while True:
+        gens, prod = [], weyl.SignedPerm.identity(n)
+        for _ in range(factors - 1):
+            image = rng.sample(range(1, n + 1), n)
+            gens.append(weyl.SignedPerm(n, [v * rng.choice((1, -1)) for v in image]))
+            prod = prod * gens[-1]
+        gens.append(prod.inverse())
+        if any(not (g * g).is_identity() for g in gens):
+            return MonodromyDatum(n, 0, tuple(gens))
+
+
+# seeded non-simple data at ranks 2-5 with 3-7 factors
+PRODUCT_ONE = [(2 + i % 4, 3 + i % 5, 200 + i) for i in range(12)]
+NON_SIMPLE_DATA = [NON_SIMPLE] + [_product_one(*case) for case in PRODUCT_ONE]
+NON_SIMPLE_IDS = ["non-simple"] + [f"product-one{case}" for case in PRODUCT_ONE]
+
+
 @pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY])
 @pytest.mark.parametrize(
     "datum",
-    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA] + [NON_SIMPLE],
-    ids=[str(case) for case in ORACLE_DATA] + ["non-simple"],
+    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA] + NON_SIMPLE_DATA,
+    ids=[str(case) for case in ORACLE_DATA] + NON_SIMPLE_IDS,
 )
 def test_gram_matches_the_vertex_by_vertex_sum(datum, orbit):
     H = surface.build_all(induce(datum, orbit))
-    ends = {(kind, len(e)) for p in H.parts for kind, e in p.vertex_ends}
+    sizes = {ends.shape[1] for p in H.parts for _vertices, ends in p.branch_groups}
     if orbit is not OrbitKind.PARITY:
-        assert ("branch", 3 if datum is NON_SIMPLE else 2) in ends
+        assert max(sizes) >= 3 if datum in NON_SIMPLE_DATA else 2 in sizes
     for p in H.parts:
-        assert to_lists(p.gram) == to_lists(_oracles.gram_by_vertices(p))
+        loop = _oracles.LoopHomologyModel(p.cover)
+        assert to_lists(p.gram) == to_lists(_oracles.gram_by_vertices(loop))
 
 
 @pytest.mark.parametrize("n,ds,dl,seed", ORACLE_DATA)
@@ -269,6 +344,7 @@ def test_induced_maps_match_substitution_oracle(n, ds, dl, seed):
     datum = random_simple(n, ds, dl, seed=seed)
     HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
     HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    loops = {id(p): _oracles.LoopHomologyModel(p.cover) for p in HX.parts + HC.parts}
     for src, dst, fiber in [
         (HX, HX, corr.make_D(n).matrix),
         (HX, HX, corr.sigma_matrix(n)),
@@ -277,15 +353,16 @@ def test_induced_maps_match_substitution_oracle(n, ds, dl, seed):
         got = surface.induced_map_all(src, dst, fiber)
         want = []
         for pa, la in zip(src.parts, src.part_labels):
-            for z in _columns(pa.B):
+            for z in _columns(loops[id(pa)].B):
                 col = []
                 for pb, lb in zip(dst.parts, dst.part_labels):
                     img = _oracles.substitute(z, fiber, la, lb, pa.arc_count)
                     assert _oracles.boundary(pb, img) == {}
                     cls = _oracles.class_of(pb, img)
                     # the class pairs with every basis cycle as the chain does
+                    loop = loops[id(pb)]
                     assert to_lists(pb.gram @ lattice.intmat([cls]).T) == [
-                        [_oracles.intersection(pb, b, img)] for b in _columns(pb.B)
+                        [_oracles.intersection(loop, b, img)] for b in _columns(loop.B)
                     ]
                     col += cls
                 want.append(col)
@@ -334,8 +411,9 @@ def _same_sparse(a, b) -> bool:
 @pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY])
 @pytest.mark.parametrize(
     "datum",
-    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA + BUILD_DATA] + [NON_SIMPLE],
-    ids=[str(case) for case in ORACLE_DATA + BUILD_DATA] + ["non-simple"],
+    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA + BUILD_DATA]
+    + NON_SIMPLE_DATA,
+    ids=[str(case) for case in ORACLE_DATA + BUILD_DATA] + NON_SIMPLE_IDS,
 )
 def test_array_build_matches_the_loop_build(datum, orbit):
     cm = induce(datum, orbit)
@@ -343,13 +421,19 @@ def test_array_build_matches_the_loop_build(datum, orbit):
     for comp in comps:
         sub = cm if len(comps) == 1 else cover.component_cover(cm, comp)
         got, want = surface.HomologyModel(sub), _oracles.LoopHomologyModel(sub)
-        assert got.vertex_ends == want.vertex_ends
+        # the branch groups and the sheet vertices' ends by construction
+        # spell out the loop build's cyclic end order at every vertex
+        d, k = got.degree, got.arc_count
+        ends = [("sheet", list(range(s * k, s * k + k))) for s in range(d)]
+        ends += [None] * (got.vertex_count - d)
+        for vertices, group in got.branch_groups:
+            for v, row in zip(vertices.tolist(), group.tolist()):
+                ends[v] = ("branch", row)
+        assert ends == want.vertex_ends
         assert got.edge_head.tolist() == want.edge_head
         assert got.edge_tail.tolist() == want.edge_tail
         assert got.most_ends == want.most_ends
-        assert _same_sparse(got.boundary_map, want.boundary_map)
         assert got.nontree.tolist() == want.nontree
-        assert got.B.dtype == want.B.dtype and np.array_equal(got.B, want.B)
         assert _same_sparse(got.class_map, want.class_map)
         assert _same_sparse(got.sheet_chains, want.sheet_chains)
         assert to_lists(got.gram) == to_lists(want.gram)
@@ -377,25 +461,27 @@ def _chains(p, entry, columns=3, seed=0):
 def test_boundary_by_segment_sums_matches_the_boundary_map(datum, top):
     # 2^62 times the most ends at a vertex passes 2^63: Python ints, exact
     p = surface.build_all(induce(datum, OrbitKind.SPINOR)).parts[0]
+    loop = _oracles.LoopHomologyModel(p.cover)
     chains = _chains(p, [-top, -1, 0, 0, 1, top])
     got = p._boundary(chains)
-    assert to_lists(got) == to_lists(lattice._sparse_product(p.boundary_map, chains))
+    assert to_lists(got) == to_lists(lattice._sparse_product(loop.boundary_map, chains))
     on_pyints = top * p.most_ends >= 2**63
     assert (got.dtype == object) == on_pyints
     if on_pyints:
         assert all(type(x) is int for x in got.flat)
-    assert not p._boundary(p.B).any()
+    assert not p._boundary(loop.B).any()
 
 
 def test_boundary_python_int_path_at_the_bound():
     p = surface.build_all(induce(random_simple(3, 4, 6, seed=3), OrbitKind.SPINOR)).parts[0]
-    edge = p.vertex_ends[0][1][0]
+    loop = _oracles.LoopHomologyModel(p.cover)
+    edge = 0  # the first end at sheet vertex 0
     for x, on_pyints in [((2**63 - 1) // p.most_ends, False), (2**63 // p.most_ends + 1, True)]:
         chains = zeros(p.edge_count, 1)
         chains[edge, 0] = x
         got = p._boundary(chains)
         assert (got.dtype == object) == on_pyints
-        assert to_lists(got) == to_lists(lattice._sparse_product(p.boundary_map, chains))
+        assert to_lists(got) == to_lists(lattice._sparse_product(loop.boundary_map, chains))
 
 
 def test_induced_map_catches_a_chain_that_does_not_close():
@@ -404,7 +490,7 @@ def test_induced_map_catches_a_chain_that_does_not_close():
     p = H.parts[0]
     # one coefficient of one basis cycle moved to another edge of the same
     # sheet: still a chain, no longer a cycle
-    chains = p.B.reshape(p.degree, -1).T.copy()
+    chains = _dense(p.sheet_chains)
     row = int(np.flatnonzero(chains.any(axis=1))[0])
     sheet = int(np.flatnonzero(chains[row])[0])
     chains[row, sheet] += 1

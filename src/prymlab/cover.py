@@ -386,10 +386,17 @@ REJECTION_BOUND = 10**6
 def random_simple(n: int, count_s: int, count_l: int, seed: int) -> MonodromyDatum:
     """Random genus-0 datum whose local monodromies are ``count_s`` short and
     ``count_l`` long reflections with identity product and connected vector
-    cover. All factors but the last are uniform; the forced last factor is
-    accepted only when it is a reflection of the required kind. The seed
-    must lie in [0, 2^64), the state space of ``SplitMix64``, so that no
-    two seeds give the same stream.
+    cover. The seed must lie in [0, 2^64), the state space of ``SplitMix64``,
+    so that no two seeds give the same stream.
+
+    Each draw picks all factors but the last uniformly from the stream, the
+    short ones first, and composes their lookup tables (``weyl._compose``).
+    The forced last factor is the inverse of that product; a reflection is
+    its own inverse, so the draw is accepted when the product itself is a
+    reflection of the required kind, one dict lookup. An accepted draw is
+    kept when its generators act transitively on the signed indices, which
+    is when the vector cover is connected. A draw builds no cover and no
+    ``SignedPerm``; the returned datum is checked once by ``require_valid``.
     """
     if not 0 <= seed <= SplitMix64.MASK:
         raise GenerationError(f"seed must lie in [0, 2^64), got {seed}")
@@ -415,24 +422,21 @@ def random_simple(n: int, count_s: int, count_l: int, seed: int) -> MonodromyDat
     longs = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("long",))]
     if count_l and not longs:
         raise GenerationError(f"rank {n} has no long roots")
+    pool = shorts + longs
+    tables = [weyl._table(w) for w in pool]
+    wanted = {w.image: w for w in (longs if count_l else shorts)}
+    free_s, free_l = (count_s, count_l - 1) if count_l else (count_s - 1, 0)
     rng = SplitMix64(seed)
-    want_kind = "long" if count_l else "short"
-    free_l = count_l - 1 if want_kind == "long" else count_l
-    free_s = count_s if want_kind == "long" else count_s - 1
     for _ in range(REJECTION_BOUND):
-        gens = [shorts[rng.below(len(shorts))] for _ in range(free_s)]
-        gens += [longs[rng.below(len(longs))] for _ in range(free_l)]
-        prod = SignedPerm.identity(n)
-        for g in gens:
-            prod = prod * g
-        last = prod.inverse()
-        rk = weyl.reflection_kind(last)
-        if rk is None or rk[0] != want_kind:
+        picks = [rng.below(len(shorts)) for _ in range(free_s)]
+        picks += [len(shorts) + rng.below(len(longs)) for _ in range(free_l)]
+        last = wanted.get(weyl._compose([tables[i] for i in picks], n))
+        if last is None:
             continue
-        gens.append(last)
-        datum = MonodromyDatum(n, 0, tuple(gens))
-        cover = induce(datum, OrbitKind.VECTOR)
-        if len(components(cover)) == 1:
+        gens = [pool[i] for i in picks] + [last]
+        if weyl._is_transitive_signed(gens, n):
+            datum = MonodromyDatum(n, 0, tuple(gens))
+            require_valid(datum)
             return datum
     raise GenerationError(
         f"no datum found for ({n}, {count_s}, {count_l}) after {REJECTION_BOUND} draws"

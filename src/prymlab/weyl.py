@@ -3,6 +3,10 @@
 An element acts on the signed indices {-n, ..., -1, 1, ..., n} and commutes
 with negation, so it is stored by the images of the positive indices alone.
 Composition follows function application: ``(w * v)(j) == w(v(j))``.
+``SignedPerm.__mul__`` composes pointwise and checks the product; the loops
+that compose many elements (group closure, random generation) run on one
+lookup-table form instead, ``table[v + n] == w(v)`` for v in -n..n, and
+compose a list of tables by one lookup per index and factor.
 
 The weight orbits that drive the covering constructions are realised as
 concrete label sets, and each label has one position in its orbit, given in
@@ -67,9 +71,9 @@ class SignedPerm:
         return list(self.image)
 
     def __call__(self, j: int) -> int:
-        if j > 0:
-            return self.image[j - 1]
-        return -self.image[-j - 1]
+        if 0 < abs(j) <= self.n:
+            return self.image[j - 1] if j > 0 else -self.image[-j - 1]
+        raise ValueError(f"signed index must lie in +-1..+-{self.n}, got {j}")
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         if self.n != other.n:
@@ -328,70 +332,69 @@ class GroupClass(str, Enum):
     OTHER = "Other"
 
 
+def _table(w: SignedPerm) -> list:
+    """``w`` as a lookup table on the signed indices: ``table[v + n] == w(v)``."""
+    return [-v for v in reversed(w.image)] + [0] + list(w.image)
+
+
+def _compose(tables, n: int) -> tuple:
+    """Images of 1..n under the product of a nonempty list of tables, first
+    factor outermost."""
+    img = tables[-1][n + 1 :]
+    for table in tables[-2::-1]:
+        img = [table[v + n] for v in img]
+    return tuple(img)
+
+
 def generated_group(gens) -> set:
     """Closure of the generating set, by breadth-first multiplication.
     Repeated generators (data often repeat a reflection) are taken once.
 
-    The closure runs on image tuples: each generator becomes a lookup table
-    on the signed indices -n..n, so ``g * h`` is one table lookup per entry
-    of ``h``, and each element becomes a ``SignedPerm`` once, at the end."""
+    The closure runs on lookup tables (``_table``): ``g * h`` is one lookup
+    per index, and each element becomes a ``SignedPerm`` once, when found."""
     gens = list(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValueError("generators of mixed rank")
-    # table[v + n] is g(v)
-    tables = [[-v for v in reversed(g.image)] + [0] + list(g.image) for g in gens]
-    one = SignedPerm.identity(n).image
-    seen = {one}
+    tables = [_table(g) for g in gens]
+    one = SignedPerm.identity(n)
+    group = {one.image: one}
     frontier = [one]
     while frontier:
         nxt = []
         for h in frontier:
+            inner = _table(h)
             for table in tables:
-                p = tuple(table[v + n] for v in h)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
+                p = _compose((table, inner), n)
+                if p not in group:
+                    group[p] = SignedPerm(n, p)
+                    nxt.append(group[p])
         frontier = nxt
-    return {SignedPerm(n, p) for p in seen}
+    return set(group.values())
 
 
 def _is_transitive_signed(gens, n: int) -> bool:
-    # orbit of +1 on the 2n signed indices under the generators
-    seen = {1}
-    frontier = [1]
-    targets = 2 * n
+    # orbit of +1 on the 2n signed indices under the generators; in a finite
+    # group every inverse is a power, so the orbit needs no inverses
+    orbit = {1}
+    frontier = {1}
     while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (g(x), g.inverse()(x)):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return len(seen) == targets
+        frontier = {g(x) for x in frontier for g in gens} - orbit
+        orbit |= frontier
+    return len(orbit) == 2 * n
 
 
-def _sign_block(group, n: int, allow_swap: bool):
-    """Search for a sign choice S = {t_j * j} preserved (or preserved-or-
-    swapped with -S) by every element. Returns the sign vector or None."""
+def _sign_block(gens, n: int, allow_swap: bool):
+    """Search for a sign choice S = {t_j * j} that every generator keeps (or,
+    with ``allow_swap``, keeps or swaps with -S). Returns the sign vector or
+    None."""
     for bits in range(1 << (n - 1)):  # t_1 fixed +1; -S gives the same block pair
         signs = [1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(n - 1)]
         block = frozenset(signs[j - 1] * j for j in range(1, n + 1))
-        neg_block = frozenset(-x for x in block)
-        ok = True
-        for g in group:
-            img = frozenset(g(x) for x in block)
-            if img == block:
-                continue
-            if allow_swap and img == neg_block:
-                continue
-            ok = False
-            break
-        if ok:
+        kept = (block, frozenset(-x for x in block)) if allow_swap else (block,)
+        if all(frozenset(g(x) for x in block) in kept for g in gens):
             return signs
     return None
 
@@ -399,7 +402,15 @@ def _sign_block(group, n: int, allow_swap: bool):
 def classify_subgroup(gens) -> GroupClass:
     """Identify the group generated inside the rank-n signed permutations.
 
-    Full enumeration, exact; refuses ranks above CLASSIFY_RANK_MAX.
+    Exact. The group order comes from enumerating the group, so ranks above
+    CLASSIFY_RANK_MAX are refused; every other test reads the generators:
+
+    * the parity of the negation count is a homomorphism, so the group lies
+      in the even subgroup when every generator does;
+    * a sign block that every generator keeps, or swaps with its negative,
+      is kept or swapped by every product;
+    * a finite group is transitive on the signed indices when the orbit of
+      +1 under the generators alone is.
     """
     gens = list(gens)
     if not gens:
@@ -409,17 +420,16 @@ def classify_subgroup(gens) -> GroupClass:
         raise RankError(
             f"subgroup classification enumerates the group; rank {n} > {CLASSIFY_RANK_MAX} unsupported"
         )
-    group = generated_group(gens)
-    order = len(group)
+    order = len(generated_group(gens))
     fact = math.factorial(n)
     if order == (1 << n) * fact:
         return GroupClass.FULL_B
-    if order == (1 << (n - 1)) * fact and all(g.neg_count() % 2 == 0 for g in group):
+    if order == (1 << (n - 1)) * fact and all(g.neg_count() % 2 == 0 for g in gens):
         return GroupClass.FULL_D
     transitive = _is_transitive_signed(gens, n)
-    if order == 2 * fact and transitive and _sign_block(group, n, allow_swap=True):
+    if order == 2 * fact and transitive and _sign_block(gens, n, allow_swap=True):
         return GroupClass.NORMALIZER_G1
-    if order == fact and _sign_block(group, n, allow_swap=False):
+    if order == fact and _sign_block(gens, n, allow_swap=False):
         return GroupClass.G1_CONJUGATE
     if not transitive:
         return GroupClass.INTRANSITIVE

@@ -6,7 +6,12 @@ by gcds of minors, weight pairings by direct rational arithmetic, and
 homology chains as dicts (edge -> coefficient), paired one vertex at a time
 and pushed through a correspondence one edge at a time, and the Gram summed
 one vertex at a time. A generated group is closed by multiplying signed
-permutations, the reference for the library's closure on image tuples. The
+permutations, the reference for the library's closure on lookup tables;
+classification by reading every element of that closure is the reference
+for the library's, which reads only the generators and the group order.
+Random generation as a rejection loop that multiplies signed permutations
+and builds a vector cover per accepted draw is the reference for the
+library's loop on lookup tables. The
 Smith elimination on lists of Python ints, one row or column operation at a
 time on all four transforms, is the reference for the library's vectorised
 one, and integral solving by U b after that elimination is the reference
@@ -27,12 +32,13 @@ older mu check, which read surjectivity off the divisors of coordinates.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 
-from prymlab import weyl
-from prymlab.errors import EquivarianceError
+from prymlab import cover, weyl
+from prymlab.cover import SplitMix64
+from prymlab.errors import EquivarianceError, GenerationError
 from prymlab.lattice import (
     SparseMatrix,
     _eliminate,
@@ -240,6 +246,115 @@ def generated_group_bfs(gens) -> set:
                     nxt.append(p)
         frontier = nxt
     return seen
+
+
+def _transitive_with_inverses(gens, n) -> bool:
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                for y in (g(x), g.inverse()(x)):
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return len(seen) == 2 * n
+
+
+def _sign_block_of_group(group, n, allow_swap) -> bool:
+    for bits in range(1 << (n - 1)):
+        signs = [1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(n - 1)]
+        block = frozenset(signs[j - 1] * j for j in range(1, n + 1))
+        neg_block = frozenset(-x for x in block)
+        ok = True
+        for g in group:
+            img = frozenset(g(x) for x in block)
+            if img == block or (allow_swap and img == neg_block):
+                continue
+            ok = False
+            break
+        if ok:
+            return True
+    return False
+
+
+def classify_by_enumeration(gens) -> "weyl.GroupClass":
+    """``weyl.classify_subgroup`` read off the whole group: the even-parity
+    and sign-block tests run on every element of ``generated_group_bfs``,
+    and transitivity follows the generators and their inverses."""
+    gens = list(gens)
+    n = gens[0].n
+    group = generated_group_bfs(gens)
+    order = len(group)
+    fact = factorial(n)
+    if order == (1 << n) * fact:
+        return weyl.GroupClass.FULL_B
+    if order == (1 << (n - 1)) * fact and all(g.neg_count() % 2 == 0 for g in group):
+        return weyl.GroupClass.FULL_D
+    transitive = _transitive_with_inverses(gens, n)
+    if order == 2 * fact and transitive and _sign_block_of_group(group, n, True):
+        return weyl.GroupClass.NORMALIZER_G1
+    if order == fact and _sign_block_of_group(group, n, False):
+        return weyl.GroupClass.G1_CONJUGATE
+    if not transitive:
+        return weyl.GroupClass.INTRANSITIVE
+    return weyl.GroupClass.OTHER
+
+
+# -- random generation, one cover per draw ---------------------------------------
+
+
+def random_simple_loop(n, count_s, count_l, seed):
+    """``cover.random_simple`` as a rejection loop on ``SignedPerm``s: each
+    draw multiplies its factors with ``*``, inverts the product, classifies
+    it with ``reflection_kind``, and induces the vector cover of the datum
+    to count its components. The reference for the library's loop on lookup
+    tables; same stream, same datum or the same refusal."""
+    if not 0 <= seed <= SplitMix64.MASK:
+        raise GenerationError(f"seed must lie in [0, 2^64), got {seed}")
+    if count_s < 0 or count_l < 0:
+        raise GenerationError("reflection counts must be nonnegative")
+    if count_s + count_l < 2:
+        raise GenerationError("need at least two branch points")
+    if count_s % 2 or count_l % 2:
+        raise GenerationError(
+            f"parity obstruction: counts ({count_s},{count_l}) cannot have identity product"
+        )
+    genera = cover.predict(n, count_s, count_l, 0).genera
+    for curve in ("C'", "C"):
+        if genera[curve] < 0:
+            raise GenerationError(
+                f"no datum for ({n}, {count_s}, {count_l}): Riemann-Hurwitz gives "
+                f"g({curve}) = {genera[curve]} < 0; ruled out before any draw"
+            )
+    shorts = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("short",))]
+    longs = [weyl.reflection(r, n) for r in weyl.all_roots(n, kinds=("long",))]
+    if count_l and not longs:
+        raise GenerationError(f"rank {n} has no long roots")
+    rng = SplitMix64(seed)
+    want_kind = "long" if count_l else "short"
+    free_l = count_l - 1 if want_kind == "long" else count_l
+    free_s = count_s if want_kind == "long" else count_s - 1
+    for _ in range(cover.REJECTION_BOUND):
+        gens = [shorts[rng.below(len(shorts))] for _ in range(free_s)]
+        gens += [longs[rng.below(len(longs))] for _ in range(free_l)]
+        prod = weyl.SignedPerm.identity(n)
+        for g in gens:
+            prod = prod * g
+        last = prod.inverse()
+        rk = weyl.reflection_kind(last)
+        if rk is None or rk[0] != want_kind:
+            continue
+        gens.append(last)
+        datum = cover.MonodromyDatum(n, 0, tuple(gens))
+        model = cover.induce(datum, weyl.OrbitKind.VECTOR)
+        if len(cover.components(model)) == 1:
+            return datum
+    raise GenerationError(
+        f"no datum found for ({n}, {count_s}, {count_l}) after {cover.REJECTION_BOUND} draws"
+    )
 
 
 # -- Smith elimination on lists, one operation at a time -----------------------

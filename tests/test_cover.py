@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from _oracles import random_simple_loop
 from prymlab import cover, weyl
 from prymlab.cover import (
     MonodromyDatum,
@@ -325,3 +326,40 @@ def test_random_simple_takes_both_ends_of_the_seed_range():
     for seed in (0, 2**64 - 1):
         assert random_simple(2, 4, 4, seed=seed) == random_simple(2, 4, 4, seed=seed)
     assert random_simple(2, 4, 4, seed=2**64 - 1) != random_simple(2, 4, 4, seed=0)
+
+
+def _outcome(generate, *args):
+    try:
+        return generate(*args)
+    except GenerationError as exc:
+        return "E:" + str(exc)
+
+
+def test_random_simple_matches_the_rejection_loop_on_a_grid():
+    outcomes = []
+    for n in range(2, 7):
+        for ds in range(0, 9, 2):
+            for dl in range(0, 11, 2):
+                for seed in range(3):
+                    got = _outcome(random_simple, n, ds, dl, seed)
+                    assert got == _outcome(random_simple_loop, n, ds, dl, seed), (n, ds, dl, seed)
+                    outcomes.append(got)
+    accepted = sum(isinstance(o, MonodromyDatum) for o in outcomes)
+    assert (len(outcomes), accepted) == (450, 210)
+
+
+@pytest.mark.parametrize("case", [(7, 0, 18, 0), (7, 6, 14, 0)])
+def test_random_simple_matches_the_rejection_loop_at_rank_7(case):
+    assert random_simple(*case) == random_simple_loop(*case)
+
+
+def test_random_simple_draws_build_no_cover(monkeypatch):
+    expected = random_simple_loop(4, 12, 16, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw built a cover or classified a product")
+
+    for name in ("induce", "components"):
+        monkeypatch.setattr(cover, name, refuse)
+    monkeypatch.setattr(weyl, "reflection_kind", refuse)
+    assert random_simple(4, 12, 16, 3) == expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import generated_group_bfs, perm_on_orbit_by_values
+from _oracles import classify_by_enumeration, generated_group_bfs, perm_on_orbit_by_values
 from prymlab.errors import RankError
 from prymlab.weyl import (
     GroupClass,
@@ -74,6 +74,12 @@ def test_signed_perm_rejects_bad_rank():
 def test_signed_perm_rejects_non_bijection():
     with pytest.raises(ValueError):
         SignedPerm(2, (1, 1))
+
+
+@pytest.mark.parametrize("j", [0, 4, -4])
+def test_signed_perm_refuses_indices_outside_its_range(j):
+    with pytest.raises(ValueError, match=rf"^signed index must lie in \+-1\.\.\+-3, got {j}$"):
+        SignedPerm(3, (2, -1, 3))(j)
 
 
 def test_inverse_and_identity():
@@ -288,3 +294,43 @@ def test_generated_group_matches_signed_permutation_closure(n, data):
     group = generated_group(gens)
     assert group == generated_group_bfs(gens)
     assert all(type(g) is SignedPerm for g in group)
+
+
+def _classify_case(rng, n, family):
+    """A generating set of one of five families: reflections, reflections
+    with an arbitrary element, arbitrary elements, or a conjugate of the
+    G1 or the normalizer generating set."""
+    if family in ("g1", "normalizer"):
+        gens = [reflection(long_root(j, j + 1, -1), n) for j in range(1, n)]
+        if family == "normalizer":
+            gens.append(SignedPerm(n, tuple(-j for j in range(1, n + 1))))
+        w = _random_element(rng, n)
+        return [w * g * w.inverse() for g in gens]
+    if family == "arbitrary":
+        return [_random_element(rng, n) for _ in range(rng.randint(1, 3))]
+    roots = all_roots(n, kinds=("long",) if rng.random() < 0.3 else ("short", "long"))
+    gens = [reflection(rng.choice(roots), n) for _ in range(rng.randint(1, n + 2))]
+    if family == "mixed":
+        gens.append(_random_element(rng, n))
+    return gens
+
+
+_FAMILIES = ("reflections", "mixed", "arbitrary", "g1", "normalizer")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(_FAMILIES), st.integers(0, 10**6))
+def test_classify_matches_classification_by_enumeration(n, family, seed):
+    gens = _classify_case(random.Random(seed), n, family)
+    assert classify_subgroup(gens) is classify_by_enumeration(gens)
+
+
+def test_classification_reference_reaches_every_class():
+    rng = random.Random(23)
+    seen = set()
+    for k in range(150):
+        gens = _classify_case(rng, 2 + k % 4, _FAMILIES[k % 5])
+        cls = classify_subgroup(gens)
+        assert cls is classify_by_enumeration(gens), gens
+        seen.add(cls)
+    assert seen == set(GroupClass)

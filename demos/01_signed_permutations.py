@@ -17,6 +17,7 @@ from prymlab.weyl import (
     orbit_labels,
     reflection,
     short_root,
+    simple_roots,
     spinor_label,
 )
 
@@ -41,7 +42,7 @@ for subset in [(), (1,), (1, 2)]:
     print(f"sign flip of 1 sends subset {subset} to {image.value}")
 
 print()
-print("== classification by closure enumeration ==")
+print("== classification: group order by a stabiliser chain ==")
 full_b = [reflection(r, n) for r in all_roots(n)]
 full_d = [reflection(r, n) for r in all_roots(n, kinds=("long",))]
 norm = [
@@ -56,3 +57,6 @@ for name, gens in [
     ("adjacent swaps only", norm[:2]),
 ]:
     print(f"{name:>32} -> {classify_subgroup(gens).value}")
+# the order needs no enumeration, so rank 8 (|W(B_8)| = 10,321,920) is quick
+print(f"{'rank 8, simple reflections':>32} -> "
+      f"{classify_subgroup([reflection(r, 8) for r in simple_roots(8)]).value}")

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from prymlab import cli, corr, lattice, prym, surface
+from prymlab import cli, corr, lattice, prym, surface, weyl
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -122,10 +122,35 @@ def test_unknown_top_level_field_exits_two_naming_it(tmp_path, capsys):
         assert f'{p}: unknown field "handels"' in err
 
 
+def _classify_outputs(capsys, path):
+    return [_run(capsys, *fmt, "classify", path) for fmt in ((), ("--format", "json"))]
+
+
 def test_classify_etale_file(capsys):
-    code, out, _ = _run(capsys, "classify", _datafile("etale_d3.json"))
-    assert code == 0
-    assert "FullD" in out
+    assert _classify_outputs(capsys, _datafile("etale_d3.json")) == [
+        (0, "class: FullD\n", ""),
+        (0, '{"class":"FullD"}\n', ""),
+    ]
+
+
+@pytest.mark.parametrize("name", ["pantazis_b2.json", "theorem2_b3.json"])
+def test_classify_full_b_files(capsys, name):
+    assert _classify_outputs(capsys, _datafile(name)) == [
+        (0, "class: FullB\n", ""),
+        (0, '{"class":"FullB"}\n', ""),
+    ]
+
+
+@pytest.mark.parametrize("long_only, cls", [(False, "FullB"), (True, "G1Conjugate")])
+def test_classify_rank_8_datum(tmp_path, capsys, long_only, cls):
+    # each simple reflection twice, so the product relation holds; the long
+    # ones (all but the last) generate the permutations of 1..8
+    simple = [weyl.reflection(r, 8).to_list() for r in weyl.simple_roots(8)]
+    if long_only:
+        simple = simple[:-1]
+    p = tmp_path / "rank8.json"
+    p.write_text(json.dumps({"n": 8, "base_genus": 0, "generators": [g for g in simple for _ in "ab"]}))
+    assert _run(capsys, "--format", "json", "classify", str(p)) == (0, f'{{"class":"{cls}"}}\n', "")
 
 
 def test_genera_lists_all_orbits(capsys):

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import classify_by_enumeration, generated_group_bfs, perm_on_orbit_by_values
+from prymlab.cover import random_simple
 from prymlab.errors import RankError
 from prymlab.weyl import (
     GroupClass,
     OrbitKind,
     OrbitLabel,
     SignedPerm,
+    _order,
     act,
     all_roots,
     classify_subgroup,
-    generated_group,
     long_root,
     orbit_labels,
     pair_label,
@@ -33,13 +34,21 @@ from prymlab.weyl import (
 def test_simple_reflections_generate_the_group(n):
     gens = [reflection(r, n) for r in simple_roots(n)]
     assert len(gens) == n
-    assert len(generated_group(gens)) == 2**n * math.factorial(n)
+    assert _order(gens, n) == 2**n * math.factorial(n)
 
 
 def test_repeated_generators_generate_the_same_group():
     gens = [reflection(r, 3) for r in simple_roots(3)]
-    assert generated_group(gens * 5 + gens[:1]) == generated_group(gens)
-    assert generated_group([gens[0]] * 4) == {SignedPerm.identity(3), gens[0]}
+    assert _order(gens * 5 + gens[:1], 3) == _order(gens, 3) == 48
+    assert _order([gens[0]] * 4, 3) == 2
+    assert _order([SignedPerm.identity(3)], 3) == 1
+
+
+def test_order_reduces_a_generator_whose_filter_pair_is_taken():
+    # both generators first move 2, to -2; only their quotient, the sign
+    # flip of 3, keeps the second one's contribution
+    gens = [SignedPerm(3, (1, -2, -3)), SignedPerm(3, (1, -2, 3))]
+    assert _order(gens, 3) == 4
 
 
 def test_reflection_short_root_flips_index():
@@ -212,6 +221,12 @@ def test_classify_needs_a_generator():
         classify_subgroup([])
 
 
+def test_classify_rejects_generators_of_mixed_rank():
+    gens = [reflection(short_root(1), 3), reflection(short_root(1), 2)]
+    with pytest.raises(ValueError, match="^generators of mixed rank$"):
+        classify_subgroup(gens)
+
+
 # --- classification ---------------------------------------------------------
 
 
@@ -250,9 +265,35 @@ def test_classify_intransitive():
     assert classify_subgroup(gens) is GroupClass.INTRANSITIVE
 
 
-def test_classify_refuses_large_rank():
-    with pytest.raises(RankError):
-        classify_subgroup([reflection(short_root(1), 7)])
+def _construction(n, family):
+    swaps = [reflection(long_root(j, j + 1, -1), n) for j in range(1, n)]
+    if family is GroupClass.FULL_B:
+        return _full_b(n)
+    if family is GroupClass.FULL_D:
+        return _full_d(n)
+    if family is GroupClass.G1_CONJUGATE:
+        return swaps
+    if family is GroupClass.NORMALIZER_G1:
+        return swaps + [SignedPerm(n, tuple(-j for j in range(1, n + 1)))]
+    return [reflection(short_root(1), n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize(
+    "family", [c for c in GroupClass if c is not GroupClass.OTHER], ids=lambda c: c.value
+)
+def test_classify_by_construction_at_ranks_7_and_8(family, n, seed):
+    w = _random_element(random.Random(100 * n + seed), n)
+    conj = [w * g * w.inverse() for g in _construction(n, family)]
+    assert classify_subgroup(conj) is family
+
+
+@pytest.mark.parametrize(
+    "rung, cls", [((7, 0, 18, 0), GroupClass.FULL_D), ((7, 6, 14, 0), GroupClass.FULL_B)]
+)
+def test_classify_rank_7_data(rung, cls):
+    assert classify_subgroup(list(random_simple(*rung).gens)) is cls
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -285,15 +326,18 @@ def test_composition_matches_pointwise_application(n, data):
             assert (w * v)(j) == w(v(j))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.data())
-def test_generated_group_matches_signed_permutation_closure(n, data):
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_order_matches_signed_permutation_closure(n, data):
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
-    gens = [_random_element(rng, n) for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):
+        gens = [reflection(rng.choice(all_roots(n)), n) for _ in range(n + 1)]
+    else:
+        gens = [_random_element(rng, n) for _ in range(data.draw(st.integers(1, 4)))]
     gens += gens[: data.draw(st.integers(0, 2))]  # repeated generators
-    group = generated_group(gens)
-    assert group == generated_group_bfs(gens)
-    assert all(type(g) is SignedPerm for g in group)
+    gens += [SignedPerm.identity(n)] * data.draw(st.integers(0, 1))
+    rng.shuffle(gens)
+    assert _order(gens, n) == len(generated_group_bfs(gens))
 
 
 def _classify_case(rng, n, family):

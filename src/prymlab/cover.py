@@ -239,6 +239,12 @@ def genus(cover: CoverModel) -> int:
             f"cover splits into {len(comps)} components; ask per component",
             components=comps,
         )
+    return _riemann_hurwitz(cover)
+
+
+def _riemann_hurwitz(cover: CoverModel) -> int:
+    """The Riemann-Hurwitz count of ``genus`` for a cover already known to
+    be connected."""
     d = cover.degree
     gy = cover.datum.base_genus
     ram = total_ramification(cover)

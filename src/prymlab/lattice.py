@@ -3,21 +3,23 @@
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
 arithmetic is arbitrary precision, and every matrix a public function returns
 is one, but for ``eye_minus``, whose int64 result is only handed back here.
-Inside, ``matmul``, ``det`` and ``_eliminate`` run in int64 (``det`` in
-int16 or int32 where its values fit) while a bound proves that nothing
-wraps. They convert their input by one rule,
-``_int64``: ``np.asarray(x, dtype=np.int64)``, where an ``OverflowError``
-means the entries need Python ints, and the bound then comes from the int64
-max and min (which also send the one int64 value -2^63 to Python ints).
+Inside, ``det``, ``_eliminate`` and ``_sparse_product`` run on fixed-width
+arrays while a bound proves that nothing wraps, and ``matmul`` in int64.
+They convert their input by one rule, ``_int64``:
+``np.asarray(x, dtype=np.int64)``, where an ``OverflowError`` means the
+entries need Python ints, and the bound then comes from the int64 max and
+min (which also send the one int64 value -2^63 to Python ints); an array
+already at a fixed width is taken as it is (``_fixed``).
 
 Every product in the package goes through ``matmul``: in int64 when the
 largest entries times the inner dimension stay below 2^63, so that no
 partial sum can wrap, and on Python ints otherwise. Its core ``_product``
 returns the int64 result as it is, and ``_sparse_product`` multiplies a
 ``SparseMatrix`` (nonzero entries only) under the same rule, with the most
-nonzeros in a row for the inner dimension. These two serve ``surface``,
-which holds each cover's homology matrices in int64.
-Sublattices of Z^m are represented by matrices whose columns generate them.
+nonzeros in a row for the inner dimension, at the width the bound needs.
+These two serve ``surface``, which holds each cover's homology matrices at
+fixed width. Sublattices of Z^m are represented by matrices whose columns
+generate them.
 
 Smith elimination is the workhorse: it yields kernels, images,
 saturations, integral solving and the divisor chains of singular or
@@ -25,44 +27,49 @@ non-square matrices. There is one engine, ``_eliminate(mat, want, rhs)``,
 on numpy rows, and it updates only the transforms its caller reads: U^-1
 for ``image`` and ``saturate``, V for ``kernel``, U and V for ``snf``, U
 and U^-1 for the relation matrix of ``surface``, none for ``divisors``. It
-returns its working arrays, int64 unless it outgrew them, and only the
-public wrappers convert what they hand out.
+returns its working arrays, at one fixed width unless they outgrew int64,
+and only the public wrappers convert what they hand out.
 ``solve_exact`` and ``contains`` form no U: they hand their right-hand side
 to the engine, which applies every row operation to it as well and returns
 U b, and ``contains`` forms no V either. Its pivot order and operations are
 those of one row or column operation at a time (the list version in
 ``tests/_oracles.py``), so its results are too; a run of entries its pivot
-divides is cleared by one outer-product update. In int64 one ``argmin``
-over ``|entry| - 1``, read as unsigned so that 0 comes last, finds each
-pivot without copying the block. It runs in int64 while a bound on every
-value an update forms stays below 2^63, and on Python ints from the first
-update where it does not. The divisor chain of a nonsingular square matrix
-(every nondegenerate alternating form) comes determinant first: the Smith
-elimination then runs modulo |det|, or modulo the Pfaffian isqrt(|det|)
-for an alternating matrix, so its entries stay bounded, in int64 while the
-modulus squared does; or modulo a lattice's known exponent first, kept
-when the chain multiplies to |det| (``PolarizedLattice.exponent``).
+divides is cleared by one outer-product update. At fixed width one
+``argmin`` over ``|entry| - 1``, read as the unsigned type of the width so
+that 0 comes last, finds each pivot without copying the block. It runs at
+fixed width while a bound on every value an update forms stays below 2^63,
+and on Python ints from the first update where it does not. The divisor
+chain of a nonsingular square matrix (every nondegenerate alternating
+form) comes determinant first: the Smith elimination then runs modulo
+|det|, or modulo the Pfaffian isqrt(|det|) for an alternating matrix, so
+its entries stay bounded, in int64 while the modulus squared does; or
+modulo a lattice's known exponent first, kept when the chain multiplies to
+|det| (``PolarizedLattice.exponent``).
 
-``det`` and ``_eliminate`` carry their int64 bounds instead of rescanning
-their arrays at every step: from the bound b on the entries before a step
-and the few entries the step scans (``det``'s pivot column and row,
+``det`` and ``_eliminate`` carry their bounds instead of rescanning their
+arrays at every step: from the bound b on the entries before a step and
+the few entries the step scans (``det``'s pivot column and row,
 ``_eliminate``'s quotients) follows a bound on every entry after it. Only
-where a carried bound would reach 2^63 are the arrays scanned for their
-true maximum, and only where that fails too do they go over to Python
-ints; so the results and the switch points are those of a scan at every
-step, and the scans are rare (none in the unimodularity ``det`` of a
-rank-258 spinor Gram).
+where a carried bound would reach the limit of the current width are the
+arrays scanned for their true maximum, and only where that fails too do
+they go up a width; so the results and the switch points are those of a
+scan at every step, and the scans are rare (none in the unimodularity
+``det`` of a rank-258 spinor Gram).
 
-``det`` also runs at the width its values need, on a ladder: int16 while
-every value a step forms stays below 2^15, then int32 below 2^31, then
-int64 below 2^63, then Python ints. Each width is a limit for the carried
-bound as 2^63 is; where the bound fails it, the block is scanned, and the
-array goes up the ladder only where the scanned bound fails too, to the
-narrowest width that holds it. The step to Python ints is taken at the
-same points as from int64 alone, since a scanned bound is the true maximum
-whatever was carried before. A spinor Gram (entries -1, 0, 1, within 3
-through every unit step) runs in int16 throughout, so the unimodularity
-``det`` moves a quarter of the memory it would in int64.
+Both run at the width their values need, on one ladder: int16 while every
+value a step forms stays below 2^15, then int32 below 2^31, then int64
+below 2^63, then Python ints. Each width is a limit for the carried bound
+as 2^63 is; where the bound fails it, the arrays are scanned, and they go
+up the ladder only where the scanned bound fails too, to the narrowest
+width that holds it (``_eliminate`` takes all its arrays up together). The
+step to Python ints is taken at the same points as from int64 alone, since
+a scanned bound is the true maximum whatever was carried before. A spinor
+Gram (entries -1, 0, 1, within 3 through every unit step) runs in int16
+throughout, so the unimodularity ``det`` moves a quarter of the memory it
+would in int64; so do the relation elimination of a spinor build, with its
+U and U^-1, and the cycle basis ``surface`` reads off them. The image of
+1 - delta on the rank-258 spinor homology of ``random_simple(5, 12, 16,
+0)`` starts in int16 and goes to int32 once.
 
 Both also skip the passes whose result a unit pivot already fixes. ``det``
 carries a sign with its trailing block, the block being that sign times the
@@ -128,8 +135,8 @@ def to_lists(m) -> list:
 
 
 def _objects(m: np.ndarray) -> np.ndarray:
-    """An int64 array as an object array of Python ints; an object array as
-    it is."""
+    """A fixed-width array as an object array of Python ints; an object
+    array as it is."""
     return m if m.dtype == object else m.astype(object)
 
 
@@ -172,6 +179,16 @@ def _int64(x):
         return None, None
     m = _maxabs(a)
     return (a, m) if m < _INT64_BOUND else (None, None)
+
+
+def _fixed(x):
+    """``_int64(x)``, but an array already at a width of the ladder (int16,
+    int32 or int64) is returned as it is, with its bound read the same
+    way."""
+    if isinstance(x, np.ndarray) and x.dtype in _LIMIT:
+        m = _maxabs(x)
+        return (x, m) if m < _INT64_BOUND else (None, None)
+    return _int64(x)
 
 
 def _product(a, b) -> np.ndarray:
@@ -244,9 +261,11 @@ _GATHER = 2 ** 15  # entries gathered at once by _sparse_product
 def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
     """Exact integer product ``s @ b`` of a sparse and a dense matrix, under
     ``matmul``'s rule with the most nonzeros in a row of ``s`` as the inner
-    dimension: every partial sum is at most ``max|s| * max|b| * w``, so the
-    product is int64 when that and every entry are below 2^63 and an object
-    array of Python ints otherwise.
+    dimension: every partial sum is at most ``max|s| * max|b| * w``. When
+    that and every entry are below 2^63 the product is formed at the
+    narrowest width of ``det``'s ladder that holds it, and a ``b`` already
+    at a width of the ladder is read as it is; otherwise the product is an
+    object array of Python ints.
 
     The rows of ``b`` the nonzeros pick are gathered a chunk of nonzeros at
     a time, at most as many as ``s`` has rows and at most ``_GATHER``
@@ -260,25 +279,24 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != inner:
         raise ValueError("sparse product shape mismatch")
     w = int(np.bincount(s.rows).max()) if s.rows.size else 0
-    b64, mb = _int64(b)
-    if (
-        s.vals.dtype != object
-        and b64 is not None
-        and _maxabs(s.vals) * mb * w < _INT64_BOUND
-    ):
-        vals, b = s.vals, b64
-        out = np.zeros((b.shape[1], m), dtype=np.int64).T
+    fixed, mb = _fixed(b)
+    need = None if fixed is None or s.vals.dtype == object else _maxabs(s.vals) * mb * w
+    if need is not None and need < _INT64_BOUND:
+        vals, b = s.vals, fixed
+        out = np.zeros((b.shape[1], m), dtype=_narrowest(need)).T
     else:
         vals, b = _pyints(s.vals), _pyints(b)
         out = zeros(b.shape[1], m).T
     step = max(1, min(m, _GATHER // max(b.shape[1], 1)))
     for lo in range(0, len(vals), step):
         rows = s.rows[lo:lo + step]
-        terms = b[s.cols[lo:lo + step]]
-        terms *= vals[lo:lo + step, None]
+        # formed at the product's width, which holds every term and sum
+        terms = np.multiply(
+            b[s.cols[lo:lo + step]], vals[lo:lo + step, None], dtype=out.dtype
+        )
         # a row's entries are contiguous, so each row occurs once per chunk
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        out[rows[starts]] += np.add.reduceat(terms, starts, axis=0)
+        out[rows[starts]] += np.add.reduceat(terms, starts, axis=0, dtype=out.dtype)
     return out
 
 
@@ -324,8 +342,8 @@ def det(m) -> int:
         return 1
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("determinant of a non-square matrix")
-    a64, bound = _int64(a)
-    a = _pyints(a) if a64 is None else a64.astype(_narrowest(bound))
+    fixed, bound = _fixed(a)
+    a = _pyints(a) if fixed is None else fixed.astype(_narrowest(bound))
     sign = 1
     prev = 1
     scale = 1  # the trailing block is scale (+-1) times the stored one
@@ -380,21 +398,21 @@ def _eliminate(mat, want=(), rhs=None):
 
     Returns ``(D, r, *transforms)``: D diagonal with its r nonzero entries a
     divisibility chain first, then the transforms in the order of ``want``,
-    as the working arrays: int64 where the elimination stayed there, object
-    arrays of Python ints otherwise. The public wrappers convert only what
-    they hand out. Given ``rhs``, a matrix with as many rows as ``mat``, the
-    row operations are applied to it as well, and ``U @ rhs`` follows the
-    transforms, without U being formed.
+    as the working arrays: at one fixed width where the elimination stayed
+    within int64, object arrays of Python ints otherwise. The public
+    wrappers convert only what they hand out. Given ``rhs``, a matrix with
+    as many rows as ``mat``, the row operations are applied to it as well,
+    and ``U @ rhs`` follows the transforms, without U being formed.
 
     Each step takes as pivot the smallest nonzero entry of the remaining
-    block, first in row-major order, and moves it to (t, t). In int64 one
-    ``argmin`` finds it: ``|entry| - 1`` read as unsigned makes 0 the
-    largest key. It clears column t, then row t, by Euclid's algorithm
-    against the pivot (a nonzero remainder is swapped in as the new pivot,
-    and the old one, now off the pivot, sends the step back to column t)
-    until both are clear, adds to row t the first row holding an entry the
-    pivot does not divide and starts over, and finally makes the pivot
-    positive. A clear takes the entries of its line in order: a run of
+    block, first in row-major order, and moves it to (t, t). At fixed width
+    one ``argmin`` finds it: ``|entry| - 1`` read as the unsigned type of
+    the width makes 0 the largest key. It clears column t, then row t, by
+    Euclid's algorithm against the pivot (a nonzero remainder is swapped in
+    as the new pivot, and the old one, now off the pivot, sends the step
+    back to column t) until both are clear, adds to row t the first row
+    holding an entry the pivot does not divide and starts over, and finally
+    makes the pivot positive. A clear takes the entries of its line in order: a run of
     entries the pivot divides leaves the pivot line unchanged, so the run
     is one outer-product update, and the result equals one row or column
     operation at a time.
@@ -406,56 +424,68 @@ def _eliminate(mat, want=(), rhs=None):
     while only V takes them. The remaining block is not scanned for an
     entry the pivot does not divide.
 
-    The arrays are int64 while ``b * (1 + k * max|q|) < 2^63`` before every
-    update of k lines by quotients q, for a bound b >= max|entry| over every
-    array, which bounds every value the update forms. The bound is carried:
-    the input conversion gives the first b, and an update multiplies it by
-    ``1 + k * max|q|``, so only q is scanned (the row of a unit step too,
-    so every rescan and switch falls where a full update would put it).
-    Where the carried b fails the test, every array is scanned for its true
-    maximum; where that fails too, every array switches to Python ints for
-    good.
+    The arrays share one width of ``det``'s ladder, the narrowest whose
+    limit is above ``b * growth`` before every update, for a bound b >=
+    max|entry| over every array, which bounds every value the update forms.
+    A line update adds to each line one multiple of the pivot line, so its
+    growth is ``1 + max|q|`` for its quotients q; only the column update of
+    U^-1 sums k columns times their quotients at once, so an update of k
+    lines that U^-1 takes grows by ``1 + k * max|q|``. The bound is carried:
+    the input conversion gives the first b, and its width the first width,
+    and each update multiplies b by its growth, so only q is scanned (the
+    row of a unit step too, so every rescan and switch falls where a full
+    update would put it). Where the carried b fails the width's limit, every
+    array is scanned for its true maximum; where that fails too, every array
+    goes over to the narrowest width that holds the scanned bound, or past
+    2^63 to Python ints for good.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     m, n = a.shape
     size = {"u": m, "uinv": m, "v": n}
-    x = {"a": a, **{k: np.eye(size[k], dtype=np.int64) for k in want}}
-    if rhs is not None:
-        x["rhs"] = rhs
-    inputs = {k: _int64(x[k]) for k in ("a", "rhs") if k in x}
-    # bound >= max|entry| over every array while they are int64
+    x = {"a": a} if rhs is None else {"a": a, "rhs": rhs}
+    inputs = {k: _fixed(y) for k, y in x.items()}
+    # bound >= max|entry| over every array while they are fixed-width
     bound = 1
     if all(y is not None for y, _ in inputs.values()):
-        for k, (y, top) in inputs.items():
-            x[k] = y.copy()
-            bound = max(bound, top)
+        bound = max(bound, *(top for _, top in inputs.values()))
+        width = _narrowest(bound)
+        x = {k: y.astype(width) for k, (y, _) in inputs.items()}
     else:
+        width = object
         x = {k: _pyints(y) for k, y in x.items()}
+    x.update({k: np.eye(size[k], dtype=width) for k in want})
     # the arrays whose rows (axis 0) or columns (axis 1) an operation combines
     direct = (x.keys() & {"a", "u", "rhs"}, x.keys() & {"a", "v"})
 
     def lines(k, axis):
         return x[k] if axis == 0 else x[k].T
 
-    def widen(q):
-        # on Python ints already, nothing is scanned
+    def widen(q, summed):
+        # an update adds to a line q_i times one other line, or, for U^-1,
+        # ``summed`` lines times their q at once; on Python ints already,
+        # nothing is scanned
         nonlocal bound
-        if x["a"].dtype == object:
+        width = x["a"].dtype
+        if width == object:
             return
-        growth = 1 + len(q) * int(np.abs(q).max())
-        if bound * growth >= _INT64_BOUND:
+        growth = 1 + summed * int(np.abs(q).max())
+        if bound * growth >= _LIMIT[width]:
             bound = max(_maxabs(y) for y in x.values())
-        if bound * growth >= _INT64_BOUND:
+        need = bound * growth
+        if need >= _INT64_BOUND:
             for k in x:
                 x[k] = _pyints(x[k])
-        else:
-            bound *= growth
+        elif need >= _LIMIT[width]:
+            wider = _narrowest(need)
+            for k in x:
+                x[k] = x[k].astype(wider)
+        bound = need
 
     def update(axis, idx, q, t):
         # line i -= q_i * line t for i in idx; U^-1 column t += U^-1[:, idx] q
-        widen(q)
+        widen(q, len(q) if axis == 0 and "uinv" in x else 1)
         for k in direct[axis]:
             y = lines(k, axis)
             y[idx] -= q[:, None] * y[t]
@@ -505,7 +535,7 @@ def _eliminate(mat, want=(), rhs=None):
         idx = off_pivot(1, t)
         if idx.size:
             q = x["a"][t, idx] * p
-            widen(q)
+            widen(q, 1)
             x["a"][t, idx] = 0
             if "v" in x:
                 x["v"][:, idx] -= x["v"][:, t, None] * q
@@ -522,7 +552,7 @@ def _eliminate(mat, want=(), rhs=None):
         else:
             key = np.abs(a[t:, t:])
             key -= 1
-            f = int(key.view(np.uint64).argmin())
+            f = int(key.view(f"u{key.itemsize}").argmin())  # unsigned, same width
             if key.flat[f] < 0:  # every entry is 0
                 break
         i, j = divmod(f, n - t)

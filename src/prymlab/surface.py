@@ -27,9 +27,9 @@ a segment sum; the model holds no boundary map: the sheet vertices are the
 chains reshaped sheet by arc and summed over the arcs, and the ramification
 vertices are one gather and one sum over L per group. It runs under
 ``matmul``'s rule with the most ends at a vertex for the inner dimension:
-int64 while that times the largest entry is below 2^63, Python ints
-otherwise. ``induced_map_all`` checks with it that every image chain
-closes.
+at the narrowest of int16, int32 and int64 that holds that times the
+largest entry, Python ints from 2^63. ``induced_map_all`` checks with it
+that every image chain closes.
 
 First homology comes from a spanning tree: non-tree edges give fundamental
 cycles, face boundaries give the relations, and the quotient is free of rank
@@ -60,25 +60,33 @@ a time, each over the basis columns that pass through it. The Gram is
 checked to have zero diagonal and to be alternating and unimodular on every
 build.
 
-The model's matrices are int64: ``C`` (``class_map``, about 2% nonzero at
-rank 5) and the sheet chains as ``lattice.SparseMatrix``, and the Gram.
-With beta the largest entry of the relation transforms they are read from,
-m the number of non-tree edges and Delta the most edge ends at one vertex,
-every entry of ``B`` is at most 2 m beta (a tree entry is a sum of
-non-tree entries, each counted at most twice), and the build asserts
-``2 E Delta (2 m beta)^2 < 2^63``. That bounds every partial sum the
-build forms in int64: the tree entries, the prefix sums at a vertex and
-the Gram. Each Gram entry is a sum of products of two entries of ``B``,
-at most ``Delta_v^2`` of them from a vertex with Delta_v ends and so at
-most ``2 E Delta`` in all over the vertices' 2E ends, so that every partial
-sum, whatever the order and grouping of its terms, is at most
-``2 E Delta max|B|^2``. That covers the product of each group, whose
-partial sums group the same terms by basis column and by prefix, and its
-own bound check (``max|B|`` times ``(L - 1) max|B|`` times at most E terms)
-then holds too. Products with a fiber matrix, whose entries are the
-caller's, go through ``lattice._product`` and ``lattice._sparse_product``,
-which check ``matmul``'s bound on each call and run on Python ints where it
-fails.
+The model's matrices are held at fixed width: ``C`` (``class_map``, about
+2% nonzero at rank 5) and the sheet chains as ``lattice.SparseMatrix`` with
+int64 entries, and the Gram in int64. With beta the largest entry of the
+relation transforms they are read from, m the number of non-tree edges and
+Delta the most edge ends at one vertex, every entry of ``B`` is at most
+2 m beta (a tree entry is a sum of non-tree entries, each counted at most
+twice), and the build asserts ``2 E Delta (2 m beta)^2 < 2^63``. That
+bounds every partial sum the build forms: the tree entries, the prefix
+sums at a vertex and the Gram. ``B`` and the inflow that closes it are
+held at the narrowest of int16, int32 and int64 above ``2 m beta Delta``,
+which holds every tree entry and every partial sum of a vertex's prefix
+sums, as the relation elimination's transforms come at the narrowest
+width their own bound allows (``lattice._eliminate``). The spinor builds
+measured at ranks 5 to 8 have entries -1, 0 and 1 throughout and hold the
+transforms in int16, and ``B`` in int16 or, where ``2 m beta Delta``
+passes 2^15 (rank 1026 at ``random_simple(8, 4, 16, 1)``), int32. Each
+Gram entry is a sum of products of two entries of ``B``, at most
+``Delta_v^2`` of them from a vertex with Delta_v ends and so at most ``2 E
+Delta`` in all over the vertices' 2E ends, so that every partial sum,
+whatever the order and grouping of its terms, is at most ``2 E Delta
+max|B|^2``. That covers the product of each group, whose partial sums
+group the same terms by basis column and by prefix, and its own bound
+check (``max|B|`` times ``(L - 1) max|B|`` times at most E terms) then
+holds too. Products with a fiber matrix, whose entries are the caller's,
+go through ``lattice._product`` and ``lattice._sparse_product``, which
+check ``matmul``'s bound on each call and run on Python ints where it
+fails; the sparse products come at the width their bound needs.
 
 The checked Gram is held once, in int64, by each model and by each
 homology (``_gram64``). Their ``gram`` reads it out as an object array of
@@ -193,20 +201,25 @@ class HomologyModel:
         of equal size, over their ends gathered a chunk of at most
         ``lattice._GATHER`` entries at a time (one vertex at the least), so
         the temporary stays small. Under ``lattice``'s product rule, with
-        the most ends at a vertex for the inner dimension: int64 while that
-        times the largest entry is below 2^63, Python ints otherwise."""
-        c64, top = lattice._int64(chains)
-        if c64 is None or top * self.most_ends >= lattice._INT64_BOUND:
-            chains = lattice._pyints(chains)
+        the most ends at a vertex for the inner dimension: at the narrowest
+        fixed width that holds that times the largest entry, and on Python
+        ints from 2^63; chains already at a fixed width are read as they
+        are."""
+        fixed, top = lattice._fixed(chains)
+        if fixed is None or top * self.most_ends >= lattice._INT64_BOUND:
+            chains, width = lattice._pyints(chains), object
         else:
-            chains = c64
+            chains, width = fixed, lattice._narrowest(top * self.most_ends)
         g = chains.shape[1]
-        out = np.empty((self.vertex_count, g), dtype=chains.dtype)
-        out[:self.degree] = -chains.reshape(self.degree, self.arc_count, g).sum(axis=1)
+        out = np.empty((self.vertex_count, g), dtype=width)
+        out[:self.degree] = -chains.reshape(self.degree, self.arc_count, g).sum(
+            axis=1, dtype=width
+        )
         for vertices, ends in self.branch_groups:
             step = max(1, lattice._GATHER // max(ends.shape[1] * g, 1))
             for lo in range(0, len(ends), step):
-                out[vertices[lo:lo + step]] = chains[ends[lo:lo + step]].sum(axis=1)
+                gathered = chains[ends[lo:lo + step]]
+                out[vertices[lo:lo + step]] = gathered.sum(axis=1, dtype=width)
         return out
 
     # -- cycles and relations ----------------------------------------------
@@ -249,12 +262,12 @@ class HomologyModel:
         if self.genus2 % 2:
             raise AssertionError("odd first Betti number on a closed surface")
         self.genus = self.genus2 // 2
-        if self.genus != _cover.genus(self.cover):
+        if self.genus != _cover._riemann_hurwitz(self.cover):
             raise AssertionError("homology rank disagrees with the genus count")
-        # the transforms as the elimination left them, int64 unless they
-        # outgrew it, under the bound of the module docstring
-        C, c_max = lattice._int64(U[r:])
-        cycles, b_max = lattice._int64(Uinv[:, r:])
+        # the transforms at the width the elimination left them, under the
+        # bound of the module docstring
+        C, c_max = lattice._fixed(U[r:])
+        cycles, b_max = lattice._fixed(Uinv[:, r:])
         beta = max(c_max or 0, b_max or 0)
         if C is None or cycles is None or (
             2 * E * self.most_ends * (2 * m * beta) ** 2 >= lattice._INT64_BOUND
@@ -269,10 +282,12 @@ class HomologyModel:
         # U^-1; its tree coefficients close every vertex. Leaves first, the
         # edge to the parent carries off the net inflow of the vertex. Row
         # by row, as whole-array passes over B, which is mostly zero here,
-        # measured slower (3x at rank 1026).
-        B = np.zeros((E, self.genus2), dtype=np.int64)
+        # measured slower (3x at rank 1026). Every partial sum of B, inflow
+        # and the Gram's prefix sums is at most 2 m beta times the most ends.
+        width = lattice._narrowest(2 * m * beta * self.most_ends)
+        B = np.zeros((E, self.genus2), dtype=width)
         B[self.nontree] = cycles
-        inflow = np.zeros((V, self.genus2), dtype=np.int64)
+        inflow = np.zeros((V, self.genus2), dtype=width)
         for e, t, h in zip(self.nontree.tolist(), self.edge_tail[self.nontree].tolist(),
                            self.edge_head[self.nontree].tolist()):
             inflow[h] += B[e]

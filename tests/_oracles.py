@@ -14,8 +14,10 @@ and builds a vector cover per accepted draw is the reference for the
 library's loop on lookup tables. The
 Smith elimination on lists of Python ints, one row or column operation at a
 time on all four transforms, is the reference for the library's vectorised
-one, and integral solving by U b after that elimination is the reference
-for the library's solving with b carried through it. The elimination
+one at every width, a product summed one entry at a time on lists is the
+reference for the dense and sparse products, and integral solving by U b
+after that elimination is the reference for the library's solving with b
+carried through it. The elimination
 modulo the determinant on lists, one entry at a time, is the reference for
 the library's whole-line one. The entry-by-entry equivariance check under
 every reflection is the reference for the library's check on the simple
@@ -86,6 +88,15 @@ def det_fraction_free(rows):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def product_lists(a, b):
+    """The product of two integer matrices given as rows of Python ints, one
+    entry at a time as a sum over the inner index: the reference for
+    ``lattice``'s dense and sparse products at every width."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][j] for t in range(inner)) for j in range(cols)] for row in a]
 
 
 def minors_gcd_chain(rows):

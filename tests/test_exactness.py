@@ -11,9 +11,10 @@ uses the ``@`` operator, so every product goes through ``lattice.matmul``.
 
 A third guard keeps fixed-width integers inside the two modules that bound
 them: no module but ``lattice.py`` and ``surface.py`` names a fixed-width
-integer type (``int8`` through ``int64``, or any ``uint``: ``det`` steps
-through int16 and int32, and ``uint64`` wraps as well), and the matrices
-those two hand out are object arrays of Python ints, so the
+integer type (``int8`` through ``int64``, or any ``uint``: ``det``, the
+Smith elimination, the sparse products, the boundary and the cycle basis
+step through int16 and int32, and an unsigned view wraps as well), and the
+matrices those two hand out are object arrays of Python ints, so the
 elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
 wraps. The exceptions are ``lattice.eye_minus``, whose caller hands its
 result back to ``lattice``'s products and eliminations and computes nothing

@@ -16,10 +16,12 @@ from _oracles import (
     det_cofactor,
     det_fraction_free,
     minors_gcd_chain,
+    product_lists,
     solve_exact_via_u,
     sum_lattices,
 )
 from prymlab import lattice, surface
+from prymlab.corr import make_D
 from prymlab.cover import induce, random_simple
 from prymlab.errors import DegenerateFormError
 from prymlab.prym import probe_trial
@@ -591,9 +593,10 @@ _WANTS = [w for k in range(4) for w in itertools.combinations(("u", "uinv", "v")
 
 
 def _working_arrays(*mats) -> bool:
-    """Whether ``_eliminate``'s arrays are what it works on: all int64, or
-    all object arrays of Python ints (they switch together)."""
-    if all(mat.dtype == np.int64 for mat in mats):
+    """Whether ``_eliminate``'s arrays are what it works on: one width of
+    the ladder (int16, int32 or int64) shared by every array, or all object
+    arrays of Python ints (they widen and switch together)."""
+    if mats[0].dtype in lattice._LIMIT and all(mat.dtype == mats[0].dtype for mat in mats):
         return True
     return all(mat.dtype == object and all(type(x) is int for x in mat.flat) for mat in mats)
 
@@ -672,7 +675,7 @@ def _lines_run(rows, m, n, want=("u", "uinv", "v")):
 _EUCLID_SWAP = "swap(axis, int(idx[k - 1]), t)"
 _UPDATE = "y[idx] -= q[:, None] * y[t]"
 _RESCAN = "bound = max(_maxabs(y) for y in x.values())"
-_WIDEN = "growth = 1 + len(q) * int(np.abs(q).max())"
+_WIDEN = "growth = 1 + summed * int(np.abs(q).max())"
 _SWITCH = "x[k] = _pyints(x[k])"
 
 
@@ -1124,6 +1127,139 @@ def test_det_of_a_rank_258_gram_stays_in_int16():
     got, run = _traced(det, H._gram64)
     assert abs(got) == 1
     assert _DET_WIDEN not in run and _DET_RESCAN not in run and _DET_SWITCH not in run
+
+
+# -- the elimination and the sparse product on det's width ladder --------------
+
+_LADDER_EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1]
+_ELIM_WIDEN = "wider = _narrowest(need)"
+
+
+def _ladder_entries(draw, count):
+    edge = st.sampled_from(_LADDER_EDGES).flatmap(lambda x: st.sampled_from([x, -x]))
+    entry = st.one_of(edge, st.integers(min_value=-3, max_value=3))
+    return [draw(entry) for _ in range(count)]
+
+
+@st.composite
+def _ladder_systems(draw):
+    m, n = (draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
+    k = draw(st.integers(min_value=0, max_value=2))
+    rows = [_ladder_entries(draw, n) for _ in range(m)]
+    rhs = [_ladder_entries(draw, k) for _ in range(m)]
+    return rows, rhs, k, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ladder_systems())
+@example(([[2**15 - 1, 1], [1, 2**15 - 1]], [[1], [0]], 1, True))
+@example(([[1, 2**15], [2**15, -(2**15)]], [[2**31], [-1]], 1, True))
+@example(([[2**31 - 1, 2], [3, 2**31]], [[2**63 - 1], [2]], 1, False))
+@example(([[1, 1], [1, 2**63 - 1]], [[], []], 0, False))
+def test_elimination_at_the_width_edges_matches_list_reference(case):
+    # entries at each rung's edge, so the start width, the widenings and the
+    # switch to Python ints all occur; for every want, with and without a
+    # right-hand side, the result is the list reference's
+    rows, rhs, k, as_int64 = case
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    ref = _snf_state(_object_matrix(rows, m, n))
+    transforms = {"u": ref.u, "uinv": ref.uinv, "v": ref.v}
+    rank = sum(1 for i in range(min(m, n)) if ref.a[i][i] != 0)
+    mat = _object_matrix(rows, m, n)
+    if as_int64 and all(abs(x) < 2**63 for row in rows for x in row):
+        mat = mat.astype(np.int64)
+    for want in _WANTS:
+        for carried in (None, _object_matrix(rhs, m, k)):
+            d, r, *got = lattice._eliminate(mat, want, carried)
+            assert (to_lists(d), r) == (ref.a, rank)
+            if carried is not None:
+                *got, ub = got
+                assert to_lists(ub) == product_lists(ref.u, rhs)
+                got.append(ub)
+            assert [to_lists(x) for x in got[:len(want)]] == [transforms[w] for w in want]
+            assert _working_arrays(d, *got)
+    assert to_lists(mat) == rows  # the input is left as it was
+
+
+def test_elimination_starts_at_the_narrowest_width_of_its_input():
+    for top, width in ((2**15 - 1, np.int16), (2**15, np.int32), (2**31, np.int64)):
+        d, _, u = lattice._eliminate(intmat([[top, 0], [0, 1]]), ("u",))
+        assert d.dtype == u.dtype == width
+
+
+def test_elimination_of_one_minus_delta_widens_int16_to_int32_once():
+    # the image of 1 - delta at rank 258: entries and U^-1 start in int16,
+    # and one scanned bound past 2^15 takes every array to int32 for good
+    H = surface.build_all(induce(random_simple(5, 12, 16, 0), OrbitKind.SPINOR))
+    delta = surface.induced_map_all(H, H, make_D(5).matrix)
+    x = lattice.eye_minus(delta)
+    assert lattice._narrowest(lattice._maxabs(x)) == np.int16
+    (d, _, uinv), run = _traced(lattice._eliminate, x, ("uinv",))
+    assert run.count(_ELIM_WIDEN) == 1 and _SWITCH not in run
+    assert d.dtype == uinv.dtype == np.int32
+
+
+def test_relation_elimination_and_cycle_basis_stay_in_int16(monkeypatch):
+    # the spinor build at rank 258 eliminates its relations and closes its
+    # cycle basis B without leaving int16
+    runs, widths = [], []
+    engine, gram = lattice._eliminate, surface.HomologyModel._build_gram
+
+    def traced_engine(mat, want=(), rhs=None):
+        out, run = _traced(engine, mat, want, rhs)
+        runs.append(run)
+        widths.extend(y.dtype for y in out if isinstance(y, np.ndarray))
+        return out
+
+    def spy_gram(model, B):
+        widths.append(B.dtype)
+        return gram(model, B)
+
+    monkeypatch.setattr(lattice, "_eliminate", traced_engine)
+    monkeypatch.setattr(surface.HomologyModel, "_build_gram", spy_gram)
+    H = surface.build_all(induce(random_simple(5, 12, 16, 0), OrbitKind.SPINOR))
+    assert H.rank == 258 and len(runs) == 1
+    assert _ELIM_WIDEN not in runs[0] and _SWITCH not in runs[0]
+    assert widths and all(w == np.int16 for w in widths)
+
+
+@st.composite
+def _ladder_products(draw):
+    r, inner, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a = [[x * draw(st.booleans()) for x in _ladder_entries(draw, inner)] for _ in range(r)]
+    b = [_ladder_entries(draw, c) for _ in range(inner)]
+    width = draw(st.sampled_from([None, np.int16, np.int32, np.int64]))
+    return a, b, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ladder_products())
+@example(([[2**15 - 1, 1]], [[2**15 - 1], [1]], np.int16))
+@example(([[2**15]], [[1]], np.int32))
+@example(([[2**31 - 1, 0], [0, 2]], [[2**31 - 1, 1], [1, -(2**31 - 1)]], np.int32))
+@example(([[2**63 - 1]], [[2]], np.int64))
+def test_sparse_product_at_the_width_edges_matches_list_reference(case):
+    # b given as an object array or already at a width of the ladder; the
+    # product is at the narrowest width holding max|s| * max|b| * w, or
+    # Python ints from 2^63
+    a, b, width = case
+    r, inner = len(a), len(b)
+    c = len(b[0]) if b else 0
+    bmat = _object_matrix(b, inner, c)
+    if width is not None:
+        if any(abs(x) >= lattice._LIMIT[np.dtype(width)] for row in b for x in row):
+            return
+        bmat = bmat.astype(width)
+    s = lattice.sparse(_object_matrix(a, r, inner))
+    got = lattice._sparse_product(s, bmat)
+    assert to_lists(got) == product_lists(a, b)
+    w = int(np.bincount(s.rows).max()) if s.rows.size else 0
+    top_a = max((abs(x) for row in a for x in row), default=0)
+    top_b = max((abs(x) for row in b for x in row), default=0)
+    need = top_a * top_b * w
+    assert got.dtype == (lattice._narrowest(need) if need < 2**63 else object)
+    assert to_lists(bmat) == b  # the input is left as it was
 
 
 # -- the divisor chain modulo a known exponent ---------------------------------

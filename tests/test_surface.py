@@ -1,11 +1,14 @@
 import dataclasses
 import gc
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from prymlab import corr, cover, lattice, surface, weyl
@@ -498,3 +501,81 @@ def test_induced_map_catches_a_chain_that_does_not_close():
     assert p._boundary(chains.T.reshape(p.edge_count, -1)).any()
     with pytest.raises(AssertionError, match="^image chain failed to close per component$"):
         surface.induced_map_all(H, H, eye(p.degree))
+
+
+# -- the boundary and the build on det's width ladder ----------------------------
+
+_LADDER_EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1]
+_LADDER_MODEL = surface.build_all(
+    induce(random_simple(3, 4, 6, seed=3), OrbitKind.SPINOR)
+).parts[0]
+
+
+@st.composite
+def _ladder_chains(draw):
+    p = _LADDER_MODEL
+    cols = draw(st.integers(min_value=1, max_value=3))
+    edge = st.sampled_from(_LADDER_EDGES).flatmap(lambda x: st.sampled_from([x, -x]))
+    entry = st.one_of(edge, st.integers(min_value=-2, max_value=2))
+    # a few edges carry a large entry, the rest small ones
+    chains = [[draw(st.integers(min_value=-1, max_value=1)) for _ in range(cols)]
+              for _ in range(p.edge_count)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        e = draw(st.integers(min_value=0, max_value=p.edge_count - 1))
+        chains[e][draw(st.integers(min_value=0, max_value=cols - 1))] = draw(entry)
+    width = draw(st.sampled_from([None, np.int16, np.int32, np.int64]))
+    return chains, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ladder_chains())
+def test_boundary_at_the_width_edges_matches_the_dict_reference(case):
+    # chains given as Python ints or already at a width of the ladder; the
+    # boundary is at the narrowest width holding max|chain| times the most
+    # ends at a vertex, or Python ints from 2^63
+    chains, width = case
+    p = _LADDER_MODEL
+    mat = lattice.intmat(chains)
+    if width is not None:
+        if any(abs(x) >= lattice._LIMIT[np.dtype(width)] for row in chains for x in row):
+            return
+        mat = mat.astype(width)
+    got = p._boundary(mat)
+    for j in range(len(chains[0])):
+        want = _oracles.boundary(p, {e: row[j] for e, row in enumerate(chains) if row[j]})
+        assert {v: c for v, c in enumerate(got[:, j].tolist()) if c} == want
+    need = max(abs(x) for row in chains for x in row) * p.most_ends
+    assert got.dtype == (lattice._narrowest(need) if need < 2**63 else object)
+
+
+@pytest.mark.parametrize("args,limit_mb", [((5, 12, 16, 0), 3), ((8, 4, 16, 1), 80)],
+                         ids=["rank-258", "rank-1026"])
+def test_spinor_build_heap_peak(args, limit_mb):
+    # the relation transforms, B and its inflow held at the width their
+    # bound needs: int16 here, where int64 peaked at 4.8 and 110 MB
+    cm = induce(random_simple(*args), OrbitKind.SPINOR)
+    tracemalloc.start()
+    try:
+        surface.build_all(cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
+def test_connected_build_finds_its_components_twice(monkeypatch):
+    # once in build_all and once in the model's refusal of disconnected
+    # covers; the rank check reads the Riemann-Hurwitz count without a third
+    calls = []
+    real = cover.components
+
+    def counted(cm):
+        calls.append(cm)
+        return real(cm)
+
+    monkeypatch.setattr(cover, "components", counted)
+    monkeypatch.setattr(surface, "components", counted)
+    cm = induce(random_simple(3, 4, 6, seed=3), OrbitKind.SPINOR)
+    H = surface.build_all(cm)
+    assert len(calls) == 2
+    assert H.parts[0].genus == cover.genus(cm)

@@ -3,8 +3,9 @@
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
 arithmetic is arbitrary precision, and every matrix a public function returns
 is one, but for ``eye_minus``, whose int64 result is only handed back here.
-Inside, ``det``, ``_eliminate`` and ``_sparse_product`` run on fixed-width
-arrays while a bound proves that nothing wraps, and ``matmul`` in int64.
+Inside, ``det``, ``pfaffian``, ``_eliminate`` and ``_sparse_product`` run
+on fixed-width arrays while a bound proves that nothing wraps, and
+``matmul`` in int64.
 They convert their input by one rule, ``_int64``:
 ``np.asarray(x, dtype=np.int64)``, where an ``OverflowError`` means the
 entries need Python ints, and the bound then comes from the int64 max and
@@ -41,54 +42,59 @@ fixed width while a bound on every value an update forms stays below 2^63,
 and on Python ints from the first update where it does not. The divisor
 chain of a nonsingular square matrix (every nondegenerate alternating
 form) comes determinant first: the Smith elimination then runs modulo
-|det|, or modulo the Pfaffian isqrt(|det|) for an alternating matrix, so
-its entries stay bounded, in int64 while the modulus squared does; or
-modulo a lattice's known exponent first, kept when the chain multiplies to
-|det| (``PolarizedLattice.exponent``).
+|det|, or for an alternating matrix modulo its Pfaffian, by Cayley's
+det = Pf^2 (``pfaffian``, which also checks the unimodularity of every
+homology Gram, so that ``det`` serves only the chain of a non-alternating
+matrix), so its entries stay bounded, in int64 while the modulus squared
+does; or modulo a lattice's known exponent first, kept when the chain
+multiplies to |det| (``PolarizedLattice.exponent``).
 
-``det`` and ``_eliminate`` carry their bounds instead of rescanning their
-arrays at every step: from the bound b on the entries before a step and
-the few entries the step scans (``det``'s pivot column and row,
-``_eliminate``'s quotients) follows a bound on every entry after it. Only
-where a carried bound would reach the limit of the current width are the
-arrays scanned for their true maximum, and only where that fails too do
-they go up a width; so the results and the switch points are those of a
-scan at every step, and the scans are rare (none in the unimodularity
-``det`` of a rank-258 spinor Gram).
+``det``, ``pfaffian`` and ``_eliminate`` carry their bounds instead of
+rescanning their arrays at every step: from the bound b on the entries
+before a step and the few entries the step scans (``det``'s pivot column
+and row, ``pfaffian``'s two pivot rows, ``_eliminate``'s quotients)
+follows a bound on every entry after it. Only where a carried bound would
+reach the limit of the current width are the arrays scanned for their true
+maximum, and only where that fails too do they go up a width; so the
+results and the switch points are those of a scan at every step, and the
+scans are rare (none in the unimodularity ``pfaffian`` of the spinor Grams
+of rank 130 to 1026).
 
-Both run at the width their values need, on one ladder: int16 while every
-value a step forms stays below 2^15, then int32 below 2^31, then int64
-below 2^63, then Python ints. Each width is a limit for the carried bound
-as 2^63 is; where the bound fails it, the arrays are scanned, and they go
-up the ladder only where the scanned bound fails too, to the narrowest
-width that holds it (``_eliminate`` takes all its arrays up together). The
-step to Python ints is taken at the same points as from int64 alone, since
-a scanned bound is the true maximum whatever was carried before. A spinor
-Gram (entries -1, 0, 1, within 3 through every unit step) runs in int16
-throughout, so the unimodularity ``det`` moves a quarter of the memory it
-would in int64; so do the relation elimination of a spinor build, with its
-U and U^-1, and the cycle basis ``surface`` reads off them. The image of
-1 - delta on the rank-258 spinor homology of ``random_simple(5, 12, 16,
-0)`` starts in int16 and goes to int32 once.
+All three run at the width their values need, on one ladder: int16 while
+every value a step forms stays below 2^15, then int32 below 2^31, then
+int64 below 2^63, then Python ints. Each width is a limit for the carried
+bound as 2^63 is; where the bound fails it, the arrays are scanned, and
+they go up the ladder only where the scanned bound fails too, to the
+narrowest width that holds it (``_eliminate`` takes all its arrays up
+together). The step to Python ints is taken at the same points as from
+int64 alone, since a scanned bound is the true maximum whatever was carried
+before. A spinor Gram (entries -1, 0, 1) runs in int16 throughout, so its
+Pfaffian moves a quarter of the memory it would in int64; so do the
+relation elimination of a spinor build, with its U and U^-1, and the cycle
+basis ``surface`` reads off them. The image of 1 - delta on the rank-258
+spinor homology of ``random_simple(5, 12, 16, 0)`` starts in int16 and
+goes to int32 once.
 
-Both also skip the passes whose result a unit pivot already fixes. ``det``
-carries a sign with its trailing block, the block being that sign times the
-stored one, and folds the sign of a unit step into it instead of
-multiplying the whole block by it, so that a unit step updates only the
-rows its column reaches; every pivot of the spinor Grams of rank 130 to 386
-measured is a unit. ``_eliminate`` divides by a pivot of +-1 without
-remainders, so it neither scans a line for them nor the remaining block
-for divisibility; it clears the pivot's column by one row update, after
-which the column operations on its row reach that row alone, so the row
-is zeroed and only V takes them. A line is scanned again only after a
-remainder was swapped in as the pivot: a clear that swapped nothing leaves
-its line clear, and clearing the row leaves the cleared column as it is.
+All three also skip the passes whose result a unit pivot already fixes.
+``det`` and ``pfaffian`` carry a sign with their trailing block, the block
+being that sign times the stored one, and fold the sign of a unit step into
+it instead of multiplying the whole block by it, so that a unit step
+updates only the rows its column reaches (for ``pfaffian``, each rank-1
+half the rows its own left factor reaches); every pivot of the spinor
+Grams of rank 130 to 1026 measured is a unit. ``_eliminate`` divides by a
+pivot of +-1 without remainders, so it neither scans a line for them nor
+the remaining block for divisibility; it clears the pivot's column by one
+row update, after which the column operations on its row reach that row
+alone, so the row is zeroed and only V takes them. A line is scanned again
+only after a remainder was swapped in as the pivot: a clear that swapped
+nothing leaves its line clear, and clearing the row leaves the cleared
+column as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -301,7 +307,9 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
 
 
 def det(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant by fraction-free (Bareiss) elimination. The
+    package takes it only for the divisor chain of a non-alternating square
+    matrix (``divisors``); an alternating form goes to ``pfaffian``.
 
     Each pivot p updates the trailing block with one outer product,
     ``(rest * p - column row) / prev`` for the previous pivot prev, and every
@@ -385,6 +393,88 @@ def det(m) -> int:
         prev = scale * p
         scale = next_scale
     return sign * scale * int(a[n - 1, n - 1])
+
+
+def pfaffian(g) -> int:
+    """Exact Pfaffian of an alternating matrix (which is not checked), so
+    that ``det(g) == pfaffian(g) ** 2``; 0 at odd order, 1 at order 0.
+
+    Fraction-free skew elimination with 2 x 2 pivots: each step takes the
+    pivot p at (t, t + 1), the rows r0 and r1 of t and t + 1 past t + 1,
+    and updates the trailing block S to ``(p S + r1 (x) r0 - r0 (x) r1) /
+    prev`` for the previous pivot prev, which is the Schur complement of
+    the pivot pair times Pf of the rows eliminated so far; every division
+    is exact, as each entry is the Pfaffian of a principal submatrix
+    (Knuth's overlapping-Pfaffian identity, Electron. J. Combin. 3(2),
+    1996), and the last pivot is the Pfaffian. A zero pivot swaps in the
+    first nonzero entry of its row, by a transposition of the indices
+    after t, which changes the sign; a zero row gives 0.
+
+    It runs on ``det``'s width ladder, with its bound carried the same way:
+    by skew symmetry the columns of the pivot pair are the rows negated, so
+    one scan of the two rows bounds every value a step forms by ``need = b
+    * |p| + 2 * max|r0, r1|^2``, and the new block by that over |prev|. A
+    sign goes into ``scale`` at a unit pivot after a unit prev, as in
+    ``det``, so that the step is the block plus p times the two rank-1
+    halves, each updating only the rows where its own left factor is
+    nonzero (the union of both supports measured slower than ``det``).
+    Spinor Grams run in int16 throughout.
+    """
+    a = np.asarray(g)
+    n = len(a)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError("Pfaffian of a non-square matrix")
+    if n % 2:
+        return 0
+    if n == 0:
+        return 1
+    fixed, bound = _fixed(a)
+    a = _pyints(a) if fixed is None else fixed.astype(_narrowest(bound))
+    sign = 1
+    prev = 1
+    scale = 1  # the trailing block is scale (+-1) times the stored one
+    for t in range(0, n - 2, 2):
+        if a[t, t + 1] == 0:
+            right = np.flatnonzero(a[t, t + 2:])
+            if not right.size:
+                return 0
+            j = t + 2 + right[0]
+            a[[t + 1, j], t:] = a[[j, t + 1], t:]
+            a[t:, [t + 1, j]] = a[t:, [j, t + 1]]
+            sign = -sign
+        p = int(a[t, t + 1])  # the pivot is scale * p
+        if a.dtype != object:
+            top = _maxabs(a[t:t + 2, t + 2:])
+            outer = 2 * top * top
+            if bound * abs(p) + outer >= _LIMIT[a.dtype]:
+                bound = _maxabs(a[t + 2:, t + 2:])
+            need = bound * abs(p) + outer
+            if need >= _INT64_BOUND:
+                a = a.astype(object)
+            elif need >= _LIMIT[a.dtype]:
+                a = a.astype(_narrowest(need))
+            bound = need // abs(prev)
+        r0, r1, rest = a[t, t + 2:], a[t + 1, t + 2:], a[t + 2:, t + 2:]
+        # the true numerator is p rest + r1 (x) r0 - r0 (x) r1 (scale^2 = 1)
+        if abs(prev) != 1:
+            rest[...] = (rest * p + r1[:, None] * r0 - r0[:, None] * r1) // prev
+            next_scale = 1
+        elif abs(p) == 1:
+            # p (rest + p (r1 (x) r0 - r0 (x) r1)); a half whose left factor
+            # is 0 on a row leaves that row as it is
+            rows = np.flatnonzero(r1)
+            rest[rows] += (p * r1[rows])[:, None] * r0
+            rows = np.flatnonzero(r0)
+            rest[rows] -= (p * r0[rows])[:, None] * r1
+            next_scale = p * prev
+        else:
+            rest *= p
+            rest += r1[:, None] * r0
+            rest -= r0[:, None] * r1
+            next_scale = prev
+        prev = scale * p
+        scale = next_scale
+    return sign * scale * int(a[n - 2, n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -693,25 +783,30 @@ def _nonsingular_chain(mat, alternating=False, modulus=None):
 
     The elimination runs modulo a multiple M of the last divisor d_n, which
     gives every gcd(d_i, M) = d_i: M = |det| in general, and for an
-    alternating matrix the Pfaffian, ``isqrt(|det|)``. Its chain comes in
-    pairs e_1, e_1, ..., e_k, e_k, so |det| is the square of the product of
-    the e_i, which d_n = e_k divides; M^2 then stays in int64 for
-    determinants up to about 2^125 instead of 2^63. The chain multiplies to
-    |det| exactly when every d_i divides M, which is checked.
+    alternating matrix M = |Pf|, with |det| = Pf^2 (Cayley), so that only
+    the Pfaffian is eliminated for. Its chain comes in pairs e_1, e_1,
+    ..., e_k, e_k, so |Pf| is the product of the e_i, which d_n = e_k
+    divides; M^2 then stays in int64 for determinants up to about 2^125
+    instead of 2^63. The chain multiplies to |det| exactly when every d_i
+    divides M, which is checked.
 
     A caller that expects a smaller multiple of d_n passes it as
     ``modulus`` (the exponent q of a Prym-Tyurin lattice, whose type
     divides q): the chain modulo it is tried first and kept when it
     multiplies to |det|, for then every d_i divides it; otherwise the
     chain is taken modulo M as above, so the result is exact either way."""
-    D = abs(det(mat))
+    if alternating:
+        M = abs(pfaffian(mat))
+        D = M * M
+    else:
+        M = D = abs(det(mat))
     if not D:
         return None
     if modulus:
         chain = _chain_mod(mat, modulus)
         if prod(chain) == D:
             return chain
-    chain = _chain_mod(mat, isqrt(D) if alternating else D)
+    chain = _chain_mod(mat, M)
     if prod(chain) != D:
         raise AssertionError("modular divisor chain self-check failed")
     return chain
@@ -866,7 +961,10 @@ def gram_type(g, basis, exponent=None) -> tuple:
     spanned by the columns of ``basis``, as ``ptype`` reports it; for a
     caller that also needs the restricted Gram. ``basis`` places the radical
     of a degenerate form in ambient coordinates; ``exponent`` is the
-    lattice's, when known, and the divisor chain is tried modulo it first."""
+    lattice's, when known, and the divisor chain is tried modulo it first.
+    The chain is taken modulo the Pfaffian of ``g``, which is 0 exactly
+    when the form is degenerate (odd rank included); no determinant is
+    formed."""
     r = g.shape[0]
     if r == 0:
         return ()

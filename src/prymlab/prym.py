@@ -26,7 +26,10 @@ delta on homology. ``incidence_maps`` induces the incidence S0 once as
 B: H(X) -> H(C) and tS0 once as A back, and the routine takes x = A B as
 the two maps (A, B): delta is not induced, and the one elimination is
 B's (rank H(C) rows, not the square of rank H(X)). ``mu_check`` reads its
-flags off the same A and B by containment. A caller with no H(C), as
+flags off the same A and B, and on the duality path by two identities, so
+that it runs no elimination: P(C,C') = ker(x - 2) for x = 1 - iota, which
+makes membership in it a product, and ``image(B)`` is P(C,C') exactly when
+it has that rank and its Smith divisors are 1. A caller with no H(C), as
 ``ptype``, or one that needs delta itself induces delta and passes
 1 - delta as a single map.
 """
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import corr, cover as _cover, lattice, surface, weyl
@@ -81,19 +85,23 @@ def _through(maps, v):
     return v
 
 
-def _prym_tyurin(H: surface.CoverHomology, maps, q: int) -> PolarizedLattice:
+def _prym_tyurin(H: surface.CoverHomology, maps, q: int, image_last=None) -> PolarizedLattice:
     """Saturated image of x = maps[0] ... maps[-1], with the restricted form,
     for an endomorphism x of homology with x (x - q) = 0 (for x = 1 - phi,
     (phi - 1)(phi + q - 1) = 0): x acts as q on its image. x is never
     formed; x v is the maps applied to v in turn, the last one first. The
     relation is checked on x 1 before any elimination, then as
     ``x Y == q Y`` on Y = maps[0] ... image(maps[-1]), which generates
-    image(x): the one elimination is the last map's. Y may have more
-    columns than the lattice has rank; saturating it gives the lattice,
-    tagged with its exponent q, which its type divides."""
+    image(x): the one elimination is the last map's, and none when the
+    caller has formed ``image(maps[-1])`` and passes it as ``image_last``.
+    Y may have more columns than the lattice has rank; saturating it gives
+    the lattice, tagged with its exponent q, which its type divides. The
+    lattice is then ker(x - q) as well: x is diagonalizable over Q with
+    eigenvalues 0 and q, so image(x) spans the q-eigenspace, whose integer
+    points are the saturation."""
     x1 = _through(maps, zeros(maps[-1].shape[1], 1) + 1)
     _acts_as_q(_through(maps, x1), x1, q)
-    Y = _through(maps[:-1], image(maps[-1]))
+    Y = _through(maps[:-1], image(maps[-1]) if image_last is None else image_last)
     return H.sublattice(saturate(_acts_as_q(_through(maps, Y), Y, q)), q)
 
 
@@ -110,7 +118,7 @@ def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice
     return _prym_tyurin(H, [lattice.eye_minus(iota)], 2)
 
 
-def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None):
+def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None, image_b=None):
     """Prym-Tyurin lattice in the homology of a subset-orbit cover, with a
     certificate that the induced endomorphism satisfies its quadratic
     relation exactly: the exponent-``2**(n-1)`` case of the routine behind
@@ -122,14 +130,15 @@ def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None):
     ``incidence``, the pair ``(A, B)`` that ``incidence_maps(H, HC)``
     returns, takes x = 1 - delta as A B by identity b (the base is then
     rational): delta is not induced, and the one elimination is B's. The
-    lattice is the same, in another basis.
+    lattice is the same, in another basis. ``image_b``, ``image(B)`` when
+    the caller has formed it, saves that elimination too.
     """
     n = H.cover.datum.n
     q = exponent(n)
     maps = incidence
     if maps is None:
         maps = [lattice.eye_minus(surface.induced_map_all(H, H, corr.make_D(n).matrix))]
-    lat = _prym_tyurin(H, maps, q)
+    lat = _prym_tyurin(H, maps, q, image_b)
     cert = {
         "exponent": q,
         "quadratic_relation": f"(delta - 1)(delta + {q - 1}) = 0 on homology",
@@ -162,27 +171,43 @@ def incidence_maps(HX: surface.CoverHomology, HC: surface.CoverHomology):
     return surface.induced_map_all(HC, HX, s0.T), surface.induced_map_all(HX, HC, s0)
 
 
-def mu_check(HX: surface.CoverHomology, pprime: PolarizedLattice, incidence) -> MuCheck:
+def mu_check(HX: surface.CoverHomology, pprime: PolarizedLattice, incidence,
+             image_b=None, x=None) -> MuCheck:
     """Whether the incidence correspondence from the spinor cover (homology
     ``HX``) to the signed-index cover realises the duality isogeny as an
     isomorphism. ``incidence`` is the pair ``(A, B)`` that
     ``incidence_maps(HX, HC)`` returns after the standing checks, and
     ``pprime`` is P(C,C') as ``prym_lattice(HC, corr.negation_matrix(n))``
-    returns it.
+    returns it, or any primitive sublattice of H(C).
 
     Surjective: the homology map B of the incidence maps onto P', image(B)
     = P'. Two lattices are equal when each contains the other, so that is
-    image(B) in P' and P' in image(B); the coordinates of B in a basis of
-    P' then generate all of Z^rank P' (their elementary divisors are all
-    1). If B escapes P', neither flag holds. Scaling: the transpose A
-    scales the form by ``2**(n-1)``, the restricted Gram of A P' in ``HX``
-    being ``2**(n-1)`` times that of P'.
+    image(B) in P' and P' in image(B). If B escapes P', neither flag holds;
+    given ``x`` = 1 - iota, the map whose Prym lattice ``pprime`` is
+    (``_prym_tyurin`` has checked x (x - 2) = 0), P' = ker(x - 2) and B
+    lies in it when x B == 2 B, one product; otherwise by
+    ``lattice.contains``. Then image(B), which ``image_b`` holds when the
+    caller has formed it as ``lattice.image(B)`` returns it and which is
+    formed here otherwise, lies in the primitive P', and contains it when
+    it has its rank and is primitive itself. That is read off its basis
+    U^-1[:, :r] D: the columns of U^-1 are primitive, so column i of the
+    basis has content d_i, and the lattice is primitive when every column
+    has content 1 (D = I). Scaling: the transpose A scales the form by
+    ``2**(n-1)``, the restricted Gram of A P' in ``HX`` being ``2**(n-1)``
+    times that of P'.
     """
     A, B = incidence
     prym_basis = pprime.basis
-    if not lattice.contains(prym_basis, B):
+    inside = (
+        lattice.contains(prym_basis, B) if x is None else mat_equal(matmul(x, B), 2 * B)
+    )
+    if not inside:
         return MuCheck(False, False)
-    surjective = lattice.contains(B, prym_basis)
+    if image_b is None:
+        image_b = image(B)
+    surjective = image_b.shape[1] == pprime.rank and all(
+        gcd(*column) == 1 for column in image_b.T
+    )
     lifted = HX.sublattice(matmul(A, prym_basis))
     scaling = mat_equal(
         lifted.restricted_gram(),
@@ -278,16 +303,26 @@ def _duality(datum: MonodromyDatum):
     ``prym_tyurin_lattice`` runs the one Prym-Tyurin routine on the maps
     (A, B), x = A B: delta is not induced, the relation x (x - q) = 0 is
     checked on x 1 and on Y = A image(B), and the elimination is B's, rank
-    H(C) by rank H(X), not the square 1 - delta of rank H(X). The same A
-    and B give the flags. The basis may differ from that of
-    ``prym_tyurin_lattice(HX)``; the lattice, and so its type, is the
-    same."""
+    H(C) by rank H(X), not the square 1 - delta of rank H(X). The basis
+    may differ from that of ``prym_tyurin_lattice(HX)``; the lattice, and
+    so its type, is the same.
+
+    The same A and B give the flags, with no elimination of their own:
+    P(C,C') is computed before P(X,delta), keeping its map x = 1 - iota,
+    by which ``mu_check`` decides B in P(C,C') as a product, and
+    ``image(B)`` is formed once, here, for both ``prym_tyurin_lattice``
+    and ``mu_check``. ``incidence_maps`` has checked that H(C) is
+    connected, as ``prym_lattice`` would.
+    A trial runs six Smith eliminations: the two builds' relations, image
+    and saturation for each lattice."""
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
     incidence = incidence_maps(HX, HC)
-    pt, _ = prym_tyurin_lattice(HX, incidence)
-    pprime = prym_lattice(HC, corr.negation_matrix(datum.n))
-    return HX, pt, pprime, mu_check(HX, pprime, incidence)
+    x = lattice.eye_minus(surface.induced_map_all(HC, HC, corr.negation_matrix(datum.n)))
+    pprime = _prym_tyurin(HC, [x], 2)
+    image_b = image(incidence[1])
+    pt, _ = prym_tyurin_lattice(HX, incidence, image_b)
+    return HX, pt, pprime, mu_check(HX, pprime, incidence, image_b, x)
 
 
 def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):

@@ -58,7 +58,7 @@ the group: ``B[later ends]^T`` times the prefix sums of ``B[earlier ends]``,
 taken in place on the gathered block. The sheet vertices are summed one at
 a time, each over the basis columns that pass through it. The Gram is
 checked to have zero diagonal and to be alternating and unimodular on every
-build.
+build, the last by its Pfaffian (``lattice.pfaffian``), which must be +-1.
 
 The model's matrices are held at fixed width: ``C`` (``class_map``, about
 2% nonzero at rank 5) and the sheet chains as ``lattice.SparseMatrix`` with
@@ -69,13 +69,15 @@ Delta the most edge ends at one vertex, every entry of ``B`` is at most
 twice), and the build asserts ``2 E Delta (2 m beta)^2 < 2^63``. That
 bounds every partial sum the build forms: the tree entries, the prefix
 sums at a vertex and the Gram. ``B`` and the inflow that closes it are
-held at the narrowest of int16, int32 and int64 above ``2 m beta Delta``,
-which holds every tree entry and every partial sum of a vertex's prefix
-sums, as the relation elimination's transforms come at the narrowest
-width their own bound allows (``lattice._eliminate``). The spinor builds
-measured at ranks 5 to 8 have entries -1, 0 and 1 throughout and hold the
-transforms in int16, and ``B`` in int16 or, where ``2 m beta Delta``
-passes 2^15 (rank 1026 at ``random_simple(8, 4, 16, 1)``), int32. Each
+held at the narrowest of int16, int32 and int64 above ``2 m beta``, which
+holds every tree entry and every partial sum of the closure, as the
+relation elimination's transforms come at the narrowest width their own
+bound allows (``lattice._eliminate``). Before the Gram, ``B`` is scanned
+once and goes to the narrowest width above ``(Delta - 1) max|B|``, which
+holds every partial sum of a ramification vertex's prefix sums (at most
+L - 1 rows of ``B``). The spinor builds measured at ranks 5 to 8 have
+entries -1, 0 and 1 throughout and hold the transforms and ``B`` in
+int16, rank 1026 at ``random_simple(8, 4, 16, 1)`` included. Each
 Gram entry is a sum of products of two entries of ``B``, at most
 ``Delta_v^2`` of them from a vertex with Delta_v ends and so at most ``2 E
 Delta`` in all over the vertices' 2E ends, so that every partial sum,
@@ -282,9 +284,10 @@ class HomologyModel:
         # U^-1; its tree coefficients close every vertex. Leaves first, the
         # edge to the parent carries off the net inflow of the vertex. Row
         # by row, as whole-array passes over B, which is mostly zero here,
-        # measured slower (3x at rank 1026). Every partial sum of B, inflow
-        # and the Gram's prefix sums is at most 2 m beta times the most ends.
-        width = lattice._narrowest(2 * m * beta * self.most_ends)
+        # measured slower (3x at rank 1026). Every partial sum of the
+        # closure is a signed sum of non-tree entries, each counted at most
+        # twice (once at its head, once at its tail), so at most 2 m beta.
+        width = lattice._narrowest(2 * m * beta)
         B = np.zeros((E, self.genus2), dtype=width)
         B[self.nontree] = cycles
         inflow = np.zeros((V, self.genus2), dtype=width)
@@ -301,7 +304,12 @@ class HomologyModel:
         # of a fiber correspondence are this times the fiber block,
         # transposed; B itself goes to the Gram and is dropped
         self.sheet_chains = lattice.sparse(B.reshape(self.degree, -1).T)
-        return B
+        # the Gram's prefix sums at a ramification vertex add at most L - 1
+        # rows of B in place, so B goes to the width that holds (most ends
+        # - 1) max|B| (and max|B| itself); the sheet vertices' prefix sums
+        # and the products run in int64 or at their own bound's width
+        top = lattice._maxabs(B)
+        return B.astype(lattice._narrowest(max(self.most_ends - 1, 1) * top), copy=False)
 
     # -- intersection numbers ----------------------------------------------
 
@@ -339,7 +347,7 @@ class HomologyModel:
             raise AssertionError("nonzero self-intersection")
         if not (gram.T == -gram).all():
             raise AssertionError("intersection form is not alternating")
-        if g and abs(lattice.det(gram)) != 1:
+        if g and abs(lattice.pfaffian(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
         self._gram64 = gram
 

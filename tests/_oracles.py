@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own algorithms: determinants by
-cofactor expansion or fraction-free elimination written here, divisor chains
+cofactor expansion or fraction-free elimination written here, Pfaffians by
+expansion along the first row, divisor chains
 by gcds of minors, weight pairings by direct rational arithmetic, and
 homology chains as dicts (edge -> coefficient), paired one vertex at a time
 and pushed through a correspondence one edge at a time, and the Gram summed
@@ -88,6 +89,25 @@ def det_fraction_free(rows):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def pfaffian_expansion(rows):
+    """Pfaffian of an alternating matrix given as rows of Python ints, by
+    expansion along the first row: Pf(A) = sum over j of (-1)^(j+1) a_0j
+    Pf(A without rows and columns 0 and j). 1 at order 0, 0 at odd order.
+    The reference for ``lattice.pfaffian``."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n % 2:
+        return 0
+    total = 0
+    for j in range(1, n):
+        if rows[0][j]:
+            keep = [k for k in range(1, n) if k != j]
+            minor = [[rows[i][k] for k in keep] for i in keep]
+            total += (-1) ** (j + 1) * rows[0][j] * pfaffian_expansion(minor)
+    return total
 
 
 def product_lists(a, b):

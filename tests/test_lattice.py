@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import (
     _snf_state,
     chain_mod_lists,
@@ -1127,6 +1128,124 @@ def test_det_of_a_rank_258_gram_stays_in_int16():
     got, run = _traced(det, H._gram64)
     assert abs(got) == 1
     assert _DET_WIDEN not in run and _DET_RESCAN not in run and _DET_SWITCH not in run
+
+
+# -- the Pfaffian: skew elimination with 2 x 2 pivots on det's width ladder ----
+
+_PF_WIDEN = "a = a.astype(_narrowest(need))"
+_PF_RESCAN = "bound = _maxabs(a[t + 2:, t + 2:])"
+_PF_SWITCH = "a = a.astype(object)"
+_NEAR_2_70 = [2**70 - 1, 2**70, 2**70 + 3]
+
+
+@st.composite
+def _alternating_inputs(draw):
+    """An alternating matrix of order 0 to 10 as rows of Python ints, its
+    entries in [-3, 3] or near +-2^70 (the Python-int path) or at an edge
+    of the width ladder, sometimes with a zero row and column."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    big = st.sampled_from(_NEAR_2_70 + _LADDER_EDGES).flatmap(
+        lambda x: st.sampled_from([x, -x]))
+    small = st.integers(min_value=-3, max_value=3)
+    entry = st.one_of(small, small, small, big) if draw(st.booleans()) else small
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    if n and draw(st.integers(min_value=0, max_value=4)) == 0:
+        z = draw(st.integers(min_value=0, max_value=n - 1))
+        for k in range(n):
+            rows[z][k] = rows[k][z] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alternating_inputs())
+@example([])
+@example([[0, 0, 1], [0, 0, 2], [-1, -2, 0]])  # odd order
+@example([[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]])  # zero row
+@example([[0, 0, 1, 2], [0, 0, 3, 4], [-1, -3, 0, 5], [-2, -4, -5, 0]])  # zero pivot
+@example([[0, 2**70, 1, 0], [-(2**70), 0, 0, 1], [-1, 0, 0, 2**70], [0, -1, -(2**70), 0]])
+def test_pfaffian_matches_the_expansion_and_squares_to_det(rows):
+    n = len(rows)
+    want = _oracles.pfaffian_expansion(rows)
+    mat = _object_matrix(rows, n, n)
+    assert lattice.pfaffian(mat) == want
+    assert want * want == det(mat)
+    assert to_lists(mat) == rows  # the input is left as it was
+    if all(abs(x) < 2**63 for row in rows for x in row):
+        for width in (np.int16, np.int32, np.int64):
+            top = max((abs(x) for row in rows for x in row), default=0)
+            if top < lattice._LIMIT[np.dtype(width)]:
+                assert lattice.pfaffian(mat.astype(width)) == want
+
+
+def test_pfaffian_of_odd_order_or_a_zero_row_is_zero():
+    assert lattice.pfaffian(intmat([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])) == 0
+    g = intmat([[0, 1, 0, 2], [-1, 0, 0, 3], [0, 0, 0, 0], [-2, -3, 0, 0]])
+    assert lattice.pfaffian(g) == 0 == det(g)
+    assert lattice.pfaffian(zeros(0, 0)) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        lattice.pfaffian(zeros(2, 3))
+
+
+def test_pfaffian_widens_where_the_scanned_bound_fails_and_only_there():
+    # entries 2^14 start in int16; step 0 (pivot 1) forms up to
+    # 2^14 + 2 (2^14)^2, past int16 even after the scan, so the array goes
+    # to int32, not int64; entries 2^40 start in int64 and go to Python
+    # ints; small entries stay in int16 with no scan and no widening
+    for x, widen, switch in [(2**14, True, False), (2**40, False, True), (1, False, False)]:
+        rows = [[0, 1, x, 0], [-1, 0, 1, x], [-x, -1, 0, 1], [0, -x, -1, 0]]
+        got, run = _traced(lattice.pfaffian, _object_matrix(rows, 4, 4))
+        assert got == _oracles.pfaffian_expansion(rows)
+        assert (_PF_WIDEN in run) == widen and (_PF_SWITCH in run) == switch
+        assert (_PF_RESCAN in run) == (widen or switch)
+
+
+def test_pfaffian_rescans_a_carried_bound_past_the_width_and_keeps_it():
+    # step 0 (pivot 1, row 1 zero past it) leaves the block as it was but
+    # carries y + 2 y^2 = 20100; step 1 (pivot 2) would form twice that,
+    # past 2^15, so the block is scanned: its true maximum 1 keeps int16
+    y = 100
+    rows = [[0, 1, y, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [-y, 0, 0, 2, 0, 0],
+            [0, 0, -2, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0]]
+    got, run = _traced(lattice.pfaffian, _object_matrix(rows, 6, 6))
+    assert got == _oracles.pfaffian_expansion(rows) == 2
+    assert run.count(_PF_RESCAN) == 1 and _PF_WIDEN not in run
+
+
+def test_pfaffian_of_a_spinor_gram_stays_in_int16(monkeypatch):
+    # spinor Gram entries are -1, 0 and 1 and stay small through the unit
+    # steps: after the input, every array scanned is int16, and each step
+    # scans only its two pivot rows
+    H = surface.build_all(induce(random_simple(5, 12, 16, 11), OrbitKind.SPINOR))
+    g = H._gram64
+    scanned = []
+    real = lattice._maxabs
+    monkeypatch.setattr(lattice, "_maxabs", lambda a: scanned.append(a) or real(a))
+    assert abs(lattice.pfaffian(g)) == 1
+    assert scanned[0] is g
+    assert {a.dtype for a in scanned[1:]} == {np.dtype(np.int16)}
+    assert [a.shape[0] for a in scanned[1:]] == [2] * (len(g) // 2 - 1)
+
+
+def test_unimodularity_and_types_take_the_pfaffian_not_det(monkeypatch):
+    # the homology build checks its Gram by the Pfaffian, and the type of
+    # an alternating form reads its modulus off the Pfaffian: no det runs
+    calls = []
+    real = lattice.pfaffian
+
+    def no_det(m):
+        raise AssertionError("det ran on an alternating form")
+
+    monkeypatch.setattr(lattice, "det", no_det)
+    monkeypatch.setattr(lattice, "pfaffian", lambda g: calls.append(len(g)) or real(g))
+    H = surface.build_all(induce(random_simple(4, 4, 8, 5), OrbitKind.SPINOR))
+    assert calls == [H.rank]
+    lat = H.sublattice(eye(H.rank))
+    assert ptype(lat) == (1,) * (H.rank // 2)
+    assert calls == [H.rank, H.rank]
 
 
 # -- the elimination and the sparse product on det's width ladder --------------

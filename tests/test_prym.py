@@ -17,7 +17,7 @@ from prymlab.errors import (
     ScenarioError,
     UnsupportedError,
 )
-from prymlab.lattice import eye, lattices_equal, mat_equal, matmul, ptype, zeros
+from prymlab.lattice import eye, image, lattices_equal, mat_equal, matmul, ptype, zeros
 from prymlab.prym import (
     conjecture_probe,
     conjectured_type,
@@ -663,6 +663,87 @@ def test_duality_checks_the_relation_on_the_image_past_x1():
     assert prym_tyurin_lattice(HX, (A, B))[0].rank == 4
     with pytest.raises(AssertionError, match="quadratic relation failed"):
         prym_tyurin_lattice(HX, (A, bad))
+
+
+def test_duality_runs_six_eliminations_and_eliminates_b_once(monkeypatch):
+    # two builds' relations, then image and saturation for P(C,C') and for
+    # P(X,delta); the flags run none of their own
+    datum = random_simple(4, 12, 16, seed=1)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    b_shape = (HC.rank, HX.rank)
+    shapes = []
+    engine = lattice._eliminate
+
+    def recording(mat, want=(), rhs=None):
+        shapes.append(np.shape(mat))
+        return engine(mat, want, rhs)
+
+    monkeypatch.setattr(lattice, "_eliminate", recording)
+    prym._duality(datum)
+    assert len(shapes) == 6
+    assert shapes.count(b_shape) == 1
+
+
+def _merged(datum):
+    """The datum with its first two and its fifth and sixth local
+    monodromies merged into one each: the product is still one, and the
+    merged points are no reflections."""
+    g = datum.gens
+    return MonodromyDatum(
+        datum.n, 0, (g[0] * g[1],) + g[2:4] + (g[4] * g[5],) + g[6:]
+    )
+
+
+@pytest.mark.parametrize("n,ds,dl,seed", [(3, 4, 6, 1), (4, 4, 8, 5), (4, 2, 10, 3),
+                                         (3, 6, 8, 4), (5, 2, 8, 2)])
+def test_duality_flags_equal_the_divisor_oracle_on_non_simple_data(n, ds, dl, seed):
+    # seeded simple data are DUALITY_DATA above; with merged points some
+    # data give (True, True) and some (False, True), image(B) then falling
+    # short of P(C,C')
+    datum = _merged(random_simple(n, ds, dl, seed))
+    assert cover.validate(datum) is None
+    assert not cover.ramification(induce(datum, OrbitKind.VECTOR)).simple
+    HX, _, pprime, mu = prym._duality(datum)
+    incidence = prym.incidence_maps(HX, _build(datum, OrbitKind.VECTOR))
+    assert tuple(mu) == mu_check_via_divisors(HX, pprime, incidence)
+    assert tuple(mu_check(HX, pprime, incidence)) == tuple(mu)
+
+
+def _prym_and_map(HC, n):
+    """P(C,C') and x = 1 - iota, the map whose Prym lattice it is."""
+    x = lattice.eye_minus(surface.induced_map_all(HC, HC, corr.negation_matrix(n)))
+    return prym._prym_tyurin(HC, [x], 2), x
+
+
+def test_mu_check_product_identity_rejects_a_changed_entry_of_b():
+    # B with one entry changed escapes P(C,C') = ker(x - 2): x B' != 2 B'
+    # gives (False, False), as containment does
+    datum = random_simple(4, 4, 8, seed=5)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    A, B = prym.incidence_maps(HX, HC)
+    pprime, x = _prym_and_map(HC, 4)
+    assert tuple(mu_check(HX, pprime, (A, B), image(B), x)) == (True, True)
+    for i, j in [(0, 0), (1, 7), (3, 20), (5, 33)]:
+        bad = B.copy()
+        bad[i % B.shape[0], j % B.shape[1]] += 1
+        assert not lattice.contains(pprime.basis, bad)
+        assert tuple(mu_check(HX, pprime, (A, bad), image(bad), x)) == (False, False)
+        assert tuple(mu_check(HX, pprime, (A, bad))) == (False, False)
+
+
+def test_mu_check_reads_surjectivity_off_the_contents_of_image_b():
+    # 2 B lies in P(C,C') with its rank, but its image is 2 P(C,C'): every
+    # column of image(2 B) has content 2, so it is not onto
+    datum = random_simple(4, 4, 8, seed=5)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    A, B = prym.incidence_maps(HX, HC)
+    pprime, x = _prym_and_map(HC, 4)
+    doubled = (A, 2 * B)
+    assert image(2 * B).shape[1] == pprime.rank
+    want = mu_check_via_divisors(HX, pprime, doubled)
+    assert want == (False, True)
+    assert tuple(mu_check(HX, pprime, doubled, image(2 * B), x)) == want
+    assert tuple(mu_check(HX, pprime, doubled)) == want
 
 
 # -- mu_check against the older divisor test ------------------------------------

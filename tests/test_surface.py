@@ -563,6 +563,26 @@ def test_spinor_build_heap_peak(args, limit_mb):
     assert peak < limit_mb * 2**20
 
 
+@pytest.mark.parametrize("args", [(5, 12, 16, 0), (8, 4, 16, 1)], ids=["rank-258", "rank-1026"])
+def test_spinor_cycle_basis_reaches_the_gram_in_int16(monkeypatch, args):
+    # every entry of B is -1, 0 or 1; the closure is sized from 2 m beta
+    # (2562 at rank 1026) and B goes to the Gram at the width of (most ends
+    # - 1) max|B|: int16 at both ranks, where at rank 1026 the old bound,
+    # 2 m beta times the most ends (51,240), held B in int32
+    seen = []
+    real = surface.HomologyModel._build_gram
+
+    def spy(self, B):
+        seen.append((B.dtype, lattice._maxabs(B), self.most_ends))
+        return real(self, B)
+
+    monkeypatch.setattr(surface.HomologyModel, "_build_gram", spy)
+    surface.build_all(induce(random_simple(*args), OrbitKind.SPINOR))
+    [(width, top, most_ends)] = seen
+    assert top == 1 and width == np.int16
+    assert lattice._narrowest((most_ends - 1) * top) == width
+
+
 def test_connected_build_finds_its_components_twice(monkeypatch):
     # once in build_all and once in the model's refusal of disconnected
     # covers; the rank check reads the Riemann-Hurwitz count without a third

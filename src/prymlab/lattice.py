@@ -26,8 +26,9 @@ Smith elimination is the workhorse: it yields kernels, images,
 saturations, integral solving and the divisor chains of singular or
 non-square matrices. There is one engine, ``_eliminate(mat, want, rhs)``,
 on numpy rows, and it updates only the transforms its caller reads: U^-1
-for ``image`` and ``saturate``, V for ``kernel``, U and V for ``snf``, U
-and U^-1 for the relation matrix of ``surface``, none for ``divisors``. It
+for ``image`` and ``saturate``, V for ``kernel``, U and V for ``snf``,
+none for ``divisors``. ``surface`` runs none: its relation matrix is an
+incidence matrix, whose elimination it replays on two trees. It
 returns its working arrays, at one fixed width unless they outgrew int64,
 and only the public wrappers convert what they hand out.
 ``solve_exact`` and ``contains`` form no U: they hand their right-hand side
@@ -69,11 +70,9 @@ narrowest width that holds it (``_eliminate`` takes all its arrays up
 together). The step to Python ints is taken at the same points as from
 int64 alone, since a scanned bound is the true maximum whatever was carried
 before. A spinor Gram (entries -1, 0, 1) runs in int16 throughout, so its
-Pfaffian moves a quarter of the memory it would in int64; so do the
-relation elimination of a spinor build, with its U and U^-1, and the cycle
-basis ``surface`` reads off them. The image of 1 - delta on the rank-258
-spinor homology of ``random_simple(5, 12, 16, 0)`` starts in int16 and
-goes to int32 once.
+Pfaffian moves a quarter of the memory it would in int64. The image of
+1 - delta on the rank-258 spinor homology of ``random_simple(5, 12, 16,
+0)`` starts in int16 and goes to int32 once.
 
 All three also skip the passes whose result a unit pivot already fixes.
 ``det`` and ``pfaffian`` carry a sign with their trailing block, the block
@@ -235,6 +234,17 @@ def eye_minus(phi) -> np.ndarray:
     x = -p64
     x[np.diag_indices(len(x))] += 1
     return x
+
+
+def _fixed_width(x) -> np.ndarray:
+    """``x`` in int64 when every entry fits (``_int64``), and as it is
+    otherwise: for a matrix that ``matmul``, ``image`` and the other
+    routines here read several times, which then take it as it is instead
+    of converting it on every call. As with ``eye_minus``'s result, a
+    caller hands it back to these routines and computes nothing on it
+    itself."""
+    x64, _ = _int64(x)
+    return x if x64 is None else x64
 
 
 @dataclass(frozen=True)

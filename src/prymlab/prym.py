@@ -199,7 +199,9 @@ def mu_check(HX: surface.CoverHomology, pprime: PolarizedLattice, incidence,
     A, B = incidence
     prym_basis = pprime.basis
     inside = (
-        lattice.contains(prym_basis, B) if x is None else mat_equal(matmul(x, B), 2 * B)
+        lattice.contains(prym_basis, B)
+        if x is None
+        else mat_equal(matmul(x, B), 2 * lattice._objects(B))
     )
     if not inside:
         return MuCheck(False, False)
@@ -312,12 +314,14 @@ def _duality(datum: MonodromyDatum):
     by which ``mu_check`` decides B in P(C,C') as a product, and
     ``image(B)`` is formed once, here, for both ``prym_tyurin_lattice``
     and ``mu_check``. ``incidence_maps`` has checked that H(C) is
-    connected, as ``prym_lattice`` would.
-    A trial runs six Smith eliminations: the two builds' relations, image
-    and saturation for each lattice."""
+    connected, as ``prym_lattice`` would. A and B are converted once to a
+    fixed width where they fit (``lattice._fixed_width``), and every
+    product and the elimination take them as they are.
+    A trial runs four Smith eliminations, image and saturation for each
+    lattice; the builds run none."""
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
-    incidence = incidence_maps(HX, HC)
+    incidence = tuple(lattice._fixed_width(m) for m in incidence_maps(HX, HC))
     x = lattice.eye_minus(surface.induced_map_all(HC, HC, corr.negation_matrix(datum.n)))
     pprime = _prym_tyurin(HC, [x], 2)
     image_b = image(incidence[1])

@@ -21,8 +21,9 @@ the vertex ends in one form: the ramification vertices grouped by their
 number of ends L (``branch_groups``), each group an array of L columns,
 while sheet vertex s has the ends ``s * k ... s * k + k - 1`` (k arcs) by
 construction. The faces are one k x d walk (``face_walk``: row i holds the
-sheet each face is on before arc i), and the relation matrix is read off it
-by ``np.add.at``. The boundary of a block of edge chains (``_boundary``) is
+sheet each face is on before arc i), and the two faces of each edge, the
+one that walks down it and the one that walks back up, are read off it by
+one scatter each. The boundary of a block of edge chains (``_boundary``) is
 a segment sum; the model holds no boundary map: the sheet vertices are the
 chains reshaped sheet by arc and summed over the arcs, and the ramification
 vertices are one gather and one sum over L per group. It runs under
@@ -31,13 +32,32 @@ at the narrowest of int16, int32 and int64 that holds that times the
 largest entry, Python ints from 2^63. ``induced_map_all`` checks with it
 that every image chain closes.
 
-First homology comes from a spanning tree: non-tree edges give fundamental
-cycles, face boundaries give the relations, and the quotient is free of rank
-2g (asserted). The build forms the basis as one E x 2g integer matrix ``B``
-(E the number of edges, edge ``sheet * arcs + arc``); column j is basis
-cycle j as an edge chain. The class of any cycle is ``C`` times its edge
-chain, ``C`` the rows of the relation transform past the relations placed
-at the non-tree edges (zero at tree edges). A fiber correspondence
+First homology comes from two trees (a tree-cotree decomposition). A
+breadth-first search from sheet vertex 0 gives the spanning tree; the m
+non-tree edges carry the cycles and the d face boundaries the relations.
+Every edge is walked down by one face and back up by one, so each
+relation, read on the non-tree edges, is an incidence row of the dual
+graph: +1 at one face and -1 at the other, zero where they coincide
+(asserted). The Smith elimination of that matrix (``lattice._eliminate``)
+then has a unit pivot at every step and keeps every row an incidence row,
+and ``_replay`` replays it on the rows' two faces alone: its pivot rows
+form a spanning tree of the dual graph, the other rows (the generators)
+come out in the elimination's order, and its rank is d - 1 (asserted), so
+the quotient is free of rank 2g = m - d + 1. The build forms the basis as
+one E x 2g integer matrix ``B`` (E the number of edges, edge ``sheet *
+arcs + arc``): column j is the fundamental cycle of generator j's edge in
+the spanning tree, walked from its head back to its tail, which is what
+the elimination's U^-1 with its non-tree entries closed through the tree
+gives. The class of any cycle is ``C`` times its edge chain: row j of
+``C`` is the one vector of the relations' left kernel that is 1 at
+generator j and 0 at the others, the elimination's U past the relations,
+that is the fundamental cycle of generator j in the dual tree, on the
+non-tree edges (zero at tree edges). The paths in both trees come for
+every generator at once, by walking the two ends of each up in lockstep to
+their lowest common ancestor (``_tree_paths``), as (edge, column, sign)
+triples, from which ``B``, ``C`` and the sheet chains are written. A
+fundamental cycle is simple, so every entry of ``B`` and ``C`` is -1, 0
+or 1. A fiber correspondence
 therefore acts on homology as one product: image chains ``(F^T (x) I) B``,
 then ``C``. ``B`` is under 1% nonzero at rank 5, so the model keeps it only
 by its nonzero entries, its rows grouped by sheet and transposed, as a
@@ -62,30 +82,19 @@ build, the last by its Pfaffian (``lattice.pfaffian``), which must be +-1.
 
 The model's matrices are held at fixed width: ``C`` (``class_map``, about
 2% nonzero at rank 5) and the sheet chains as ``lattice.SparseMatrix`` with
-int64 entries, and the Gram in int64. With beta the largest entry of the
-relation transforms they are read from, m the number of non-tree edges and
-Delta the most edge ends at one vertex, every entry of ``B`` is at most
-2 m beta (a tree entry is a sum of non-tree entries, each counted at most
-twice), and the build asserts ``2 E Delta (2 m beta)^2 < 2^63``. That
-bounds every partial sum the build forms: the tree entries, the prefix
-sums at a vertex and the Gram. ``B`` and the inflow that closes it are
-held at the narrowest of int16, int32 and int64 above ``2 m beta``, which
-holds every tree entry and every partial sum of the closure, as the
-relation elimination's transforms come at the narrowest width their own
-bound allows (``lattice._eliminate``). Before the Gram, ``B`` is scanned
-once and goes to the narrowest width above ``(Delta - 1) max|B|``, which
-holds every partial sum of a ramification vertex's prefix sums (at most
-L - 1 rows of ``B``). The spinor builds measured at ranks 5 to 8 have
-entries -1, 0 and 1 throughout and hold the transforms and ``B`` in
-int16, rank 1026 at ``random_simple(8, 4, 16, 1)`` included. Each
-Gram entry is a sum of products of two entries of ``B``, at most
-``Delta_v^2`` of them from a vertex with Delta_v ends and so at most ``2 E
-Delta`` in all over the vertices' 2E ends, so that every partial sum,
-whatever the order and grouping of its terms, is at most ``2 E Delta
-max|B|^2``. That covers the product of each group, whose partial sums
-group the same terms by basis column and by prefix, and its own bound
-check (``max|B|`` times ``(L - 1) max|B|`` times at most E terms) then
-holds too. Products with a fiber matrix, whose entries are the caller's,
+int64 entries, and the Gram in int64. With Delta the most edge ends at one
+vertex, a ramification vertex's prefix sums in the Gram add at most
+Delta - 1 rows of ``B``, whose entries are -1, 0 and 1, so ``B`` is held
+at the narrowest of int16, int32 and int64 above Delta - 1: int16 while
+no vertex has 2^15 ends, rank 1026 at ``random_simple(8, 4, 16, 1)``
+included. Each Gram entry is a sum of products of two entries of ``B``,
+at most ``Delta_v^2`` of them from a vertex with Delta_v ends and so at
+most ``2 E Delta`` in all over the vertices' 2E ends, so that every
+partial sum, whatever the order and grouping of its terms, is at most
+``2 E Delta``, far inside int64. That covers the product of each group,
+whose partial sums group the same terms by basis column and by prefix,
+and its own bound check (``L - 1`` times at most E terms) then holds too.
+Products with a fiber matrix, whose entries are the caller's,
 go through ``lattice._product`` and ``lattice._sparse_product``, which
 check ``matmul``'s bound on each call and run on Python ints where it
 fails; the sparse products come at the width their bound needs.
@@ -100,7 +109,8 @@ array of Python ints too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,89 +237,68 @@ class HomologyModel:
     # -- cycles and relations ----------------------------------------------
 
     def _build_cycles(self):
+        E, d, k = self.edge_count, self.degree, self.arc_count
         # spanning tree by breadth-first search from sheet vertex 0, each
         # vertex's edges taken in ascending order
-        V, E, d, k = self.vertex_count, self.edge_count, self.degree, self.arc_count
-        adj = [[] for _ in range(V)]
-        for e, (t, h) in enumerate(zip(self.edge_tail.tolist(), self.edge_head.tolist())):
-            adj[t].append((e, h))
-            adj[h].append((e, t))
-        parent = [None] * V  # (edge to the parent, parent vertex)
-        order = [0]
-        seen = [False] * V
-        seen[0] = True
-        for v in order:
-            for e, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = (e, v)
-                    order.append(w)
-        if len(order) != V:
-            raise AssertionError("1-skeleton disconnected despite transitivity")
+        tree = _bfs_tree(self.vertex_count, self.edge_head, self.edge_tail)
         in_tree = np.zeros(E, dtype=bool)
-        in_tree[[parent[w][0] for w in order[1:]]] = True
+        in_tree[tree[1][1:]] = True
         self.nontree = np.flatnonzero(~in_tree)
 
         # relations: face boundaries in non-tree coordinates, face t being
-        # +1 on each edge it walks down and -1 on each it walks back up
-        m = len(self.nontree)
+        # +1 on each edge it walks down and -1 on each it walks back up;
+        # every edge is walked down by one face and back up by one, so each
+        # relation row is an incidence row of the dual graph (zero where
+        # the two faces coincide)
         walk, arc, face = self.face_walk, np.arange(k)[:, None], np.arange(d)
-        rel = np.zeros((E, d), dtype=np.int64)
-        np.add.at(rel, (walk[:-1] * k + arc, face), 1)
-        np.add.at(rel, (walk[1:] * k + arc, face), -1)
-        dd, r, U, Uinv = lattice._eliminate(rel[self.nontree], ("u", "uinv"))
-        if (np.diagonal(dd)[:r] != 1).any():
-            raise AssertionError("homology acquired torsion; construction broken")
-        self.genus2 = m - r
-        if self.genus2 % 2:
+        down, back = np.full(E, -1), np.full(E, -1)
+        down[walk[:-1] * k + arc] = face
+        back[walk[1:] * k + arc] = face
+        if (down < 0).any() or (back < 0).any():
+            raise AssertionError("a face relation is not an incidence row")
+        plus, minus = down[self.nontree], back[self.nontree]
+        order, r = _replay(plus.tolist(), minus.tolist(), d)
+        if r != d - 1:
+            raise AssertionError("face relations short of rank d - 1; construction broken")
+        m = len(self.nontree)
+        self.genus2 = g = m - r
+        if g % 2:
             raise AssertionError("odd first Betti number on a closed surface")
-        self.genus = self.genus2 // 2
+        self.genus = g // 2
         if self.genus != _cover._riemann_hurwitz(self.cover):
             raise AssertionError("homology rank disagrees with the genus count")
-        # the transforms at the width the elimination left them, under the
-        # bound of the module docstring
-        C, c_max = lattice._fixed(U[r:])
-        cycles, b_max = lattice._fixed(Uinv[:, r:])
-        beta = max(c_max or 0, b_max or 0)
-        if C is None or cycles is None or (
-            2 * E * self.most_ends * (2 * m * beta) ** 2 >= lattice._INT64_BOUND
-        ):
-            raise AssertionError("relation transforms too large for int64 homology")
-        # the class of a cycle is C times its edge chain: the rows of U past
-        # the relations, at the non-tree edges
-        nonzero = lattice.sparse(C)
-        self.class_map = replace(nonzero, shape=(self.genus2, E), cols=self.nontree[nonzero.cols])
+        pivots, gens = order[:r], order[r:]
+        basis = np.arange(g)
 
-        # B: basis cycle j has the non-tree coefficients of column r + j of
-        # U^-1; its tree coefficients close every vertex. Leaves first, the
-        # edge to the parent carries off the net inflow of the vertex. Row
-        # by row, as whole-array passes over B, which is mostly zero here,
-        # measured slower (3x at rank 1026). Every partial sum of the
-        # closure is a signed sum of non-tree entries, each counted at most
-        # twice (once at its head, once at its tail), so at most 2 m beta.
-        width = lattice._narrowest(2 * m * beta)
-        B = np.zeros((E, self.genus2), dtype=width)
-        B[self.nontree] = cycles
-        inflow = np.zeros((V, self.genus2), dtype=width)
-        for e, t, h in zip(self.nontree.tolist(), self.edge_tail[self.nontree].tolist(),
-                           self.edge_head[self.nontree].tolist()):
-            inflow[h] += B[e]
-            inflow[t] -= B[e]
-        for v in reversed(order[1:]):
-            e, w = parent[v]
-            B[e] = inflow[v] if v < d else -inflow[v]
-            inflow[w] += inflow[v]
+        # the class of a cycle is C times its edge chain: row j of C is the
+        # fundamental cycle of generator j in the dual tree, whose edges are
+        # the pivot rows
+        dual = _bfs_tree(d, plus[pivots], minus[pivots])
+        at, j, sign = _tree_paths(*dual, plus[gens], minus[gens])
+        self.class_map = _sparse(
+            (g, E), np.concatenate([j, basis]),
+            self.nontree[np.concatenate([pivots[at], gens])],
+            np.concatenate([sign, np.ones(g, dtype=np.int64)]),
+        )
+
+        # B: basis cycle j is the fundamental cycle of generator j's edge in
+        # the spanning tree, walked from its head back to its tail
+        ends = self.nontree[gens]
+        at, j, sign = _tree_paths(*tree, self.edge_head[ends], self.edge_tail[ends])
+        edges = np.concatenate([at, ends])
+        cols = np.concatenate([j, basis])
+        vals = np.concatenate([sign, np.ones(g, dtype=np.int64)])
         # the model keeps the cycles by their nonzero entries only, one row
         # per (arc, basis cycle) and one column per sheet: the image chains
         # of a fiber correspondence are this times the fiber block,
         # transposed; B itself goes to the Gram and is dropped
-        self.sheet_chains = lattice.sparse(B.reshape(self.degree, -1).T)
+        sheet, arc = np.divmod(edges, k)
+        self.sheet_chains = _sparse((k * g, d), arc * g + cols, sheet, vals)
         # the Gram's prefix sums at a ramification vertex add at most L - 1
-        # rows of B in place, so B goes to the width that holds (most ends
-        # - 1) max|B| (and max|B| itself); the sheet vertices' prefix sums
-        # and the products run in int64 or at their own bound's width
-        top = lattice._maxabs(B)
-        return B.astype(lattice._narrowest(max(self.most_ends - 1, 1) * top), copy=False)
+        # rows of B, whose entries are -1, 0 and 1
+        B = np.zeros((E, g), dtype=lattice._narrowest(max(self.most_ends - 1, 1)))
+        B[edges, cols] = vals
+        return B
 
     # -- intersection numbers ----------------------------------------------
 
@@ -350,6 +339,114 @@ class HomologyModel:
         if g and abs(lattice.pfaffian(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
         self._gram64 = gram
+
+
+def _bfs_tree(count, plus, minus):
+    """The breadth-first spanning tree from node 0 of the connected graph on
+    ``count`` nodes whose edge i joins ``plus[i]`` and ``minus[i]``, each
+    node's edges taken in ascending order, as four arrays over the nodes:
+    the parent, the edge to it (-1 at the root), the sign with which a
+    path takes that edge on the way up (-1 from its plus end, +1 from its
+    minus end) and the depth."""
+    adj = [[] for _ in range(count)]
+    for e, (a, b) in enumerate(zip(plus.tolist(), minus.tolist())):
+        adj[a].append((e, b, 1))
+        adj[b].append((e, a, -1))
+    up, up_edge, up_sign, depth = [0] * count, [-1] * count, [0] * count, [0] * count
+    seen = [False] * count
+    seen[0] = True
+    order = [0]
+    for v in order:
+        for e, w, s in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                up[w], up_edge[w], up_sign[w], depth[w] = v, e, s, depth[v] + 1
+                order.append(w)
+    if len(order) != count:
+        raise AssertionError("graph disconnected; construction broken")
+    return (np.array(up, dtype=np.intp), np.array(up_edge, dtype=np.intp),
+            np.array(up_sign, dtype=np.int64), np.array(depth, dtype=np.intp))
+
+
+def _tree_paths(up, up_edge, up_sign, depth, start, end):
+    """The path in a tree from ``start[j]`` to ``end[j]``, for every j at
+    once, as three arrays of triples (edge, j, sign): the two ends of each
+    path walk up in lockstep, the deeper one first, until they meet at
+    their lowest common ancestor. The tree is ``_bfs_tree``'s four arrays;
+    an edge is taken with its ``up_sign`` on the way up from ``start`` and
+    with the opposite sign on the way down to ``end``. A tree path is
+    simple, so no (edge, j) comes twice."""
+    j = np.arange(len(start))
+    a, b = np.asarray(start), np.asarray(end)
+    out = [(np.empty(0, dtype=np.intp), j[:0], np.empty(0, dtype=np.int64))]
+    while True:
+        apart = a != b
+        a, b, j = a[apart], b[apart], j[apart]
+        if not j.size:
+            break
+        da, db = depth[a], depth[b]
+        for x, rise, sign in ((a, da >= db, 1), (b, db >= da, -1)):
+            at = x[rise]
+            out.append((up_edge[at], j[rise], sign * up_sign[at]))
+            x[rise] = up[at]
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _replay(plus, minus, count):
+    """``lattice._eliminate``'s pivot order on an incidence matrix R, with
+    ``count`` columns and row i +1 at column ``plus[i]`` and -1 at
+    ``minus[i]`` (zero where they are equal), replayed on the rows' ends:
+    ``(order, r)``, row ``order[t]`` of R being the row at position t when
+    the elimination ends (an array) and r its rank.
+
+    Every entry of R is -1, 0 or 1, so every pivot is a unit and the first
+    nonzero of the remaining block in row-major order: it lies in the first
+    row at position t or later that is not zero, whose columns then merge
+    (the pivot's column moves into the row's other one, in every row that
+    has it), and a row whose two columns merge becomes zero. Which of the
+    two columns is the pivot's changes only the column transform, so the
+    columns are tracked as merged sets (union-find) and the rows by their
+    positions. The rows from position t are the zero rows met so far, in a
+    queue, and then the rows not yet reached in their first order: a row
+    reached as zero joins the back of the queue, and a pivot swaps places
+    with its front, which goes to the back. So the pivots are the rows,
+    in their order, that join two sets, and the zero rows (the
+    generators) end in queue order; once r = count - 1 every later row is
+    zero and joins the queue as it stands.
+
+    U^-1[:, r:] is then the unit columns at ``order[r:]``, as no operation
+    past the swaps reaches them, and U[r + j] the one vector of R's left
+    kernel that is 1 at generator ``order[r + j]`` and 0 at the others:
+    the signed path between its two columns in the tree of the pivot rows.
+    """
+    root = list(range(count))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    pivots, queue = [], deque()
+    for i, (a, b) in enumerate(zip(plus, minus)):
+        if len(pivots) == count - 1:
+            queue.extend(range(i, len(plus)))
+            break
+        a, b = find(a), find(b)
+        if a == b:
+            queue.append(i)
+        else:
+            root[a] = b
+            pivots.append(i)
+            queue.rotate(-1)
+    return np.array(pivots + list(queue), dtype=np.intp), len(pivots)
+
+
+def _sparse(shape, rows, cols, vals) -> lattice.SparseMatrix:
+    """The ``lattice.SparseMatrix`` of the entries ``vals`` at distinct
+    positions ``(rows, cols)``, sorted row by row."""
+    order = np.lexsort((cols, rows))
+    return lattice.SparseMatrix(shape, rows[order], cols[order], vals[order])
 
 
 def check_equivariance(fiber, src_perms, dst_perms) -> None:

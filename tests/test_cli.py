@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from prymlab import cli, corr, lattice, prym, surface, weyl
+from prymlab import cli, corr, cover, lattice, prym, surface, weyl
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -169,6 +170,23 @@ def test_homology_dump_json(capsys):
     payload = json.loads(out)
     assert payload["rank"] == 2 * 3  # genus 3 cover of degree 4
     assert len(payload["gram"]) == payload["rank"]
+
+
+def test_homology_dump_at_rank_8_is_pinned(tmp_path, capsys):
+    # the spinor homology of rank 1026 of random_simple(8, 4, 16, 1): its
+    # Gram byte for byte as the relation elimination and the leaf-first
+    # closure of the cycle basis gave it
+    datum = cover.random_simple(8, 4, 16, seed=1)
+    p = tmp_path / "rank8.json"
+    p.write_text(json.dumps(
+        {"n": 8, "base_genus": 0, "generators": [g.to_list() for g in datum.gens]}
+    ))
+    code, out, err = _run(capsys, "--format", "json", "homology", str(p),
+                          "--orbit", "spinor", "--dump")
+    assert (code, err, len(out)) == (0, "", 2239285)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9960ce59a82bf2c53c192c2ab17720b94d4a8ef6f39462d01c4bd2e51b3184e2"
+    )
 
 
 def test_ptype_spinor_matches_theorem(capsys):

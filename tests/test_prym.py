@@ -665,9 +665,9 @@ def test_duality_checks_the_relation_on_the_image_past_x1():
         prym_tyurin_lattice(HX, (A, bad))
 
 
-def test_duality_runs_six_eliminations_and_eliminates_b_once(monkeypatch):
-    # two builds' relations, then image and saturation for P(C,C') and for
-    # P(X,delta); the flags run none of their own
+def test_duality_runs_four_eliminations_and_eliminates_b_once(monkeypatch):
+    # image and saturation for P(C,C') and for P(X,delta); the builds and
+    # the flags run none of their own
     datum = random_simple(4, 12, 16, seed=1)
     HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
     b_shape = (HC.rank, HX.rank)
@@ -680,8 +680,27 @@ def test_duality_runs_six_eliminations_and_eliminates_b_once(monkeypatch):
 
     monkeypatch.setattr(lattice, "_eliminate", recording)
     prym._duality(datum)
-    assert len(shapes) == 6
+    assert len(shapes) == 4
     assert shapes.count(b_shape) == 1
+
+
+def test_duality_converts_each_incidence_map_once(monkeypatch):
+    # A and B are converted to a fixed width once each, as they come from
+    # incidence_maps, and go to every product and to the elimination as
+    # they are: no later conversion meets them as object arrays
+    datum = random_simple(4, 12, 16, seed=1)
+    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+    seen = []
+    convert = lattice._int64
+
+    def recording(x):
+        if isinstance(x, np.ndarray) and x.dtype == object:
+            seen.append(x.shape)
+        return convert(x)
+
+    monkeypatch.setattr(lattice, "_int64", recording)
+    prym._duality(datum)
+    assert seen.count((HX.rank, HC.rank)) == seen.count((HC.rank, HX.rank)) == 1
 
 
 def _merged(datum):

@@ -451,6 +451,91 @@ def test_array_build_matches_the_loop_build(datum, orbit):
             assert walked == chain
 
 
+# -- the cycle basis and the class map from the two trees ------------------------
+
+
+@st.composite
+def _incidence_rows(draw):
+    """A connected multigraph on n nodes as the two ends of each edge: a
+    random spanning tree, extra edges with loops among them, parallel
+    copies, each edge oriented at random and the edges shuffled."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = [(i, draw(st.integers(min_value=0, max_value=i - 1))) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(node, node), min_size=int(n == 1), max_size=10))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    plus, minus = zip(*draw(st.permutations(edges)))
+    return n, np.array(plus, dtype=np.intp), np.array(minus, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_incidence_rows())
+def test_replay_matches_the_relation_elimination(case):
+    # the incidence matrix R, row i +1 at plus[i] and -1 at minus[i] (zero
+    # on a loop): U^-1[:, r:] is the unit columns at the generators and
+    # U[r:] their fundamental cycles in the tree of the pivot rows
+    n, plus, minus = case
+    m = len(plus)
+    R = zeros(m, n)
+    for i, (a, b) in enumerate(zip(plus.tolist(), minus.tolist())):
+        R[i, a] += 1
+        R[i, b] -= 1
+    _, r, U, Uinv = lattice._eliminate(R, ("u", "uinv"))
+    order, got = surface._replay(plus.tolist(), minus.tolist(), n)
+    assert got == r == n - 1
+    pivots, gens = order[:r], order[r:]
+    g = m - r
+    uinv, u = zeros(m, g), zeros(g, m)
+    uinv[gens, np.arange(g)] = 1
+    u[np.arange(g), gens] = 1
+    tree = surface._bfs_tree(n, plus[pivots], minus[pivots])
+    at, j, sign = surface._tree_paths(*tree, plus[gens], minus[gens])
+    u[j, pivots[at]] = sign
+    assert to_lists(U[r:]) == to_lists(u)
+    assert to_lists(Uinv[:, r:]) == to_lists(uinv)
+
+
+_SEEDED = (
+    [random_simple(*case[:3], seed=case[3]) for case in ORACLE_DATA + BUILD_DATA]
+    + NON_SIMPLE_DATA
+)
+_SEEDED_IDS = [str(case) for case in ORACLE_DATA + BUILD_DATA] + NON_SIMPLE_IDS
+
+
+@pytest.mark.parametrize("orbit", [OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY])
+@pytest.mark.parametrize("datum", _SEEDED, ids=_SEEDED_IDS)
+def test_tree_cycle_basis_closes_in_units_dual_to_the_class_map(monkeypatch, datum, orbit):
+    # every basis cycle is a fundamental cycle of the spanning tree: entries
+    # -1, 0 and 1, zero boundary, and C B = 1 for the class map C; the
+    # sheet chains hold the same B
+    seen = []
+    gram = surface.HomologyModel._build_gram
+
+    def spy(model, B):
+        seen.append((model, B))
+        return gram(model, B)
+
+    monkeypatch.setattr(surface.HomologyModel, "_build_gram", spy)
+    H = surface.build_all(induce(datum, orbit))
+    assert [p for p, _ in seen] == list(H.parts)
+    for p, B in seen:
+        assert set(np.unique(B).tolist()) <= {-1, 0, 1}
+        assert not p._boundary(B).any()
+        assert to_lists(lattice._sparse_product(p.class_map, B)) == to_lists(eye(p.genus2))
+        assert to_lists(_cycles(p)) == to_lists(B)
+
+
+@pytest.mark.parametrize("datum", _SEEDED, ids=_SEEDED_IDS)
+def test_build_all_runs_no_elimination(monkeypatch, datum):
+    def refused(*args, **kwargs):
+        raise AssertionError("the build ran a Smith elimination")
+
+    monkeypatch.setattr(lattice, "_eliminate", refused)
+    for orbit in (OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY):
+        assert surface.build_all(induce(datum, orbit)).rank >= 0
+
+
 def _chains(p, entry, columns=3, seed=0):
     """Edge chains on model ``p`` with entries drawn from ``entry``."""
     rng = random.Random(seed)
@@ -551,8 +636,8 @@ def test_boundary_at_the_width_edges_matches_the_dict_reference(case):
 @pytest.mark.parametrize("args,limit_mb", [((5, 12, 16, 0), 3), ((8, 4, 16, 1), 80)],
                          ids=["rank-258", "rank-1026"])
 def test_spinor_build_heap_peak(args, limit_mb):
-    # the relation transforms, B and its inflow held at the width their
-    # bound needs: int16 here, where int64 peaked at 4.8 and 110 MB
+    # B held at the width its entries -1, 0 and 1 need: int16 here, where
+    # int64 peaked at 4.8 and 110 MB
     cm = induce(random_simple(*args), OrbitKind.SPINOR)
     tracemalloc.start()
     try:
@@ -565,10 +650,9 @@ def test_spinor_build_heap_peak(args, limit_mb):
 
 @pytest.mark.parametrize("args", [(5, 12, 16, 0), (8, 4, 16, 1)], ids=["rank-258", "rank-1026"])
 def test_spinor_cycle_basis_reaches_the_gram_in_int16(monkeypatch, args):
-    # every entry of B is -1, 0 or 1; the closure is sized from 2 m beta
-    # (2562 at rank 1026) and B goes to the Gram at the width of (most ends
-    # - 1) max|B|: int16 at both ranks, where at rank 1026 the old bound,
-    # 2 m beta times the most ends (51,240), held B in int32
+    # every entry of B is -1, 0 or 1, and B goes to the Gram at the width
+    # of (most ends - 1) max|B|: int16 at both ranks, where at rank 1026 an
+    # old bound, 2 m beta times the most ends (51,240), held B in int32
     seen = []
     real = surface.HomologyModel._build_gram
 

@@ -75,8 +75,14 @@ def _require_rank(n: int, low: int = 2):
 
 
 def _spinor_matrix(n: int, entry) -> np.ndarray:
-    d = 1 << n
-    return intmat([[entry(a, b) for b in range(d)] for a in range(d)])
+    """The subset-orbit matrix with entry ``entry(a ^ b, |a ^ b|)`` at
+    masks (a, b), every pair at once: ``entry`` takes the grid of XORs and
+    their popcounts, read off a table over the masks, as arrays. An object
+    array of Python ints."""
+    masks = np.arange(1 << n)
+    xor = masks[:, None] ^ masks
+    popcount = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return np.asarray(entry(xor, popcount[xor]), dtype=int).astype(object)
 
 
 def make_D(n: int) -> FiberMatrix:
@@ -84,7 +90,7 @@ def make_D(n: int) -> FiberMatrix:
     symmetric difference minus one; its induced endomorphism has exponent
     ``2**(n-1)``."""
     _require_rank(n)
-    m = _spinor_matrix(n, lambda a, b: (a ^ b).bit_count() - 1 if a != b else 0)
+    m = _spinor_matrix(n, lambda xor, size: np.maximum(size - 1, 0))
     fm = FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
     if fm.degree != 2 ** (n - 1) * (n - 2) + 1:
         raise AssertionError("degree drifted from the closed form")
@@ -111,7 +117,7 @@ def make_Di(n: int, i: int) -> FiberMatrix:
         raise RankError("shell correspondences are defined for rank 4")
     if not 0 <= i <= 3:
         raise ValueError("shell index must lie in 0..3")
-    m = _spinor_matrix(n, lambda a, b: int((a ^ b).bit_count() == i + 1))
+    m = _spinor_matrix(n, lambda xor, size: size == i + 1)
     return FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
 
 
@@ -119,7 +125,7 @@ def sigma_matrix(n: int) -> np.ndarray:
     """Complementation permutation on the subset orbit (the sheet involution
     of the degree-2^n cover)."""
     full = (1 << n) - 1
-    return _spinor_matrix(n, lambda a, b: int(b == full ^ a))
+    return _spinor_matrix(n, lambda xor, size: xor == full)
 
 
 def negation_matrix(n: int) -> np.ndarray:

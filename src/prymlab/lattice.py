@@ -3,6 +3,10 @@
 Matrices are numpy arrays of dtype ``object`` holding Python ints, so all
 arithmetic is arbitrary precision, and every matrix a public function returns
 is one, but for ``eye_minus``, whose int64 result is only handed back here.
+``eye_minus`` takes ``surface._induced``'s int64 maps as they are, and a
+``PolarizedLattice`` holds its basis at fixed width once for its products
+(``_basis_fixed``) besides the Python ints of ``basis``; those are the
+fixed-width arrays that pass between modules.
 Inside, ``det``, ``pfaffian``, ``_eliminate`` and ``_sparse_product`` run
 on fixed-width arrays while a bound proves that nothing wraps, and
 ``matmul`` in int64.
@@ -530,14 +534,22 @@ def _eliminate(mat, want=(), rhs=None):
     A line update adds to each line one multiple of the pivot line, so its
     growth is ``1 + max|q|`` for its quotients q; only the column update of
     U^-1 sums k columns times their quotients at once, so an update of k
-    lines that U^-1 takes grows by ``1 + k * max|q|``. The bound is carried:
-    the input conversion gives the first b, and its width the first width,
-    and each update multiplies b by its growth, so only q is scanned (the
-    row of a unit step too, so every rescan and switch falls where a full
-    update would put it). Where the carried b fails the width's limit, every
-    array is scanned for its true maximum; where that fails too, every array
-    goes over to the narrowest width that holds the scanned bound, or past
-    2^63 to Python ints for good.
+    lines that U^-1 takes grows by ``1 + k * max|q|``. The bound is carried
+    in two parts, b over every array but U^-1 and b_U over U^-1, and the
+    rule reads ``max(b, b_U) * growth``: the input conversion gives the
+    first b, and its width the first width; each update multiplies b by
+    ``1 + max|q|`` where it forms values (not at the row of a unit step
+    without V, which only zeroes that row), so only q is scanned, and b_U
+    is raised to the maximum of the one column of U^-1 the update changed,
+    a scan of m entries. So a step's growth still counts k (the row of a
+    unit step too, so every rescan and switch falls where a full update
+    would put it), but b_U is never multiplied by it and stays the true
+    maximum of U^-1: 14 throughout the image of 1 - delta at rank 258,
+    where one shared bound grew by up to 1 + 211 * 9 per update and the
+    arrays were rescanned about every other one. Where the carried bound
+    fails the width's limit, every array is scanned for its true maximum;
+    where that fails too, every array goes over to the narrowest width that
+    holds the scanned bound, or past 2^63 to Python ints for good.
     """
     a = np.asarray(mat)
     if a.ndim != 2:
@@ -546,8 +558,11 @@ def _eliminate(mat, want=(), rhs=None):
     size = {"u": m, "uinv": m, "v": n}
     x = {"a": a} if rhs is None else {"a": a, "rhs": rhs}
     inputs = {k: _fixed(y) for k, y in x.items()}
-    # bound >= max|entry| over every array while they are fixed-width
+    # while the arrays are fixed-width, bound >= max|entry| over every
+    # array but U^-1 and ubound >= max|U^-1|, carried apart: an update
+    # changes one column of U^-1, which is scanned after it
     bound = 1
+    ubound = 1
     if all(y is not None for y, _ in inputs.values()):
         bound = max(bound, *(top for _, top in inputs.values()))
         width = _narrowest(bound)
@@ -562,18 +577,19 @@ def _eliminate(mat, want=(), rhs=None):
     def lines(k, axis):
         return x[k] if axis == 0 else x[k].T
 
-    def widen(q, summed):
+    def widen(q, summed, formed=True):
         # an update adds to a line q_i times one other line, or, for U^-1,
         # ``summed`` lines times their q at once; on Python ints already,
         # nothing is scanned
-        nonlocal bound
+        nonlocal bound, ubound
         width = x["a"].dtype
         if width == object:
             return
         growth = 1 + summed * int(np.abs(q).max())
-        if bound * growth >= _LIMIT[width]:
+        if max(bound, ubound) * growth >= _LIMIT[width]:
             bound = max(_maxabs(y) for y in x.values())
-        need = bound * growth
+            ubound = min(ubound, bound)
+        need = max(bound, ubound) * growth
         if need >= _INT64_BOUND:
             for k in x:
                 x[k] = _pyints(x[k])
@@ -581,16 +597,23 @@ def _eliminate(mat, want=(), rhs=None):
             wider = _narrowest(need)
             for k in x:
                 x[k] = x[k].astype(wider)
-        bound = need
+        # every line but U^-1's takes one multiple of another, where the
+        # update forms values at all
+        if formed:
+            bound *= 1 + (growth - 1) // summed
 
     def update(axis, idx, q, t):
         # line i -= q_i * line t for i in idx; U^-1 column t += U^-1[:, idx] q
+        nonlocal ubound
         widen(q, len(q) if axis == 0 and "uinv" in x else 1)
         for k in direct[axis]:
             y = lines(k, axis)
             y[idx] -= q[:, None] * y[t]
         if axis == 0 and "uinv" in x:
-            x["uinv"][:, t] += x["uinv"][:, idx] @ q
+            column = x["uinv"][:, t]
+            column += x["uinv"][:, idx] @ q
+            if column.dtype != object:
+                ubound = max(ubound, _maxabs(column))
 
     def swap(axis, i, t):
         ys = [lines(k, axis) for k in direct[axis]]
@@ -635,7 +658,7 @@ def _eliminate(mat, want=(), rhs=None):
         idx = off_pivot(1, t)
         if idx.size:
             q = x["a"][t, idx] * p
-            widen(q, 1)
+            widen(q, 1, "v" in x)
             x["a"][t, idx] = 0
             if "v" in x:
                 x["v"][:, idx] -= x["v"][:, t, None] * q
@@ -932,13 +955,17 @@ class PolarizedLattice:
     is read once, when the lattice is made: converted to int64 where its
     entries fit, checked to be alternating on that array, and kept so for
     every ``restricted_gram``. A Gram given in int64 (``surface``'s
-    homologies hand theirs so) is kept without a copy.
+    homologies hand theirs so) is kept without a copy. The basis is
+    converted once too, to int64 where its entries fit
+    (``_fixed_width``), for the products of ``restricted_gram`` and of
+    callers that hand it back to this module.
     """
 
     gram: np.ndarray
     basis: np.ndarray
     exponent: int = field(default=None, compare=False)
     _gram64: np.ndarray = field(init=False, repr=False, compare=False)
+    _basis_fixed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gram)
@@ -949,6 +976,7 @@ class PolarizedLattice:
         if not (is_alternating(g) if g64 is None else (g64.T == -g64).all()):
             raise ValueError("gram matrix must be alternating")
         object.__setattr__(self, "_gram64", g64)
+        object.__setattr__(self, "_basis_fixed", _fixed_width(b))
 
     @property
     def rank(self) -> int:
@@ -956,7 +984,8 @@ class PolarizedLattice:
 
     def restricted_gram(self) -> np.ndarray:
         g = self.gram if self._gram64 is None else self._gram64
-        return matmul(self.basis.T, _product(g, self.basis))
+        b = self._basis_fixed
+        return matmul(b.T, _product(g, b))
 
 
 def ptype(sub: PolarizedLattice) -> tuple:

@@ -69,12 +69,11 @@ def _homology(datum: MonodromyDatum, orbit: OrbitKind) -> surface.CoverHomology:
 
 
 def _acts_as_q(xY, Y, q: int):
-    """``Y``, after checking that x acts on it as ``q``, given ``xY`` = x Y."""
+    """Check that x acts on ``Y`` as ``q``, given ``xY`` = x Y."""
     if not mat_equal(xY, q * Y):
         raise AssertionError(
             "quadratic relation failed on homology; the model is inconsistent"
         )
-    return Y
 
 
 def _through(maps, v):
@@ -98,11 +97,15 @@ def _prym_tyurin(H: surface.CoverHomology, maps, q: int, image_last=None) -> Pol
     the lattice, tagged with its exponent q, which its type divides. The
     lattice is then ker(x - q) as well: x is diagonalizable over Q with
     eigenvalues 0 and q, so image(x) spans the q-eigenspace, whose integer
-    points are the saturation."""
+    points are the saturation. Y is held at a fixed width where it fits
+    (``lattice._fixed_width``), converted once for the product and the
+    saturation that read it."""
     x1 = _through(maps, zeros(maps[-1].shape[1], 1) + 1)
     _acts_as_q(_through(maps, x1), x1, q)
     Y = _through(maps[:-1], image(maps[-1]) if image_last is None else image_last)
-    return H.sublattice(saturate(_acts_as_q(_through(maps, Y), Y, q)), q)
+    held = lattice._fixed_width(Y)
+    _acts_as_q(_through(maps, held), Y, q)
+    return H.sublattice(saturate(held), q)
 
 
 def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice:
@@ -114,7 +117,7 @@ def prym_lattice(H: surface.CoverHomology, fiber_involution) -> PolarizedLattice
         raise DisconnectedError(
             "ordinary Prym lattice needs a connected cover", components=list(H.part_labels)
         )
-    iota = surface.induced_map_all(H, H, fiber_involution)
+    iota = surface._induced(H, H, fiber_involution)
     return _prym_tyurin(H, [lattice.eye_minus(iota)], 2)
 
 
@@ -137,7 +140,7 @@ def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None, image_b=None):
     q = exponent(n)
     maps = incidence
     if maps is None:
-        maps = [lattice.eye_minus(surface.induced_map_all(H, H, corr.make_D(n).matrix))]
+        maps = [lattice.eye_minus(surface._induced(H, H, corr.make_D(n).matrix))]
     lat = _prym_tyurin(H, maps, q, image_b)
     cert = {
         "exponent": q,
@@ -210,7 +213,7 @@ def mu_check(HX: surface.CoverHomology, pprime: PolarizedLattice, incidence,
     surjective = image_b.shape[1] == pprime.rank and all(
         gcd(*column) == 1 for column in image_b.T
     )
-    lifted = HX.sublattice(matmul(A, prym_basis))
+    lifted = HX.sublattice(lattice._product(A, pprime._basis_fixed))
     scaling = mat_equal(
         lifted.restricted_gram(),
         exponent(HX.cover.datum.n) * pprime.restricted_gram(),
@@ -322,7 +325,7 @@ def _duality(datum: MonodromyDatum):
     HX = _homology(datum, OrbitKind.SPINOR)
     HC = _homology(datum, OrbitKind.VECTOR)
     incidence = tuple(lattice._fixed_width(m) for m in incidence_maps(HX, HC))
-    x = lattice.eye_minus(surface.induced_map_all(HC, HC, corr.negation_matrix(datum.n)))
+    x = lattice.eye_minus(surface._induced(HC, HC, corr.negation_matrix(datum.n)))
     pprime = _prym_tyurin(HC, [x], 2)
     image_b = image(incidence[1])
     pt, _ = prym_tyurin_lattice(HX, incidence, image_b)

@@ -76,9 +76,16 @@ B[e_(i-1)])``, which is ``-outer(B[e_2], B[e_1])`` for the two ends every
 reflection makes. One sparse product per group of equal L sums these over
 the group: ``B[later ends]^T`` times the prefix sums of ``B[earlier ends]``,
 taken in place on the gathered block. The sheet vertices are summed one at
-a time, each over the basis columns that pass through it. The Gram is
-checked to have zero diagonal and to be alternating and unimodular on every
-build, the last by its Pfaffian (``lattice.pfaffian``), which must be +-1.
+a time, each over the basis columns that pass through it, and without a
+product (``_sheet_crossings``): a basis cycle is simple, so it leaves a
+sheet vertex by one end (+1) and comes back by another (-1), and its
+column there is ``e_out - e_back``. With the ends in ascending arcs,
+``x^T cumsum(x)`` is then the prefix sums' rows at the out-ends less
+their rows at the back-ends, found by ``argmax`` and ``argmin`` and read
+by two row gathers, which are scattered into the Gram at the columns'
+pairs. The Gram is checked to have zero diagonal and to be alternating
+and unimodular on every build, the last by its Pfaffian
+(``lattice.pfaffian``), which must be +-1.
 
 The model's matrices are held at fixed width: ``C`` (``class_map``, about
 2% nonzero at rank 5) and the sheet chains as ``lattice.SparseMatrix`` with
@@ -94,17 +101,27 @@ partial sum, whatever the order and grouping of its terms, is at most
 ``2 E Delta``, far inside int64. That covers the product of each group,
 whose partial sums group the same terms by basis column and by prefix,
 and its own bound check (``L - 1`` times at most E terms) then holds too.
-Products with a fiber matrix, whose entries are the caller's,
-go through ``lattice._product`` and ``lattice._sparse_product``, which
-check ``matmul``'s bound on each call and run on Python ints where it
-fails; the sparse products come at the width their bound needs.
+At a sheet vertex the prefix sums of a column ``e_out - e_back`` are -1, 0
+and 1, so the gathered differences lie in -2..2 and stay at ``B``'s width.
+Products with a fiber matrix, whose entries are the caller's, go through
+``lattice._sparse_product``, which checks ``matmul``'s bound on each call,
+comes at the width that bound needs and runs on Python ints where it
+fails.
 
 The checked Gram is held once, in int64, by each model and by each
 homology (``_gram64``). Their ``gram`` reads it out as an object array of
 Python ints, a new one on each read; the int64 array goes only to
 ``lattice.PolarizedLattice``, for a homology's sublattices
-(``sublattice``). Every other matrix that leaves this module is an object
-array of Python ints too.
+(``sublattice``). An induced map comes the same way: ``_induced`` forms it
+at fixed width, int64 where every block fits, and hands it so to the
+package's own endomorphisms (delta, iota and 1 - iota in ``prym``), which
+go to ``lattice.eye_minus`` as they are, with no conversion on the way;
+``induced_map_all`` reads it out as Python ints. Every other matrix that
+leaves this module is an object array of Python ints too.
+
+``build_all`` finds a cover's components once and hands them to each
+model; a model made directly finds them itself, to refuse a disconnected
+cover.
 """
 
 from __future__ import annotations
@@ -125,10 +142,13 @@ class HomologyModel:
     """Homology basis, intersection Gram and chain machinery for one
     connected cover of the rational base. Treat instances as immutable."""
 
-    def __init__(self, cover_model: CoverModel):
+    def __init__(self, cover_model: CoverModel, comps=None):
+        """``comps`` is the cover's ``components``, when the caller has
+        found them; they are found here otherwise."""
         if cover_model.datum.base_genus != 0:
             raise UnsupportedError("homology model supports genus-0 bases only")
-        comps = components(cover_model)
+        if comps is None:
+            comps = components(cover_model)
         if len(comps) != 1:
             raise DisconnectedError(
                 "cover is disconnected; build per component",
@@ -306,7 +326,8 @@ class HomologyModel:
         """Gram = B^T Q B for the local crossing form Q, for the basis
         cycles ``B`` as an edge-by-cycle matrix: the ramification vertices
         by one product per group of equal size, the sheet vertices one at
-        a time over the basis columns that touch the vertex.
+        a time over the basis columns that touch the vertex, by two row
+        gathers of their prefix sums.
 
         The second cycle is displaced to the right of every oriented edge,
         so its strand arrives just clockwise of a tail end and just counter-
@@ -316,8 +337,8 @@ class HomologyModel:
         vertex. The flow is minus the coefficient at a tail end, and the two
         signs cancel in the product.
         """
-        d, k, g = self.degree, self.arc_count, self.genus2
-        gram = np.zeros((g, g), dtype=np.int64)
+        g = self.genus2
+        gram = _sheet_crossings(B, self.degree, self.arc_count)
         # a ramification vertex pairs each end after the first with the sum
         # of the ends before it: one sparse product sums a whole group
         for _vertices, ends in self.branch_groups:
@@ -327,11 +348,6 @@ class HomologyModel:
                     run[:, i] += run[:, i - 1]
                 later = lattice.sparse(B[ends[:, 1:].ravel()].T)
                 gram -= lattice._sparse_product(later, run.reshape(later.shape[1], g))
-        for s in range(d):
-            x = B[s * k:(s + 1) * k]
-            cols = np.flatnonzero(x.any(axis=0))
-            x = x[:, cols]
-            gram[np.ix_(cols, cols)] -= lattice._product(x.T, np.cumsum(x, axis=0))
         if np.diagonal(gram).any():
             raise AssertionError("nonzero self-intersection")
         if not (gram.T == -gram).all():
@@ -339,6 +355,32 @@ class HomologyModel:
         if g and abs(lattice.pfaffian(gram)) != 1:
             raise AssertionError("intersection form is not unimodular")
         self._gram64 = gram
+
+
+def _sheet_crossings(B, degree, arcs) -> np.ndarray:
+    """The sheet vertices' part of the Gram, in int64: minus the sum over
+    the sheets s of ``x^T cumsum(x)``, x the rows of ``B`` at the ends of
+    sheet vertex s (edges ``s * arcs`` on, in ascending arcs) and the
+    columns of the basis cycles through it.
+
+    A basis cycle is a fundamental cycle of the spanning tree, so it is
+    simple: it leaves s by one end (+1) and comes back by another (-1), and
+    every column of x is ``e_out - e_back``. So ``x^T cumsum(x)`` is
+    ``cumsum(x)[out] - cumsum(x)[back]``: ``argmax`` and ``argmin`` find
+    the ends and two row gathers the rows, which are scattered into the Gram
+    at the columns' pairs. The prefix sums are -1, 0 or 1 and their
+    differences at most 2, so they stay at ``B``'s width."""
+    g = B.shape[1]
+    gram = np.zeros((g, g), dtype=np.int64)
+    flat = gram.reshape(-1)
+    for s in range(degree):
+        x = B[s * arcs:(s + 1) * arcs]
+        cols = np.flatnonzero(x.any(axis=0))
+        x = x[:, cols]
+        run = np.cumsum(x, axis=0, dtype=x.dtype)
+        crossings = run[x.argmax(axis=0)] - run[x.argmin(axis=0)]
+        flat[(cols[:, None] * g + cols).ravel()] -= crossings.ravel()
+    return gram
 
 
 def _bfs_tree(count, plus, minus):
@@ -508,10 +550,13 @@ class CoverHomology:
 
 def build_all(cover_model: CoverModel) -> CoverHomology:
     comps = components(cover_model)
-    parts = []
-    for comp in comps:
-        sub = cover_model if len(comps) == 1 else _cover.component_cover(cover_model, comp)
-        parts.append(HomologyModel(sub))
+    if len(comps) == 1:
+        parts = [HomologyModel(cover_model, comps)]
+    else:
+        parts = [
+            HomologyModel(sub, [tuple(range(sub.degree))])
+            for sub in (_cover.component_cover(cover_model, comp) for comp in comps)
+        ]
     offsets = np.cumsum([0] + [p.genus2 for p in parts]).tolist()
     if len(parts) == 1:
         gram64 = parts[0]._gram64
@@ -541,13 +586,23 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
     sparse sheet chains times the block, and their classes are C times the
     chains, in int64 while ``lattice``'s product bound holds. Returns the
     (rank_dst x rank_src) integer matrix on column cycle classes, an object
-    array.
+    array of Python ints (``_induced`` is the same matrix at fixed width).
     """
+    return lattice._objects(_induced(src, dst, fiber))
+
+
+def _induced(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray:
+    """``induced_map_all``'s matrix as its blocks come: int64 when every
+    block fits in it, an object array of Python ints otherwise. For the
+    package's own endomorphisms, which go to ``lattice.eye_minus`` as they
+    are and are computed on nowhere else. The fiber matrix is converted
+    once, to int64 where its entries fit, for the equivariance check and
+    every block."""
     if src.cover.datum != dst.cover.datum:
         raise ValueError("source and destination covers come from different data")
-    fiber = np.asarray(fiber, dtype=object)
+    fiber = lattice._fixed_width(np.asarray(fiber, dtype=object))
     check_equivariance(fiber, src.cover.all_perms(), dst.cover.all_perms())
-    out = zeros(dst.rank, src.rank)
+    blocks = []
     for pa, la, oa in zip(src.parts, src.part_labels, src.offsets):
         for pb, lb, ob in zip(dst.parts, dst.part_labels, dst.offsets):
             block = fiber[np.ix_(la, lb)]
@@ -558,7 +613,10 @@ def induced_map_all(src: CoverHomology, dst: CoverHomology, fiber) -> np.ndarray
             )
             if pb._boundary(img).any():
                 raise AssertionError("image chain failed to close per component")
-            out[ob:ob + pb.genus2, oa:oa + pa.genus2] = lattice._sparse_product(
-                pb.class_map, img
-            )
+            at = np.s_[ob:ob + pb.genus2, oa:oa + pa.genus2]
+            blocks.append((at, lattice._sparse_product(pb.class_map, img)))
+    fixed = all(m.dtype != object for _, m in blocks)
+    out = np.zeros((dst.rank, src.rank), dtype=np.int64) if fixed else zeros(dst.rank, src.rank)
+    for at, m in blocks:
+        out[at] = m
     return out

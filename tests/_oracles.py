@@ -6,8 +6,10 @@ expansion along the first row, divisor chains
 by gcds of minors, weight pairings by direct rational arithmetic, and
 homology chains as dicts (edge -> coefficient), paired one vertex at a time
 and pushed through a correspondence one edge at a time, and the Gram summed
-one vertex at a time. A generated group is closed by multiplying signed
-permutations, the reference for the library's closure on lookup tables;
+one vertex at a time; the sheet vertices' part of the Gram as one product
+per vertex is the reference for the library's row gathers. A generated
+group is closed by multiplying signed permutations, the reference for the
+library's closure on lookup tables;
 classification by reading every element of that closure is the reference
 for the library's, which reads only the generators and the group order.
 Random generation as a rejection loop that multiplies signed permutations
@@ -238,6 +240,22 @@ def class_of(model, chain):
     for i, e, c in zip(cm.rows.tolist(), cm.cols.tolist(), cm.vals.tolist()):
         out[i] += c * chain.get(e, 0)
     return out
+
+
+def sheet_crossings_by_products(B, degree, arcs):
+    """The sheet vertices' part of the Gram, minus ``x^T cumsum(x)`` for
+    each sheet vertex, x the rows of ``B`` at its ends and the columns
+    that touch it, as one product on Python ints per vertex: the form
+    ``surface`` summed it in before its row gathers, and their reference."""
+    B = np.asarray(B).astype(object)
+    g = B.shape[1]
+    gram = np.full((g, g), 0, dtype=object)
+    for s in range(degree):
+        x = B[s * arcs:(s + 1) * arcs]
+        cols = np.flatnonzero((x != 0).any(axis=0))
+        x = x[:, cols]
+        gram[np.ix_(cols, cols)] -= x.T @ np.cumsum(x, axis=0)
+    return gram
 
 
 def gram_by_vertices(model):

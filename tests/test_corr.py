@@ -155,6 +155,33 @@ def test_fiber_matrices_match_the_set_oracles(n):
         assert corr._weight_vectors(n, weight) == _oracles.weight_vectors_by_values(n, weight)
 
 
+# the entries of make_D, make_Di and sigma_matrix as the matrices were built
+# one Python call per pair of masks (a, b)
+_PAIR_ENTRIES = {
+    "D": lambda a, b: (a ^ b).bit_count() - 1 if a != b else 0,
+    **{f"D{i}": lambda a, b, i=i: int((a ^ b).bit_count() == i + 1) for i in range(4)},
+    "sigma": lambda a, b, n: int(b == ((1 << n) - 1) ^ a),
+}
+_GRID_ENTRIES = {
+    "D": lambda xor, size: np.maximum(size - 1, 0),
+    **{f"D{i}": lambda xor, size, i=i: size == i + 1 for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_spinor_matrices_from_the_mask_grid_equal_the_pair_by_pair_build(n):
+    d = 1 << n
+    for name, entry in _GRID_ENTRIES.items():
+        want = intmat([[_PAIR_ENTRIES[name](a, b) for b in range(d)] for a in range(d)])
+        assert _same_ints(corr._spinor_matrix(n, entry), want), name
+    full = d - 1
+    want = intmat([[_PAIR_ENTRIES["sigma"](a, b, n) for b in range(d)] for a in range(d)])
+    assert _same_ints(corr._spinor_matrix(n, lambda xor, size: xor == full), want)
+    if n <= corr.FIBER_RANK_MAX:
+        assert _same_ints(make_D(n).matrix, corr._spinor_matrix(n, _GRID_ENTRIES["D"]))
+        assert _same_ints(corr.sigma_matrix(n), want)
+
+
 @pytest.mark.parametrize("i", range(4))
 def test_shells_match_the_set_oracle(i):
     assert _same_ints(make_Di(4, i).matrix, _oracles.fiber_Di(4, i))

@@ -18,9 +18,10 @@ matrices those two hand out are object arrays of Python ints, so the
 elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
 wraps. The exceptions are ``lattice.eye_minus``, whose caller hands its
 result back to ``lattice``'s products and eliminations and computes nothing
-on it itself, and the ``gram`` a homology's sublattice keeps, the checked
-int64 Gram, which only ``lattice`` reads: the restricted Gram it hands out
-is Python ints.
+on it itself, ``surface._induced``, the induced map at fixed width, which
+``prym`` hands to ``eye_minus`` as it is, and the ``gram`` a homology's
+sublattice keeps, the checked int64 Gram, which only ``lattice`` reads:
+the restricted Gram it hands out is Python ints.
 """
 
 import ast

@@ -1319,6 +1319,33 @@ def test_elimination_of_one_minus_delta_widens_int16_to_int32_once():
     assert d.dtype == uinv.dtype == np.int32
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_image_of_one_minus_delta_rescans_its_arrays_rarely(monkeypatch, seed):
+    # U^-1's bound is carried apart and raised by the one column an update
+    # changes, so an update of k lines does not multiply it by 1 + k max|q|:
+    # at rank 258 the whole arrays (the matrix and U^-1) are rescanned at
+    # most nine times per image, where a shared bound rescanned them 15 to
+    # 18 times
+    H = surface.build_all(induce(random_simple(5, 12, 16, seed), OrbitKind.SPINOR))
+    x = lattice.eye_minus(surface.induced_map_all(H, H, make_D(5).matrix))
+    whole = []
+    scan = lattice._maxabs
+
+    def recording(a):
+        if np.ndim(a) == 2:
+            whole.append(a.shape)
+        return scan(a)
+
+    monkeypatch.setattr(lattice, "_maxabs", recording)
+    got = image(x)
+    monkeypatch.undo()
+    # the input's conversion, then two arrays per rescan
+    assert whole[0] == x.shape
+    rescans = (len(whole) - 1) // 2
+    assert 0 < rescans <= 9
+    assert got.shape == (H.rank, 18)
+
+
 def test_build_runs_no_elimination_and_holds_b_in_int16_units(monkeypatch):
     # the spinor build at rank 258 reads its cycle basis and class map off
     # the spanning tree and the dual tree: no Smith elimination, and B

@@ -687,7 +687,10 @@ def test_duality_runs_four_eliminations_and_eliminates_b_once(monkeypatch):
 def test_duality_converts_each_incidence_map_once(monkeypatch):
     # A and B are converted to a fixed width once each, as they come from
     # incidence_maps, and go to every product and to the elimination as
-    # they are: no later conversion meets them as object arrays
+    # they are: no later conversion meets them as object arrays. So is the
+    # P(C,C') basis, once, when its lattice is made, and its image in H(X)
+    # comes at that width from the product: no object array of either
+    # shape is converted twice, and the image never meets a conversion
     datum = random_simple(4, 12, 16, seed=1)
     HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
     seen = []
@@ -695,12 +698,43 @@ def test_duality_converts_each_incidence_map_once(monkeypatch):
 
     def recording(x):
         if isinstance(x, np.ndarray) and x.dtype == object:
-            seen.append(x.shape)
+            seen.append(x)  # held, so that no id is reused
         return convert(x)
 
     monkeypatch.setattr(lattice, "_int64", recording)
-    prym._duality(datum)
-    assert seen.count((HX.rank, HC.rank)) == seen.count((HC.rank, HX.rank)) == 1
+    _, pt, pprime, _ = prym._duality(datum)
+    monkeypatch.undo()
+    shapes = [x.shape for x in seen]
+    assert shapes.count((HX.rank, HC.rank)) == shapes.count((HC.rank, HX.rank)) == 1
+    r = pprime.rank
+    assert (HX.rank, HC.rank, r) == (130, 30, 20)
+    for shape in ((HC.rank, r), (HX.rank, r)):
+        ids = [id(x) for x in seen if x.shape == shape]
+        assert ids and len(ids) == len(set(ids)), shape
+    assert sum(x is pprime.basis for x in seen) == 1
+    assert sum(x is pt.basis for x in seen) == 1
+    A, _ = prym.incidence_maps(HX, HC)
+    image = matmul(A, pprime.basis)
+    assert not any(x.shape == image.shape and mat_equal(x, image) for x in seen)
+
+
+def test_prym_tyurin_lattice_converts_no_rank_square_object_array(monkeypatch):
+    # delta leaves surface in int64 and goes to eye_minus as it is: no
+    # (rank, rank) object array is converted on the way
+    H = _build(random_simple(5, 12, 16, seed=0), OrbitKind.SPINOR)
+    assert H.rank == 258
+    shapes = []
+    convert = lattice._int64
+
+    def recording(x):
+        if isinstance(x, np.ndarray) and x.dtype == object:
+            shapes.append(x.shape)
+        return convert(x)
+
+    monkeypatch.setattr(lattice, "_int64", recording)
+    lat, _ = prym_tyurin_lattice(H)
+    assert lat.rank == 18
+    assert (H.rank, H.rank) not in shapes
 
 
 def _merged(datum):

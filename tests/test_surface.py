@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 import _oracles
 from prymlab import corr, cover, lattice, surface, weyl
 from prymlab.cover import MonodromyDatum, induce, random_simple
-from prymlab.errors import DisconnectedError, EquivarianceError, UnsupportedError
+from prymlab.errors import (
+    DisconnectedError,
+    EquivarianceError,
+    GenerationError,
+    UnsupportedError,
+)
 from prymlab.lattice import det, eye, is_alternating, mat_equal, to_lists, zeros
 from prymlab.weyl import OrbitKind, reflection, short_root
 
@@ -667,9 +672,9 @@ def test_spinor_cycle_basis_reaches_the_gram_in_int16(monkeypatch, args):
     assert lattice._narrowest((most_ends - 1) * top) == width
 
 
-def test_connected_build_finds_its_components_twice(monkeypatch):
-    # once in build_all and once in the model's refusal of disconnected
-    # covers; the rank check reads the Riemann-Hurwitz count without a third
+def test_connected_build_finds_its_components_once(monkeypatch):
+    # in build_all, which hands them to the model; the rank check reads the
+    # Riemann-Hurwitz count without a second
     calls = []
     real = cover.components
 
@@ -681,5 +686,86 @@ def test_connected_build_finds_its_components_twice(monkeypatch):
     monkeypatch.setattr(surface, "components", counted)
     cm = induce(random_simple(3, 4, 6, seed=3), OrbitKind.SPINOR)
     H = surface.build_all(cm)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert H.parts[0].genus == cover.genus(cm)
+
+
+def _sheet_parts(cm):
+    """``(B, degree, arcs, sheet part)`` for every model ``build_all`` makes
+    of ``cm``, as ``surface._sheet_crossings`` saw and returned them."""
+    seen = []
+    real = surface._sheet_crossings
+
+    def spy(B, degree, arcs):
+        out = real(B, degree, arcs)
+        seen.append((B.copy(), degree, arcs, out.copy()))  # the Gram goes on from it
+        return out
+
+    surface._sheet_crossings = spy
+    try:
+        surface.build_all(cm)
+    finally:
+        surface._sheet_crossings = real
+    return seen
+
+
+def _merged_gens(datum):
+    """The datum with its first two and its fifth and sixth local
+    monodromies merged into one each: the product is still one, and the
+    merged points are no reflections."""
+    g = datum.gens
+    return MonodromyDatum(datum.n, 0, (g[0] * g[1],) + g[2:4] + (g[4] * g[5],) + g[6:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 4), st.integers(0, 3), st.integers(1, 4), st.integers(0, 2**16),
+    st.sampled_from(list(OrbitKind)), st.booleans(),
+)
+def test_sheet_crossings_equal_the_product_form(n, half_s, half_l, seed, orbit, merge):
+    # seeded simple data and data with two merged points, in every orbit;
+    # ds = 0 splits the spinor cover
+    try:
+        datum = random_simple(n, 2 * half_s, 2 * half_l, seed)
+    except GenerationError:  # ruled out by Riemann-Hurwitz
+        return
+    if merge:
+        if len(datum.gens) < 6:
+            return
+        datum = _merged_gens(datum)
+        assert cover.validate(datum) is None
+    for B, degree, arcs, got in _sheet_parts(induce(datum, orbit)):
+        assert got.dtype == np.int64
+        assert to_lists(got) == to_lists(_oracles.sheet_crossings_by_products(B, degree, arcs))
+
+
+@pytest.mark.parametrize("args,orbit,parts", [
+    ((5, 12, 16, 0), OrbitKind.SPINOR, 1),
+    ((3, 0, 10, 2), OrbitKind.SPINOR, 2),
+    ((4, 4, 8, 5), OrbitKind.VECTOR, 1),
+    ((4, 4, 8, 5), OrbitKind.PARITY, 1),
+])
+def test_sheet_crossings_equal_the_product_form_on_fixed_data(args, orbit, parts):
+    seen = _sheet_parts(induce(random_simple(*args), orbit))
+    assert len(seen) == parts
+    for B, degree, arcs, got in seen:
+        assert to_lists(got) == to_lists(_oracles.sheet_crossings_by_products(B, degree, arcs))
+
+
+def test_induced_core_is_the_public_map_at_fixed_width():
+    datum = random_simple(3, 4, 6, seed=3)
+    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
+    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    split = surface.build_all(induce(random_simple(3, 0, 10, seed=2), OrbitKind.SPINOR))
+    for src, dst, fiber in [(HX, HX, corr.make_D(3).matrix), (HX, HC, corr.make_S0(3).matrix),
+                            (split, split, corr.sigma_matrix(3))]:
+        core = surface._induced(src, dst, fiber)
+        public = surface.induced_map_all(src, dst, fiber)
+        assert core.dtype == np.int64
+        assert public.dtype == object and all(type(x) is int for x in public.flat)
+        assert to_lists(core) == to_lists(public)
+    # entries past int64 leave the core as Python ints
+    big = 2**62 * corr.make_D(3).matrix
+    core = surface._induced(HX, HX, big)
+    assert core.dtype == object
+    assert to_lists(core) == to_lists(2**62 * surface.induced_map_all(HX, HX, corr.make_D(3).matrix))

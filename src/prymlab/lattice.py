@@ -7,9 +7,9 @@ is one, but for ``eye_minus``, whose int64 result is only handed back here.
 ``PolarizedLattice`` holds its basis at fixed width once for its products
 (``_basis_fixed``) besides the Python ints of ``basis``; those are the
 fixed-width arrays that pass between modules.
-Inside, ``det``, ``pfaffian``, ``_eliminate`` and ``_sparse_product`` run
-on fixed-width arrays while a bound proves that nothing wraps, and
-``matmul`` in int64.
+Inside, ``pfaffian``, ``_eliminate`` and ``_sparse_product`` run on
+fixed-width arrays while a bound proves that nothing wraps, and ``matmul``
+in int64.
 They convert their input by one rule, ``_int64``:
 ``np.asarray(x, dtype=np.int64)``, where an ``OverflowError`` means the
 entries need Python ints, and the bound then comes from the int64 max and
@@ -26,72 +26,38 @@ These two serve ``surface``, which holds each cover's homology matrices at
 fixed width. Sublattices of Z^m are represented by matrices whose columns
 generate them.
 
-Smith elimination is the workhorse: it yields kernels, images,
-saturations, integral solving and the divisor chains of singular or
-non-square matrices. There is one engine, ``_eliminate(mat, want, rhs)``,
-on numpy rows, and it updates only the transforms its caller reads: U^-1
-for ``image`` and ``saturate``, V for ``kernel``, U and V for ``snf``,
-none for ``divisors``. ``surface`` runs none: its relation matrix is an
-incidence matrix, whose elimination it replays on two trees. It
-returns its working arrays, at one fixed width unless they outgrew int64,
-and only the public wrappers convert what they hand out.
-``solve_exact`` and ``contains`` form no U: they hand their right-hand side
-to the engine, which applies every row operation to it as well and returns
-U b, and ``contains`` forms no V either. Its pivot order and operations are
-those of one row or column operation at a time (the list version in
-``tests/_oracles.py``), so its results are too; a run of entries its pivot
-divides is cleared by one outer-product update. At fixed width one
-``argmin`` over ``|entry| - 1``, read as the unsigned type of the width so
-that 0 comes last, finds each pivot without copying the block. It runs at
-fixed width while a bound on every value an update forms stays below 2^63,
-and on Python ints from the first update where it does not. The divisor
-chain of a nonsingular square matrix (every nondegenerate alternating
-form) comes determinant first: the Smith elimination then runs modulo
-|det|, or for an alternating matrix modulo its Pfaffian, by Cayley's
-det = Pf^2 (``pfaffian``, which also checks the unimodularity of every
-homology Gram, so that ``det`` serves only the chain of a non-alternating
-matrix), so its entries stay bounded, in int64 while the modulus squared
-does; or modulo a lattice's known exponent first, kept when the chain
-multiplies to |det| (``PolarizedLattice.exponent``).
+There is one fraction-free engine, ``pfaffian`` (skew elimination with
+2 x 2 pivots), and one Smith elimination, ``_eliminate``. ``pfaffian``
+checks the unimodularity of every homology Gram and gives the modulus of
+every type; ``det`` is the Pfaffian of the block [[0, m], [-m^T, 0]]
+(``_skew_block``), which is (-1)^(n(n-1)/2) det m, and no path of the
+package takes it. The divisor chain of a nondegenerate alternating form
+comes Pfaffian first: the Smith elimination runs modulo |Pf|, a multiple
+of the last divisor by Cayley's det = Pf^2, so its entries stay bounded,
+in int64 while the modulus squared does; or modulo a lattice's known
+exponent first, kept when the chain multiplies to |det|
+(``PolarizedLattice.exponent``). ``divisors`` takes a nonsingular square
+matrix the same path through its block, whose chain is its own with each
+entry twice; each entry the skew elimination forms is +- a minor of m,
+within the Hadamard bound.
 
-``det``, ``pfaffian`` and ``_eliminate`` carry their bounds instead of
-rescanning their arrays at every step: from the bound b on the entries
-before a step and the few entries the step scans (``det``'s pivot column
-and row, ``pfaffian``'s two pivot rows, ``_eliminate``'s quotients)
-follows a bound on every entry after it. Only where a carried bound would
-reach the limit of the current width are the arrays scanned for their true
-maximum, and only where that fails too do they go up a width; so the
-results and the switch points are those of a scan at every step, and the
-scans are rare (none in the unimodularity ``pfaffian`` of the spinor Grams
-of rank 130 to 1026).
+``_eliminate(mat, want, rhs)`` yields kernels, images, saturations,
+integral solving and the divisor chains of singular or non-square
+matrices. It updates only the transforms its caller reads (none for
+``divisors``; ``solve_exact`` and ``contains`` get U b for their
+right-hand side b, with no U formed), and its pivot order and operations
+are those of the list version in ``tests/_oracles.py``. ``surface`` runs
+none: its relation matrix is an incidence matrix, whose elimination it
+replays on two trees.
 
-All three run at the width their values need, on one ladder: int16 while
+``pfaffian`` and ``_eliminate`` run on the width ladder: int16 while
 every value a step forms stays below 2^15, then int32 below 2^31, then
-int64 below 2^63, then Python ints. Each width is a limit for the carried
-bound as 2^63 is; where the bound fails it, the arrays are scanned, and
-they go up the ladder only where the scanned bound fails too, to the
-narrowest width that holds it (``_eliminate`` takes all its arrays up
-together). The step to Python ints is taken at the same points as from
-int64 alone, since a scanned bound is the true maximum whatever was carried
-before. A spinor Gram (entries -1, 0, 1) runs in int16 throughout, so its
-Pfaffian moves a quarter of the memory it would in int64. The image of
-1 - delta on the rank-258 spinor homology of ``random_simple(5, 12, 16,
-0)`` starts in int16 and goes to int32 once.
-
-All three also skip the passes whose result a unit pivot already fixes.
-``det`` and ``pfaffian`` carry a sign with their trailing block, the block
-being that sign times the stored one, and fold the sign of a unit step into
-it instead of multiplying the whole block by it, so that a unit step
-updates only the rows its column reaches (for ``pfaffian``, each rank-1
-half the rows its own left factor reaches); every pivot of the spinor
-Grams of rank 130 to 1026 measured is a unit. ``_eliminate`` divides by a
-pivot of +-1 without remainders, so it neither scans a line for them nor
-the remaining block for divisibility; it clears the pivot's column by one
-row update, after which the column operations on its row reach that row
-alone, so the row is zeroed and only V takes them. A line is scanned again
-only after a remainder was swapped in as the pivot: a clear that swapped
-nothing leaves its line clear, and clearing the row leaves the cleared
-column as it is.
+int64 below 2^63, then Python ints. Each carries a bound from the few
+entries a step scans, scans its arrays only where that bound reaches the
+current width's limit, and widens only where the scanned bound fails too,
+so its switch points are those of a scan at every step. Both skip the
+passes a unit pivot makes needless. A spinor Gram (entries -1, 0, 1)
+runs in int16 throughout.
 """
 
 from __future__ import annotations
@@ -160,7 +126,7 @@ def _maxabs(a: np.ndarray) -> int:
 
 
 _INT64_BOUND = 2 ** 63
-# the widths ``det`` steps through, each with the bound its values stay below
+# the width ladder: each width with the bound its values stay below
 _LIMIT = {
     np.dtype(np.int16): 2 ** 15,
     np.dtype(np.int32): 2 ** 31,
@@ -283,7 +249,7 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
     ``matmul``'s rule with the most nonzeros in a row of ``s`` as the inner
     dimension: every partial sum is at most ``max|s| * max|b| * w``. When
     that and every entry are below 2^63 the product is formed at the
-    narrowest width of ``det``'s ladder that holds it, and a ``b`` already
+    narrowest width of the width ladder that holds it, and a ``b`` already
     at a width of the ladder is read as it is; otherwise the product is an
     object array of Python ints.
 
@@ -320,98 +286,32 @@ def _sparse_product(s: SparseMatrix, b) -> np.ndarray:
     return out
 
 
-def det(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination. The
-    package takes it only for the divisor chain of a non-alternating square
-    matrix (``divisors``); an alternating form goes to ``pfaffian``.
-
-    Each pivot p updates the trailing block with one outer product,
-    ``(rest * p - column row) / prev`` for the previous pivot prev, and every
-    division is exact (each entry is a minor of the input); when
-    ``|prev| == 1`` it is a sign, and the update runs in place without one.
-
-    No block is multiplied by a sign: the trailing block is held as
-    ``scale`` (+-1) times the stored array. Since scale^2 = 1, the stored
-    block, column, row and pivot form the true numerator
-    ``rest * p - column row`` as they are. At |prev| == 1 the division is a
-    sign, which goes into the next scale: a unit p is factored out of the
-    numerator, ``p (rest - p column row)``, so that the step updates only
-    the rows where the column is nonzero and the next scale is
-    ``p * prev``; a larger p leaves the numerator as it is, with scale
-    prev. At |prev| > 1 the numerator is divided, and the scale is 1 again.
-    Magnitudes are those of the true entries, so the bounds below, and the
-    points where they rescan or switch, do not depend on the scale.
-
-    A bound b >= max|rest| is carried from step to step, so a step scans
-    only its column and row: the step forms values of at most
-    ``need = b * |p| + max|column| * max|row|``, and the new block is
-    bounded by that over ``|prev|``. The input conversion gives the first
-    b. The steps run in the narrowest of int16, int32 and int64 whose
-    range holds ``need`` (below 2^15, 2^31 and 2^63), so that a Gram of
-    small entries moves a quarter of the memory it would in int64; where
-    the carried b fails the current width, the block is scanned for its
-    true maximum, and the array goes over to a wider dtype only if the
-    scanned bound still fails it: to the narrowest that holds ``need``, or
-    to Python ints past 2^63. The scanned bound is the true maximum
-    whatever was carried before, so the switch to Python ints falls at the
-    first step whose true ``need`` reaches 2^63, as in an elimination that
-    starts in int64. Spinor Grams (entries -1, 0, 1) stay within 3 through
-    every unit step and run in int16 throughout.
-    """
+def _skew_block(m) -> np.ndarray:
+    """The alternating block ``[[0, m], [-m^T, 0]]`` of a square 2-D matrix
+    (``ValueError`` otherwise), on Python ints, as ``-m^T`` of an int64
+    -2^63 would wrap: its Pfaffian is (-1)^(n(n-1)/2) det m at order n, and
+    its Smith chain is m's with each entry twice."""
     a = np.asarray(m)
-    n = len(a)
-    if n == 0:
-        return 1
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("determinant of a non-square matrix")
-    fixed, bound = _fixed(a)
-    a = _pyints(a) if fixed is None else fixed.astype(_narrowest(bound))
-    sign = 1
-    prev = 1
-    scale = 1  # the trailing block is scale (+-1) times the stored one
-    for k in range(n - 1):
-        if a[k, k] == 0:
-            below = np.flatnonzero(a[k + 1:, k])
-            if not below.size:
-                return 0
-            i = k + 1 + below[0]
-            a[[k, i]] = a[[i, k]]
-            sign = -sign
-        p = int(a[k, k])  # the pivot is scale * p
-        col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
-        if a.dtype != object:
-            outer = _maxabs(col) * _maxabs(row)
-            if bound * abs(p) + outer >= _LIMIT[a.dtype]:
-                bound = _maxabs(rest)
-            need = bound * abs(p) + outer
-            if need >= _INT64_BOUND:
-                a = a.astype(object)
-            elif need >= _LIMIT[a.dtype]:
-                a = a.astype(_narrowest(need))
-            if a.dtype != col.dtype:
-                col, row, rest = a[k + 1:, k], a[k, k + 1:], a[k + 1:, k + 1:]
-            bound = need // abs(prev)
-        # the true numerator is rest * p - column row (scale^2 = 1)
-        if abs(prev) != 1:
-            rest[...] = (rest * p - np.outer(col, row)) // prev
-            next_scale = 1
-        elif abs(p) == 1:
-            # a row whose column entry is 0 keeps its entries
-            rows = np.flatnonzero(col)
-            rest[rows] -= np.outer(p * col[rows], row)
-            next_scale = p * prev
-        else:
-            rest *= p
-            rest -= np.outer(col, row)
-            next_scale = prev
-        prev = scale * p
-        scale = next_scale
-    return sign * scale * int(a[n - 1, n - 1])
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square 2-D matrix")
+    a = _pyints(a)
+    z = zeros(len(a), len(a))
+    return np.block([[z, a], [-a.T, z]])
+
+
+def det(m) -> int:
+    """Exact determinant of a square 2-D matrix (``ValueError`` otherwise)
+    from the Pfaffian of its ``_skew_block``. No path of the package takes
+    it: an alternating form goes to ``pfaffian`` itself."""
+    block = _skew_block(m)
+    n = len(block) // 2
+    return (-1) ** (n * (n - 1) // 2) * pfaffian(block)
 
 
 def pfaffian(g) -> int:
     """Exact Pfaffian of an alternating matrix (which is not checked), so
-    that ``det(g) == pfaffian(g) ** 2``; 0 at odd order, 1 at order 0.
+    that ``det(g) == pfaffian(g) ** 2``; 0 at odd order, 1 at order 0,
+    ``ValueError`` unless ``g`` is a square 2-D matrix.
 
     Fraction-free skew elimination with 2 x 2 pivots: each step takes the
     pivot p at (t, t + 1), the rows r0 and r1 of t and t + 1 past t + 1,
@@ -424,20 +324,32 @@ def pfaffian(g) -> int:
     first nonzero entry of its row, by a transposition of the indices
     after t, which changes the sign; a zero row gives 0.
 
-    It runs on ``det``'s width ladder, with its bound carried the same way:
-    by skew symmetry the columns of the pivot pair are the rows negated, so
-    one scan of the two rows bounds every value a step forms by ``need = b
-    * |p| + 2 * max|r0, r1|^2``, and the new block by that over |prev|. A
-    sign goes into ``scale`` at a unit pivot after a unit prev, as in
-    ``det``, so that the step is the block plus p times the two rank-1
-    halves, each updating only the rows where its own left factor is
-    nonzero (the union of both supports measured slower than ``det``).
-    Spinor Grams run in int16 throughout.
+    S is held as ``scale`` (+-1) times the stored block; as scale^2 = 1 the
+    stored block, rows and pivot form the true numerator as they are. At
+    |prev| > 1 the numerator is divided and the scale is 1 again; at
+    |prev| == 1 the division is a sign, which goes into the next scale:
+    prev for a larger p, whose step leaves the numerator as it is, and p *
+    prev for a unit p, factored out so that the step is S plus p times
+    the two rank-1 halves, each updating only the rows where its own left
+    factor is nonzero (the union of both supports measured slower).
+
+    A bound b >= max|S| is carried from step to step. By skew symmetry the
+    columns of the pivot pair are the rows negated, so one scan of the two
+    rows bounds every value a step forms by ``need = b * |p| + 2 * max|r0,
+    r1|^2``, and the new block by that over |prev|; the input conversion
+    gives the first b. The steps run on the width ladder, in the narrowest
+    of int16, int32 and int64 whose range holds ``need``. Where the carried
+    b fails the current width, the block is scanned for its true maximum,
+    and it goes up the ladder only where the scanned bound fails too: to
+    the narrowest width that holds ``need``, or to Python ints past 2^63,
+    at the first step whose true ``need`` reaches it. Magnitudes are those
+    of the true entries, so no switch point depends on the scale. Spinor
+    Grams run in int16 throughout.
     """
     a = np.asarray(g)
-    n = len(a)
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("Pfaffian of a non-square matrix")
+    n = len(a)
     if n % 2:
         return 0
     if n == 0:
@@ -528,7 +440,7 @@ def _eliminate(mat, want=(), rhs=None):
     while only V takes them. The remaining block is not scanned for an
     entry the pivot does not divide.
 
-    The arrays share one width of ``det``'s ladder, the narrowest whose
+    The arrays share one width of the width ladder, the narrowest whose
     limit is above ``b * growth`` before every update, for a bound b >=
     max|entry| over every array, which bounds every value the update forms.
     A line update adds to each line one multiple of the pivot line, so its
@@ -810,29 +722,24 @@ def _chain_mod(rows, D: int) -> tuple:
     return tuple(diagonal)
 
 
-def _nonsingular_chain(mat, alternating=False, modulus=None):
-    """Divisor chain of a square matrix by the determinant-first path, or
-    ``None`` when the matrix is singular.
+def _nonsingular_chain(mat, modulus=None):
+    """Divisor chain of an alternating matrix, Pfaffian first, or ``None``
+    when it is singular (odd order included); ``divisors`` hands in the
+    ``_skew_block`` of any square matrix.
 
-    The elimination runs modulo a multiple M of the last divisor d_n, which
-    gives every gcd(d_i, M) = d_i: M = |det| in general, and for an
-    alternating matrix M = |Pf|, with |det| = Pf^2 (Cayley), so that only
-    the Pfaffian is eliminated for. Its chain comes in pairs e_1, e_1,
-    ..., e_k, e_k, so |Pf| is the product of the e_i, which d_n = e_k
-    divides; M^2 then stays in int64 for determinants up to about 2^125
-    instead of 2^63. The chain multiplies to |det| exactly when every d_i
-    divides M, which is checked.
+    The chain comes in pairs e_1, e_1, ..., e_k, e_k, so M = |Pf| = e_1
+    ... e_k is a multiple of the last divisor, and the elimination modulo M
+    gives every gcd(d_i, M) = d_i; |det| = Pf^2 (Cayley), and M^2 stays in
+    int64 for determinants up to about 2^125. The chain multiplies to |det|
+    exactly when every d_i divides M, which is checked.
 
-    A caller that expects a smaller multiple of d_n passes it as
-    ``modulus`` (the exponent q of a Prym-Tyurin lattice, whose type
+    A caller that expects a smaller multiple of the last divisor passes it
+    as ``modulus`` (the exponent q of a Prym-Tyurin lattice, whose type
     divides q): the chain modulo it is tried first and kept when it
-    multiplies to |det|, for then every d_i divides it; otherwise the
-    chain is taken modulo M as above, so the result is exact either way."""
-    if alternating:
-        M = abs(pfaffian(mat))
-        D = M * M
-    else:
-        M = D = abs(det(mat))
+    multiplies to |det|; otherwise it is taken modulo M, so the result is
+    exact either way."""
+    M = abs(pfaffian(mat))
+    D = M * M
     if not D:
         return None
     if modulus:
@@ -846,12 +753,15 @@ def _nonsingular_chain(mat, alternating=False, modulus=None):
 
 
 def divisors(mat) -> tuple:
-    """Nonzero diagonal chain d1 | d2 | ... of the Smith form."""
+    """Nonzero diagonal chain d1 | d2 | ... of the Smith form. A
+    nonsingular square matrix takes the Pfaffian-first path through its
+    ``_skew_block``, whose chain is the matrix's with each entry twice; a
+    singular or non-square one the Smith elimination."""
     arr = np.asarray(mat, dtype=object)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        chain = _nonsingular_chain(arr)
+        chain = _nonsingular_chain(_skew_block(arr))
         if chain is not None:
-            return chain
+            return chain[::2]
     d, r = _eliminate(arr)
     return tuple(int(x) for x in np.diagonal(d)[:r])
 
@@ -1007,7 +917,7 @@ def gram_type(g, basis, exponent=None) -> tuple:
     r = g.shape[0]
     if r == 0:
         return ()
-    chain = _nonsingular_chain(g, alternating=True, modulus=exponent)
+    chain = _nonsingular_chain(g, modulus=exponent)
     if chain is None:
         ker = kernel(g)
         raise DegenerateFormError(

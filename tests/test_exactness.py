@@ -11,17 +11,21 @@ uses the ``@`` operator, so every product goes through ``lattice.matmul``.
 
 A third guard keeps fixed-width integers inside the two modules that bound
 them: no module but ``lattice.py`` and ``surface.py`` names a fixed-width
-integer type (``int8`` through ``int64``, or any ``uint``: ``det``, the
-Smith elimination, the sparse products, the boundary and the cycle basis
-step through int16 and int32, and an unsigned view wraps as well), and the
-matrices those two hand out are object arrays of Python ints, so the
-elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype that
-wraps. The exceptions are ``lattice.eye_minus``, whose caller hands its
+integer type (``int8`` through ``int64``, or any ``uint``: ``pfaffian``,
+the Smith elimination, the sparse products, the boundary and the cycle
+basis step through int16 and int32, and an unsigned view wraps as well),
+and the matrices those two hand out are object arrays of Python ints, so
+the elementwise arithmetic of ``prym`` and ``corr`` never meets a dtype
+that wraps. The exceptions are ``lattice.eye_minus``, whose caller hands its
 result back to ``lattice``'s products and eliminations and computes nothing
 on it itself, ``surface._induced``, the induced map at fixed width, which
 ``prym`` hands to ``eye_minus`` as it is, and the ``gram`` a homology's
 sublattice keeps, the checked int64 Gram, which only ``lattice`` reads:
 the restricted Gram it hands out is Python ints.
+
+A fourth guard keeps out code nothing calls: every underscore-prefixed
+module-level function of the package is read somewhere in it, by name, as
+an attribute or by an import.
 """
 
 import ast
@@ -183,6 +187,45 @@ def test_fixed_width_guard_catches_every_width(width):
         assert int64_names(source), source
     for source in ("x = int(3)", "print(intmat(a))", "np.zeros(3, dtype=object)"):
         assert int64_names(source) == [], source
+
+
+def unreferenced_private(sources: dict) -> list:
+    """The underscore-prefixed module-level functions of ``sources`` (file
+    name to source text) that no name, attribute or import in any of them
+    reads, as ``file:name``."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    return [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+def test_package_defines_no_private_function_it_never_calls():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
+
+
+def test_dead_code_guard_catches_an_unread_private_function():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): pass\ndef public(): return _used()\n",
+        "b.py": "from .a import _imported\nx = mod._read_as_attribute\n"
+                "def _imported(): pass\ndef _read_as_attribute(): pass\n",
+    }
+    assert unreferenced_private(sources) == ["a.py:_dead"]
 
 
 def _python_ints(m) -> bool:

@@ -309,7 +309,7 @@ def test_alternating_divisors_pair_up():
         assert all(chain[i] == chain[i + 1] for i in range(0, 2 * k, 2))
 
 
-# -- determinant-first divisor chains ------------------------------------------
+# -- Pfaffian-first divisor chains ---------------------------------------------
 
 
 def _snf_chain(M):
@@ -389,13 +389,17 @@ def _chain_inputs(draw):
 @example((intmat([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), False))
 def test_modular_chain_matches_the_list_reference(case):
     M, alternating = case
-    D = abs(det(M))
+    D = abs(det_fraction_free(to_lists(M)))
     want = chain_mod_lists(to_lists(M), D)
     assert lattice._chain_mod(M, D) == want
-    assert lattice._nonsingular_chain(M, alternating) == want
     if alternating:
+        assert lattice._nonsingular_chain(M) == want
         # modulo the Pfaffian alone, the same chain
         assert lattice._chain_mod(M, isqrt(D)) == want
+    else:
+        # the skew block's chain is M's with each entry twice
+        doubled = tuple(d for d in want for _ in range(2))
+        assert lattice._nonsingular_chain(lattice._skew_block(M)) == doubled
 
 
 def test_modular_chain_runs_in_int64_below_the_square_bound():
@@ -909,94 +913,16 @@ def test_ambient_rank_mismatch_raises_before_any_elimination(call, monkeypatch):
         call(intmat([[1, 0], [0, 1], [0, 0]]), intmat([[1], [0]]))
 
 
-# -- det's carried Bareiss bound -----------------------------------------------
-
-_DET_RESCAN = "bound = _maxabs(rest)"
-_DET_SWITCH = "a = a.astype(object)"
-
-
-def _det_run(rows):
-    """``det`` of the rows with the lines it ran, checked against the
-    fraction-free oracle."""
-    n = len(rows)
-    got, run = _traced(det, _object_matrix(rows, n, n))
-    assert got == det_fraction_free(rows)
-    if n <= 4:
-        assert got == det_cofactor(rows)
-    return run
-
-
-@pytest.mark.parametrize("d", [0, 1])
-def test_det_at_the_carried_bound_after_a_unit_pivot(d):
-    # step 0 (pivot 1) carries b = W + 2^40, the outer term c * r included;
-    # step 1 (pivot 3, column and row 1 and 1) forms up to 3b + 1, which is
-    # 2^63 - 1 for d = 0 and 2^63 + 2 for d = 1. Past the bound the block
-    # is scanned: its true maximum W - 2^40 keeps int64.
-    c = r = 2**20
-    W = (2**63 - 1) // 3 - c * r + d
-    rows = [[1, 0, r], [0, 3, 1], [c, 1, W]]
-    run = _det_run(rows)
-    assert (_DET_RESCAN in run) == (d == 1)
-    assert _DET_SWITCH not in run
-
-
-@pytest.mark.parametrize("d", [0, 1])
-def test_det_at_the_carried_bound_after_a_larger_pivot(d):
-    # pivots 16, 16, 16 (as Bareiss forms them) on a block-diagonal matrix:
-    # after step 1 the block is 16 W, and the carried bound is
-    # (16 W * 16) // 16, exact only with the division by the previous
-    # pivot 16. Step 1 and step 2 form up to 256 W = 2^63 - 256 for d = 0;
-    # for d = 1, 256 W = 2^63 and the scan confirms it, so det goes over to
-    # Python ints.
-    W = 2**55 - 1 + d
-    rows = [[16, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, W]]
-    run = _det_run(rows)
-    assert (_DET_RESCAN in run) == (d == 1)
-    assert (_DET_SWITCH in run) == (d == 1)
-
-
-def test_det_rescans_a_block_that_cancelled_and_stays_in_int64():
-    # step 0 carries b = (2^60 + 1) + 2^60, but the block it leaves is
-    # [[4, 1], [1, 1]]: step 1's carried test 4b + 1 >= 2^63 fails, the
-    # scan passes
-    c = r = 2**30
-    rows = [[1, 0, r], [0, 4, 1], [c, 1, 2**60 + 1]]
-    run = _det_run(rows)
-    assert _DET_RESCAN in run
-    assert _DET_SWITCH not in run
-
-
-def test_det_carried_bound_counts_the_outer_term_of_a_step():
-    # step 0 stays in int64 (2^30 + c * r = 2^30 + 2^40) and leaves the
-    # entry -2^40 for step 1 (pivot 2^30) to multiply to -2^70: only a
-    # carried bound that counts step 0's c * r sees that before it wraps
-    c = r = 2**20
-    rows = [[1, 0, r], [0, 2**30, 1], [c, 1, 0]]
-    run = _det_run(rows)
-    assert _DET_SWITCH in run
-    assert run.index(_DET_SWITCH) > run.index("prev = scale * p")
-    # and step 0's own column times row, 2^64, is past int64 at once
-    run = _det_run([[1, 2**32], [2**32, 0]])
-    assert _DET_SWITCH in run
-
-
-def test_det_of_a_rank_258_gram_scans_only_pivot_columns_and_rows():
-    H = surface.build_all(induce(random_simple(5, 12, 16, 11), OrbitKind.SPINOR))
-    assert H.rank == 258
-    got, run = _traced(det, H.gram)
-    assert abs(got) == 1
-    assert _DET_RESCAN not in run and _DET_SWITCH not in run
-
-
-# -- det's sign folding over unit pivots ---------------------------------------
+# -- det as the Pfaffian of its skew block -------------------------------------
 
 
 def _lu_rows(diag, lower, upper):
     """Rows of L U for L unit lower triangular with ``lower[i][j]`` below the
     diagonal and U upper triangular with ``diag`` on the diagonal and
-    ``upper[i][j]`` above it. Bareiss step k pivots on the leading minor of
-    order k + 1, which is diag[0] * ... * diag[k]: a run of unit entries in
-    ``diag`` is a run of unit pivots, and each -1 a change of sign."""
+    ``upper[i][j]`` above it. Its leading minor of order k + 1 is
+    diag[0] * ... * diag[k], the pivot of step k of a fraction-free
+    elimination: a run of unit entries in ``diag`` is a run of unit pivots,
+    and each -1 a change of sign."""
     n = len(diag)
     L = [[1 if i == j else lower[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
     U = [[diag[i] if i == j else upper[i][j] if j > i else 0 for j in range(n)]
@@ -1026,49 +952,6 @@ def test_det_over_unit_pivots_matches_fraction_free(case):
     assert det(_object_matrix(rows, n, n)) == det_fraction_free(rows) == prod(diag)
 
 
-@pytest.mark.parametrize(
-    "diag",
-    [
-        [1, -1, 1, 1],    # pivots 1, -1, -1: an odd number of -1 steps
-        [-1, 1, 1, 1],    # pivots -1, -1, -1
-        [-1, -1, 1, -1],  # pivots -1, 1, 1 and a final -1
-        [1, -1, 2, 1],    # a unit run, then the non-unit pivot -2, then -2
-        [-1, 3, -1, 1],   # -1, then the non-unit pivots -3, 3
-    ],
-)
-def test_det_sign_of_unit_runs(diag):
-    lower = [[(i * 7 + j * 3) % 5 - 2 for j in range(4)] for i in range(4)]
-    upper = [[(i * 5 + j * 2) % 7 - 3 for j in range(4)] for i in range(4)]
-    rows = _lu_rows(diag, lower, upper)
-    assert det_fraction_free(rows) == prod(diag)
-    assert _DET_SWITCH not in _det_run(rows)
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_det_switches_to_python_ints_inside_a_unit_run(sign):
-    # every pivot is a unit. Steps 0 and 1 form small values; the column and
-    # row of step 2 are 3 * 10^9 each (L[3:, 2] and U[2, 3:]), so their outer
-    # product, 9 * 10^18, with the block's own maximum passes 2^63 and det
-    # goes over to Python ints there, in the middle of the run. Every input
-    # entry is still below 2^63, so the run starts in int64.
-    n = 6
-    big = 3 * 10**9
-    diag = [1, -1, sign, -1, 1, -1]
-    lower = [[big if j == 2 and i > 2 else (i + j) % 3 - 1 for j in range(n)]
-             for i in range(n)]
-    upper = [[big if i == 2 and j > 2 else (i * j) % 3 - 1 for j in range(n)]
-             for i in range(n)]
-    rows = _lu_rows(diag, lower, upper)
-    assert max(abs(x) for row in rows for x in row) < 2**63
-    assert det_fraction_free(rows) == prod(diag)
-    run = _det_run(rows)
-    assert _DET_SWITCH in run
-    assert run[: run.index(_DET_SWITCH)].count("prev = scale * p") == 2  # at step 2
-
-
-# -- det's width ladder: int16, int32, int64, then Python ints -----------------
-
-_DET_WIDEN = "a = a.astype(_narrowest(need))"
 _EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**63 - 1]
 
 
@@ -1105,32 +988,70 @@ def test_narrowest_width_holds_its_bound():
     assert lattice._narrowest(2**63 - 1) == np.int64
 
 
-def test_det_widens_where_the_scanned_bound_fails_and_only_there():
-    # entries 2^14 start in int16; step 0 (pivot 1) forms up to
-    # 2^14 + 2^14 * 2^14 = 2^28 + 2^14, past int16 even after the scan, so
-    # the array goes to int32, not int64; the result is exact
-    x = 2**14
-    rows = [[1, x, 0], [x, 1, 1], [0, 1, 1]]
-    got, run = _traced(det, _object_matrix(rows, 3, 3))
-    assert got == det_fraction_free(rows)
-    assert run.count(_DET_WIDEN) == 1 and _DET_SWITCH not in run
-    # small entries stay in int16 throughout: no scan, no widening
-    got, run = _traced(det, _object_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 3, 3))
-    assert got == 4
-    assert _DET_WIDEN not in run and _DET_RESCAN not in run
+def _permutation_sign(perm):
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    return (-1) ** inversions
 
 
-def test_det_of_a_rank_258_gram_stays_in_int16():
-    # spinor Gram entries are -1, 0 and 1 and stay within 3 through the
-    # unit steps, so the carried bound never leaves int16
-    H = surface.build_all(induce(random_simple(5, 12, 16, 11), OrbitKind.SPINOR))
-    assert lattice._narrowest(lattice._maxabs(H._gram64)) == np.int16
-    got, run = _traced(det, H._gram64)
-    assert abs(got) == 1
-    assert _DET_WIDEN not in run and _DET_RESCAN not in run and _DET_SWITCH not in run
+@pytest.mark.parametrize("n", range(8))
+def test_det_restores_the_sign_of_the_skew_block_at_every_order(n):
+    # Pf [[0, M], [-M^T, 0]] = (-1)^(n(n-1)/2) det M: the block of the
+    # identity has Pfaffian +1 at n = 0, 1, 4, 5 and -1 at n = 2, 3, 6, 7
+    assert lattice.pfaffian(lattice._skew_block(eye(n))) == (-1) ** (n * (n - 1) // 2)
+    assert det(eye(n)) == 1
+    assert det(-eye(n)) == (-1) ** n
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    assert det(_object_matrix(rows, n, n)) == _permutation_sign(perm)
+    for _ in range(10):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert det(_object_matrix(rows, n, n)) == det_fraction_free(rows)
 
 
-# -- the Pfaffian: skew elimination with 2 x 2 pivots on det's width ladder ----
+def test_det_runs_one_pfaffian_of_twice_its_order(monkeypatch):
+    orders = []
+    real = lattice.pfaffian
+    monkeypatch.setattr(lattice, "pfaffian", lambda g: orders.append(g.shape) or real(g))
+    for n in range(5):
+        orders.clear()
+        rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(n)] for i in range(n)]
+        assert det(_object_matrix(rows, n, n)) == det_fraction_free(rows)
+        assert orders == [(2 * n, 2 * n)]
+
+
+def test_divisors_of_a_nonsingular_square_runs_one_pfaffian_and_no_elimination(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("Smith elimination ran on a nonsingular square")
+
+    orders = []
+    real = lattice.pfaffian
+    monkeypatch.setattr(lattice, "_eliminate", no_elimination)
+    monkeypatch.setattr(lattice, "pfaffian", lambda g: orders.append(len(g)) or real(g))
+    for M, chain in [
+        (intmat([[2, 4, 6], [4, 2, 8], [6, 8, 2]]), (2, 2, 40)),
+        (intmat([[0, 4], [-4, 0]]), (4, 4)),
+        (intmat([[-5]]), (5,)),
+    ]:
+        orders.clear()
+        assert divisors(M) == chain
+        assert orders == [2 * len(M)]
+
+
+@pytest.mark.parametrize("fn", [det, lattice.pfaffian], ids=["det", "pfaffian"])
+@pytest.mark.parametrize(
+    "bad",
+    [zeros(0, 3), zeros(3, 0), zeros(2, 3), np.array([]), np.array([1, 2]), np.array(5),
+     np.zeros((2, 2, 2), dtype=np.int64)],
+    ids=["0x3", "3x0", "2x3", "empty 1-d", "1-d", "0-d", "3-d"],
+)
+def test_det_and_pfaffian_take_only_a_square_matrix(fn, bad):
+    with pytest.raises(ValueError):
+        fn(bad)
+
+
+# -- the Pfaffian: skew elimination with 2 x 2 pivots on the width ladder ------
 
 _PF_WIDEN = "a = a.astype(_narrowest(need))"
 _PF_RESCAN = "bound = _maxabs(a[t + 2:, t + 2:])"
@@ -1172,7 +1093,7 @@ def test_pfaffian_matches_the_expansion_and_squares_to_det(rows):
     want = _oracles.pfaffian_expansion(rows)
     mat = _object_matrix(rows, n, n)
     assert lattice.pfaffian(mat) == want
-    assert want * want == det(mat)
+    assert want * want == det_fraction_free(rows)
     assert to_lists(mat) == rows  # the input is left as it was
     if all(abs(x) < 2**63 for row in rows for x in row):
         for width in (np.int16, np.int32, np.int64):
@@ -1184,7 +1105,7 @@ def test_pfaffian_matches_the_expansion_and_squares_to_det(rows):
 def test_pfaffian_of_odd_order_or_a_zero_row_is_zero():
     assert lattice.pfaffian(intmat([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])) == 0
     g = intmat([[0, 1, 0, 2], [-1, 0, 0, 3], [0, 0, 0, 0], [-2, -3, 0, 0]])
-    assert lattice.pfaffian(g) == 0 == det(g)
+    assert lattice.pfaffian(g) == 0 == det_fraction_free(to_lists(g))
     assert lattice.pfaffian(zeros(0, 0)) == 1
     with pytest.raises(ValueError, match="non-square"):
         lattice.pfaffian(zeros(2, 3))
@@ -1248,7 +1169,7 @@ def test_unimodularity_and_types_take_the_pfaffian_not_det(monkeypatch):
     assert calls == [H.rank, H.rank]
 
 
-# -- the elimination and the sparse product on det's width ladder --------------
+# -- the elimination and the sparse product on the width ladder ----------------
 
 _LADDER_EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1]
 _ELIM_WIDEN = "wider = _narrowest(need)"
@@ -1415,9 +1336,12 @@ def test_chain_modulo_any_modulus_is_exact(case, modulus):
     # a modulus that the last divisor does not divide misses the product
     # check against |det| and falls back; one that it divides is kept
     M, alternating = case
-    D = abs(det(M))
+    D = abs(det_fraction_free(to_lists(M)))
     want = chain_mod_lists(to_lists(M), D)
-    assert lattice._nonsingular_chain(M, alternating, modulus) == want
+    if alternating:
+        assert lattice._nonsingular_chain(M, modulus) == want
+    else:
+        assert lattice._nonsingular_chain(lattice._skew_block(M), modulus)[::2] == want
 
 
 @pytest.mark.parametrize("modulus,tries", [(None, 1), (4, 1), (8, 1), (2, 2), (3, 2)])
@@ -1429,7 +1353,7 @@ def test_chain_modulo_the_exponent_falls_back_to_the_pfaffian(monkeypatch, modul
     moduli = []
     real = lattice._chain_mod
     monkeypatch.setattr(lattice, "_chain_mod", lambda m, D: moduli.append(D) or real(m, D))
-    assert lattice._nonsingular_chain(g, True, modulus) == (1, 1, 4, 4)
+    assert lattice._nonsingular_chain(g, modulus) == (1, 1, 4, 4)
     assert len(moduli) == tries
     if tries == 2:
         assert moduli == [modulus, 4]

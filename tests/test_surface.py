@@ -593,7 +593,7 @@ def test_induced_map_catches_a_chain_that_does_not_close():
         surface.induced_map_all(H, H, eye(p.degree))
 
 
-# -- the boundary and the build on det's width ladder ----------------------------
+# -- the boundary and the build on the width ladder ------------------------------
 
 _LADDER_EDGES = [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1]
 _LADDER_MODEL = surface.build_all(

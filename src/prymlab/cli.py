@@ -216,7 +216,7 @@ def cmd_ptype(args) -> int:
     cover.require_valid(datum)
     kind = OrbitKind(args.orbit)
     if kind is OrbitKind.SPINOR:
-        corr._require_rank(datum.n)  # make_D's cap, before the build
+        corr.require_fiber_rank(datum.n)  # make_D's cap, before the build
     H = surface.build_all(cover.induce(datum, kind))
     if kind is OrbitKind.SPINOR:
         lat, cert = prym.prym_tyurin_lattice(H)
@@ -405,10 +405,7 @@ def main(argv=None) -> int:
         args.format = "text"
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PrymlabError as exc:
+    except (UsageError, PrymlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,12 +17,19 @@ evaluator runs it at either level: on the fiber matrices at any supported
 rank, or on the maps they induce on the homology of a datum's covers over
 the rational base. J stays in every statement; on homology it induces zero,
 which identity ``a`` checks.
+
+Identity ``x`` also reads the Grams of the two extended weight orbits, and
+states them over the named correspondences too. For the form -2 times the
+standard one, shifted to -1 on the diagonal, the subset pair (a, b) has
+entry ``-2<v_a, v_b> + n/2 - 1 = |a ^ b| - 1``: the spinor Gram is D - 1,
+with exponent 2^(n-1), that of P(X,delta). On signed indices the entry is
+``1 - 2<u, v>``: the vector Gram is 2(iota - 1) + J, with exponent 4.
+Everything here is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import comb
 
@@ -30,8 +37,8 @@ import numpy as np
 
 from . import cover as _cover
 from . import surface, weyl
-from .errors import RankError, ScaleError, UnknownIdentityError, UnsupportedError
-from .lattice import eye, intmat, mat_equal, matmul, to_lists, zeros
+from .errors import RankError, UnknownIdentityError, UnsupportedError
+from .lattice import eye, intmat, mat_equal, matmul, to_lists
 from .weyl import OrbitKind
 
 FIBER_RANK_MAX = 6
@@ -69,9 +76,10 @@ def _degree(matrix) -> int:
     return rows[0]
 
 
-def _require_rank(n: int, low: int = 2):
-    if not low <= n <= FIBER_RANK_MAX:
-        raise RankError(f"fiber matrices supported for rank {low}..{FIBER_RANK_MAX}")
+def require_fiber_rank(n: int) -> None:
+    """Raise ``RankError`` unless the fiber matrices exist at rank ``n``."""
+    if not 2 <= n <= FIBER_RANK_MAX:
+        raise RankError(f"fiber matrices supported for rank 2..{FIBER_RANK_MAX}")
 
 
 def _spinor_matrix(n: int, entry) -> np.ndarray:
@@ -89,7 +97,7 @@ def make_D(n: int) -> FiberMatrix:
     """The subset-orbit correspondence weighting each pair by the size of the
     symmetric difference minus one; its induced endomorphism has exponent
     ``2**(n-1)``."""
-    _require_rank(n)
+    require_fiber_rank(n)
     m = _spinor_matrix(n, lambda xor, size: np.maximum(size - 1, 0))
     fm = FiberMatrix(n, OrbitKind.SPINOR, OrbitKind.SPINOR, m)
     if fm.degree != 2 ** (n - 1) * (n - 2) + 1:
@@ -103,7 +111,7 @@ def make_S0(n: int) -> FiberMatrix:
     non-members negated). The scaled incidence S = 2*S0 + n*J and the trace
     correspondences are built from it and the all-ones matrix J, which every
     group element fixes."""
-    _require_rank(n)
+    require_fiber_rank(n)
     # position p holds index p // 2 + 1, negated iff p is odd; mask a selects
     # it iff that index is a member exactly when p is even
     s0 = intmat([[(a >> (p >> 1) & 1) ^ (p & 1) for p in range(2 * n)] for a in range(1 << n)])
@@ -144,75 +152,6 @@ def parity_indicator(n: int, parity: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# orbit Gram matrices
-
-
-@dataclass(frozen=True)
-class OrbitGram:
-    n: int
-    weight: str
-    gram: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gram, dtype=object)
-        for i in range(g.shape[0]):
-            if g[i, i] != -1:
-                raise AssertionError("orbit gram diagonal must be -1")
-            for j in range(g.shape[1]):
-                if i != j and g[i, j] < 0:
-                    raise AssertionError("orbit gram off-diagonal must be >= 0")
-
-
-def _weight_vectors(n: int, weight: str):
-    if weight == "vector":
-        # position p is the unit vector of index p // 2 + 1, negated iff p is odd
-        return [
-            tuple(Fraction(1 - 2 * (p & 1)) if j == p >> 1 else Fraction(0) for j in range(n))
-            for p in range(2 * n)
-        ]
-    if weight == "spinor":
-        # mask a has coordinate -1/2 on its members and 1/2 elsewhere
-        return [
-            tuple(Fraction(-1, 2) if a >> j & 1 else Fraction(1, 2) for j in range(n))
-            for a in range(1 << n)
-        ]
-    raise ValueError("weight must be 'vector' or 'spinor'")
-
-
-# the scale of the form on the weight orbits: minus twice the standard one
-ORBIT_SCALE = -2
-
-
-def orbit_gram(n: int, weight: str):
-    """Gram matrix of the extended weight orbit and the exponent of its
-    correspondence.
-
-    The form is ``ORBIT_SCALE * sum(x_i y_i)``; the entries ``(pairing of
-    orbit vectors) - (self pairing) - 1`` must come out integral.
-    """
-    vecs = _weight_vectors(n, weight)
-    d = len(vecs)
-
-    def form(x, y):
-        return ORBIT_SCALE * sum(a * b for a, b in zip(x, y))
-
-    self_pair = form(vecs[0], vecs[0])
-    g = zeros(d, d)
-    for i in range(d):
-        for j in range(d):
-            val = form(vecs[i], vecs[j]) - self_pair - 1
-            if val.denominator != 1:
-                raise ScaleError(
-                    f"scale {ORBIT_SCALE} gives non-integral pairing {val} on the {weight} orbit"
-                )
-            g[i, j] = int(val)
-    q = Fraction(-d) * self_pair / n
-    if q.denominator != 1 or q <= 0:
-        raise ScaleError(f"exponent {q} is not a positive integer")
-    return OrbitGram(n=n, weight=weight, gram=g), int(q)
-
-
-# ---------------------------------------------------------------------------
 # identity catalog
 
 
@@ -232,19 +171,13 @@ def _ones(r, c):
 
 
 def _match_scalar(lhs, pattern):
-    """Solve lhs == scalar * pattern; returns (scalar, ok)."""
+    """Solve lhs == scalar * pattern; returns (scalar, ok). The scalar is
+    read off the first nonzero entry of the pattern in row-major order, by
+    floor division, and is 0 for an all-zero pattern."""
     lhs = np.asarray(lhs, dtype=object)
     pattern = np.asarray(pattern, dtype=object)
-    scalar = None
-    for i in range(lhs.shape[0]):
-        for j in range(lhs.shape[1]):
-            if pattern[i, j]:
-                scalar = int(lhs[i, j]) // int(pattern[i, j])
-                break
-        if scalar is not None:
-            break
-    if scalar is None:
-        scalar = 0
+    nonzero = np.flatnonzero(pattern)
+    scalar = int(lhs.flat[nonzero[0]]) // int(pattern.flat[nonzero[0]]) if nonzero.size else 0
     return scalar, mat_equal(lhs, scalar * pattern)
 
 
@@ -322,8 +255,7 @@ def _a(ev):
     if not ev.fiber:
         ok = not any(ev.trace(s, t).any() for s, t in ((_X, _C), (_X, _X), (_C, _C)))
         return ok, {"trace maps vanish": ok}, {}
-    d, e = 1 << n, 2 * n
-    T, T1, T2 = _ones(d, e), _ones(d, d), _ones(e, e)
+    T, T1, T2 = ev.trace(_X, _C), ev.trace(_X, _X), ev.trace(_C, _C)
     S = 2 * ev("S0") + n * T
     a1, ok1 = _match_scalar(matmul(S, T.T), T1)
     a2, ok2 = _match_scalar(matmul(T, S.T), T1)
@@ -416,24 +348,30 @@ def _k(ev):
 
 
 def _x(ev):
-    """Cross compositions of the scaled incidence with itself: both
-    roundtrips equal minus-the-exponent times the other side's orbit gram
-    plus a solved multiple of the trace, and the gram-shifted compositions
-    collapse onto the trace."""
-    n = ev.n
-    d, e = 1 << n, 2 * n
-    T = _ones(d, e)
-    S = 2 * ev("S0") + n * T
-    g_spin, q = orbit_gram(n, "spinor")
-    g_vec, qprime = orbit_gram(n, "vector")
-    lhs1 = matmul(S, S.T) + qprime * g_spin.gram
-    d1, ok1 = _match_scalar(lhs1, _ones(d, d))
-    lhs2 = matmul(S.T, S) + q * g_vec.gram
-    d2, ok2 = _match_scalar(lhs2, _ones(e, e))
-    lhs3 = matmul(S, g_vec.gram + qprime * eye(e))
-    c1, ok3 = _match_scalar(lhs3, T)
-    lhs4 = matmul(g_spin.gram + q * eye(d), S)
-    c2, ok4 = _match_scalar(lhs4, T)
+    """Cross compositions of the scaled incidence S = 2 S0 + n T with
+    itself: both roundtrips equal minus the exponent of one orbit times the
+    other orbit's Gram plus a solved multiple of the trace, and the
+    Gram-shifted compositions collapse onto the trace T.
+
+    The Gram of an extended weight orbit pairs its weights by -2 times the
+    standard product <,>, shifted to -1 on the diagonal: entry ``-2<v_a,
+    v_b> + 2<v_a, v_a> - 1``, and its exponent is ``2 (orbit size) <v_a,
+    v_a> / n``. A subset a is the spinor weight with coordinate -1/2 on its
+    members and 1/2 elsewhere, so <v_a, v_b> = n/4 - |a ^ b|/2 and the
+    entry is ``-2<v_a, v_b> + n/2 - 1 = |a ^ b| - 1``: the Gram is D - 1,
+    with exponent ``2 * 2^n (n/4) / n = 2^(n-1)``. A signed index +-j is
+    the vector weight +-e_j, so the entry is ``1 - 2<u, v>``: -1 on the
+    diagonal, 3 at the negation and 1 elsewhere, that is 2(iota - 1) + J,
+    with exponent ``2 * 2n / n = 4``."""
+    T = ev.trace(_X, _C)
+    S = 2 * ev("S0") + ev.n * T
+    g_spin, q = ev("D") - ev.one(_X), 2 ** (ev.n - 1)
+    g_vec, qprime = 2 * (ev("iota") - ev.one(_C)) + ev.trace(_C, _C), 4
+    lhs1 = matmul(S, S.T) + qprime * g_spin
+    d1, ok1 = _match_scalar(lhs1, ev.trace(_X, _X))
+    d2, ok2 = _match_scalar(matmul(S.T, S) + q * g_vec, ev.trace(_C, _C))
+    c1, ok3 = _match_scalar(matmul(S, g_vec + qprime * ev.one(_C)), T)
+    c2, ok4 = _match_scalar(matmul(g_spin + q * ev.one(_X), S), T)
     ok = ok1 and ok2 and ok3 and ok4
     details = {"d1": d1, "d2": d2, "c1": c1, "c2": c2, "q": q, "q'": qprime}
     return ev.verdict(ok, details, lhs1)

@@ -9,10 +9,6 @@ class RankError(PrymlabError):
     """Rank outside the supported range for the requested operation."""
 
 
-class ScaleError(PrymlabError):
-    """Bilinear form scale produces non-integral pairings."""
-
-
 class MonodromyError(PrymlabError):
     """Invalid monodromy datum (rank mismatch, broken product relation)."""
 

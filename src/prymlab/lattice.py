@@ -313,7 +313,7 @@ def pfaffian(g) -> int:
     that ``det(g) == pfaffian(g) ** 2``; 0 at odd order, 1 at order 0,
     ``ValueError`` unless ``g`` is a square 2-D matrix.
 
-    Fraction-free skew elimination with 2 x 2 pivots: each step takes the
+    A fraction-free skew elimination with 2 x 2 pivots: each step takes the
     pivot p at (t, t + 1), the rows r0 and r1 of t and t + 1 past t + 1,
     and updates the trailing block S to ``(p S + r1 (x) r0 - r0 (x) r1) /
     prev`` for the previous pivot prev, which is the Schur complement of
@@ -864,9 +864,10 @@ class PolarizedLattice:
     divisor chain modulo it first. It does not enter equality. The Gram
     is read once, when the lattice is made: converted to int64 where its
     entries fit, checked to be alternating on that array, and kept so for
-    every ``restricted_gram``. A Gram given in int64 (``surface``'s
-    homologies hand theirs so) is kept without a copy. The basis is
-    converted once too, to int64 where its entries fit
+    every ``restricted_gram``. A Gram given in int64 is kept without a
+    copy; ``over_checked_gram`` takes one whose maker has already checked
+    it, as ``surface``'s homologies do, and does not read it again. The
+    basis is converted once too, to int64 where its entries fit
     (``_fixed_width``), for the products of ``restricted_gram`` and of
     callers that hand it back to this module.
     """
@@ -878,13 +879,29 @@ class PolarizedLattice:
     _basis_fixed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gram)
-        b = np.asarray(self.basis)
+        g64, _ = _int64(np.asarray(self.gram))
+        self._keep(g64)
+        if not (is_alternating(self.gram) if g64 is None else (g64.T == -g64).all()):
+            raise ValueError("gram matrix must be alternating")
+
+    @classmethod
+    def over_checked_gram(cls, gram64, basis, exponent=None) -> PolarizedLattice:
+        """The lattice ``PolarizedLattice(gram64, basis, exponent)`` for an
+        int64 Gram already checked to be alternating, such as a homology's,
+        checked when it was built: the shapes are checked, the Gram is not
+        scanned again."""
+        lat = object.__new__(cls)
+        for name, value in (("gram", gram64), ("basis", basis), ("exponent", exponent)):
+            object.__setattr__(lat, name, value)
+        lat._keep(gram64)
+        return lat
+
+    def _keep(self, g64):
+        """Check the shapes, and keep the int64 Gram (None past int64) and
+        the fixed-width basis."""
+        g, b = np.asarray(self.gram), np.asarray(self.basis)
         if g.shape[0] != g.shape[1] or g.shape[0] != b.shape[0]:
             raise ValueError("gram/basis shape mismatch")
-        g64, _ = _int64(g)
-        if not (is_alternating(g) if g64 is None else (g64.T == -g64).all()):
-            raise ValueError("gram matrix must be alternating")
         object.__setattr__(self, "_gram64", g64)
         object.__setattr__(self, "_basis_fixed", _fixed_width(b))
 
@@ -924,8 +941,6 @@ def gram_type(g, basis, exponent=None) -> tuple:
             f"restricted form is degenerate with radical of rank {ker.shape[1]}",
             radical=matmul(basis, ker),
         )
-    if r % 2 != 0:
-        raise DegenerateFormError("nondegenerate alternating form needs even rank")
     for i in range(0, r, 2):
         if chain[i] != chain[i + 1]:
             raise AssertionError(f"elementary divisors not paired: {chain}")

@@ -37,7 +37,6 @@ it has that rank and its Smith divisors are 1. A caller with no H(C), as
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -233,15 +232,14 @@ def conjectured_type(n: int, ds: int, dl: int):
 
 
 def duality_scaling_consistent(type_p, type_pprime, n: int) -> bool:
-    """Entrywise match of the computed type with the scaled dual chain."""
+    """Entrywise match of the computed type with the dual chain of
+    ``type_pprime`` scaled by q / (d1 dp), for the exponent q at rank ``n``:
+    each q x must be a multiple of d1 dp, and q x // (d1 dp) the entry."""
     if not type_pprime:
         return not type_p
-    d1, dp = type_pprime[0], type_pprime[-1]
-    factor = Fraction(exponent(n), d1 * dp)
-    scaled = [factor * x for x in dual_type(type_pprime)]
-    if any(x.denominator != 1 for x in scaled):
-        return False
-    return tuple(int(x) for x in scaled) == tuple(type_p)
+    base, q = type_pprime[0] * type_pprime[-1], exponent(n)
+    scaled = [q * x for x in dual_type(type_pprime)]
+    return not any(x % base for x in scaled) and tuple(x // base for x in scaled) == tuple(type_p)
 
 
 # ---------------------------------------------------------------------------

@@ -543,9 +543,10 @@ class CoverHomology:
     def sublattice(self, basis, exponent=None) -> lattice.PolarizedLattice:
         """The sublattice spanned by the columns of ``basis``, with the
         intersection form, tagged with its ``exponent`` when known. The
-        lattice keeps the int64 Gram as its ``gram``; only ``lattice``
-        computes with it."""
-        return lattice.PolarizedLattice(self._gram64, basis, exponent)
+        lattice keeps the int64 Gram as its ``gram``, which the build
+        checked to be alternating and no sublattice scans again; only
+        ``lattice`` computes with it."""
+        return lattice.PolarizedLattice.over_checked_gram(self._gram64, basis, exponent)
 
 
 def build_all(cover_model: CoverModel) -> CoverHomology:

@@ -149,19 +149,6 @@ def minors_gcd_chain(rows):
     return chain
 
 
-def spinor_weight_vectors(n):
-    """Half-sum sign vectors indexed by subsets in binary mask order."""
-    out = []
-    for mask in range(1 << n):
-        out.append(
-            tuple(
-                Fraction(-1, 2) if (mask >> (j - 1)) & 1 else Fraction(1, 2)
-                for j in range(1, n + 1)
-            )
-        )
-    return out
-
-
 def pairing(x, y, scale):
     return scale * sum(a * b for a, b in zip(x, y))
 

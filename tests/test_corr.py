@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import check_equivariance_all_roots, pairing, spinor_weight_vectors
+from _oracles import check_equivariance_all_roots, pairing
 from prymlab import corr, cover, surface, weyl
 from prymlab.corr import (
     FiberMatrix,
@@ -16,7 +16,6 @@ from prymlab.corr import (
     make_D,
     make_Di,
     make_S0,
-    orbit_gram,
 )
 from prymlab.errors import (
     EquivarianceError,
@@ -141,6 +140,16 @@ def _same_ints(ours, oracle):
     )
 
 
+def _orbit_gram_by_weights(n, weight):
+    """Gram and exponent of an extended weight orbit from its weight
+    vectors, in rationals: for the form -2 times the standard one, entry
+    (v_a, v_b) - (v_a, v_a) - 1 and exponent -(orbit size)(v_a, v_a) / n."""
+    vecs = _oracles.weight_vectors_by_values(n, weight)
+    self_pair = pairing(vecs[0], vecs[0], -2)
+    gram = [[pairing(x, y, -2) - self_pair - 1 for y in vecs] for x in vecs]
+    return gram, Fraction(-len(vecs)) * self_pair / n
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_fiber_matrices_match_the_set_oracles(n):
     assert _same_ints(make_D(n).matrix, _oracles.fiber_D(n))
@@ -151,8 +160,16 @@ def test_fiber_matrices_match_the_set_oracles(n):
     for parity in (0, 1, 2, -1):
         ours = corr.parity_indicator(n, parity)
         assert _same_ints(ours, _oracles.fiber_parity_indicator(n, parity))
-    for weight in ("vector", "spinor"):
-        assert corr._weight_vectors(n, weight) == _oracles.weight_vectors_by_values(n, weight)
+    # identity x's closed-form orbit Grams, D - 1 and 2(iota - 1) + J, with
+    # the exponents it reports
+    x = check_identity("cross_composition", n).details
+    e = 2 * n
+    closed = {
+        "spinor": (make_D(n).matrix - eye(1 << n), x["q"]),
+        "vector": (2 * (corr.negation_matrix(n) - eye(e)) + intmat([[1] * e] * e), x["q'"]),
+    }
+    for weight, (gram, q) in closed.items():
+        assert (to_lists(gram), q) == _orbit_gram_by_weights(n, weight), weight
 
 
 # the entries of make_D, make_Di and sigma_matrix as the matrices were built
@@ -221,31 +238,15 @@ def test_make_Di_requires_rank_four():
         make_Di(3, 0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_orbit_gram_spinor_exponent(n):
-    og, q = orbit_gram(n, "spinor")
-    assert q == 2 ** (n - 1)
-    assert mat_equal(og.gram, make_D(n).matrix - eye(1 << n))
-
-
-def test_orbit_gram_vector_structure():
-    og, q = orbit_gram(3, "vector")
-    assert q == 4
-    e = 6
-    expected = 2 * (corr.negation_matrix(3) - eye(e)) + intmat([[1] * e] * e)
-    assert mat_equal(og.gram, expected)
-
-
-def test_orbit_gram_rank2_brute_force():
-    # direct rational arithmetic on the half-sum vectors
-    og, q = orbit_gram(2, "spinor")
-    vecs = spinor_weight_vectors(2)
-    self_pair = pairing(vecs[0], vecs[0], -2)
-    for i in range(4):
-        for j in range(4):
-            expected = pairing(vecs[i], vecs[j], -2) - self_pair - 1
-            assert expected == Fraction(int(og.gram[i, j]))
-    assert q == 2
+def test_match_scalar_reads_the_first_nonzero_pattern_entry():
+    pattern = intmat([[0, 0, -3], [2, 0, 1]])
+    assert corr._match_scalar(-2 * pattern, pattern) == (-2, True)
+    # floor division: 7 // -3 == -3, and -3 * pattern is not the left side
+    assert corr._match_scalar(intmat([[0, 0, 7], [-4, 0, -2]]), pattern) == (-3, False)
+    # row-major: the entry at (0, 1) decides, not the one at (1, 0)
+    assert corr._match_scalar(intmat([[0, 10], [3, 0]]), intmat([[0, 5], [1, 0]])) == (2, False)
+    assert corr._match_scalar(zeros(2, 3), zeros(2, 3)) == (0, True)
+    assert corr._match_scalar(intmat([[0, -1]]), zeros(1, 2)) == (0, False)
 
 
 def test_identity_catalog_all_fiber_levels():

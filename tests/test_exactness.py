@@ -1,10 +1,11 @@
-"""Static guard for exact arithmetic: no floats anywhere in the package.
+"""Static guard for exact arithmetic: integers only, anywhere in the package.
 
-Every module of ``prymlab`` is parsed and searched for what would let a float
-in: the name ``float`` or any identifier containing it (``np.float64``,
-``float_power``), the numpy and math names ``linalg``, ``true_divide`` and
-``sqrt``, and true division ``/`` unless its left operand builds a
-``Fraction``. Floor division ``//`` stays integral and is allowed.
+Every module of ``prymlab`` is parsed and searched for what would let a
+float or a rational in: the name ``float`` or any identifier containing it
+(``np.float64``, ``float_power``), the numpy and math names ``linalg``,
+``true_divide`` and ``sqrt``, the names ``Fraction`` and ``fractions``, and
+every true division ``/``. Floor division ``//`` stays integral and is
+allowed.
 
 A second guard keeps one exact product routine: no module but ``lattice.py``
 uses the ``@`` operator, so every product goes through ``lattice.matmul``.
@@ -40,14 +41,7 @@ from prymlab.cover import induce, random_simple
 from prymlab.weyl import OrbitKind
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prymlab"
-BANNED = {"linalg", "true_divide", "sqrt"}
-
-
-def _makes_fraction(node) -> bool:
-    return any(
-        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Fraction"
-        for n in ast.walk(node)
-    )
+BANNED = {"linalg", "true_divide", "sqrt", "Fraction", "fractions"}
 
 
 def _inexact(node):
@@ -63,8 +57,7 @@ def _inexact(node):
         if "float" in name or name in BANNED:
             return f"name {name!r}"
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-        if not _makes_fraction(node.left):
-            return "true division without a Fraction on the left"
+        return "true division"
     if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
         return "in-place true division"
     return None
@@ -109,6 +102,8 @@ def test_module_admits_no_float(path):
         "z = np.true_divide(a, b)",
         "w = a / b",
         "w = c / Fraction(1, 2)",
+        "q = Fraction(-d) * p / n",
+        "from fractions import Fraction",
         "a /= 2",
     ],
 )
@@ -119,7 +114,6 @@ def test_guard_catches_each_kind(source):
 @pytest.mark.parametrize(
     "source",
     [
-        "q = Fraction(-d) * p / n",
         "q = a // b",
         "r = math.isqrt(n)",
         "x = np.int64(3)",

@@ -199,6 +199,40 @@ def test_ptype_odd_rank_rejected():
         ptype(PolarizedLattice(g, intmat([[1], [0], [0]])))
 
 
+def test_gram_type_of_an_odd_rank_form_reports_its_radical():
+    # a 3 x 3 alternating form of rank 2: its Pfaffian, of odd order, is 0,
+    # and its radical is the line through (3, -2, 1)
+    g = intmat([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
+    basis = intmat([[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    message = r"^restricted form is degenerate with radical of rank 1$"
+    with pytest.raises(DegenerateFormError, match=message) as err:
+        lattice.gram_type(g, basis)
+    assert to_lists(err.value.radical) in ([[3], [-2], [2]], [[-3], [2], [-2]])
+
+
+def test_homology_sublattices_do_not_scan_the_checked_gram(monkeypatch):
+    H = surface.build_all(induce(random_simple(4, 4, 8, 5), OrbitKind.SPINOR))
+    scans = []
+    post_init = PolarizedLattice.__post_init__
+
+    def spy(self):
+        scans.append(self.gram is H._gram64)
+        post_init(self)
+
+    monkeypatch.setattr(PolarizedLattice, "__post_init__", spy)
+    b = 2 * eye(H.rank)
+    sub = H.sublattice(b, 4)
+    assert scans == []
+    assert sub.gram is H._gram64 and sub.basis is b and sub.exponent == 4
+    with pytest.raises(ValueError, match="shape mismatch"):
+        H.sublattice(eye(H.rank - 1))
+    # the public constructor still checks the same Gram, and agrees
+    public = PolarizedLattice(H._gram64, b, 4)
+    assert scans == [True]
+    assert mat_equal(sub.restricted_gram(), public.restricted_gram())
+    assert ptype(sub) == ptype(public) == (4,) * (H.rank // 2)
+
+
 def test_polarized_lattice_requires_alternating():
     with pytest.raises(ValueError):
         PolarizedLattice(eye(2), eye(2))

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,6 +271,28 @@ def test_duality_scaling_consistency_whenever_mu_passes():
             continue
         L, _ = prym_tyurin_lattice(HX)
         assert duality_scaling_consistent(ptype(L), ptype(P), 3)
+
+
+def _scaled_dual_by_fractions(type_pprime, n):
+    """The dual chain scaled by q / (d1 dp) in rationals; None unless it is
+    integral."""
+    factor = Fraction(prym.exponent(n), type_pprime[0] * type_pprime[-1])
+    scaled = [factor * x for x in lattice.dual_type(type_pprime)]
+    return tuple(int(x) for x in scaled) if all(x.denominator == 1 for x in scaled) else None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_duality_scaling_matches_the_rational_scaling(n):
+    assert duality_scaling_consistent((), (), n)
+    assert not duality_scaling_consistent((1,), (), n)
+    for tp in [(1,), (2,), (1, 2), (1, 8), (2, 6), (1, 1, 4), (3, 6, 12), (1, 16)]:
+        want = _scaled_dual_by_fractions(tp, n)
+        # the floors are what an integer check without divisibility accepts
+        floors = tuple(prym.exponent(n) * x // (tp[0] * tp[-1]) for x in lattice.dual_type(tp))
+        assert duality_scaling_consistent(floors, tp, n) == (want == floors), tp
+        if want is not None:
+            assert not duality_scaling_consistent(want[:-1] + (want[-1] + 1,), tp, n)
+    assert _scaled_dual_by_fractions((1, 8), 2) is None
 
 
 def test_types_invariant_under_braid_moves():

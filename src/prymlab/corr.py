@@ -16,7 +16,9 @@ one table, the identity and the trace J (the all-ones matrix), and one
 evaluator runs it at either level: on the fiber matrices at any supported
 rank, or on the maps they induce on the homology of a datum's covers over
 the rational base. J stays in every statement; on homology it induces zero,
-which identity ``a`` checks.
+which identity ``a`` checks. ``prym`` states its scenarios, the duality
+path and the probe over the same table, through one ``Evaluator`` per datum:
+each cover is built and each named map induced at most once.
 
 Identity ``x`` also reads the Grams of the two extended weight orbits, and
 states them over the named correspondences too. For the form -2 times the
@@ -194,6 +196,7 @@ _CORRESPONDENCES = {
     "sigma": (_X, _X, sigma_matrix),
     "iota": (_C, _C, negation_matrix),
     "P": (_X, _Y, parity_incidence),
+    "tP": (_Y, _X, lambda n: parity_incidence(n).T),
     "tau": (_Y, _Y, lambda n: intmat([[0, 1], [1, 0]])),
     "D0": (_X, _X, lambda n: make_Di(n, 0).matrix),
     "D1": (_X, _X, lambda n: make_Di(n, 1).matrix),
@@ -201,13 +204,15 @@ _CORRESPONDENCES = {
 }
 
 
-class _Evaluator:
-    """Evaluates the catalog's statements at one level. Without a datum a
-    named correspondence is its fiber matrix, and composition in diagram
-    order is the matrix product. With a datum it is the map induced on the
-    homology of the datum's covers, each built on first use, and composition
-    runs right to left. The trace J from one orbit to another is the
-    all-ones matrix, evaluated the same way."""
+class Evaluator:
+    """Evaluates statements over the named correspondences at one level.
+    Without a datum a named correspondence is its fiber matrix, and
+    composition in diagram order is the matrix product. With a datum it is
+    the map induced on the homology of the datum's covers, each built on
+    first use, and composition runs right to left. Each named map is made
+    once and kept read-only, since every later statement reads the same
+    array. The trace J from one orbit to another is the all-ones matrix,
+    evaluated the same way."""
 
     def __init__(self, n: int, datum=None):
         self.n = n
@@ -230,6 +235,7 @@ class _Evaluator:
         if name not in self._named:
             src, dst, make = _CORRESPONDENCES[name]
             self._named[name] = self._evaluate(src, dst, make(self.n))
+            self._named[name].setflags(write=False)
         return self._named[name]
 
     def trace(self, src: OrbitKind, dst: OrbitKind):
@@ -451,5 +457,5 @@ def check_identity(name: str, n: int, level: str = "fiber", datum=None) -> Ident
             raise RankError(f"datum has rank {datum.n}, the identity was asked at rank {n}")
         if datum.base_genus != 0:
             raise UnsupportedError("homology checks run over the rational base only")
-    passed, details, witness = statement(_Evaluator(n, datum))
+    passed, details, witness = statement(Evaluator(n, datum))
     return IdentityResult(name, letter, n, level, passed, details, witness)

@@ -16,22 +16,25 @@ statements: computed polarization types against predicted ones, lattice
 equalities, and explicit correspondence-induced isometries. ``verify_scenario``
 checks the standing hypotheses (rational base, connected signed-index cover)
 and each scenario's own conditions in one place and reaches the verdict; a
-scenario body only computes. The conjecture probe gathers evidence for the
-open general-rank duality statement without asserting it, through the same
-routine (``_duality``) as the three duality theorems it extends.
+scenario body only computes. It reads its covers and maps by name
+(D, S0, tS0, sigma, iota, the parity incidence P and its transpose tP,
+...) from the one ``corr.Evaluator`` that ``verify_scenario`` makes for the
+datum, which builds each cover once and induces each named map once. The
+conjecture probe gathers evidence for the open general-rank duality
+statement without asserting it, through the same routine (``_duality``) as
+the three duality theorems it extends.
 
 ``_duality`` reaches P(X,delta) through the signed-index homology H(C), by
 identity b: over the rational base the trace J induces 0, so tS0 S0 = 1 -
-delta on homology. ``incidence_maps`` induces the incidence S0 once as
-B: H(X) -> H(C) and tS0 once as A back, and the routine takes x = A B as
-the two maps (A, B): delta is not induced, and the one elimination is
-B's (rank H(C) rows, not the square of rank H(X)). ``mu_check`` reads its
-flags off the same A and B, and on the duality path by two identities, so
-that it runs no elimination: P(C,C') = ker(x - 2) for x = 1 - iota, which
-makes membership in it a product, and ``image(B)`` is P(C,C') exactly when
-it has that rank and its Smith divisors are 1. A caller with no H(C), as
-``ptype``, or one that needs delta itself induces delta and passes
-1 - delta as a single map.
+delta on homology. With B = S0: H(X) -> H(C) and A = tS0 back, the routine
+takes x = A B as the two maps (A, B): delta is not induced, and the one
+elimination is B's (rank H(C) rows, not the square of rank H(X)).
+``mu_check`` reads its flags off the same A and B, and on the duality path
+by two identities, so that it runs no elimination: P(C,C') = ker(x - 2)
+for x = 1 - iota, which makes membership in it a product, and ``image(B)``
+is P(C,C') exactly when it has that rank and its Smith divisors are 1. A
+caller with no H(C), as ``ptype``, or one that needs delta itself induces
+delta and passes 1 - delta as a single map.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .errors import DisconnectedError, GenerationError, RankError, ScenarioError
 from .lattice import (
     PolarizedLattice,
     dual_type,
-    eye,
     image,
     intersect,
     lattices_equal,
@@ -58,13 +60,13 @@ from .lattice import (
 )
 from .weyl import OrbitKind
 
+# the orbits of the subset cover X, the signed-index cover C and the parity
+# double cover
+_X, _C, _Y = OrbitKind.SPINOR, OrbitKind.VECTOR, OrbitKind.PARITY
+
 
 def exponent(n: int) -> int:
     return 2 ** (n - 1)
-
-
-def _homology(datum: MonodromyDatum, orbit: OrbitKind) -> surface.CoverHomology:
-    return surface.build_all(induce(datum, orbit))
 
 
 def _acts_as_q(xY, Y, q: int):
@@ -77,10 +79,12 @@ def _acts_as_q(xY, Y, q: int):
 
 def _through(maps, v):
     """``maps[0] ... maps[-1] v``: the maps applied to ``v`` in turn, the
-    last one first."""
-    for m in reversed(maps):
-        v = matmul(m, v)
-    return v
+    last one first. Every product but the last is kept at a fixed width
+    where it fits (``lattice._product``), for the next map to take as it
+    is; the last is Python ints, for the caller to compute on."""
+    for m in reversed(maps[1:]):
+        v = lattice._product(m, v)
+    return matmul(maps[0], v) if maps else v
 
 
 def _prym_tyurin(H: surface.CoverHomology, maps, q: int, image_last=None) -> PolarizedLattice:
@@ -129,11 +133,12 @@ def prym_tyurin_lattice(H: surface.CoverHomology, incidence=None, image_b=None):
     Disconnected covers (index-2 monodromy) are handled per component, the
     correspondence acting across the two halves.
 
-    ``incidence``, the pair ``(A, B)`` that ``incidence_maps(H, HC)``
-    returns, takes x = 1 - delta as A B by identity b (the base is then
-    rational): delta is not induced, and the one elimination is B's. The
-    lattice is the same, in another basis. ``image_b``, ``image(B)`` when
-    the caller has formed it, saves that elimination too.
+    ``incidence``, the pair ``(A, B)`` of the maps tS0 and S0 that a
+    ``corr.Evaluator`` induces between ``H`` and the signed-index homology
+    of the same datum over the rational base, takes x = 1 - delta as A B
+    by identity b: delta is not induced, and the one elimination is B's.
+    The lattice is the same, in another basis. ``image_b``, ``image(B)``
+    when the caller has formed it, saves that elimination too.
     """
     n = H.cover.datum.n
     q = exponent(n)
@@ -156,31 +161,15 @@ class MuCheck(NamedTuple):
     scaling: bool
 
 
-def incidence_maps(HX: surface.CoverHomology, HC: surface.CoverHomology):
-    """``(A, B)``: the incidence S0 induced as B from the spinor homology
-    ``HX`` to the signed-index homology ``HC``, and its transpose tS0 as A
-    back, after the standing checks of the duality statement: one datum,
-    the rational base (where identity b, A B = 1 - delta, holds) and a
-    connected ``HC``."""
-    datum = HX.cover.datum
-    if HC.cover.datum != datum:
-        raise ValueError("covers come from different data")
-    if datum.base_genus != 0:
-        raise ValueError("checks run over the rational base only")
-    if len(HC.parts) != 1:
-        raise ValueError("signed-index cover must be connected")
-    s0 = corr.make_S0(datum.n).matrix
-    return surface.induced_map_all(HC, HX, s0.T), surface.induced_map_all(HX, HC, s0)
-
-
 def mu_check(HX: surface.CoverHomology, pprime: PolarizedLattice, incidence,
              image_b=None, x=None) -> MuCheck:
     """Whether the incidence correspondence from the spinor cover (homology
     ``HX``) to the signed-index cover realises the duality isogeny as an
-    isomorphism. ``incidence`` is the pair ``(A, B)`` that
-    ``incidence_maps(HX, HC)`` returns after the standing checks, and
-    ``pprime`` is P(C,C') as ``prym_lattice(HC, corr.negation_matrix(n))``
-    returns it, or any primitive sublattice of H(C).
+    isomorphism. ``incidence`` is the pair ``(A, B)`` of the maps tS0 and
+    S0 that a ``corr.Evaluator`` induces between ``HX`` and the
+    signed-index homology H(C) of the same datum, and ``pprime`` is P(C,C')
+    as ``prym_lattice(HC, corr.negation_matrix(n))`` returns it, or any
+    primitive sublattice of H(C).
 
     Surjective: the homology map B of the incidence maps onto P', image(B)
     = P'. Two lattices are equal when each contains the other, so that is
@@ -295,48 +284,48 @@ def _full_d(datum: MonodromyDatum) -> bool:
     return weyl.classify_subgroup(list(datum.gens)) is weyl.GroupClass.FULL_D
 
 
-def _duality(datum: MonodromyDatum):
-    """The duality statement on one datum, each cover built once: the spinor
-    homology HX, P(X,delta) in it, P(C,C') in the signed-index homology and
-    ``mu_check``'s flags for the incidence between the two.
+def _duality(ev: corr.Evaluator):
+    """The duality statement on the datum of ``ev``: P(X,delta) in the
+    spinor homology ``ev.cover(X)``, P(C,C') in the signed-index homology
+    and ``mu_check``'s flags for the incidence between the two, as
+    ``(pt, pprime, mu)``. The caller has checked the rational base and a
+    connected C: ``verify_scenario`` by its hypotheses, the probe by
+    ``random_simple``'s transitivity test.
 
     P(X,delta) comes through H(C), by identity b: over the rational base J
-    induces 0, so tS0 S0 = 1 - delta on homology. ``incidence_maps``
-    induces S0 once as B: H(X) -> H(C) and tS0 as A back, and
-    ``prym_tyurin_lattice`` runs the one Prym-Tyurin routine on the maps
-    (A, B), x = A B: delta is not induced, the relation x (x - q) = 0 is
-    checked on x 1 and on Y = A image(B), and the elimination is B's, rank
-    H(C) by rank H(X), not the square 1 - delta of rank H(X). The basis
-    may differ from that of ``prym_tyurin_lattice(HX)``; the lattice, and
-    so its type, is the same.
+    induces 0, so tS0 S0 = 1 - delta on homology. With B = ``ev("S0")``:
+    H(X) -> H(C) and A = ``ev("tS0")`` back, ``prym_tyurin_lattice`` runs
+    the one Prym-Tyurin routine on the maps (A, B), x = A B: delta is not
+    induced, the relation x (x - q) = 0 is checked on x 1 and on
+    Y = A image(B), and the elimination is B's, rank H(C) by rank H(X), not
+    the square 1 - delta of rank H(X). The basis may differ from that of
+    ``prym_tyurin_lattice(HX)``; the lattice, and so its type, is the same.
 
     The same A and B give the flags, with no elimination of their own:
     P(C,C') is computed before P(X,delta), keeping its map x = 1 - iota,
     by which ``mu_check`` decides B in P(C,C') as a product, and
     ``image(B)`` is formed once, here, for both ``prym_tyurin_lattice``
-    and ``mu_check``. ``incidence_maps`` has checked that H(C) is
-    connected, as ``prym_lattice`` would. A and B are converted once to a
-    fixed width where they fit (``lattice._fixed_width``), and every
-    product and the elimination take them as they are.
+    and ``mu_check``. A and B are converted once to a fixed width where
+    they fit (``lattice._fixed_width``), and every product and the
+    elimination take them as they are.
     A trial runs four Smith eliminations, image and saturation for each
     lattice; the builds run none."""
-    HX = _homology(datum, OrbitKind.SPINOR)
-    HC = _homology(datum, OrbitKind.VECTOR)
-    incidence = tuple(lattice._fixed_width(m) for m in incidence_maps(HX, HC))
-    x = lattice.eye_minus(surface._induced(HC, HC, corr.negation_matrix(datum.n)))
-    pprime = _prym_tyurin(HC, [x], 2)
+    HX = ev.cover(_X)
+    incidence = tuple(lattice._fixed_width(ev(name)) for name in ("tS0", "S0"))
+    x = lattice.eye_minus(ev("iota"))
+    pprime = _prym_tyurin(ev.cover(_C), [x], 2)
     image_b = image(incidence[1])
     pt, _ = prym_tyurin_lattice(HX, incidence, image_b)
-    return HX, pt, pprime, mu_check(HX, pprime, incidence, image_b, x)
+    return pt, pprime, mu_check(HX, pprime, incidence, image_b, x)
 
 
-def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):
-    HX, pt, pprime, mu = _duality(datum)
-    pxxp = prym_lattice(HX, corr.sigma_matrix(2))
+def _scenario_pantazis_b2(res: PrymResult, ev, ds, dl):
+    pt, pprime, mu = _duality(ev)
+    pxxp = _prym_tyurin(ev.cover(_X), [lattice.eye_minus(ev("sigma"))], 2)
     tp, tpp = ptype(pxxp), ptype(pprime)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,X')"] = tp
-    pred = _cover.predict(datum.n, ds, dl, 0).types
+    pred = _cover.predict(ev.n, ds, dl, 0).types
     res.predicted["type P(C,C')"] = pred["P(C,C')"]
     res.predicted["type P(X,X')"] = pred["P(X,X')"]
     res.checks["P(X,delta) equals P(X,X')"] = lattices_equal(pt.basis, pxxp.basis)
@@ -345,12 +334,12 @@ def _scenario_pantazis_b2(res: PrymResult, datum, ds, dl):
     res.mu_surjective, res.scaling_verified = mu
 
 
-def _scenario_theorem2_b3(res: PrymResult, datum, ds, dl):
-    _, pt, pprime, mu = _duality(datum)
+def _scenario_theorem2_b3(res: PrymResult, ev, ds, dl):
+    pt, pprime, mu = _duality(ev)
     tpp, tp = ptype(pprime), ptype(pt)
     res.computed["type P(C,C')"] = tpp
     res.computed["type P(X,delta)"] = tp
-    pred = _cover.predict(datum.n, ds, dl, 0).types
+    pred = _cover.predict(ev.n, ds, dl, 0).types
     res.predicted["type P(C,C')"] = pred["P(C,C')"]
     res.predicted["type P(X,delta)"] = pred["P(X,delta)"]
     res.checks["duality scaling of types"] = duality_scaling_consistent(tp, tpp, 3)
@@ -359,12 +348,11 @@ def _scenario_theorem2_b3(res: PrymResult, datum, ds, dl):
     res.mu_surjective, res.scaling_verified = mu
 
 
-def _scenario_hyperelliptic_4xi(res: PrymResult, datum, ds, dl):
-    HX = _homology(datum, OrbitKind.SPINOR)
-    HC = _homology(datum, OrbitKind.VECTOR)
-    lift, B = incidence_maps(HX, HC)
-    pt, _ = prym_tyurin_lattice(HX, (lift, B))
-    pred = _cover.predict(datum.n, ds, dl, 0)
+def _scenario_hyperelliptic_4xi(res: PrymResult, ev, ds, dl):
+    HX, HC = ev.cover(_X), ev.cover(_C)
+    lift = ev("tS0")
+    pt, _ = prym_tyurin_lattice(HX, (lift, ev("S0")))
+    pred = _cover.predict(ev.n, ds, dl, 0)
     res.computed["type P(X,delta)"] = ptype(pt)
     res.predicted["type P(X,delta)"] = pred.types["P(X,delta)"]
     res.computed["g(C)"] = HC.genus_total
@@ -382,28 +370,24 @@ def _scenario_hyperelliptic_4xi(res: PrymResult, datum, ds, dl):
     res.computed["exponent"] = exponent(3)
 
 
-def _scenario_recillas_a3(res: PrymResult, datum, ds, dl):
-    HX = _homology(datum, OrbitKind.SPINOR)   # splits: two degree-4 halves
+def _scenario_recillas_a3(res: PrymResult, ev, ds, dl):
+    HX = ev.cover(_X)   # splits: two degree-4 halves
     _require([(len(HX.parts) == 2, "subset cover must split into two halves")])
-    HC = _homology(datum, OrbitKind.VECTOR)   # the degree-6 cover
-    g_c = dl // 2 - 3
+    HC = ev.cover(_C)   # the degree-6 cover
+    g_c, even_rank = dl // 2 - 3, HX.parts[0].genus2
     res.computed["g(C)"] = HX.parts[0].genus
     res.predicted["g(C)"] = g_c
     res.computed["g(X)"] = HC.genus_total
     # the pairs cover factors through an etale double of a trisection
     res.predicted["g(X)"] = 2 * (dl // 2 - 2) - 1
-    res.computed["type JC"] = ptype(
-        PolarizedLattice(HX.parts[0].gram, eye(HX.parts[0].genus2))
-    )
+    # the even half's Gram is the leading block of the block-diagonal Gram
+    res.computed["type JC"] = ptype(HX.sublattice(ev.one(_X)[:, :even_rank]))
     res.predicted["type JC"] = (1,) * g_c
-    pxxp = prym_lattice(HC, corr.negation_matrix(3))
+    pxxp = _prym_tyurin(HC, [lattice.eye_minus(ev("iota"))], 2)
     res.computed["type P(X,X')"] = ptype(pxxp)
     res.predicted["type P(X,X')"] = (2,) * g_c
     # explicit isometry: membership incidence restricted to the even half
-    s0 = corr.make_S0(3).matrix
-    full_map = surface.induced_map_all(HX, HC, s0)
-    even_rank = HX.parts[0].genus2
-    r = full_map[:, :even_rank]
+    r = ev("S0")[:, :even_rank]
     lands = lattice.contains(pxxp.basis, r)
     res.checks["image lands in P(X,X')"] = lands
     res.checks["lattice bijection"] = (
@@ -414,61 +398,51 @@ def _scenario_recillas_a3(res: PrymResult, datum, ds, dl):
     )
 
 
-def _scenario_d3_antidiagonal(res: PrymResult, datum, ds, dl):
-    HX = _homology(datum, OrbitKind.SPINOR)
+def _scenario_d3_antidiagonal(res: PrymResult, ev, ds, dl):
+    HX = ev.cover(_X)
     _require([(len(HX.parts) == 2, "subset cover must split into two halves")])
-    pt, _ = prym_tyurin_lattice(HX)
+    pt = _prym_tyurin(HX, [lattice.eye_minus(ev("D"))], exponent(3))
     res.computed["type P(X,delta)"] = ptype(pt)
     # ds = 0: the conjectured type is the proven etale case
-    res.predicted["type P(X,delta)"] = conjectured_type(datum.n, ds, dl)
-    sig = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
+    res.predicted["type P(X,delta)"] = conjectured_type(ev.n, ds, dl)
+    sig = ev("sigma")
     g0 = HX.parts[0].genus2
-    anti = (eye(HX.rank) - sig)[:, :g0]
+    anti = (ev.one(_X) - sig)[:, :g0]
     res.checks["equals antidiagonal of B x B"] = lattices_equal(pt.basis, anti)
     res.checks["sheet involution swaps the halves"] = not sig[:g0, :g0].any()
     res.computed["exponent"] = exponent(3)
 
 
-def _scenario_etale_dn(res: PrymResult, datum, ds, dl):
-    n = datum.n
-    HX, pt, _, mu = _duality(datum)
-    res.computed["spinor components"] = len(HX.parts)
+def _scenario_etale_dn(res: PrymResult, ev, ds, dl):
+    pt, _, mu = _duality(ev)
+    res.computed["spinor components"] = len(ev.cover(_X).parts)
     res.predicted["spinor components"] = 2
     res.computed["type P(X,delta)"] = ptype(pt)
     # ds = 0: the conjectured type is the proven etale case
-    res.predicted["type P(X,delta)"] = conjectured_type(n, ds, dl)
+    res.predicted["type P(X,delta)"] = conjectured_type(ev.n, ds, dl)
     res.mu_surjective, res.scaling_verified = mu
-    res.computed["exponent"] = exponent(n)
+    res.computed["exponent"] = exponent(ev.n)
 
 
-def _scenario_b3_complement(res: PrymResult, datum, ds, dl):
-    HX = _homology(datum, OrbitKind.SPINOR)
-    HY = _homology(datum, OrbitKind.PARITY)
-    delta = surface.induced_map_all(HX, HX, corr.make_D(3).matrix)
+def _scenario_b3_complement(res: PrymResult, ev, ds, dl):
+    HX, HY, delta = ev.cover(_X), ev.cover(_Y), ev("D")
     pt = _prym_tyurin(HX, [lattice.eye_minus(delta)], exponent(3))
-    sigma = surface.induced_map_all(HX, HX, corr.sigma_matrix(3))
-    pxxp = _prym_tyurin(HX, [lattice.eye_minus(sigma)], 2)
-    push = surface.induced_map_all(HX, HY, corr.parity_incidence(3))
-    pull = surface.induced_map_all(HY, HX, corr.parity_incidence(3).T)
-    ker_in_pxx = intersect(pxxp.basis, lattice.kernel(push))
+    pxxp = _prym_tyurin(HX, [lattice.eye_minus(ev("sigma"))], 2)
+    ker_in_pxx = intersect(pxxp.basis, lattice.kernel(ev("P")))
     res.checks["P(X,delta) = ker(Nm) in P(X,X')"] = lattices_equal(pt.basis, ker_in_pxx)
-    lhs = saturate(matmul(delta + 3 * eye(HX.rank), pxxp.basis))
-    ptilde = prym_lattice(HY, lattice.intmat([[0, 1], [1, 0]]))
-    rhs = saturate(matmul(pull, ptilde.basis))
+    lhs = saturate(matmul(delta + 3 * ev.one(_X), pxxp.basis))
+    ptilde = _prym_tyurin(HY, [lattice.eye_minus(ev("tau"))], 2)
+    rhs = saturate(matmul(ev("tP"), ptilde.basis))
     res.checks["(delta+3)P(X,X') = pullback of P(Ytilde,Y)"] = lattices_equal(lhs, rhs)
     res.computed["dim P(X,delta)"] = pt.rank // 2
     res.predicted["dim P(X,delta)"] = pxxp.rank // 2 - ptilde.rank // 2
     res.computed["exponent"] = exponent(3)
 
 
-def _scenario_b4_structure(res: PrymResult, datum, ds, dl):
-    HX = _homology(datum, OrbitKind.SPINOR)
-    delta = surface.induced_map_all(HX, HX, corr.make_D(4).matrix)
+def _scenario_b4_structure(res: PrymResult, ev, ds, dl):
+    HX, I, delta, d0 = ev.cover(_X), ev.one(_X), ev("D"), ev("D0")
     pt = _prym_tyurin(HX, [lattice.eye_minus(delta)], exponent(4))
-    sigma = surface.induced_map_all(HX, HX, corr.sigma_matrix(4))
-    pxxp = _prym_tyurin(HX, [lattice.eye_minus(sigma)], 2)
-    I = eye(HX.rank)
-    d0 = surface.induced_map_all(HX, HX, corr.make_Di(4, 0).matrix)
+    pxxp = _prym_tyurin(HX, [lattice.eye_minus(ev("sigma"))], 2)
     res.checks["P(X,delta) = (delta0+2)P(X,X')"] = lattices_equal(
         pt.basis, saturate(matmul(d0 + 2 * I, pxxp.basis))
     )
@@ -481,7 +455,7 @@ def _scenario_b4_structure(res: PrymResult, datum, ds, dl):
         pt.rank + comp.shape[1] == pxxp.rank
     )
     res.computed["dim P(X,delta)"] = pt.rank // 2
-    res.predicted["dim P(X,delta)"] = _cover.predict(datum.n, ds, dl, 0).dims["P(X,delta)"]
+    res.predicted["dim P(X,delta)"] = _cover.predict(ev.n, ds, dl, 0).dims["P(X,delta)"]
     res.computed["exponent"] = exponent(4)
 
 
@@ -536,7 +510,8 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
     signed-index cover C is induced once: its branch points give the short
     and long counts, and one ``ScenarioError`` lists every hypothesis that
     fails, the standing ones (rational base, connected C) and the scenario's
-    own. The scenario body only computes; the verdict is reached here."""
+    own. The scenario body only computes, on one ``corr.Evaluator`` for the
+    datum; the verdict is reached here."""
     if name not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {name!r}; known: {scenario_names()}")
     fn, ranks, default_counts, conditions = _SCENARIOS[name]
@@ -552,7 +527,7 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
     if datum is None:
         ds, dl = counts if counts is not None else default_counts
         datum = random_simple(n, ds, dl, seed)
-    C = induce(datum, OrbitKind.VECTOR)
+    C = induce(datum, _C)
     ram = _cover.ramification(C)
     if not ram.simple:
         raise ScenarioError("datum is not simple: some local monodromy is not a reflection")
@@ -565,7 +540,7 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
         ]
     )
     res = PrymResult(name, n, ds, dl, {}, {}, {})
-    fn(res, datum, ds, dl)
+    fn(res, corr.Evaluator(n, datum), ds, dl)
     return res.finalize()
 
 
@@ -592,7 +567,7 @@ class ProbeReport:
 def probe_trial(n: int, count_s: int, count_l: int, seed: int) -> dict:
     """One probe draw: computed Prym-Tyurin type against the conjectured one,
     plus the duality-isogeny flags."""
-    _, pt, _, mu = _duality(random_simple(n, count_s, count_l, seed))
+    pt, _, mu = _duality(corr.Evaluator(n, random_simple(n, count_s, count_l, seed)))
     got = ptype(pt)
     want = conjectured_type(n, count_s, count_l)
     return {

@@ -370,3 +370,17 @@ def test_wrong_D_fails_the_quadratic_relation(level, n, monkeypatch):
     assert r.passed is False
     assert ("lhs" in r.witness) == (level == "fiber")
     assert check_identity("sigma_commutes_D", n, level=level).passed
+
+
+def test_evaluator_maps_are_read_only():
+    # every statement on one evaluator reads the same cached map, so an
+    # in-place edit of one would change the statements after it
+    datum = cover.random_simple(3, 4, 6, seed=11)
+    for ev in (corr.Evaluator(3), corr.Evaluator(3, datum)):
+        s0 = ev("S0")
+        want = s0.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            s0[0, 0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            s0 *= 2
+        assert ev("S0") is s0 and mat_equal(s0, want)

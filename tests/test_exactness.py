@@ -27,6 +27,14 @@ the restricted Gram it hands out is Python ints.
 A fourth guard keeps out code nothing calls: every underscore-prefixed
 module-level function of the package is read somewhere in it, by name, as
 an attribute or by an import.
+
+A fifth guard keeps one route from a statement of ``prym`` to homology, the
+``corr.Evaluator`` of its datum: no scenario body, ``_duality`` or
+``probe_trial`` names a cover builder or an induced-map routine
+(``build_all``, ``induced_map_all``, ``_induced``, ``induce``) or a fiber
+constructor of ``corr`` (``make_D``, ``make_S0``, ``make_Di``,
+``sigma_matrix``, ``negation_matrix``, ``parity_incidence``,
+``parity_indicator``).
 """
 
 import ast
@@ -36,7 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prymlab import corr, lattice, surface
+from prymlab import corr, lattice, prym, surface
 from prymlab.cover import induce, random_simple
 from prymlab.weyl import OrbitKind
 
@@ -220,6 +228,52 @@ def test_dead_code_guard_catches_an_unread_private_function():
                 "def _imported(): pass\ndef _read_as_attribute(): pass\n",
     }
     assert unreferenced_private(sources) == ["a.py:_dead"]
+
+
+# what a statement of prym reaches homology through only by the evaluator
+PAST_THE_EVALUATOR = {
+    "build_all", "induced_map_all", "_induced", "induce",
+    "make_D", "make_S0", "make_Di", "sigma_matrix", "negation_matrix",
+    "parity_incidence", "parity_indicator",
+}
+
+
+def named_past_the_evaluator(source: str, functions, filename: str = "<source>") -> list:
+    """Where the module-level ``functions`` of ``source`` name anything in
+    ``PAST_THE_EVALUATOR``, as a name or an attribute, as
+    ``file:line: function names name``."""
+    out = []
+    for node in ast.parse(source, filename).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for sub in ast.walk(node):
+                named = (isinstance(sub, ast.Name) and sub.id) or (
+                    isinstance(sub, ast.Attribute) and sub.attr
+                )
+                if named in PAST_THE_EVALUATOR:
+                    out.append(f"{filename}:{sub.lineno}: {node.name} names {named}")
+    return out
+
+
+def test_prym_statements_reach_homology_through_the_evaluator():
+    source = (PACKAGE / "prym.py").read_text(encoding="utf-8")
+    statements = {fn.__name__ for fn, *_ in prym._SCENARIOS.values()}
+    assert len(statements) == len(prym.scenario_names())
+    statements |= {"_duality", "probe_trial"}
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert statements <= defined
+    assert named_past_the_evaluator(source, statements, "prym.py") == []
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_EVALUATOR))
+def test_evaluator_guard_catches_each_name(name):
+    statements = {"_duality", "probe_trial"}
+    for source in (f"def _duality(ev):\n    return surface.{name}(ev)\n",
+                   f"def probe_trial(n):\n    m = [{name}]\n    return m\n"):
+        assert named_past_the_evaluator(source, statements), source
+    # outside a statement, or as a string, the name is allowed
+    for source in (f"def helper(H):\n    return surface.{name}(H)\n",
+                   f"def _duality(ev):\n    return ev('{name}')\n"):
+        assert named_past_the_evaluator(source, statements) == [], source
 
 
 def _python_ints(m) -> bool:

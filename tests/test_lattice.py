@@ -21,7 +21,7 @@ from _oracles import (
     solve_exact_via_u,
     sum_lattices,
 )
-from prymlab import lattice, surface
+from prymlab import lattice, prym, surface
 from prymlab.corr import make_D
 from prymlab.cover import induce, random_simple
 from prymlab.errors import DegenerateFormError
@@ -231,6 +231,11 @@ def test_homology_sublattices_do_not_scan_the_checked_gram(monkeypatch):
     assert scans == [True]
     assert mat_equal(sub.restricted_gram(), public.restricted_gram())
     assert ptype(sub) == ptype(public) == (4,) * (H.rank // 2)
+    # a scenario takes its lattices as homology sublattices too: recillas_a3
+    # reads "type JC" off the leading block of the split cover's Gram
+    scans.clear()
+    assert prym.verify_scenario("recillas_a3", seed=0).verdict
+    assert scans == []
 
 
 def test_polarized_lattice_requires_alternating():

@@ -3,7 +3,6 @@ import os
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +32,19 @@ from prymlab.weyl import OrbitKind, SignedPerm, reflection, short_root
 
 def _build(datum, orbit):
     return surface.build_all(induce(datum, orbit))
+
+
+def _incidence(datum):
+    """HX, HC and the incidence pair (A, B) = (tS0, S0) induced between
+    them, all from one evaluator."""
+    ev = corr.Evaluator(datum.n, datum)
+    return ev.cover(OrbitKind.SPINOR), ev.cover(OrbitKind.VECTOR), (ev("tS0"), ev("S0"))
+
+
+def _duality(datum):
+    """``prym._duality`` on one evaluator for ``datum``, and the evaluator."""
+    ev = corr.Evaluator(datum.n, datum)
+    return (ev, *prym._duality(ev))
 
 
 def test_prym_of_rational_quotient_is_whole_jacobian():
@@ -202,37 +214,15 @@ def test_image_basis_check_agrees_with_the_full_quadratic_product(monkeypatch):
 
 def test_mu_check_small_ranks():
     for n, ds, dl in [(2, 4, 4), (3, 4, 6)]:
-        datum = random_simple(n, ds, dl, seed=5)
-        HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-        mu = mu_check(
-            HX, prym_lattice(HC, corr.negation_matrix(n)), prym.incidence_maps(HX, HC)
-        )
+        HX, HC, incidence = _incidence(random_simple(n, ds, dl, seed=5))
+        mu = mu_check(HX, prym_lattice(HC, corr.negation_matrix(n)), incidence)
         assert mu.surjective and mu.scaling
 
 
 def test_mu_scaling_at_rank_four():
-    datum = random_simple(4, 4, 8, seed=5)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    mu = mu_check(HX, prym_lattice(HC, corr.negation_matrix(4)), prym.incidence_maps(HX, HC))
+    HX, HC, incidence = _incidence(random_simple(4, 4, 8, seed=5))
+    mu = mu_check(HX, prym_lattice(HC, corr.negation_matrix(4)), incidence)
     assert mu.scaling  # the form identity holds regardless of surjectivity
-
-
-def test_mu_check_rejects_homologies_of_different_data():
-    HX = _build(random_simple(3, 4, 6, seed=5), OrbitKind.SPINOR)
-    HC = _build(random_simple(3, 4, 6, seed=6), OrbitKind.VECTOR)
-    with pytest.raises(ValueError, match="different data"):
-        prym.incidence_maps(HX, HC)
-
-
-def test_mu_check_rejects_disconnected_signed_index_cover():
-    # unsigned transpositions never move a sign: the signed indices split
-    w = SignedPerm(2, (2, 1))
-    datum = MonodromyDatum(2, 0, (w,) * 4)
-    assert cover.validate(datum) is None
-    HC = _build(datum, OrbitKind.VECTOR)
-    assert len(HC.parts) == 2
-    with pytest.raises(ValueError, match="must be connected"):
-        prym.incidence_maps(_build(datum, OrbitKind.SPINOR), HC)
 
 
 def test_transpose_composition_is_multiplication_by_exponent():
@@ -264,9 +254,9 @@ def test_duality_scaling_consistency_whenever_mu_passes():
     for _ in range(3):
         ds, dl = 2 * rng.randint(1, 3), 2 * rng.randint(2, 3)
         datum = random_simple(3, ds, dl, seed=rng.randint(0, 10**6))
-        HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
+        HX, HC, incidence = _incidence(datum)
         P = prym_lattice(HC, corr.negation_matrix(3))
-        mu = mu_check(HX, P, prym.incidence_maps(HX, HC))
+        mu = mu_check(HX, P, incidence)
         if not (mu.surjective and mu.scaling):
             continue
         L, _ = prym_tyurin_lattice(HX)
@@ -518,6 +508,34 @@ def test_scenario_induces_delta_once(monkeypatch, name):
     assert sum(mat_equal(f, D) for f in fibers) == 1
 
 
+@pytest.mark.parametrize("name", prym.scenario_names())
+def test_scenario_builds_each_orbit_and_induces_each_correspondence_once(
+    monkeypatch, builds, name
+):
+    # at the default seed: each orbit's homology is built at most once, and
+    # each correspondence (source, destination, fiber) is induced at most
+    # once, every induction going through surface.induced_map_all
+    induced, direct = [], []
+    real, real_fixed = surface.induced_map_all, surface._induced
+
+    def recording(src, dst, fiber):
+        entries = tuple(map(tuple, np.asarray(fiber).tolist()))
+        induced.append((src.cover.orbit, dst.cover.orbit, entries))
+        return real(src, dst, fiber)
+
+    def recording_fixed(src, dst, fiber):
+        direct.append(dst.cover.orbit)
+        return real_fixed(src, dst, fiber)
+
+    monkeypatch.setattr(surface, "induced_map_all", recording)
+    monkeypatch.setattr(surface, "_induced", recording_fixed)
+    assert verify_scenario(name).verdict
+    orbits = [orbit for _, orbit in builds]
+    assert orbits and len(set(orbits)) == len(orbits)
+    assert induced and len(set(induced)) == len(induced)
+    assert len(direct) == len(induced)
+
+
 def test_probe_trial_builds_each_cover_once(builds):
     prym.probe_trial(4, 4, 8, 7)
     assert sorted(orbit.value for _, orbit in builds) == ["spinor", "vector"]
@@ -542,12 +560,12 @@ DUALITY_DATA = [
 
 @pytest.mark.parametrize("n,ds,dl,seed", DUALITY_DATA)
 def test_duality_lattice_equals_prym_tyurin_lattice(n, ds, dl, seed):
-    datum = random_simple(n, ds, dl, seed)
-    HX, pt, pprime, mu = prym._duality(datum)
+    ev, pt, pprime, mu = _duality(random_simple(n, ds, dl, seed))
+    HX = ev.cover(OrbitKind.SPINOR)
     L, _ = prym_tyurin_lattice(HX)
     assert lattices_equal(pt.basis, L.basis)
     assert pt.rank == L.rank and ptype(pt) == ptype(L)
-    incidence = prym.incidence_maps(HX, _build(datum, OrbitKind.VECTOR))
+    incidence = (ev("tS0"), ev("S0"))
     assert tuple(mu) == mu_check_via_divisors(HX, pprime, incidence)
     if (n, ds, dl) in ((4, 2, 6), (5, 2, 8)):
         assert pprime.rank == 0 and pt.rank == 0
@@ -556,35 +574,29 @@ def test_duality_lattice_equals_prym_tyurin_lattice(n, ds, dl, seed):
 @pytest.mark.parametrize("n,ds,dl,seed", [(3, 4, 6, 1), (4, 4, 8, 5), (4, 0, 12, 0)])
 def test_incidence_maps_compose_to_one_minus_delta(n, ds, dl, seed):
     # identity b at homology level, on the maps _duality uses: tS0 S0 = 1 - delta
-    datum = random_simple(n, ds, dl, seed)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    A, B = prym.incidence_maps(HX, HC)
+    HX, _, (A, B) = _incidence(random_simple(n, ds, dl, seed))
     delta = surface.induced_map_all(HX, HX, corr.make_D(n).matrix)
     assert mat_equal(matmul(A, B), eye(HX.rank) - delta)
 
 
 def test_duality_runs_its_standing_checks_before_identity_b():
-    # off the rational base A B = 1 - delta fails: no homology is built
-    # there, and the incidence maps are refused on their own as well
+    # off the rational base A B = 1 - delta fails: no homology is built there
     w = SignedPerm(2, (2, 1))
     datum = MonodromyDatum(2, 1, (), ((w, w),))
     with pytest.raises(UnsupportedError, match="genus-0 bases only"):
-        prym._duality(datum)
-    H = SimpleNamespace(cover=SimpleNamespace(datum=datum), parts=(None,))
-    with pytest.raises(ValueError, match="rational base only"):
-        prym.incidence_maps(H, H)
+        _duality(datum)
 
 
 def test_duality_runs_the_traced_lattice_and_flag_routines(monkeypatch):
     # P(X,delta) and the flags come from the public names a tracer wraps
     calls = []
-    for name in ("prym_tyurin_lattice", "mu_check", "incidence_maps"):
+    for name in ("prym_tyurin_lattice", "mu_check"):
         real = getattr(prym, name)
         monkeypatch.setattr(
             prym, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
-    prym._duality(random_simple(3, 4, 6, seed=1))
-    assert calls == ["incidence_maps", "prym_tyurin_lattice", "mu_check"]
+    _duality(random_simple(3, 4, 6, seed=1))
+    assert calls == ["prym_tyurin_lattice", "mu_check"]
 
 
 def test_duality_induces_no_delta_and_eliminates_no_square_of_rank_hx(monkeypatch):
@@ -644,12 +656,12 @@ def test_duality_rejects_a_mutated_incidence_fiber(monkeypatch):
     # one entry changed: the matrix no longer commutes with the group
     _patch_S0(monkeypatch, _bump_first_entry)
     with pytest.raises(EquivarianceError):
-        prym._duality(datum)
+        _duality(datum)
     monkeypatch.undo()
     # twice S0 commutes with the group, but A B is then 4 (1 - delta)
     _patch_S0(monkeypatch, lambda m: 2 * m)
     with pytest.raises(AssertionError, match="quadratic relation failed"):
-        prym._duality(datum)
+        _duality(datum)
 
 
 def test_duality_rejects_a_mutated_entry_of_the_induced_incidence(monkeypatch):
@@ -665,15 +677,13 @@ def test_duality_rejects_a_mutated_entry_of_the_induced_incidence(monkeypatch):
 
         monkeypatch.setattr(surface, "induced_map_all", mutated)
         with pytest.raises(AssertionError, match="quadratic relation failed"):
-            prym._duality(datum)
+            _duality(datum)
 
 
 def test_duality_checks_the_relation_on_the_image_past_x1():
     # B + e_0 w^T, for w orthogonal to 1 and to x 1, leaves x 1 and x (x 1)
     # as they were, so only the check on A image(B) can catch it
-    datum = random_simple(4, 4, 8, seed=5)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    A, B = prym.incidence_maps(HX, HC)
+    HX, _, (A, B) = _incidence(random_simple(4, 4, 8, seed=5))
     q = prym.exponent(4)
     ones = np.full((HX.rank, 1), 1, dtype=object)
     x1 = matmul(A, matmul(B, ones))
@@ -702,31 +712,42 @@ def test_duality_runs_four_eliminations_and_eliminates_b_once(monkeypatch):
         return engine(mat, want, rhs)
 
     monkeypatch.setattr(lattice, "_eliminate", recording)
-    prym._duality(datum)
+    _duality(datum)
     assert len(shapes) == 4
     assert shapes.count(b_shape) == 1
 
 
 def test_duality_converts_each_incidence_map_once(monkeypatch):
     # A and B are converted to a fixed width once each, as they come from
-    # incidence_maps, and go to every product and to the elimination as
+    # the evaluator, and go to every product and to the elimination as
     # they are: no later conversion meets them as object arrays. So is the
     # P(C,C') basis, once, when its lattice is made, and its image in H(X)
     # comes at that width from the product: no object array of either
-    # shape is converted twice, and the image never meets a conversion
-    datum = random_simple(4, 12, 16, seed=1)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    seen = []
-    convert = lattice._int64
+    # shape is converted twice, and the image never meets a conversion.
+    # In the P(X,delta) step the products B v stay at a fixed width too:
+    # the one object array with rank-H(C) rows it converts is the image(B)
+    # it is handed
+    ev = corr.Evaluator(4, random_simple(4, 12, 16, seed=1))
+    seen, within, handed = [], [], []
+    convert, real = lattice._int64, prym.prym_tyurin_lattice
 
     def recording(x):
         if isinstance(x, np.ndarray) and x.dtype == object:
             seen.append(x)  # held, so that no id is reused
         return convert(x)
 
+    def step(H, incidence, image_b):
+        start = len(seen)
+        out = real(H, incidence, image_b)
+        within.extend(seen[start:])
+        handed.append(image_b)
+        return out
+
     monkeypatch.setattr(lattice, "_int64", recording)
-    _, pt, pprime, _ = prym._duality(datum)
+    monkeypatch.setattr(prym, "prym_tyurin_lattice", step)
+    pt, pprime, _ = prym._duality(ev)
     monkeypatch.undo()
+    HX, HC = ev.cover(OrbitKind.SPINOR), ev.cover(OrbitKind.VECTOR)
     shapes = [x.shape for x in seen]
     assert shapes.count((HX.rank, HC.rank)) == shapes.count((HC.rank, HX.rank)) == 1
     r = pprime.rank
@@ -736,9 +757,10 @@ def test_duality_converts_each_incidence_map_once(monkeypatch):
         assert ids and len(ids) == len(set(ids)), shape
     assert sum(x is pprime.basis for x in seen) == 1
     assert sum(x is pt.basis for x in seen) == 1
-    A, _ = prym.incidence_maps(HX, HC)
-    image = matmul(A, pprime.basis)
+    image = matmul(ev("tS0"), pprime.basis)
     assert not any(x.shape == image.shape and mat_equal(x, image) for x in seen)
+    assert len(handed) == 1 and within
+    assert [x is handed[0] for x in within if len(x) == HC.rank] == [True]
 
 
 def test_prym_tyurin_lattice_converts_no_rank_square_object_array(monkeypatch):
@@ -779,8 +801,8 @@ def test_duality_flags_equal_the_divisor_oracle_on_non_simple_data(n, ds, dl, se
     datum = _merged(random_simple(n, ds, dl, seed))
     assert cover.validate(datum) is None
     assert not cover.ramification(induce(datum, OrbitKind.VECTOR)).simple
-    HX, _, pprime, mu = prym._duality(datum)
-    incidence = prym.incidence_maps(HX, _build(datum, OrbitKind.VECTOR))
+    ev, _, pprime, mu = _duality(datum)
+    HX, incidence = ev.cover(OrbitKind.SPINOR), (ev("tS0"), ev("S0"))
     assert tuple(mu) == mu_check_via_divisors(HX, pprime, incidence)
     assert tuple(mu_check(HX, pprime, incidence)) == tuple(mu)
 
@@ -794,9 +816,7 @@ def _prym_and_map(HC, n):
 def test_mu_check_product_identity_rejects_a_changed_entry_of_b():
     # B with one entry changed escapes P(C,C') = ker(x - 2): x B' != 2 B'
     # gives (False, False), as containment does
-    datum = random_simple(4, 4, 8, seed=5)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    A, B = prym.incidence_maps(HX, HC)
+    HX, HC, (A, B) = _incidence(random_simple(4, 4, 8, seed=5))
     pprime, x = _prym_and_map(HC, 4)
     assert tuple(mu_check(HX, pprime, (A, B), image(B), x)) == (True, True)
     for i, j in [(0, 0), (1, 7), (3, 20), (5, 33)]:
@@ -810,9 +830,7 @@ def test_mu_check_product_identity_rejects_a_changed_entry_of_b():
 def test_mu_check_reads_surjectivity_off_the_contents_of_image_b():
     # 2 B lies in P(C,C') with its rank, but its image is 2 P(C,C'): every
     # column of image(2 B) has content 2, so it is not onto
-    datum = random_simple(4, 4, 8, seed=5)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    A, B = prym.incidence_maps(HX, HC)
+    HX, HC, (A, B) = _incidence(random_simple(4, 4, 8, seed=5))
     pprime, x = _prym_and_map(HC, 4)
     doubled = (A, 2 * B)
     assert image(2 * B).shape[1] == pprime.rank
@@ -829,9 +847,7 @@ def test_mu_check_equals_the_divisor_oracle_where_the_flags_fail():
     # the seeded data all give (True, True); two constructed P' reach the
     # other branches: twice P', which B escapes, and all of H(C), on which
     # B lands but not onto, as g(C') = 1 here
-    datum = random_simple(3, 4, 6, seed=1)
-    HX, HC = _build(datum, OrbitKind.SPINOR), _build(datum, OrbitKind.VECTOR)
-    incidence = prym.incidence_maps(HX, HC)
+    HX, HC, incidence = _incidence(random_simple(3, 4, 6, seed=1))
     pprime = prym_lattice(HC, corr.negation_matrix(3))
     assert 0 < pprime.rank < HC.rank
     doubled = HC.sublattice(2 * pprime.basis)
@@ -848,11 +864,9 @@ def test_prym_tyurin_lattices_carry_their_exponent(n, ds, dl, seed):
     # the exponent tag only lets the type try its chain modulo q first
     from dataclasses import replace
 
-    datum = random_simple(n, ds, dl, seed=seed)
-    HX = surface.build_all(induce(datum, OrbitKind.SPINOR))
-    HC = surface.build_all(induce(datum, OrbitKind.VECTOR))
+    HX, HC, incidence = _incidence(random_simple(n, ds, dl, seed=seed))
     lat, cert = prym_tyurin_lattice(HX)
-    through, _ = prym_tyurin_lattice(HX, prym.incidence_maps(HX, HC))
+    through, _ = prym_tyurin_lattice(HX, incidence)
     pprime = prym_lattice(HC, corr.negation_matrix(n))
     assert lat.exponent == through.exponent == cert["exponent"] == 2 ** (n - 1)
     assert pprime.exponent == 2

@@ -188,15 +188,16 @@ def _match_scalar(lhs, pattern):
 _X, _C, _Y = OrbitKind.SPINOR, OrbitKind.VECTOR, OrbitKind.PARITY
 
 # the named correspondences: name -> (source orbit, destination orbit, fiber
-# matrix at rank n)
+# matrix at rank n, or the name of the correspondence whose fiber matrix
+# this one's is the transpose of)
 _CORRESPONDENCES = {
     "D": (_X, _X, lambda n: make_D(n).matrix),
     "S0": (_X, _C, lambda n: make_S0(n).matrix),
-    "tS0": (_C, _X, lambda n: make_S0(n).matrix.T),
+    "tS0": (_C, _X, "S0"),
     "sigma": (_X, _X, sigma_matrix),
     "iota": (_C, _C, negation_matrix),
     "P": (_X, _Y, parity_incidence),
-    "tP": (_Y, _X, lambda n: parity_incidence(n).T),
+    "tP": (_Y, _X, "P"),
     "tau": (_Y, _Y, lambda n: intmat([[0, 1], [1, 0]])),
     "D0": (_X, _X, lambda n: make_Di(n, 0).matrix),
     "D1": (_X, _X, lambda n: make_Di(n, 1).matrix),
@@ -208,23 +209,38 @@ class Evaluator:
     """Evaluates statements over the named correspondences at one level.
     Without a datum a named correspondence is its fiber matrix, and
     composition in diagram order is the matrix product. With a datum it is
-    the map induced on the homology of the datum's covers, each built on
-    first use, and composition runs right to left. Each named map is made
-    once and kept read-only, since every later statement reads the same
-    array. The trace J from one orbit to another is the all-ones matrix,
-    evaluated the same way."""
+    the map induced on the homology of the datum's covers, each induced and
+    built on first use, and composition runs right to left. Each fiber
+    matrix is made once, a transpose read off the matrix it transposes,
+    and each named map is made once and kept read-only, since every later
+    statement reads the same array. The trace J from one orbit to another
+    is the all-ones matrix, evaluated the same way."""
 
     def __init__(self, n: int, datum=None):
         self.n = n
         self.datum = datum
         self.fiber = datum is None
+        self._models = {}
         self._covers = {}
+        self._fibers = {}
         self._named = {}
+
+    def cover_model(self, orbit: OrbitKind) -> _cover.CoverModel:
+        """The datum's cover of ``orbit``, induced once."""
+        if orbit not in self._models:
+            self._models[orbit] = _cover.induce(self.datum, orbit)
+        return self._models[orbit]
 
     def cover(self, orbit: OrbitKind) -> surface.CoverHomology:
         if orbit not in self._covers:
-            self._covers[orbit] = surface.build_all(_cover.induce(self.datum, orbit))
+            self._covers[orbit] = surface.build_all(self.cover_model(orbit))
         return self._covers[orbit]
+
+    def _fiber(self, name: str):
+        if name not in self._fibers:
+            make = _CORRESPONDENCES[name][2]
+            self._fibers[name] = self._fiber(make).T if isinstance(make, str) else make(self.n)
+        return self._fibers[name]
 
     def _evaluate(self, src, dst, fiber):
         if self.fiber:
@@ -233,8 +249,8 @@ class Evaluator:
 
     def __call__(self, name: str):
         if name not in self._named:
-            src, dst, make = _CORRESPONDENCES[name]
-            self._named[name] = self._evaluate(src, dst, make(self.n))
+            src, dst, _ = _CORRESPONDENCES[name]
+            self._named[name] = self._evaluate(src, dst, self._fiber(name))
             self._named[name].setflags(write=False)
         return self._named[name]
 

@@ -28,18 +28,20 @@ generate them.
 
 There is one fraction-free engine, ``pfaffian`` (skew elimination with
 2 x 2 pivots), and one Smith elimination, ``_eliminate``. ``pfaffian``
-checks the unimodularity of every homology Gram and gives the modulus of
-every type; ``det`` is the Pfaffian of the block [[0, m], [-m^T, 0]]
-(``_skew_block``), which is (-1)^(n(n-1)/2) det m, and no path of the
+gives the modulus of every type; a homology Gram is certified unimodular
+by its build, from its edge crossings and two trees, with no elimination
+(see ``surface``). ``det`` is the Pfaffian of the block [[0, m], [-m^T,
+0]] (``_skew_block``), which is (-1)^(n(n-1)/2) det m, and no path of the
 package takes it. The divisor chain of a nondegenerate alternating form
 comes Pfaffian first: the Smith elimination runs modulo |Pf|, a multiple
 of the last divisor by Cayley's det = Pf^2, so its entries stay bounded,
 in int64 while the modulus squared does; or modulo a lattice's known
 exponent first, kept when the chain multiplies to |det|
-(``PolarizedLattice.exponent``). ``divisors`` takes a nonsingular square
-matrix the same path through its block, whose chain is its own with each
-entry twice; each entry the skew elimination forms is +- a minor of m,
-within the Hadamard bound.
+(``PolarizedLattice.exponent``). ``divisors`` takes a nonsingular
+alternating matrix that path directly, and any other nonsingular square
+matrix through its block, whose chain is its own with each entry twice;
+each entry the skew elimination forms is +- a minor of m, within the
+Hadamard bound.
 
 ``_eliminate(mat, want, rhs)`` yields kernels, images, saturations,
 integral solving and the divisor chains of singular or non-square
@@ -724,8 +726,9 @@ def _chain_mod(rows, D: int) -> tuple:
 
 def _nonsingular_chain(mat, modulus=None):
     """Divisor chain of an alternating matrix, Pfaffian first, or ``None``
-    when it is singular (odd order included); ``divisors`` hands in the
-    ``_skew_block`` of any square matrix.
+    when it is singular (odd order included); ``divisors`` hands in an
+    alternating matrix as it is and the ``_skew_block`` of any other
+    square one.
 
     The chain comes in pairs e_1, e_1, ..., e_k, e_k, so M = |Pf| = e_1
     ... e_k is a multiple of the last divisor, and the elimination modulo M
@@ -754,14 +757,16 @@ def _nonsingular_chain(mat, modulus=None):
 
 def divisors(mat) -> tuple:
     """Nonzero diagonal chain d1 | d2 | ... of the Smith form. A
-    nonsingular square matrix takes the Pfaffian-first path through its
-    ``_skew_block``, whose chain is the matrix's with each entry twice; a
-    singular or non-square one the Smith elimination."""
+    nonsingular square matrix takes the Pfaffian-first path: an
+    alternating one as it is, any other through its ``_skew_block``, whose
+    chain is the matrix's with each entry twice; a singular or non-square
+    one the Smith elimination."""
     arr = np.asarray(mat, dtype=object)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        chain = _nonsingular_chain(_skew_block(arr))
+        alternating = is_alternating(arr)
+        chain = _nonsingular_chain(arr if alternating else _skew_block(arr))
         if chain is not None:
-            return chain[::2]
+            return chain if alternating else chain[::2]
     d, r = _eliminate(arr)
     return tuple(int(x) for x in np.diagonal(d)[:r])
 

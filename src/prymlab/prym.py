@@ -44,7 +44,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import corr, cover as _cover, lattice, surface, weyl
-from .cover import MonodromyDatum, induce, random_simple
+from .cover import MonodromyDatum, random_simple
 from .errors import DisconnectedError, GenerationError, RankError, ScenarioError
 from .lattice import (
     PolarizedLattice,
@@ -507,11 +507,11 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
     datum with the scenario's default (or given) rank and branch counts.
 
     The rank is checked first, before any datum is drawn or covered. Then the
-    signed-index cover C is induced once: its branch points give the short
-    and long counts, and one ``ScenarioError`` lists every hypothesis that
-    fails, the standing ones (rational base, connected C) and the scenario's
-    own. The scenario body only computes, on one ``corr.Evaluator`` for the
-    datum; the verdict is reached here."""
+    datum's ``corr.Evaluator`` induces the signed-index cover C, once for
+    the whole run: its branch points give the short and long counts, and
+    one ``ScenarioError`` lists every hypothesis that fails, the standing
+    ones (rational base, connected C) and the scenario's own. The scenario
+    body only computes, on that evaluator; the verdict is reached here."""
     if name not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {name!r}; known: {scenario_names()}")
     fn, ranks, default_counts, conditions = _SCENARIOS[name]
@@ -527,7 +527,8 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
     if datum is None:
         ds, dl = counts if counts is not None else default_counts
         datum = random_simple(n, ds, dl, seed)
-    C = induce(datum, _C)
+    ev = corr.Evaluator(n, datum)
+    C = ev.cover_model(_C)
     ram = _cover.ramification(C)
     if not ram.simple:
         raise ScenarioError("datum is not simple: some local monodromy is not a reflection")
@@ -540,7 +541,7 @@ def verify_scenario(name: str, datum: MonodromyDatum = None, n: int = None,
         ]
     )
     res = PrymResult(name, n, ds, dl, {}, {}, {})
-    fn(res, corr.Evaluator(n, datum), ds, dl)
+    fn(res, ev, ds, dl)
     return res.finalize()
 
 

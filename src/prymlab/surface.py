@@ -69,40 +69,75 @@ The intersection form is ``B^T Q B`` for a local crossing form Q: push the
 second chain off to the right of every edge; crossings then happen only
 inside the disk around each vertex, where they are counted from the cyclic
 order of edge ends (ascending arcs at a sheet vertex, inverse-monodromy
-order at a ramification vertex). Q is block diagonal over the vertices. A
-ramification vertex with ends e_1, ..., e_L pairs each e_i with the sum of
-the ends before it and adds ``-sum_i outer(B[e_i], B[e_1] + ... +
-B[e_(i-1)])``, which is ``-outer(B[e_2], B[e_1])`` for the two ends every
-reflection makes. One sparse product per group of equal L sums these over
-the group: ``B[later ends]^T`` times the prefix sums of ``B[earlier ends]``,
-taken in place on the gathered block. The sheet vertices are summed one at
-a time, each over the basis columns that pass through it, and without a
-product (``_sheet_crossings``): a basis cycle is simple, so it leaves a
-sheet vertex by one end (+1) and comes back by another (-1), and its
-column there is ``e_out - e_back``. With the ends in ascending arcs,
-``x^T cumsum(x)`` is then the prefix sums' rows at the out-ends less
-their rows at the back-ends, found by ``argmax`` and ``argmin`` and read
-by two row gathers, which are scattered into the Gram at the columns'
-pairs. The Gram is checked to have zero diagonal and to be alternating
-and unimodular on every build, the last by its Pfaffian
-(``lattice.pfaffian``), which must be +-1.
+order at a ramification vertex). Q is block diagonal over the vertices: a
+vertex pairs each end with the sum of the ends before it, inclusive at a
+sheet vertex and exclusive at a ramification vertex. Summed by the other
+end instead, that is G = N^T B for the E x 2g matrix N of edge crossings:
+row e of N is the crossing of every basis cycle with the edge e alone,
+minus the suffix sums of B's rows over the ends of e's two vertices, from
+e's arc on at its tail sheet vertex and after e at its head ramification
+vertex (``_crossings``). Column j of B is generator j's edge and the tree
+path from its head back to its tail, so with R the sums of N's rows down
+the spanning tree, each signed as a path up takes its edge
+(``_tree_sums``), G[a, j] = N[gen j, a] + R[head j, a] - R[tail j, a]:
+one pass per tree level and three row gathers, with no product. N is
+formed a block of basis columns at a time, arc by arc (edge ``sheet * k +
+arc`` at row ``arc * d + sheet``), so that the sheet vertices' suffix sums
+are slab adds of whole arcs; every quantity below is linear in N's
+columns, so each block is checked on its own.
+
+The Gram is checked on every build to have zero diagonal, to be
+alternating and to be unimodular, the last by a certificate from the same
+N and the two trees, with no elimination:
+
+(a) every face's 2k-step boundary, walked with running sums of N (plus
+    down an edge, minus back up), closes at 0: N^T d_2 = 0;
+(b) T = -B on the non-tree edges, for T[e] the running sum just before e
+    on the face that walks e back up, less the running sum through e on
+    the face that walks e down: -1 at generator j in column j and 0 at the
+    pivots, the dual tree's edges.
+
+Both hold whenever B's columns are cycles, as a face's running sum
+telescopes. Take one column, sigma_s(i) its sum over the ends of sheet
+vertex s from arc i on, and tau(e) its sum over the ends after e at e's
+head. A face hops at arc i from sheet s to the sheet s' whose end at the
+same ramification vertex comes next in cyclic order, so arc i adds
+sigma_s'(i + 1) - sigma_s(i): the exclusive suffixes at the ramification
+vertex differ by the entry at s''s end, where they wrap too, as the column
+sums to zero over the ends of each vertex. So once the face has walked
+arc i back up, its running sum is sigma_s'(i + 1), and it closes at 0, as
+sigma_s(0) = 0 at its start (a); once it has walked an edge e down, its
+running sum is -tau(e), and the face that walks e back up came down the
+end before e, so T[e] = tau(e) - tau(end before e) = -B[e], on every edge
+(b).
+
+They prove |det G| = 1. Let W_e be the walk along e's back-up face to
+head(e), less the walk along its down face to head(e), so that T[e] = N^T
+W_e, and P_j = sum_e C[j, e] W_e. Row j of C is generator j and its path
+in the dual tree, a closed dual path, so the faces' start vertices
+telescope and P_j is closed. The pivots span the dual graph, so every
+cycle is B y + d_2 z with y and z integral: faces cleared from the dual
+tree's leaves take its pivot entries to 0, and what is left is a cycle on
+the spanning tree, which is 0. So P = B K + d_2 Z with K integral, and by
+(a) and (b) G K = N^T P - N^T d_2 Z = (C T)^T = -(C B)^T = -1: C is zero
+off the non-tree edges, where B is 1 at each generator in its own column
+and 0 at the pivots.
 
 The model's matrices are held at fixed width: ``C`` (``class_map``, about
 2% nonzero at rank 5) and the sheet chains as ``lattice.SparseMatrix`` with
-int64 entries, and the Gram in int64. With Delta the most edge ends at one
-vertex, a ramification vertex's prefix sums in the Gram add at most
-Delta - 1 rows of ``B``, whose entries are -1, 0 and 1, so ``B`` is held
-at the narrowest of int16, int32 and int64 above Delta - 1: int16 while
-no vertex has 2^15 ends, rank 1026 at ``random_simple(8, 4, 16, 1)``
-included. Each Gram entry is a sum of products of two entries of ``B``,
-at most ``Delta_v^2`` of them from a vertex with Delta_v ends and so at
-most ``2 E Delta`` in all over the vertices' 2E ends, so that every
-partial sum, whatever the order and grouping of its terms, is at most
-``2 E Delta``, far inside int64. That covers the product of each group,
-whose partial sums group the same terms by basis column and by prefix,
-and its own bound check (``L - 1`` times at most E terms) then holds too.
-At a sheet vertex the prefix sums of a column ``e_out - e_back`` are -1, 0
-and 1, so the gathered differences lie in -2..2 and stay at ``B``'s width.
+int64 entries, and the Gram in int64. ``B`` (entries -1, 0 and 1) is held
+at the narrowest of int16, int32 and int64 above Delta - 1, Delta the most
+edge ends at one vertex: int16 while no vertex has 2^15 ends, rank 1026 at
+``random_simple(8, 4, 16, 1)`` included. N is formed at the narrowest width
+that holds k + Delta times max|B|, as a sheet vertex's suffix sums add at
+most k rows of ``B`` and a ramification vertex's at most Delta - 1. A basis
+cycle is simple, so at every vertex its column is one +1 and one -1 or
+nothing, each suffix sum is -1, 0 or 1 and |N| <= 2. Past N, a tree sum
+adds at most depth rows of N, so a Gram entry is at most 1 + 2 depth times
+max|N|, a running sum at most 2k times it and T 4k times it; each block's
+sums run at the narrowest width that holds max|N| times the larger of 1 + 2
+depth and 4k + 1: int16 unless a tree path or a face walk has thousands
+of edges.
 Products with a fiber matrix, whose entries are the caller's, go through
 ``lattice._sparse_product``, which checks ``matmul``'s bound on each call,
 comes at the width that bound needs and runs on Python ints where it
@@ -289,6 +324,9 @@ class HomologyModel:
             raise AssertionError("homology rank disagrees with the genus count")
         pivots, gens = order[:r], order[r:]
         basis = np.arange(g)
+        # the spanning tree, each non-tree edge's two faces and the
+        # generators, for the Gram and its certificate only
+        self._gram_inputs = (tree, plus, minus, gens)
 
         # the class of a cycle is C times its edge chain: row j of C is the
         # fundamental cycle of generator j in the dual tree, whose edges are
@@ -314,8 +352,8 @@ class HomologyModel:
         # transposed; B itself goes to the Gram and is dropped
         sheet, arc = np.divmod(edges, k)
         self.sheet_chains = _sparse((k * g, d), arc * g + cols, sheet, vals)
-        # the Gram's prefix sums at a ramification vertex add at most L - 1
-        # rows of B, whose entries are -1, 0 and 1
+        # N's suffix sums at a ramification vertex add at most L - 1 rows of
+        # B, whose entries are -1, 0 and 1
         B = np.zeros((E, g), dtype=lattice._narrowest(max(self.most_ends - 1, 1)))
         B[edges, cols] = vals
         return B
@@ -323,64 +361,135 @@ class HomologyModel:
     # -- intersection numbers ----------------------------------------------
 
     def _build_gram(self, B):
-        """Gram = B^T Q B for the local crossing form Q, for the basis
-        cycles ``B`` as an edge-by-cycle matrix: the ramification vertices
-        by one product per group of equal size, the sheet vertices one at
-        a time over the basis columns that touch the vertex, by two row
-        gathers of their prefix sums.
+        """Gram = N^T B for the edge crossings N of the basis cycles ``B``
+        (an edge-by-cycle matrix), with the certificate that it is
+        unimodular (see the module), a block of basis columns at a time:
+        every quantity is linear in the columns of N, and a block takes
+        ``_BLOCK`` entries of N or an eighth of the columns, whichever is
+        more.
 
-        The second cycle is displaced to the right of every oriented edge,
-        so its strand arrives just clockwise of a tail end and just counter-
-        clockwise of a head end; the crossings at a vertex pair each end's
-        flow with the prefix sum of the other cycle's flows in cyclic end
-        order, inclusive at a sheet vertex and exclusive at a ramification
-        vertex. The flow is minus the coefficient at a tail end, and the two
-        signs cancel in the product.
-        """
-        g = self.genus2
-        gram = _sheet_crossings(B, self.degree, self.arc_count)
-        # a ramification vertex pairs each end after the first with the sum
-        # of the ends before it: one sparse product sums a whole group
-        for _vertices, ends in self.branch_groups:
-            if ends.shape[1] > 1:
-                run = B[ends[:, :-1]]
-                for i in range(1, run.shape[1]):
-                    run[:, i] += run[:, i - 1]
-                later = lattice.sparse(B[ends[:, 1:].ravel()].T)
-                gram -= lattice._sparse_product(later, run.reshape(later.shape[1], g))
+        With R the sums of N down the spanning tree (``_tree_sums``), basis
+        cycle j, generator j's edge from its head back to its tail through
+        the tree, meets cycle a ``N[gen j, a] + R[head j, a] - R[tail j,
+        a]`` times, which is ``G[a, j]``. The running sums of N along every
+        face walk must close to zero (N^T d_2 = 0), and T, the jump of the
+        running sums across each non-tree edge, must be minus B there: -1
+        at generator j in column j and 0 elsewhere."""
+        tree, plus, minus, gens = vars(self).pop("_gram_inputs")
+        g, d, k, E = self.genus2, self.degree, self.arc_count, self.edge_count
+        gram = np.empty((g, g), dtype=np.int64)
+        # N is held arc by arc: edge ``sheet * k + arc`` is its row
+        # ``arc * d + sheet``
+        row = np.arange(E).reshape(k, d).T.ravel()
+        edges = self.nontree[gens]
+        heads, tails = self.edge_head[edges], self.edge_tail[edges]
+        edges = row[edges]
+        up, up_edge, up_sign, depth = tree
+        levels = _levels((up, row[up_edge], up_sign, depth), np.concatenate([heads, tails]))
+        # the running sums of each non-tree edge's two faces at its arc: of
+        # the one that walks it back up and of the one that walks it down
+        arc = self.nontree % k
+        back, down = arc * d + minus, arc * d + plus
+        walk, arcs = self.face_walk, np.arange(k)[:, None]
+        walked_down, walked_up = arcs * d + walk[:-1], arcs * d + walk[1:]
+        # a tree path sums at most its depth rows of N, a running sum at
+        # most 2k and T two running sums
+        reach = max(1 + 2 * int(depth.max()), 4 * k + 1)
+        width = lattice._narrowest((k + self.most_ends) * lattice._maxabs(B))
+        step = max(_BLOCK // E, -(-g // 8), 1)
+        for lo in range(0, g, step):
+            N = self._crossings(B[:, lo:lo + step], width)
+            need = lattice._maxabs(N) * reach
+            if need >= lattice._INT64_BOUND:
+                raise AssertionError("edge crossings past the int64 bound")
+            N = N.astype(lattice._narrowest(need), copy=False)
+            w = N.shape[1]
+            R = _tree_sums(levels, N, self.vertex_count)
+            gram[lo:lo + w] = (N[edges] + R[heads] - R[tails]).T
+            del R
+            # every face walk at once, arc by arc: run[i] is each face's sum
+            # once it has walked arc i down, and the face closes when the
+            # last arc walked back up brings it to zero
+            run = N[walked_down]
+            for i in range(1, k):
+                run[i] += run[i - 1]
+                run[i] -= N[walked_up[i - 1]]
+            if (run[-1] != N[walked_up[-1]]).any():
+                raise AssertionError("a basis cycle crosses a face boundary")
+            del N
+            run = run.reshape(E, w)
+            T = run[back] - run[down]
+            T[gens[lo:lo + w], np.arange(w)] += 1
+            if T.any():
+                raise AssertionError("intersection form is not unimodular")
         if np.diagonal(gram).any():
             raise AssertionError("nonzero self-intersection")
         if not (gram.T == -gram).all():
             raise AssertionError("intersection form is not alternating")
-        if g and abs(lattice.pfaffian(gram)) != 1:
-            raise AssertionError("intersection form is not unimodular")
         self._gram64 = gram
 
+    def _crossings(self, B, width) -> np.ndarray:
+        """N for the basis columns ``B`` (a block of them), at ``width``,
+        arc by arc: the row of edge e, at ``arc * d + sheet``, is each
+        column's crossing with e alone, minus the suffix sums of the
+        columns' rows over the ends of e's two vertices in cyclic order,
+        from e on at its tail sheet vertex (ends in ascending arcs) and past
+        e at its head ramification vertex. Arc by arc, the sheet vertices'
+        suffix sums are slab adds of whole rows of arcs."""
+        d, k = self.degree, self.arc_count
+        w = B.shape[1]
+        N = np.empty((k, d, w), dtype=width)
+        np.negative(B.reshape(d, k, w).transpose(1, 0, 2), out=N)
+        for i in range(k - 2, -1, -1):
+            N[i] += N[i + 1]
+        N = N.reshape(self.edge_count, w)
+        for _vertices, ends in self.branch_groups:
+            if ends.shape[1] > 1:
+                run = B[ends[:, 1:]].astype(width, copy=False)
+                for i in range(run.shape[1] - 2, -1, -1):
+                    run[:, i] += run[:, i + 1]
+                ends = ends[:, :-1]
+                N[ends % k * d + ends // k] -= run
+        return N
 
-def _sheet_crossings(B, degree, arcs) -> np.ndarray:
-    """The sheet vertices' part of the Gram, in int64: minus the sum over
-    the sheets s of ``x^T cumsum(x)``, x the rows of ``B`` at the ends of
-    sheet vertex s (edges ``s * arcs`` on, in ascending arcs) and the
-    columns of the basis cycles through it.
 
-    A basis cycle is a fundamental cycle of the spanning tree, so it is
-    simple: it leaves s by one end (+1) and comes back by another (-1), and
-    every column of x is ``e_out - e_back``. So ``x^T cumsum(x)`` is
-    ``cumsum(x)[out] - cumsum(x)[back]``: ``argmax`` and ``argmin`` find
-    the ends and two row gathers the rows, which are scattered into the Gram
-    at the columns' pairs. The prefix sums are -1, 0 or 1 and their
-    differences at most 2, so they stay at ``B``'s width."""
-    g = B.shape[1]
-    gram = np.zeros((g, g), dtype=np.int64)
-    flat = gram.reshape(-1)
-    for s in range(degree):
-        x = B[s * arcs:(s + 1) * arcs]
-        cols = np.flatnonzero(x.any(axis=0))
-        x = x[:, cols]
-        run = np.cumsum(x, axis=0, dtype=x.dtype)
-        crossings = run[x.argmax(axis=0)] - run[x.argmin(axis=0)]
-        flat[(cols[:, None] * g + cols).ravel()] -= crossings.ravel()
-    return gram
+# entries of N in a block of basis columns of the Gram, at the least
+_BLOCK = 2 ** 18
+
+
+def _levels(tree, wanted):
+    """The nodes of ``_bfs_tree``'s tree on the paths from the ``wanted``
+    nodes up to the root, the root left out, level by level from the root
+    and each level split by the sign with which a path takes the edges up
+    from its nodes: ``(nodes, parents, edges, np.add or np.subtract)``."""
+    up, up_edge, up_sign, depth = tree
+    order = np.argsort(depth, kind="stable")
+    levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)[1:]
+    on_path = np.zeros(len(up), dtype=bool)
+    on_path[wanted] = True
+    for nodes in reversed(levels):
+        on_path[up[nodes[on_path[nodes]]]] = True
+    out = []
+    for nodes in levels:
+        nodes = nodes[on_path[nodes]]
+        for sign, op in ((1, np.add), (-1, np.subtract)):
+            part = nodes[up_sign[nodes] == sign]
+            if part.size:
+                out.append((part, up[part], up_edge[part], op))
+    return out
+
+
+def _tree_sums(levels, rows, count) -> np.ndarray:
+    """Sums of edge rows down a tree from its root, over ``_levels``'s
+    nodes of its ``count``: node v gets the sum over the edges on its path
+    up to the root of ``rows[edge]`` times the sign with which the path
+    takes it, so that a path from u to v sums to ``out[u] - out[v]``; the
+    other nodes get 0. At ``rows``' width, which the caller has checked
+    holds depth times its largest entry."""
+    out = np.zeros((count, rows.shape[1]), dtype=rows.dtype)
+    for nodes, parents, edges, op in levels:
+        out[nodes] = op(out[parents], rows[edges])
+    return out
 
 
 def _bfs_tree(count, plus, minus):

@@ -229,22 +229,6 @@ def class_of(model, chain):
     return out
 
 
-def sheet_crossings_by_products(B, degree, arcs):
-    """The sheet vertices' part of the Gram, minus ``x^T cumsum(x)`` for
-    each sheet vertex, x the rows of ``B`` at its ends and the columns
-    that touch it, as one product on Python ints per vertex: the form
-    ``surface`` summed it in before its row gathers, and their reference."""
-    B = np.asarray(B).astype(object)
-    g = B.shape[1]
-    gram = np.full((g, g), 0, dtype=object)
-    for s in range(degree):
-        x = B[s * arcs:(s + 1) * arcs]
-        cols = np.flatnonzero((x != 0).any(axis=0))
-        x = x[:, cols]
-        gram[np.ix_(cols, cols)] -= x.T @ np.cumsum(x, axis=0)
-    return gram
-
-
 def gram_by_vertices(model):
     """The Gram B^T Q B of a model summed one vertex at a time, each vertex
     by its own prefix-sum block over the basis columns that touch it, on

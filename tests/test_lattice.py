@@ -1068,14 +1068,39 @@ def test_divisors_of_a_nonsingular_square_runs_one_pfaffian_and_no_elimination(m
     real = lattice.pfaffian
     monkeypatch.setattr(lattice, "_eliminate", no_elimination)
     monkeypatch.setattr(lattice, "pfaffian", lambda g: orders.append(len(g)) or real(g))
-    for M, chain in [
-        (intmat([[2, 4, 6], [4, 2, 8], [6, 8, 2]]), (2, 2, 40)),
-        (intmat([[0, 4], [-4, 0]]), (4, 4)),
-        (intmat([[-5]]), (5,)),
+    # an alternating matrix as it is, any other through its block
+    for M, chain, order in [
+        (intmat([[2, 4, 6], [4, 2, 8], [6, 8, 2]]), (2, 2, 40), 6),
+        (intmat([[0, 4], [-4, 0]]), (4, 4), 2),
+        (intmat([[-5]]), (5,), 2),
     ]:
         orders.clear()
         assert divisors(M) == chain
-        assert orders == [2 * len(M)]
+        assert orders == [order]
+
+
+def _chain_through_the_block(m):
+    """``divisors`` as it was for every square matrix: the Pfaffian-first
+    chain of the ``_skew_block``, each entry taken once, and the Smith
+    elimination where the block is singular."""
+    chain = lattice._nonsingular_chain(lattice._skew_block(m))
+    return chain[::2] if chain is not None else _snf_chain(m)
+
+
+def test_divisors_of_an_alternating_matrix_equal_the_block_path_and_the_minors():
+    # orders 1-6 with small entries, a rank-deficient draw every third one
+    rng = random.Random(29)
+    singular = 0
+    for trial in range(60):
+        n = 1 + trial % 6
+        A = _random_matrix(rng, n, n, lo=-3, hi=3)
+        if trial % 3 == 0:
+            A[:, -1] = 0  # G = A - A^T then has rank below n
+        G = A - A.T
+        rows = to_lists(G)
+        singular += _oracles.det_fraction_free(rows) == 0
+        assert divisors(G) == _chain_through_the_block(G) == tuple(_oracles.minors_gcd_chain(rows))
+    assert singular >= 20
 
 
 @pytest.mark.parametrize("fn", [det, lattice.pfaffian], ids=["det", "pfaffian"])
@@ -1191,8 +1216,9 @@ def test_pfaffian_of_a_spinor_gram_stays_in_int16(monkeypatch):
 
 
 def test_unimodularity_and_types_take_the_pfaffian_not_det(monkeypatch):
-    # the homology build checks its Gram by the Pfaffian, and the type of
-    # an alternating form reads its modulus off the Pfaffian: no det runs
+    # the homology build certifies its Gram unimodular with no Pfaffian,
+    # and the type of an alternating form reads its modulus off the
+    # Pfaffian: no det runs
     calls = []
     real = lattice.pfaffian
 
@@ -1202,10 +1228,10 @@ def test_unimodularity_and_types_take_the_pfaffian_not_det(monkeypatch):
     monkeypatch.setattr(lattice, "det", no_det)
     monkeypatch.setattr(lattice, "pfaffian", lambda g: calls.append(len(g)) or real(g))
     H = surface.build_all(induce(random_simple(4, 4, 8, 5), OrbitKind.SPINOR))
-    assert calls == [H.rank]
+    assert calls == []
     lat = H.sublattice(eye(H.rank))
     assert ptype(lat) == (1,) * (H.rank // 2)
-    assert calls == [H.rank, H.rank]
+    assert calls == [H.rank]
 
 
 # -- the elimination and the sparse product on the width ladder ----------------

@@ -512,11 +512,20 @@ def test_scenario_induces_delta_once(monkeypatch, name):
 def test_scenario_builds_each_orbit_and_induces_each_correspondence_once(
     monkeypatch, builds, name
 ):
-    # at the default seed: each orbit's homology is built at most once, and
-    # each correspondence (source, destination, fiber) is induced at most
-    # once, every induction going through surface.induced_map_all
-    induced, direct = [], []
-    real, real_fixed = surface.induced_map_all, surface._induced
+    # at the default seed: each orbit's cover is induced and its homology
+    # built at most once, and each correspondence (source, destination,
+    # fiber) is induced at most once, every induction going through
+    # surface.induced_map_all
+    induced, direct, covers = [], [], []
+    real, real_fixed, real_cover = surface.induced_map_all, surface._induced, cover.induce
+
+    def recording_cover(datum, orbit):
+        covers.append(orbit)
+        return real_cover(datum, orbit)
+
+    monkeypatch.setattr(cover, "induce", recording_cover)
+    # and prym's own name for it, where prym imports one
+    monkeypatch.setattr(prym, "induce", recording_cover, raising=False)
 
     def recording(src, dst, fiber):
         entries = tuple(map(tuple, np.asarray(fiber).tolist()))
@@ -532,6 +541,7 @@ def test_scenario_builds_each_orbit_and_induces_each_correspondence_once(
     assert verify_scenario(name).verdict
     orbits = [orbit for _, orbit in builds]
     assert orbits and len(set(orbits)) == len(orbits)
+    assert covers and len(set(covers)) == len(covers)
     assert induced and len(set(induced)) == len(induced)
     assert len(direct) == len(induced)
 
@@ -539,6 +549,20 @@ def test_scenario_builds_each_orbit_and_induces_each_correspondence_once(
 def test_probe_trial_builds_each_cover_once(builds):
     prym.probe_trial(4, 4, 8, 7)
     assert sorted(orbit.value for _, orbit in builds) == ["spinor", "vector"]
+
+
+def test_probe_trial_makes_the_incidence_fiber_once(monkeypatch):
+    # S0 and its transpose tS0 are both induced, from one fiber matrix
+    calls = []
+    real = corr.make_S0
+    monkeypatch.setattr(corr, "make_S0", lambda n: calls.append(n) or real(n))
+    names = []
+    real_call = corr.Evaluator.__call__
+    monkeypatch.setattr(corr.Evaluator, "__call__",
+                        lambda ev, name: names.append(name) or real_call(ev, name))
+    prym.probe_trial(4, 4, 8, 7)
+    assert {"S0", "tS0"} <= set(names)
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("orbit", [k.value for k in OrbitKind])

@@ -690,25 +690,6 @@ def test_connected_build_finds_its_components_once(monkeypatch):
     assert H.parts[0].genus == cover.genus(cm)
 
 
-def _sheet_parts(cm):
-    """``(B, degree, arcs, sheet part)`` for every model ``build_all`` makes
-    of ``cm``, as ``surface._sheet_crossings`` saw and returned them."""
-    seen = []
-    real = surface._sheet_crossings
-
-    def spy(B, degree, arcs):
-        out = real(B, degree, arcs)
-        seen.append((B.copy(), degree, arcs, out.copy()))  # the Gram goes on from it
-        return out
-
-    surface._sheet_crossings = spy
-    try:
-        surface.build_all(cm)
-    finally:
-        surface._sheet_crossings = real
-    return seen
-
-
 def _merged_gens(datum):
     """The datum with its first two and its fifth and sixth local
     monodromies merged into one each: the product is still one, and the
@@ -717,12 +698,24 @@ def _merged_gens(datum):
     return MonodromyDatum(datum.n, 0, (g[0] * g[1],) + g[2:4] + (g[4] * g[5],) + g[6:])
 
 
+def _grams_equal_the_vertex_sum(cm):
+    """How many models ``build_all`` makes of ``cm``, after checking that
+    the Gram each forms from its edge crossings is the vertex-by-vertex
+    sum of the loop-built reference."""
+    H = surface.build_all(cm)
+    for p in H.parts:
+        assert p._gram64.dtype == np.int64
+        want = _oracles.gram_by_vertices(_oracles.LoopHomologyModel(p.cover))
+        assert to_lists(p.gram) == to_lists(want)
+    return len(H.parts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(2, 4), st.integers(0, 3), st.integers(1, 4), st.integers(0, 2**16),
     st.sampled_from(list(OrbitKind)), st.booleans(),
 )
-def test_sheet_crossings_equal_the_product_form(n, half_s, half_l, seed, orbit, merge):
+def test_gram_from_edge_crossings_equals_the_vertex_sum(n, half_s, half_l, seed, orbit, merge):
     # seeded simple data and data with two merged points, in every orbit;
     # ds = 0 splits the spinor cover
     try:
@@ -734,9 +727,7 @@ def test_sheet_crossings_equal_the_product_form(n, half_s, half_l, seed, orbit, 
             return
         datum = _merged_gens(datum)
         assert cover.validate(datum) is None
-    for B, degree, arcs, got in _sheet_parts(induce(datum, orbit)):
-        assert got.dtype == np.int64
-        assert to_lists(got) == to_lists(_oracles.sheet_crossings_by_products(B, degree, arcs))
+    assert _grams_equal_the_vertex_sum(induce(datum, orbit)) >= 1
 
 
 @pytest.mark.parametrize("args,orbit,parts", [
@@ -745,11 +736,93 @@ def test_sheet_crossings_equal_the_product_form(n, half_s, half_l, seed, orbit, 
     ((4, 4, 8, 5), OrbitKind.VECTOR, 1),
     ((4, 4, 8, 5), OrbitKind.PARITY, 1),
 ])
-def test_sheet_crossings_equal_the_product_form_on_fixed_data(args, orbit, parts):
-    seen = _sheet_parts(induce(random_simple(*args), orbit))
-    assert len(seen) == parts
-    for B, degree, arcs, got in seen:
-        assert to_lists(got) == to_lists(_oracles.sheet_crossings_by_products(B, degree, arcs))
+def test_gram_from_edge_crossings_equals_the_vertex_sum_on_fixed_data(args, orbit, parts):
+    assert _grams_equal_the_vertex_sum(induce(random_simple(*args), orbit)) == parts
+
+
+def _fresh(cm):
+    """A model of the connected cover ``cm`` built up to its Gram: the
+    model and the basis ``B`` that ``_build_gram`` takes."""
+    p = surface.HomologyModel.__new__(surface.HomologyModel)
+    p.cover = cm
+    p._build_complex()
+    return p, p._build_cycles()
+
+
+def _gram_or_raise(p, B):
+    """The Gram ``_build_gram`` forms, or None when it raises."""
+    try:
+        p._build_gram(B)
+    except AssertionError:
+        return None
+    return p._gram64
+
+
+@pytest.mark.parametrize("datum,orbit", [
+    (random_simple(3, 4, 6, seed=3), OrbitKind.SPINOR),
+    (random_simple(4, 2, 8, seed=5), OrbitKind.VECTOR),
+    (NON_SIMPLE, OrbitKind.SPINOR),
+], ids=["simple-spinor", "simple-vector", "non-simple"])
+def test_one_changed_entry_of_n_b_or_the_face_walk_raises_or_changes_nothing(
+        monkeypatch, datum, orbit):
+    # every single-entry change of N, of B or of the face walk either makes
+    # the build raise or leaves its Gram as it was: the certificate lets no
+    # wrong Gram through. A change of N that does not raise is on the one
+    # edge of a ramification vertex with one end, which no basis cycle runs
+    # through and whose two sides are one face.
+    cm = surface.build_all(induce(datum, orbit)).parts[0].cover
+    want = surface.build_all(cm)._gram64
+    p, B = _fresh(cm)
+    d, k = p.degree, p.arc_count
+    leaves = {int(e) for _, ends in p.branch_groups if ends.shape[1] == 1 for e in ends.ravel()}
+    rng = random.Random(7)
+    cells = [(e, j) for e in range(B.shape[0]) for j in range(B.shape[1])]
+    raised = {"B": 0, "N": 0, "walk": 0}
+    for e, j in rng.sample(cells, min(60, len(cells))):
+        p, B = _fresh(cm)
+        B = B.copy()
+        B[e, j] += rng.choice((-1, 1))
+        got = _gram_or_raise(p, B)
+        raised["B"] += got is None
+        assert got is None or (got == want).all()
+    real = surface.HomologyModel._crossings
+    for r, j in rng.sample(cells, min(60, len(cells))):
+        def changed(self, block, width, r=r, j=j):
+            N = real(self, block, width)  # one block: row arc * d + sheet
+            N[r, j] += 1
+            return N
+
+        monkeypatch.setattr(surface.HomologyModel, "_crossings", changed)
+        got = _gram_or_raise(*_fresh(cm))
+        monkeypatch.undo()
+        raised["N"] += got is None
+        assert got is None or ((got == want).all() and r % d * k + r // d in leaves)
+    for i in range(k + 1):
+        for t in range(d):
+            p, B = _fresh(cm)
+            p.face_walk[i, t] = (p.face_walk[i, t] + 1) % d
+            got = _gram_or_raise(p, B)
+            raised["walk"] += got is None
+            assert got is None or (got == want).all()
+    assert min(raised.values()) > 0, raised
+
+
+@pytest.mark.parametrize("args", [(6, 8, 16, 7), (7, 6, 14, 0), (8, 4, 16, 1)],
+                         ids=["rank-386", "rank-578", "rank-1026"])
+def test_whole_gram_pfaffian_is_a_unit_on_the_ladder(args):
+    # the elimination the build's certificate replaced, kept as the oracle
+    H = surface.build_all(induce(random_simple(*args), OrbitKind.SPINOR))
+    assert abs(lattice.pfaffian(H._gram64)) == 1
+
+
+@pytest.mark.parametrize("datum", _SEEDED, ids=_SEEDED_IDS)
+def test_build_all_runs_no_pfaffian(monkeypatch, datum):
+    def refused(g):
+        raise AssertionError("the build ran a Pfaffian")
+
+    monkeypatch.setattr(lattice, "pfaffian", refused)
+    for orbit in (OrbitKind.VECTOR, OrbitKind.SPINOR, OrbitKind.PARITY):
+        assert surface.build_all(induce(datum, orbit)).rank >= 0
 
 
 def test_induced_core_is_the_public_map_at_fixed_width():
